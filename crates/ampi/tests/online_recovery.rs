@@ -336,3 +336,74 @@ fn recovery_phases_appear_in_chrome_trace() {
         "pre-crash checkpoint events lost from trace rings"
     );
 }
+
+/// splitmix64: the per-seed schedule stream of the soak below.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+/// One randomized schedule: 1-2 distinct victims at vts spread over the
+/// run, degree-2 replication, every third seed a stall and every second
+/// seed 1 % packet loss on top. Returns the plan and every PE allowed to
+/// die — a long stall may legitimately end in fencing (fail-stop by
+/// decree), so the staller is an allowed casualty too.
+fn soak_schedule(seed: u64) -> (FaultPlan, Vec<usize>) {
+    let mut s = seed;
+    let mut plan = FaultPlan::new(seed).online_recovery(2);
+    let n_crashes = 1 + (mix(&mut s) % 2) as usize;
+    let first_victim = (mix(&mut s) % PES as u64) as usize;
+    let mut allowed = Vec::new();
+    let mut vt = 1_500_000 + mix(&mut s) % 3_000_000;
+    for i in 0..n_crashes {
+        let victim = (first_victim + i * 2) % PES; // distinct by construction
+        plan = plan.crash_pe(victim, vt);
+        allowed.push(victim);
+        // Far enough apart that the second death usually lands after the
+        // first heal — and sometimes inside it, exercising supersession.
+        vt += 5_000_000 + mix(&mut s) % 6_000_000;
+    }
+    if mix(&mut s).is_multiple_of(3) {
+        let staller = (first_victim + 1) % PES;
+        // Short stalls stay transient (suspect, then clear); long ones
+        // outlast the confirm window and end in a STONITH fence.
+        let steps = 200 + mix(&mut s) % 2_800;
+        plan = plan.stall_pe(staller, 1_000_000 + mix(&mut s) % 2_000_000, steps);
+        allowed.push(staller);
+    }
+    if mix(&mut s).is_multiple_of(2) {
+        plan = plan.drop_prob(0.01);
+    }
+    (plan, allowed)
+}
+
+#[test]
+fn seeded_crash_stall_loss_schedules_heal_in_place() {
+    let clean = fault_free_results();
+    for i in 0..12u64 {
+        let seed = 0xC0FFEE ^ i.wrapping_mul(0x9E3779B97F4A7C15);
+        let (plan, allowed) = soak_schedule(seed);
+        let (ft, got) = online_run(plan);
+        assert_eq!(ft.restarts, 0, "seed {seed:#x}: the world was restarted");
+        assert_eq!(
+            ft.report.stranded_threads.iter().sum::<usize>(),
+            0,
+            "seed {seed:#x}: stranded threads"
+        );
+        assert!(
+            ft.crashed_pes.iter().all(|pe| allowed.contains(pe)),
+            "seed {seed:#x}: PEs {:?} died, only {allowed:?} may",
+            ft.crashed_pes
+        );
+        assert_eq!(got.len(), RANKS, "seed {seed:#x}: a rank never finished");
+        for r in 0..RANKS {
+            assert_eq!(
+                got[&r].0, clean[&r].0,
+                "seed {seed:#x}: rank {r} checksum differs from the fault-free run"
+            );
+        }
+    }
+}

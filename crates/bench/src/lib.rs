@@ -12,10 +12,11 @@
 //! cargo run --release -p flows-bench --bin fig10_minswap
 //! cargo run --release -p flows-bench --bin fig11_bigsim      [--full]
 //! cargo run --release -p flows-bench --bin fig12_btmz
+//! cargo run --release -p flows-bench --bin trace_export      [--sweep]
 //! ```
 //!
-//! Criterion micro-benches (`cargo bench -p flows-bench`) cover the swap
-//! routines, privatization modes and stack flavors.
+//! These are the reproduction, not the performance instrument: a number
+//! that carries a claim comes from `bash benchmark/run.sh` (flowsbench).
 
 #![warn(missing_docs)]
 

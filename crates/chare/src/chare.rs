@@ -71,6 +71,9 @@ type ChareRef = Rc<RefCell<Box<dyn Chare>>>;
 #[derive(Default)]
 struct ChareState {
     chares: HashMap<ObjId, (u32, ChareRef)>,
+    /// Destinations of chares that asked to migrate from inside their own
+    /// entry method; [`deliver`] performs the move when the entry returns.
+    deferred: HashMap<ObjId, usize>,
 }
 
 static MOVE_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();
@@ -103,9 +106,11 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
             .1
             .clone()
     });
-    // The Rc keeps the chare alive even if it migrates *itself* inside the
-    // entry method; borrow ends before any further dispatch.
+    // The borrow ends before any further dispatch.
     chare.borrow_mut().receive(pe, m.ep, m.data);
+    if let Some(dest) = pe.ext::<ChareState, _>(|st| st.deferred.remove(&obj)) {
+        migrate(pe, obj, dest);
+    }
 }
 
 fn on_move(pe: &Pe, msg: Message) {
@@ -148,14 +153,26 @@ pub fn send_from_here(obj: ObjId, ep: u32, data: Vec<u8>) {
 /// Migrate chare `obj` from this PE to `dest`: pack its state, update the
 /// location layer, ship it. Event-driven object migration is "the simplest
 /// kind" (§3.2): data structures plus the name of the next event.
+///
+/// A chare may call this on itself from its own entry method: the chare
+/// is borrowed by the dispatch then, so the move is recorded and happens
+/// when the entry returns. Messages it sends itself in the meantime are
+/// queued behind the entry and follow it through the location layer.
 pub fn migrate(pe: &Pe, obj: ObjId, dest: usize) {
     assert_ne!(dest, pe.id(), "migrating to self is a no-op");
     let (type_id, chare) = pe.ext::<ChareState, _>(|st| {
         st.chares
-            .remove(&obj)
+            .get(&obj)
             .unwrap_or_else(|| panic!("cannot migrate unknown chare {obj:?}"))
+            .clone()
     });
-    let state = chare.borrow_mut().pack();
+    let Ok(mut running) = chare.try_borrow_mut() else {
+        pe.ext::<ChareState, _>(|st| st.deferred.insert(obj, dest));
+        return;
+    };
+    let state = running.pack();
+    drop(running);
+    pe.ext::<ChareState, _>(|st| st.chares.remove(&obj));
     flows_comm::migrate_obj_out(pe, obj, dest);
     let mut m = MoveMsg {
         obj,

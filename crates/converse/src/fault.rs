@@ -42,6 +42,10 @@ pub struct PeStall {
     pub for_steps: u64,
 }
 
+/// Virtual-time heartbeat period of the failure detector (heartbeats are
+/// sent only under online recovery).
+pub(crate) const HEARTBEAT_NS: u64 = 100_000;
+
 /// A deterministic, seeded schedule of faults to inject into a machine.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -69,9 +73,6 @@ pub struct FaultPlan {
     /// death-confirmed upcall (the AMPI layer's rollback/respawn
     /// protocol). Only supported under deterministic drive.
     pub online: bool,
-    /// Virtual-time heartbeat period for the failure detector (active only
-    /// when `online`).
-    pub heartbeat_ns: u64,
     /// Phi threshold at which a silent peer becomes *suspected*.
     pub phi_suspect: f64,
     /// Phi threshold at which the recovery leader *confirms* a suspected
@@ -97,7 +98,6 @@ impl FaultPlan {
             crashes: Vec::new(),
             stalls: Vec::new(),
             online: false,
-            heartbeat_ns: 0,
             phi_suspect: 4.0,
             phi_confirm: 8.0,
             replication: 1,
@@ -105,22 +105,12 @@ impl FaultPlan {
     }
 
     /// Enable online recovery with buddy-replication degree `k`: crashes
-    /// are detected and healed in place instead of aborting the run. Also
-    /// arms the heartbeat clock with a default period if none was set.
+    /// are detected and healed in place instead of aborting the run, with
+    /// the failure detector fed a heartbeat every 100 us of virtual time.
     pub fn online_recovery(mut self, k: usize) -> Self {
         assert!(k >= 1, "replication degree must be at least 1");
         self.online = true;
         self.replication = k;
-        if self.heartbeat_ns == 0 {
-            self.heartbeat_ns = 100_000;
-        }
-        self
-    }
-
-    /// Set the failure-detector heartbeat period (virtual ns).
-    pub fn heartbeat_every(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "heartbeat period must be positive");
-        self.heartbeat_ns = ns;
         self
     }
 

@@ -21,6 +21,10 @@ use std::time::Duration;
 /// virtual-time retransmission deadlines.
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
+/// Events retained per PE trace ring; the oldest are overwritten first and
+/// counted exactly in the summary's `dropped`.
+const TRACE_RING_EVENTS: usize = 1 << 16;
+
 /// Shared counters used for machine-wide quiescence detection (the
 /// Converse QD analog): the machine is quiescent when every PE is idle and
 /// every sent message has been received.
@@ -359,7 +363,6 @@ pub struct MachineBuilder {
     fault: Option<Arc<FaultPlan>>,
     modeled_time: bool,
     tracing: bool,
-    trace_cap: usize,
     steal: bool,
     death_upcall: Option<DeathUpcall>,
     world: Option<Arc<flows_net::World>>,
@@ -380,7 +383,6 @@ impl MachineBuilder {
             fault: None,
             modeled_time: false,
             tracing: false,
-            trace_cap: 1 << 16,
             steal: false,
             death_upcall: None,
             world: None,
@@ -424,13 +426,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Events retained per PE ring (default 65536; oldest are overwritten
-    /// first and counted exactly in the summary's `dropped`).
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.trace_cap = events;
-        self
-    }
-
     /// Advance virtual clocks by *modeled* costs only (`charge_ns` and the
     /// network model), never by measured host CPU time. Makes virtual
     /// time — and with it `crash_pe`-style virtual-time triggers — exactly
@@ -450,7 +445,6 @@ impl MachineBuilder {
                 self.num_pes <= 64,
                 "online recovery tracks PE liveness in a 64-bit mask"
             );
-            assert!(plan.heartbeat_ns > 0, "online recovery needs heartbeats");
         }
         self.fault = Some(Arc::new(plan));
         self
@@ -555,7 +549,7 @@ impl MachineBuilder {
         let rings: Vec<Arc<TraceRing>> = if self.tracing {
             flows_trace::set_enabled(true);
             (0..local)
-                .map(|i| Arc::new(TraceRing::new(base + i, self.trace_cap)))
+                .map(|i| Arc::new(TraceRing::new(base + i, TRACE_RING_EVENTS)))
                 .collect()
         } else {
             Vec::new()

@@ -1,6 +1,6 @@
 //! One processing element: message pump + thread scheduler + virtual clock.
 
-use crate::fault::{FaultCtx, FaultStats, RecoveryEvent, RecoveryPhase};
+use crate::fault::{FaultCtx, FaultStats, RecoveryEvent, RecoveryPhase, HEARTBEAT_NS};
 use crate::link::{rto_ns, LinkTable, Packet, PacketBody, RxOutcome, Unacked, RTO_ATTEMPT_CAP};
 use crate::machine::{Hub, Morgue};
 use crate::msg::{HandlerId, Message, NetModel};
@@ -169,12 +169,11 @@ impl Pe {
         death_upcall: Option<DeathUpcall>,
     ) -> Pe {
         let online = fault.as_ref().is_some_and(|c| c.plan.online);
-        let hb_period = fault.as_ref().map_or(0, |c| c.plan.heartbeat_ns);
         let det = if online {
             vec![
                 PeerHealth {
                     last_vt: 0,
-                    mean_ns: hb_period.max(1) as f64,
+                    mean_ns: HEARTBEAT_NS as f64,
                     suspected: false,
                     suspect_vt: 0,
                 };
@@ -704,10 +703,7 @@ impl Pe {
     /// they share the plan's drop probability (an independent stream), so
     /// the detector sees the same lossy wire the data does.
     fn heartbeat_maintain(&self, ctx: &FaultCtx) {
-        let period = ctx.plan.heartbeat_ns;
-        if period == 0 {
-            return;
-        }
+        let period = HEARTBEAT_NS;
         let now = self.vtime.get();
         if self.next_hb.get() == 0 {
             self.next_hb.set(now + period);
@@ -750,7 +746,7 @@ impl Pe {
             self.vtime.set(sender_vt);
         }
         let now = self.vtime.get().max(1);
-        let period = self.fault.as_ref().map_or(1, |c| c.plan.heartbeat_ns) as f64;
+        let period = HEARTBEAT_NS as f64;
         let mut cleared = None;
         {
             let mut det = self.det.borrow_mut();
@@ -785,7 +781,7 @@ impl Pe {
     /// failed, so leadership survives the leader's own death.
     fn detector_maintain(&self, ctx: &FaultCtx) {
         let now = self.vtime.get();
-        let period = ctx.plan.heartbeat_ns.max(1);
+        let period = HEARTBEAT_NS;
         let last_eval = self.det_eval_vt.get();
         self.det_eval_vt.set(now);
         if last_eval != 0 && now.saturating_sub(last_eval) > 4 * period {

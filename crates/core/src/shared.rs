@@ -97,13 +97,6 @@ impl SharedPools {
         &self.slab_cache
     }
 
-    /// Override both reclaim high-water marks (alias warm lists and the
-    /// slab cache); `0` forces eager reclaim, as under `sanitize`.
-    pub fn set_reclaim_high_water(&self, n: usize) {
-        self.alias.lock().set_high_water(n);
-        self.slab_cache.lock().set_high_water(n);
-    }
-
     /// The stack-copy pool (process-wide lock).
     pub fn copy(&self) -> &Mutex<CopyStackPool> {
         &self.copy

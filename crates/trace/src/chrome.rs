@@ -110,7 +110,7 @@ pub fn chrome_trace_json(rings: &[Arc<TraceRing>]) -> String {
 
 // --- A minimal JSON validator -------------------------------------------
 //
-// There is no serde in this workspace, but tests and trace_demo.sh need
+// There is no serde in this workspace, but tests and trace_export need
 // "is this output actually JSON". A ~60-line recursive-descent checker
 // is enough: it validates structure, not schema.
 

@@ -1,8 +1,12 @@
 #!/bin/bash
-# Safety gate: the migration-safety lint plus the runtime-sanitizer test
-# pass.
+# The one gate, in one fixed order. Run before committing.
 #
-#  1. flowslint — the dependency-free static analysis in crates/check,
+#  1. clippy across the workspace at -D warnings, plus the two libc-edge
+#     checks: the slot-memory layer (flows-mem) and the transport layer
+#     (flows-net) must reach the kernel only through flows-sys so
+#     SyscallCounts stay truthful. flowslint catches `libc::` tokens;
+#     the greps catch the dependency edge itself.
+#  2. flowslint — the dependency-free static analysis in crates/check,
 #     seven rules over a per-crate symbol graph: SAFETY-comment coverage
 #     on `unsafe`, no hidden global state in migratable crates,
 #     raw-pointer fields in Pup types flagged, libc confined to
@@ -13,15 +17,31 @@
 #     The workspace must stay free of unwaived findings; accepted ones
 #     live in flowslint.baseline, and every run writes the SARIF
 #     artifact to target/flowslint.sarif for upload/inspection.
-#  2. flowslint's own test suite — tokenizer/parser units, rule
+#  3. flowslint's own test suite — tokenizer/parser units, rule
 #     fixtures, interleaver models, report/baseline round-trips.
-#  3. `--features sanitize` test pass — rebuilds the substrate with the
+#  4. `--features sanitize` test pass — rebuilds the substrate with the
 #     runtime detectors armed (stack canaries, heap red zones + freed
 #     quarantine, vacated-slot poisoning, scheduler lifecycle trips,
 #     pup-size validation) and proves both that the regular suites still
 #     pass with detectors on and that every detector still fires.
+#  5. Million-thread capacity: one PE must hold >= 1M live migratable
+#     threads (lazy slabs) at <= 4 KiB each. The ceiling is ~20x the
+#     measured Tcb+bookkeeping cost, so it trips on an O(threads) memory
+#     regression, not allocator jitter.
+#  6. flowsbench smoke: every workload must verify. Performance floors
+#     are not kept here — a floor is a `benchmark/run.sh` result compared
+#     against the parent commit.
 set -eu
 cd "$(dirname "$0")/.."
+
+cargo clippy --offline --workspace --all-targets -- -D warnings
+for crate in mem net; do
+  if grep -Eq '^\s*libc\s*[=.]' "crates/$crate/Cargo.toml"; then
+    echo "FAIL: flows-$crate must not depend on libc directly — go through flows-sys"
+    exit 1
+  fi
+done
+echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency"
 
 mkdir -p target
 cargo run --offline -q -p flows-check --bin flowslint -- --root . \
@@ -29,3 +49,21 @@ cargo run --offline -q -p flows-check --bin flowslint -- --root . \
 cargo test --offline -q -p flows-check
 cargo test --offline -q -p flows-mem -p flows-core -p flows-ampi --features sanitize
 echo "OK: flowslint clean (SARIF at target/flowslint.sarif) + check suite + sanitize pass green"
+
+ISO=$(cargo run --offline --release -q -p flows-bench --bin table2_limits -- \
+  --proc-cap 16 --kthread-cap 16 --uthread-cap 16 --iso-cap 1000000 | grep '^iso_' || true)
+echo "$ISO" | awk '$1 == "iso_live_threads:" { live = $2 } $1 == "iso_bytes_per_thread:" { bpt = $2 }
+  END { exit !(live >= 1000000 && bpt != "" && bpt <= 4096) }' \
+  || { echo "FAIL: need iso_live_threads >= 1000000 and iso_bytes_per_thread <= 4096, got: $ISO"; exit 1; }
+echo "OK: capacity:" $ISO
+
+rc=0
+bash benchmark/run.sh --quick || rc=$?
+if [ "$rc" -eq 2 ]; then
+  echo "SKIPPED: flowsbench smoke refused to run on a loaded host — rerun 'bash benchmark/run.sh --quick' when idle"
+elif [ "$rc" -ne 0 ]; then
+  echo "FAIL: flowsbench smoke exited $rc"
+  exit 1
+else
+  echo "OK: flowsbench smoke verified every workload"
+fi
