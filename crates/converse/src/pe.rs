@@ -45,6 +45,12 @@ struct PeerHealth {
 
 thread_local! {
     static CURRENT_PE: Cell<*const Pe> = const { Cell::new(std::ptr::null()) };
+    /// The CPU-clock reading that closed this OS thread's last busy pump
+    /// (0 = none): the next pump starts from it instead of paying a second
+    /// `thread_cpu_ns` syscall. Per OS thread, not per PE — the
+    /// deterministic drive pumps every PE on one thread, and a per-PE
+    /// reading would charge PE 1's CPU time to PE 0.
+    static PUMP_CPU_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Consecutive idle pumps before an otherwise-idle PE jumps its virtual
@@ -1044,8 +1050,16 @@ impl Pe {
         // CPU time (see flows_sys::time::thread_cpu_ns): virtual time must
         // charge this PE's own work, not host preemption. Under modeled
         // time the clock never reads the host, so skip the syscall — it
-        // would otherwise dominate an idle pump.
-        let t0 = if self.modeled_time { 0 } else { thread_cpu_ns() };
+        // would otherwise dominate an idle pump. Back-to-back busy pumps
+        // share a reading: the last one's end is this one's start.
+        let t0 = if self.modeled_time {
+            0
+        } else {
+            match PUMP_CPU_NS.get() {
+                0 => thread_cpu_ns(),
+                carried => carried,
+            }
+        };
         // Victim half of work stealing, at the pump boundary so the
         // per-switch hot path inside `step` stays untouched: publish our
         // load and service any pending requests. `donate_steals` bails on
@@ -1072,8 +1086,16 @@ impl Pe {
         }
         // Under modeled time (reproducible fault runs) only explicit
         // charges and network arrivals move the clock.
-        if progress && !self.modeled_time {
-            self.charge_ns(thread_cpu_ns().saturating_sub(t0));
+        if !self.modeled_time {
+            // An idle pump charges nothing and drops the carried reading,
+            // so the spinning and parking that follow it stay uncharged.
+            PUMP_CPU_NS.set(if progress {
+                let t1 = thread_cpu_ns();
+                self.charge_ns(t1.saturating_sub(t0));
+                t1
+            } else {
+                0
+            });
         }
         if self.link_maintain(progress) {
             progress = true;
@@ -1141,6 +1163,9 @@ impl Pe {
         // SAFETY: `self.ring` (an Arc) outlives the enter..leave span.
         let prev = unsafe { flows_trace::swap_current(flows_trace::ring_ptr(self.ring.as_ref())) };
         self.prev_ring.set(prev);
+        // Whatever ran on this OS thread before this PE took it over is
+        // not this PE's CPU time.
+        PUMP_CPU_NS.set(0);
         CURRENT_PE.with(|c| c.replace(self as *const Pe))
     }
 

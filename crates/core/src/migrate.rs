@@ -357,9 +357,6 @@ impl Scheduler {
         }
         let payload = buf.freeze();
         inner.stats.migrations_out += 1;
-        // The accumulated load travels with the thread so the destination
-        // PE's tracker (and its LB epoch) continues where this one left off.
-        let load_ns = inner.tracker.take(tid.0);
         flows_trace::emit(
             flows_trace::EventKind::MigPack,
             tid.0,
@@ -373,7 +370,10 @@ impl Scheduler {
                 flavor: flavor_tag(flavor),
                 state: matches!(tcb.state, ThreadState::Ready) as u8,
                 sp: sp as u64,
-                load_ns,
+                // The accumulated load travels with the thread, so the
+                // destination PE's LB epoch continues where this one left
+                // off.
+                load_ns: tcb.load_ns,
                 priority: tcb.priority,
                 globals: tcb.globals.take(),
                 payload_len: payload.len() as u64,
@@ -400,7 +400,6 @@ impl Scheduler {
             .remove(&tid)
             .ok_or_else(|| SysError::logic("discard", format!("{tid} is not here")))?;
         inner.runq.remove(tid);
-        let _ = inner.tracker.take(tid.0);
         let data = std::mem::replace(
             &mut tcb.flavor,
             FlavorData::Copy {
@@ -535,13 +534,13 @@ impl Scheduler {
             globals: w.globals,
             panicked: false,
             priority: w.priority,
+            load_ns: w.load_ns,
         });
         inner.threads.insert(w.id, tcb);
         if ready {
             inner.runq.push(w.id, w.priority);
         }
         inner.stats.migrations_in += 1;
-        inner.tracker.set(w.id.0, w.load_ns);
         flows_trace::emit(
             flows_trace::EventKind::MigUnpack,
             w.id.0,

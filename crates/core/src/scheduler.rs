@@ -15,12 +15,12 @@
 
 use crate::privatize::PrivatizeMode;
 use crate::shared::{SharedPools, DEFAULT_STACK_LEN};
-use crate::tcb::{Entry, FlavorData, StackFlavor, Tcb, ThreadId, ThreadState};
+use crate::tcb::{Entry, FlavorData, StackFlavor, Tcb, ThreadId, ThreadState, TidMap};
 use flows_arch::{set_exit_hook, Context, InitialStack, SwapKind};
 use flows_sys::error::{SysError, SysResult};
-use flows_trace::{emit, EventKind, LoadTracker};
+use flows_sys::time::{cycles, ticks_to_ns};
+use flows_trace::{emit, EventKind};
 use std::cell::{Cell, UnsafeCell};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -255,7 +255,7 @@ pub(crate) struct Inner {
     pub shared: Arc<SharedPools>,
     pub cfg: SchedConfig,
     pub runq: RunQueue,
-    pub threads: HashMap<ThreadId, Box<Tcb>>,
+    pub threads: TidMap<Box<Tcb>>,
     pub current: Option<ThreadId>,
     /// The running thread's control block, cached so thread-side calls
     /// (`yield_now`, `suspend`, `with_current_tcb`) skip the map lookup.
@@ -271,9 +271,6 @@ pub(crate) struct Inner {
     /// Stacks of finished Standard threads, reused (uncleared — a fresh
     /// bootstrap frame is built on top) instead of reallocated.
     std_stacks: Vec<Vec<u8>>,
-    /// Trace-derived per-thread CPU accounting — the load balancer's
-    /// measurement input (always on, independent of the trace gate).
-    pub tracker: LoadTracker,
 }
 
 /// One PE's user-level thread scheduler. `!Send`/`!Sync`: each PE's OS
@@ -303,6 +300,9 @@ impl Scheduler {
             .as_ref()
             .map(|l| vec![0u8; l.block_len()])
             .unwrap_or_default();
+        // Anchor the tick→ns ratio before any burst can start, so even the
+        // first bursts convert against a span that covers them.
+        ticks_to_ns(0);
         Scheduler {
             inner: UnsafeCell::new(Inner {
                 pe,
@@ -310,14 +310,13 @@ impl Scheduler {
                 sched_ctx: Context::new(cfg.swap_kind),
                 cfg,
                 runq: RunQueue::default(),
-                threads: HashMap::new(),
+                threads: TidMap::default(),
                 current: None,
                 current_tcb: std::ptr::null_mut(),
                 stats: SchedStats::default(),
                 globals_buf,
                 globals_prev: (std::ptr::null_mut(), 0),
                 std_stacks: Vec::new(),
-                tracker: LoadTracker::new(),
             }),
         }
     }
@@ -430,6 +429,7 @@ impl Scheduler {
             globals: inner.cfg.globals.as_ref().map(|l| l.new_block()),
             panicked: false,
             priority,
+            load_ns: 0,
         });
         inner.threads.insert(id, tcb);
         inner.runq.push(id, priority);
@@ -772,12 +772,17 @@ impl Scheduler {
             (*inner).stats.switches += 1;
             let ftag = crate::migrate::flavor_tag((*tcb).flavor.flavor()) as u64;
             emit(EventKind::SwitchIn, tid.0, ftag, 0);
-            (*inner).tracker.begin();
+            let burst_start = cycles();
 
             Context::swap_raw(&raw mut (*inner).sched_ctx, &raw const (*tcb).ctx);
 
             // ---- the thread ran and came back ----
-            let burst = (*inner).tracker.end(tid.0);
+            // One measurement feeds both the balancer's counter and the
+            // trace. Wall ticks: a non-preemptive PE owns its OS thread. A
+            // negative delta (the OS thread moved to a core whose counter
+            // is behind) clamps to an empty burst.
+            let burst = ticks_to_ns(cycles().saturating_sub(burst_start));
+            (*tcb).load_ns += burst;
             emit(EventKind::SwitchOut, tid.0, burst, ftag);
             (*inner).current = None;
             (*inner).current_tcb = std::ptr::null_mut();
@@ -818,6 +823,7 @@ impl Scheduler {
             drop(copy_guard);
 
             if done {
+                let lifetime = (*tcb).load_ns;
                 if let Some(mut dead) = (*inner).threads.remove(&tid) {
                     // Every flavor's exit path is a deferred-reclaim list
                     // push — no unmap, no decommit, no punch inline.
@@ -852,7 +858,6 @@ impl Scheduler {
                     }
                 }
                 (*inner).stats.completed += 1;
-                let lifetime = (*inner).tracker.take(tid.0);
                 emit(EventKind::ThreadExit, tid.0, lifetime, 0);
             }
         }
@@ -907,15 +912,14 @@ impl Scheduler {
     }
 
     /// Measured per-thread on-CPU time (the load balancer's input):
-    /// `(thread, nanoseconds)` pairs for every live thread, read from
-    /// the trace-derived [`LoadTracker`].
+    /// `(thread, nanoseconds)` pairs for every live thread.
     pub fn loads(&self) -> Vec<(ThreadId, u64)> {
         // SAFETY: plain read between switches.
         let inner = unsafe { &*self.inner() };
         inner
             .threads
-            .keys()
-            .map(|&id| (id, inner.tracker.get(id.0)))
+            .iter()
+            .map(|(&id, t)| (id, t.load_ns))
             .collect()
     }
 
@@ -923,14 +927,18 @@ impl Scheduler {
     pub fn reset_loads(&self) {
         // SAFETY: plain mutation between switches.
         let inner = unsafe { &mut *self.inner() };
-        inner.tracker.reset_all();
+        for tcb in inner.threads.values_mut() {
+            tcb.load_ns = 0;
+        }
     }
 
     /// Zero one thread's load counter (when its LB epoch rolls over).
     pub fn reset_load_tid(&self, tid: ThreadId) {
         // SAFETY: plain mutation between switches.
         let inner = unsafe { &mut *self.inner() };
-        inner.tracker.reset(tid.0);
+        if let Some(tcb) = inner.threads.get_mut(&tid) {
+            tcb.load_ns = 0;
+        }
     }
 
     pub(crate) fn inner_ptr(&self) -> *mut Inner {
@@ -1151,15 +1159,7 @@ fn awaken_state_error(tid: ThreadId, state: ThreadState) -> SysError {
 /// The calling thread's accumulated on-CPU time in nanoseconds (excludes
 /// the burst currently executing). `None` outside a thread.
 pub fn current_load_ns() -> Option<u64> {
-    let sched = CURRENT_SCHED.with(|c| c.get());
-    if sched.is_null() {
-        return None;
-    }
-    // SAFETY: same-OS-thread read; no reference held across a switch.
-    unsafe {
-        let inner = (*sched).inner_ptr();
-        (*inner).current.map(|tid| (*inner).tracker.get(tid.0))
-    }
+    with_current_tcb(|tcb| tcb.load_ns)
 }
 
 /// Change the calling thread's scheduling priority (takes effect at its

@@ -1,9 +1,15 @@
-//! Timing utilities for the benchmark harnesses.
+//! Clocks: the runtime's per-burst tick clock and the benchmark timers.
 //!
-//! The paper reports context-switch times down to ~16 ns (Fig. 10), so the
-//! harness needs both a cheap monotonic nanosecond clock and, on x86-64, the
-//! TSC for cycle-level confirmation.
+//! Three clocks, three jobs. [`cycles`] + [`ticks_to_ns`] time the
+//! scheduler's on-CPU bursts (two `rdtsc` reads per switch, no kernel, no
+//! vDSO call). [`monotonic_ns`] / [`load_clock_ns`] stamp trace events and
+//! wall spans. [`thread_cpu_ns`] — a real syscall — feeds the converse
+//! pump's virtual clock, where host preemption must not count. The paper
+//! reports context-switch times down to ~16 ns (Fig. 10), so anything read
+//! per switch has to cost less than that.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Monotonic nanoseconds since an arbitrary epoch (CLOCK_MONOTONIC).
@@ -31,20 +37,23 @@ pub fn thread_cpu_ns() -> u64 {
     ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
 }
 
-/// The scheduler's per-burst load clock: monotonic nanoseconds via the
-/// vDSO — no kernel entry, ~20 ns. A non-preemptive PE owns its OS thread,
-/// so wall time between swap-in and swap-out *is* the burst's CPU time in
-/// the common case (Charm++'s load database is likewise built on wall
-/// timers). `CLOCK_THREAD_CPUTIME_ID` would stay exact under preemption by
-/// unrelated processes, but it is a real syscall (~200 ns) and a context
-/// switch pays for two of them — several times the switch itself.
+/// The trace timestamp clock: monotonic nanoseconds via the vDSO — no
+/// kernel entry, ~25 ns. Only read with the trace gate on; per-burst load
+/// accounting uses the cheaper [`cycles`] / [`ticks_to_ns`] pair.
 #[inline]
 pub fn load_clock_ns() -> u64 {
     monotonic_ns()
 }
 
-/// Read the time-stamp counter (x86-64). Falls back to `monotonic_ns` on
-/// other architectures so callers stay portable.
+/// Read the tick source: the time-stamp counter on x86-64 (~12 ns, no
+/// memory effects), `monotonic_ns` elsewhere so callers stay portable.
+/// Differences of two reads on one OS thread are wall ticks; convert them
+/// with [`ticks_to_ns`]. A non-preemptive PE owns its OS thread, so the
+/// wall ticks between swap-in and swap-out *are* the burst's CPU time in
+/// the common case (Charm++'s load database is likewise built on wall
+/// timers); `CLOCK_THREAD_CPUTIME_ID` would stay exact under preemption by
+/// unrelated processes, but it is a ~200 ns syscall and a switch would pay
+/// two of them.
 #[inline]
 pub fn cycles() -> u64 {
     #[cfg(target_arch = "x86_64")]
@@ -56,6 +65,65 @@ pub fn cycles() -> u64 {
     {
         monotonic_ns()
     }
+}
+
+/// One `(ticks, monotonic_ns)` reading of the same instant: the ns read is
+/// bracketed by two tick reads and paired with their midpoint; of four
+/// tries the tightest bracket wins, so a preemption between the reads
+/// cannot skew the pair.
+fn tick_pair() -> (u64, u64) {
+    let mut best = (u64::MAX, 0, 0);
+    for _ in 0..4 {
+        let a = cycles();
+        let ns = monotonic_ns();
+        let width = cycles().saturating_sub(a);
+        if width < best.0 {
+            best = (width, a + width / 2, ns);
+        }
+    }
+    (best.1, best.2)
+}
+
+/// Process-wide anchor of the tick→ns ratio, taken at the first
+/// [`ticks_to_ns`] call.
+static TICK_ANCHOR: OnceLock<(u64, u64)> = OnceLock::new();
+/// Nanoseconds per tick as a 32.32 fixed-point number; 0 until the anchor
+/// is [`RATIO_SETTLE_NS`] old. Publishes nothing but itself.
+static NS_PER_TICK_Q32: AtomicU64 = AtomicU64::new(0);
+/// Anchor age at which the ratio is frozen: the pair's bracket is tens of
+/// ns wide, so 10 ms bounds the relative error near 1e-5.
+const RATIO_SETTLE_NS: u64 = 10_000_000;
+
+/// Convert a [`cycles`] difference to nanoseconds.
+///
+/// The ratio is measured, not calibrated with a sleep: the first call
+/// anchors a `(ticks, monotonic_ns)` pair, and until that anchor is 10 ms
+/// old each call derives the ratio from the anchor to now (one extra clock
+/// read); after that it is one relaxed load and a multiply. A difference
+/// whose start is no older than the anchor is off by at most the clock's
+/// own read jitter even on the very first calls, which is why
+/// `Scheduler::new` anchors before any burst starts.
+#[inline]
+pub fn ticks_to_ns(ticks: u64) -> u64 {
+    let mut ratio = NS_PER_TICK_Q32.load(Ordering::Relaxed);
+    if ratio == 0 {
+        ratio = young_ratio();
+    }
+    ((u128::from(ticks) * u128::from(ratio)) >> 32) as u64
+}
+
+#[cold]
+fn young_ratio() -> u64 {
+    let &(t0, n0) = TICK_ANCHOR.get_or_init(tick_pair);
+    // Even the anchoring call sees a span: a pair takes longer to read
+    // than either clock's resolution.
+    let (t1, n1) = tick_pair();
+    let (dt, dn) = (t1.saturating_sub(t0), n1.saturating_sub(n0));
+    let ratio = ((u128::from(dn) << 32) / u128::from(dt.max(1))) as u64;
+    if dn >= RATIO_SETTLE_NS {
+        NS_PER_TICK_Q32.store(ratio, Ordering::Relaxed);
+    }
+    ratio
 }
 
 /// A stopwatch that reports elapsed wall time in seconds / nanoseconds.

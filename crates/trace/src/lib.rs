@@ -12,9 +12,9 @@
 //!   runtime gate ([`set_enabled`]): with the feature off [`emit`]
 //!   compiles to nothing, with the gate off it is one relaxed atomic
 //!   load and a predictable branch;
-//! * a [`LoadTracker`] accumulating per-thread on-CPU time — the load
-//!   balancer's `ObjLoad` source (always on; independent of the ring
-//!   gate, because LB correctness must not depend on tracing);
+//! * a [`LoadTracker`], the map-based reference form of per-thread
+//!   on-CPU accounting (the scheduler itself keeps the counter in the
+//!   control block; the same burst feeds it and the `SwitchOut` event);
 //! * a [`TraceSummary`] reducing raw rings to the paper's analyses
 //!   (utilization, switch/message rates, grainsize histograms,
 //!   migration timelines), pup- and JSON-serializable;

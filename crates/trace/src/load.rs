@@ -1,19 +1,21 @@
-//! Trace-derived per-thread CPU accounting — the load balancer's input.
+//! Reference per-thread CPU accounting, off the switch path.
 //!
 //! Projections-style measurement-based balancing needs each thread's
-//! accumulated on-CPU time. Rather than threading a `load_ns` field
-//! through every Tcb and migration record by hand, the scheduler owns
-//! one [`LoadTracker`]: `begin()` at switch-in, `end(tid)` at
-//! switch-out, and the balancer reads the accumulated map. This stays
-//! on even when event recording is gated off — LB correctness must not
-//! depend on whether someone wants a timeline.
+//! accumulated on-CPU time. The scheduler keeps that counter in the
+//! thread's control block and times bursts with the tick clock
+//! (`flows_sys::time::{cycles, ticks_to_ns}`): one add per switch, no map.
+//! [`LoadTracker`] is the map-based form of the same accounting — `begin()`
+//! at switch-in, `end(tid)` at switch-out, vDSO clock, identity-hashed map
+//! — which `flows-core` no longer uses. It is kept, unchanged, because the
+//! benchmark ladder's `trace.load_track_ns` rung drives it to show what
+//! that design costs per switch.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Thread ids are sequential process-wide counters, and `end()` sits on
-/// the context-switch hot path — hashing the key is wasted work, so the
-/// map uses the id itself.
+/// Thread ids are sequential process-wide counters, so the map uses the id
+/// itself as its hash (which clusters under id churn; the scheduler's own
+/// thread table multiplies and folds instead).
 #[derive(Default)]
 struct IdHasher(u64);
 
@@ -35,7 +37,7 @@ impl Hasher for IdHasher {
 
 type IdMap = HashMap<u64, u64, BuildHasherDefault<IdHasher>>;
 
-/// Accumulates per-thread on-CPU nanoseconds for one scheduler.
+/// Accumulates per-thread on-CPU nanoseconds.
 ///
 /// Keys are thread ids (`Tid.0`). The scheduler is non-preemptive, so
 /// bursts never nest: one `begin` is always closed by one `end`.

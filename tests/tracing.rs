@@ -35,6 +35,23 @@ fn traced_job(tracing: bool) -> flows::converse::MachineReport {
     })
 }
 
+/// Utilization before the summary clamps it: bursts are tick-clock
+/// differences converted to ns and timestamps are clock ns, so a PE's
+/// summed `SwitchOut` bursts fit inside the wall span of its own trace.
+/// Ticks passed off as ns would inflate the bursts 2–4×.
+fn assert_bursts_fit_their_span(sum: &flows::trace::TraceSummary) {
+    for p in &sum.pes {
+        assert_eq!(p.dropped, 0, "the span needs every event retained");
+        let span = p.last_ts - p.first_ts;
+        assert!(
+            p.busy_ns <= span,
+            "PE {}: {} ns of bursts in {span} ns",
+            p.pe,
+            p.busy_ns
+        );
+    }
+}
+
 #[test]
 fn traced_ampi_run_exports_a_complete_chrome_timeline() {
     // Control first (see the module note): no rings, no summary.
@@ -80,6 +97,7 @@ fn traced_ampi_run_exports_a_complete_chrome_timeline() {
         assert!((0.0..=1.0).contains(&p.utilization), "{}", p.utilization);
         assert_eq!(p.grainsize_hist.len(), flows::trace::GRAIN_BUCKETS);
     }
+    assert_bursts_fit_their_span(sum);
 
     // The summary itself round-trips to valid JSON.
     flows::trace::chrome::validate_json(&sum.to_json()).expect("summary JSON");
@@ -123,4 +141,5 @@ fn bigsim_trace_carries_virtual_time_steps() {
     assert!(switches as usize >= 64 * 3, "every thread every step");
     // VtStep instants land in the chrome export via the ring.
     assert_eq!(sum.pes.len(), 2);
+    assert_bursts_fit_their_span(&sum);
 }
