@@ -145,9 +145,9 @@ pup_fields!(MoveRec {
 /// for one checkpoint generation, shipped to a buddy in a single wire
 /// message. `count` records follow, each a pup'd [`RepRec`] immediately
 /// followed by that rank's framed checkpoint image
-/// (`flows_core::frame_payload` bytes — magic + version + length + FNV-1a
-/// checksum around the `RankMove` wire form, validated on receipt and
-/// again before any recovery unpack).
+/// (`flows_core::frame_payload` bytes — magic + version 2 + length +
+/// word-lane FNV-1a checksum around the `RankMove` wire form, validated on
+/// receipt and again before any recovery unpack).
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RepHead {
     pub world: u64,

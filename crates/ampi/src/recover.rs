@@ -6,11 +6,11 @@
 //!
 //! * **Buddy replication.** Every checkpoint generation a PE deposits its
 //!   local rank images on an in-memory *shelf* and ships them — framed
-//!   with the checkpoint magic + FNV-1a checksum (`flows_core::
-//!   frame_payload`) — to its next `k` live ring successors. A generation
-//!   is *committed* (optimistically) once every owner has all its buddy
-//!   acks and the commit coordinator has seen deposits covering every
-//!   rank.
+//!   with the checkpoint magic, format version 2 and a word-lane FNV-1a
+//!   checksum (`flows_core::frame_payload`) — to its next `k` live ring
+//!   successors. A generation is *committed* (optimistically) once every
+//!   owner has all its buddy acks and the commit coordinator has seen
+//!   deposits covering every rank.
 //! * **Failure detection.** The converse layer's phi-accrual detector
 //!   confirms a silent PE dead, fences it, and invokes the
 //!   death-confirmed upcall on the confirming PE — the *recovery leader*.

@@ -12,27 +12,33 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A counter chare: ep 0 adds the payload byte, ep 1 reports its total to
-/// a process-global sink (test observability).
+/// a process-global sink (test observability). It carries its own object
+/// id so reports are keyed by chare: tests run in parallel and each reads
+/// only the entries of the chares it created.
 #[derive(Default, Debug, Clone, PartialEq)]
 struct Counter {
+    id: u64,
     total: u64,
 }
-pup_fields!(Counter { total });
+pup_fields!(Counter { id, total });
 
-type SinkLog = Arc<Mutex<Vec<(usize, u64)>>>;
+/// `(chare, reporting PE, total)` for every report, from every test.
+static SINK: Mutex<Vec<(u64, usize, u64)>> = Mutex::new(Vec::new());
 
-static SINK: OnceLock<SinkLog> = OnceLock::new();
+/// The last report of chare `obj`: `(reporting PE, total)`.
+fn last_report(obj: ObjId) -> Option<(usize, u64)> {
+    let sink = SINK.lock().unwrap();
+    sink.iter()
+        .rev()
+        .find(|&&(id, _, _)| id == obj.0)
+        .map(|&(_, pe, total)| (pe, total))
+}
 
 impl Chare for Counter {
     fn receive(&mut self, pe: &Pe, ep: u32, data: Vec<u8>) {
         match ep {
             0 => self.total += data[0] as u64,
-            1 => SINK
-                .get()
-                .unwrap()
-                .lock()
-                .unwrap()
-                .push((pe.id(), self.total)),
+            1 => SINK.lock().unwrap().push((self.id, pe.id(), self.total)),
             _ => panic!("unknown ep {ep}"),
         }
     }
@@ -52,7 +58,6 @@ fn counter_type() -> ChareTypeId {
 }
 
 fn machine(pes: usize) -> MachineBuilder {
-    SINK.get_or_init(|| Arc::new(Mutex::new(Vec::new())));
     let mut mb = MachineBuilder::new(pes).net_model(NetModel::zero());
     let _ = CommLayer::register(&mut mb);
     let _ = ChareLayer::register(&mut mb);
@@ -74,7 +79,7 @@ fn entry_methods_dispatch_across_pes() {
     mb.run_deterministic(move |pe| {
         init_pe(pe);
         if pe.id() == 1 {
-            create(pe, ObjId(100), ty, Box::new(Counter::default()));
+            create(pe, ObjId(100), ty, Box::new(Counter { id: 100, total: 0 }));
         }
         pe.send(pe.id(), go, vec![]);
         if pe.id() == 0 {
@@ -84,14 +89,11 @@ fn entry_methods_dispatch_across_pes() {
             pe.send(0, report, vec![]);
         }
     });
-    let sink = SINK.get().unwrap().lock().unwrap();
-    let (pe_id, total) = *sink.last().expect("report arrived");
+    let (pe_id, total) = last_report(ObjId(100)).expect("report arrived");
     assert_eq!(pe_id, 1);
     // 3 PEs x (1+2+3) = 18, though the report may have raced some pokes in
     // the deterministic interleaving; it must at least see its own PE's.
     assert!((6..=18).contains(&total), "saw {total}");
-    drop(sink);
-    SINK.get().unwrap().lock().unwrap().clear();
 }
 
 #[test]
@@ -110,19 +112,16 @@ fn chare_migration_carries_state_and_messages_follow() {
     mb.run_deterministic(move |pe| {
         init_pe(pe);
         if pe.id() == 0 {
-            create(pe, ObjId(7), ty, Box::new(Counter { total: 0 }));
+            create(pe, ObjId(7), ty, Box::new(Counter { id: 7, total: 0 }));
             send(pe, ObjId(7), 0, vec![10]); // delivered locally, pre-move
             pe.send(0, do_move, vec![]);
             pe.send(0, report, vec![]);
         }
     });
     assert_eq!(moved.load(Ordering::Relaxed), 1);
-    let sink = SINK.get().unwrap().lock().unwrap();
-    let (pe_id, total) = *sink.last().expect("report");
+    let (pe_id, total) = last_report(ObjId(7)).expect("report");
     assert_eq!(pe_id, 1, "chare answered from its new home");
     assert_eq!(total, 15, "pre-move 10 + chased 5");
-    drop(sink);
-    SINK.get().unwrap().lock().unwrap().clear();
 }
 
 /// A chare driven by an SDAG program — the Figure 1 shape on a live

@@ -10,7 +10,7 @@
 use flows_converse::{MachineBuilder, NetModel};
 use flows_net::{child_rank, Backend, TopologySpec, World};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 const PROCS: usize = 2;
 const PES: usize = 2;
@@ -129,7 +129,15 @@ fn mp_child() {
     exercise(world);
 }
 
+/// Held by a leader for its whole run. Both leaders run in this one test
+/// process and each needs the isomalloc region at its single fixed base,
+/// so they take turns; a leader that panicked poisons the lock, which
+/// must not fail the other one. Children run `mp_child` alone and never
+/// take it.
+static FIXED_BASE: Mutex<()> = Mutex::new(());
+
 fn lead(backend: Backend) {
+    let _turn = FIXED_BASE.lock().unwrap_or_else(PoisonError::into_inner);
     let world = TopologySpec::new(PROCS, PES)
         .backend(backend)
         .child_args(["mp_child", "--exact", "--nocapture"])

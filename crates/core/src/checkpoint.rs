@@ -18,25 +18,52 @@ use flows_pup::pup_fields;
 use flows_sys::error::{SysError, SysResult};
 
 /// Frame constants for serialized checkpoints: `b"FCKP"`, a format
-/// version, the payload byte length and an FNV-1a checksum.
+/// version, the payload byte length and a word-lane checksum
+/// ([`frame_sum`]). Version 2 is the word-lane sum; version 1 frames
+/// (byte-wise FNV-1a) are refused as an unsupported version.
 const CKPT_MAGIC: [u8; 4] = *b"FCKP";
-const CKPT_VERSION: u32 = 1;
+const CKPT_VERSION: u32 = 2;
 
 /// Byte length of the self-describing frame header written by
 /// [`frame_payload`].
 pub const FRAME_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01B3;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The frame checksum: FNV-1a over little-endian `u64` words in four
+/// interleaved lanes (32-byte stripes), so the four multiply chains run
+/// side by side instead of one dependent multiply per byte. The tail that
+/// does not fill a stripe goes through byte-wise FNV-1a and the lanes are
+/// folded into that tail hash. Every step is `(state ^ input) * odd`, a
+/// bijection in the input, so any change confined to one word — in
+/// particular any single-byte corruption — always changes the sum.
+fn frame_sum(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let mut stripes = bytes.chunks_exact(32);
+    for s in &mut stripes {
+        for (l, w) in lanes.iter_mut().zip(s.chunks_exact(8)) {
+            *l = (*l ^ u64::from_le_bytes(w.try_into().expect("8-byte word")))
+                .wrapping_mul(FNV_PRIME);
+        }
+    }
+    let mut h = fnv1a(stripes.remainder());
+    for l in lanes {
+        h = (h ^ l).wrapping_mul(FNV_PRIME);
     }
     h
 }
 
 /// Wrap an opaque payload in the checkpoint frame: magic, format version,
-/// payload length and an FNV-1a checksum. Shared by [`Checkpoint`]
+/// payload length and a word-lane checksum. Shared by [`Checkpoint`]
 /// serialization and the fault-tolerance layers above, which ship
 /// checkpoint images over the wire to buddy PEs — a replica is validated
 /// with exactly the same frame logic as an on-disk image.
@@ -45,7 +72,7 @@ pub fn frame_payload(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&CKPT_MAGIC);
     out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&frame_sum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -83,7 +110,7 @@ pub fn unframe_payload(bytes: &[u8]) -> SysResult<&[u8]> {
             payload.len()
         )));
     }
-    if fnv1a(payload) != sum {
+    if frame_sum(payload) != sum {
         return Err(err("checksum mismatch: image is corrupt".into()));
     }
     Ok(payload)
@@ -377,7 +404,7 @@ mod tests {
             /// Replicated checkpoint frames round-trip exactly: what the
             /// buddy stores is bit-identical to what the owner framed.
             #[test]
-            fn frame_roundtrips_exactly(payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
+            fn frame_roundtrips_exactly(payload in proptest::collection::vec(any::<u8>(), 0..4097)) {
                 let framed = frame_payload(&payload);
                 prop_assert_eq!(framed.len(), FRAME_HEADER_LEN + payload.len());
                 prop_assert_eq!(unframe_payload(&framed).unwrap(), &payload[..]);
@@ -388,7 +415,7 @@ mod tests {
             /// different payload, and never panics.
             #[test]
             fn frame_detects_any_single_byte_corruption(
-                payload in proptest::collection::vec(any::<u8>(), 0..512),
+                payload in proptest::collection::vec(any::<u8>(), 0..4097),
                 at in any::<usize>(),
                 xor in 1u32..256,
             ) {
@@ -402,7 +429,7 @@ mod tests {
             /// to an older replica generation relies on this).
             #[test]
             fn frame_detects_any_truncation(
-                payload in proptest::collection::vec(any::<u8>(), 1..512),
+                payload in proptest::collection::vec(any::<u8>(), 1..4097),
                 keep in any::<usize>(),
             ) {
                 let framed = frame_payload(&payload);
@@ -410,6 +437,109 @@ mod tests {
                 prop_assert!(unframe_payload(&framed[..n]).is_err(), "truncation to {} undetected", n);
             }
         }
+    }
+
+    /// `len` bytes from a splitmix64 stream: a fixed, platform-independent
+    /// filler for known-answer vectors.
+    fn seeded(len: usize, mut s: u64) -> Vec<u8> {
+        let mut v = Vec::with_capacity(len);
+        while v.len() < len {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let n = (len - v.len()).min(8);
+            v.extend_from_slice(&z.to_le_bytes()[..n]);
+        }
+        v
+    }
+
+    /// Known answers pin the checksum itself: every process of a
+    /// multi-process machine verifies frames another one wrote, so the
+    /// format must not drift between builds.
+    #[test]
+    fn frame_sum_known_answers() {
+        assert_eq!(frame_sum(&[]), 0xf797_3b6e_20c9_7451);
+        let ramp: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(frame_sum(&ramp), 0x2fad_0fe5_f7ea_0e11);
+        let buf = seeded(64 * 1024 + 7, 0xF10E5);
+        assert_eq!(&buf[..4], &[0x45, 0xd8, 0x28, 0x60]);
+        assert_eq!(frame_sum(&buf), 0x9fe5_fdf3_a8e7_9962);
+        // The frame header carries exactly that sum, little-endian.
+        let framed = frame_payload(&ramp);
+        assert_eq!(framed[16..24], 0x2fad_0fe5_f7ea_0e11u64.to_le_bytes());
+    }
+
+    /// Every single-byte corruption of a 100-byte payload — all four
+    /// lanes, three full stripes and a 4-byte tail, every xor pattern —
+    /// and of its header is caught; every tail length round-trips.
+    #[test]
+    fn frame_detects_every_single_byte_flip_exhaustively() {
+        let payload = seeded(100, 7);
+        let mut bad = frame_payload(&payload);
+        for i in 0..bad.len() {
+            for xor in 1..=255u8 {
+                bad[i] ^= xor;
+                assert!(
+                    unframe_payload(&bad).is_err(),
+                    "flip {xor:#04x} at byte {i} undetected"
+                );
+                bad[i] ^= xor;
+            }
+        }
+        for len in 0..=payload.len() {
+            assert_eq!(
+                unframe_payload(&frame_payload(&payload[..len])).unwrap(),
+                &payload[..len]
+            );
+        }
+    }
+
+    /// Single-bit flips across a checkpoint-sized payload (256 KiB + 13):
+    /// first and last byte, both sides of stripe and word boundaries, the
+    /// tail, and a seeded sample in between.
+    #[test]
+    fn frame_sum_detects_sampled_bit_flips_in_a_large_payload() {
+        let mut payload = seeded(256 * 1024 + 13, 0x5EED2);
+        let n = payload.len();
+        let sum = frame_sum(&payload);
+        let tail = n / 32 * 32;
+        let mut at = vec![0, 1, 7, 8, 31, 32, 33, 63, 64, 4095, 4096];
+        at.extend([tail - 33, tail - 32, tail - 1, tail, tail + 1, n - 2, n - 1]);
+        let mut rng = 0x9E37_79B9u64;
+        for _ in 0..48 {
+            rng = rng
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x1405_7B7E_F767_814F);
+            at.push((rng >> 33) as usize % n);
+        }
+        for (k, &i) in at.iter().enumerate() {
+            let bit = 1u8 << (k % 8);
+            payload[i] ^= bit;
+            assert_ne!(
+                frame_sum(&payload),
+                sum,
+                "bit {bit:#04x} at byte {i} undetected"
+            );
+            payload[i] ^= bit;
+        }
+        assert_eq!(frame_sum(&payload), sum);
+    }
+
+    /// A version-1 frame (byte-wise FNV-1a) is refused for its version —
+    /// never misreported as corrupt, never read.
+    #[test]
+    fn version_1_frames_are_refused_by_version() {
+        let payload = b"a version-1 checkpoint image";
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&CKPT_MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        let err = unframe_payload(&v1).unwrap_err().to_string();
+        assert!(err.contains("unsupported checkpoint version 1"), "{err}");
     }
 
     /// The frame catches every corruption class with a precise error:
