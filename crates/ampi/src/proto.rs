@@ -87,6 +87,18 @@ pup_fields!(RankMove {
     stashed
 });
 
+impl RankMove {
+    /// Packed byte length, from field lengths alone: the checkpoint path
+    /// sizes its buffer with this instead of a sizing traversal, which
+    /// for the byte-wise `thread` image would visit every byte. Every
+    /// `u64` and length prefix is 8 bytes; tests pin it to the pup size.
+    pub fn packed_len(&self) -> usize {
+        let mail: usize = self.mailbox.iter().map(|m| 3 * 8 + m.data.len()).sum();
+        let stash: usize = self.stashed.iter().map(|s| 4 * 8 + s.3.len()).sum();
+        8 * 8 + self.thread.len() + mail + 16 * (self.next_seq.len() + self.send_seq.len()) + stash
+    }
+}
+
 /// The LB plan for one source PE: every rank living there paired with its
 /// destination PE. The reduction root sends ONE plan per source PE
 /// (instead of one decision wire per rank); the source wakes its stayers
@@ -144,10 +156,13 @@ pup_fields!(MoveRec {
 /// Header of a buddy-replication batch: all of one owner PE's rank images
 /// for one checkpoint generation, shipped to a buddy in a single wire
 /// message. `count` records follow, each a pup'd [`RepRec`] immediately
-/// followed by that rank's framed checkpoint image
-/// (`flows_core::frame_payload` bytes — magic + version 2 + length +
-/// word-lane FNV-1a checksum around the `RankMove` wire form, validated on
-/// receipt and again before any recovery unpack).
+/// followed by that rank's framed checkpoint image (magic + version 2 +
+/// length + word-lane FNV-1a checksum around the `RankMove` wire form,
+/// written in place by `flows_core::frame_in_place` when the rank was
+/// packed). The receiver decodes the batch defensively — a malformed one
+/// is counted invalid, never a panic — shelves each frame as a zero-copy
+/// slice of the batch after verifying its checksum, and verifies it again
+/// at inventory and before any recovery unpack.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RepHead {
     pub world: u64,
@@ -280,5 +295,27 @@ mod tests {
         };
         let bytes = flows_pup::to_bytes(&mut mv);
         assert_eq!(flows_pup::from_bytes::<RankMove>(&bytes).unwrap(), mv);
+        assert_eq!(mv.packed_len(), bytes.len());
+    }
+
+    /// `packed_len` is the pup size for every shape of image: empty,
+    /// inline and shared payload bodies, both sequence tables.
+    #[test]
+    fn rank_move_packed_len_matches_the_pup_size() {
+        let mut empty = RankMove::default();
+        assert_eq!(empty.packed_len(), flows_pup::packed_size(&mut empty));
+        for n in [0usize, 1, 64, 65, 4096] {
+            let mut mv = RankMove {
+                thread: vec![3; n * 7 + 1],
+                mailbox: (0..n % 5)
+                    .map(|i| MailEntry { src: i as u64, tag: 1, data: vec![1; n + i].into() })
+                    .collect(),
+                next_seq: vec![(1, 2); n % 3],
+                send_seq: vec![(3, 4); n % 4],
+                stashed: vec![(0, 1, 2, vec![5; n].into()); n % 6],
+                ..RankMove::default()
+            };
+            assert_eq!(mv.packed_len(), flows_pup::to_bytes(&mut mv).len(), "n = {n}");
+        }
     }
 }

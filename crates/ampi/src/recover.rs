@@ -4,13 +4,16 @@
 //! checkpoint-restart loop in `ft.rs`), online mode keeps the surviving
 //! PEs' schedulers alive and heals around the failure:
 //!
-//! * **Buddy replication.** Every checkpoint generation a PE deposits its
-//!   local rank images on an in-memory *shelf* and ships them — framed
-//!   with the checkpoint magic, format version 2 and a word-lane FNV-1a
-//!   checksum (`flows_core::frame_payload`) — to its next `k` live ring
-//!   successors. A generation is *committed* (optimistically) once every
-//!   owner has all its buddy acks and the commit coordinator has seen
-//!   deposits covering every rank.
+//! * **Buddy replication.** Every checkpoint generation a PE packs each
+//!   local rank image once, straight into its checkpoint frame (magic,
+//!   format version 2 and a word-lane FNV-1a checksum written in place by
+//!   `flows_core::frame_in_place`), deposits that frame on an in-memory
+//!   *shelf* and ships it to its next `k` live ring successors. Frames are
+//!   shared [`Payload`]s: the shelf, the replication batch builder and a
+//!   recovery re-replication hold the same bytes by refcount, and a buddy
+//!   shelves zero-copy slices of the batch it received. A generation is
+//!   *committed* (optimistically) once every owner has all its buddy acks
+//!   and the commit coordinator has seen deposits covering every rank.
 //! * **Failure detection.** The converse layer's phi-accrual detector
 //!   confirms a silent PE dead, fences it, and invokes the
 //!   death-confirmed upcall on the confirming PE — the *recovery leader*.
@@ -36,8 +39,10 @@
 
 use crate::proto::{ctl, CtlMsg, RankMove, RepHead, RepRec};
 use crate::world::{obj_of, pe_of_rank, AmpiState, RankBox, WorldMeta};
-use flows_converse::{HandlerId, MachineBuilder, Message, Pe, RecoveryPhase};
-use flows_core::{frame_payload, unframe_payload, PackedThread, ThreadId, ThreadState};
+use flows_converse::{HandlerId, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
+use flows_core::{
+    frame_in_place, unframe_payload, PackedThread, ThreadId, ThreadState, FRAME_HEADER_LEN,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
@@ -52,9 +57,11 @@ pub(crate) const OWN_BIT: u64 = 1 << 63;
 const CTL_KEY: u64 = 0;
 
 /// One shelved checkpoint image: the framed (checksummed) `RankMove`
-/// bytes plus the rank's measured load at pack time.
+/// bytes plus the rank's measured load at pack time. The frame is shared,
+/// never copied: an own deposit is the buffer the image was packed into,
+/// a buddy copy is a slice of the replication batch it arrived in.
 struct Replica {
-    frame: Vec<u8>,
+    frame: Payload,
     load_ns: u64,
     /// The rank lived on this PE when the image was taken (or was adopted
     /// here by a recovery plan) — owners respawn their ranks in place.
@@ -196,10 +203,24 @@ pub(crate) fn best_gen(
 // Healthy path: shelf deposits, buddy replication, commit votes.
 // ---------------------------------------------------------------------
 
-/// Deposit one local rank's framed image for generation `gen` (called
-/// from the checkpoint snapshot path in online mode).
-pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, move_bytes: Vec<u8>, load_ns: u64) {
-    let frame = frame_payload(&move_bytes);
+/// Pack a rank image exactly once, straight into its checkpoint frame:
+/// the buffer is sized from the image's field lengths (no sizing
+/// traversal) and the frame header is written in place in front of the
+/// packed bytes. Byte-identical to `frame_payload(&to_bytes(mv))`.
+fn frame_image(mv: &mut RankMove) -> Payload {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + mv.packed_len());
+    frame_in_place(&mut frame, |out| {
+        flows_pup::pack_into(mv, out);
+    });
+    Payload::from_vec(frame)
+}
+
+/// Deposit one local rank's image for generation `gen` (called from the
+/// checkpoint snapshot path in online mode). The image is packed into its
+/// frame here, once; that one buffer is the shelf's own copy and the
+/// source of every buddy replica.
+pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, mv: &mut RankMove, load_ns: u64) {
+    let frame = frame_image(mv);
     pe.ext::<RecoverState, _>(|rs| {
         rs.shelf.entry(gen).or_default().insert(rank, Replica { frame, load_ns, own: true });
     });
@@ -210,8 +231,8 @@ pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, move_bytes: Vec<u
 pub(crate) fn finalize_generation(pe: &Pe, meta: &Arc<WorldMeta>, gen: u64) {
     let k = pe.fault_plan().map(|p| p.replication).unwrap_or(1);
     let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask());
-    let (epoch, own): (u64, Vec<(u64, u64, Vec<u8>)>) = pe.ext::<RecoverState, _>(|rs| {
-        let mut own: Vec<(u64, u64, Vec<u8>)> = rs
+    let (epoch, own): (u64, Vec<(u64, u64, Payload)>) = pe.ext::<RecoverState, _>(|rs| {
+        let mut own: Vec<(u64, u64, Payload)> = rs
             .shelf
             .get(&gen)
             .map(|g| {
@@ -243,9 +264,9 @@ fn build_rep_batch(
     gen: u64,
     epoch: u64,
     purpose: u8,
-    images: &[(u64, u64, Vec<u8>)],
-) -> flows_converse::Payload {
-    let mut head = RepHead {
+    images: &[(u64, u64, Payload)],
+) -> Payload {
+    let head = RepHead {
         world,
         owner: pe.id() as u64,
         gen,
@@ -255,44 +276,87 @@ fn build_rep_batch(
     };
     let cap: usize = images.iter().map(|(_, _, f)| f.len() + 64).sum();
     let mut buf = pe.payload_buf_with_capacity(64 + cap);
-    flows_pup::pack_into(&mut head, buf.vec_mut());
-    for (r, load_ns, frame) in images {
-        let mut rec = RepRec { rank: *r, load_ns: *load_ns, len: frame.len() as u64 };
-        flows_pup::pack_into(&mut rec, buf.vec_mut());
-        buf.extend_from_slice(frame);
-    }
+    write_rep_batch(buf.vec_mut(), head, images);
     buf.freeze()
 }
 
-/// A buddy-replication batch arrives: validate every frame's checksum
-/// before shelving it (corruption is detected *here*, not at recovery
-/// time), then ack the owner.
+/// Append a replication batch to `out`: the pup'd head, then per image a
+/// pup'd [`RepRec`] followed by the raw frame bytes.
+fn write_rep_batch(out: &mut Vec<u8>, mut head: RepHead, images: &[(u64, u64, Payload)]) {
+    flows_pup::pack_into(&mut head, out);
+    for (r, load_ns, frame) in images {
+        let mut rec = RepRec { rank: *r, load_ns: *load_ns, len: frame.len() as u64 };
+        flows_pup::pack_into(&mut rec, out);
+        out.extend_from_slice(frame);
+    }
+}
+
+/// Decode a replication batch that crossed a process boundary, trusting
+/// none of it: a short or undecodable head or record, a frame length that
+/// runs past the end, or bytes left over after `count` records is an
+/// `Err`, never a panic. Every frame comes back as a zero-copy slice of
+/// `data`; checksums are the caller's to verify.
+fn parse_rep_batch(data: &Payload) -> Result<(RepHead, Vec<(RepRec, Payload)>), String> {
+    let (head, mut off): (RepHead, usize) =
+        flows_pup::from_bytes_prefix(data).map_err(|e| format!("replica head: {e}"))?;
+    let mut recs = Vec::new();
+    for i in 0..head.count {
+        let (rec, used): (RepRec, usize) = flows_pup::from_bytes_prefix(&data[off..])
+            .map_err(|e| format!("replica record {i} of {}: {e}", head.count))?;
+        off += used;
+        let end = usize::try_from(rec.len)
+            .ok()
+            .and_then(|len| off.checked_add(len))
+            .filter(|&end| end <= data.len())
+            .ok_or_else(|| {
+                format!("replica record {i}: frame of {} bytes, {} left", rec.len, data.len() - off)
+            })?;
+        recs.push((rec, data.slice(off..end)));
+        off = end;
+    }
+    if off != data.len() {
+        return Err(format!("{} trailing bytes after {} records", data.len() - off, head.count));
+    }
+    Ok((head, recs))
+}
+
+impl RecoverState {
+    /// Shelve a batch's buddy copies for generation `gen`, each only after
+    /// its frame checksum verifies (corruption is detected *here*, not at
+    /// recovery time); a corrupt frame is counted and dropped.
+    fn shelve_replicas(&mut self, gen: u64, recs: Vec<(RepRec, Payload)>) {
+        for (rec, frame) in recs {
+            if unframe_payload(&frame).is_ok() {
+                self.shelf
+                    .entry(gen)
+                    .or_default()
+                    .insert(rec.rank, Replica { frame, load_ns: rec.load_ns, own: false });
+            } else {
+                self.invalid_replicas += 1;
+            }
+        }
+    }
+}
+
+/// A buddy-replication batch arrives: decode it defensively, shelve every
+/// checksum-valid frame as a slice of the arrival buffer, then ack the
+/// owner. A malformed batch counts as one invalid replica and is not
+/// acked, so the owner's generation never commits on it.
 pub(crate) fn on_replica(pe: &Pe, msg: Message) {
-    let (h, mut off): (RepHead, usize) =
-        flows_pup::from_bytes_prefix(&msg.data).expect("replica head");
-    let stale = pe.ext::<RecoverState, _>(|rs| h.epoch < rs.epoch);
+    let Ok((h, recs)) = parse_rep_batch(&msg.data) else {
+        pe.ext::<RecoverState, _>(|rs| rs.invalid_replicas += 1);
+        return;
+    };
+    let stale = pe.ext::<RecoverState, _>(|rs| {
+        let stale = h.epoch < rs.epoch;
+        if !stale {
+            rs.shelve_replicas(h.gen, recs);
+        }
+        stale
+    });
     if stale {
         return;
     }
-    for _ in 0..h.count {
-        let (rec, used): (RepRec, usize) =
-            flows_pup::from_bytes_prefix(&msg.data[off..]).expect("replica record");
-        off += used;
-        let frame = &msg.data[off..off + rec.len as usize];
-        off += rec.len as usize;
-        let valid = unframe_payload(frame).is_ok();
-        pe.ext::<RecoverState, _>(|rs| {
-            if valid {
-                rs.shelf.entry(h.gen).or_default().insert(
-                    rec.rank,
-                    Replica { frame: frame.to_vec(), load_ns: rec.load_ns, own: false },
-                );
-            } else {
-                rs.invalid_replicas += 1;
-            }
-        });
-    }
-    debug_assert_eq!(off, msg.data.len(), "trailing bytes in replica batch");
     let mut ack = CtlMsg {
         kind: ctl::ACK,
         epoch: h.epoch,
@@ -574,7 +638,7 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
     let g = genp1 - 1;
     let meta = pe.ext::<AmpiState, _>(|st| st.meta.clone()).expect("world meta");
     let lowest_dead = lowest_bit(dead_mask);
-    let mut adopted: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+    let mut adopted: Vec<(u64, u64, Payload)> = Vec::new();
     for &rank in &mine {
         let (frame, load_ns) = pe.ext::<RecoverState, _>(|rs| {
             let rep = rs
@@ -843,5 +907,151 @@ mod tests {
         let mut ranks: Vec<u64> = assign.iter().map(|&(r, _)| r).collect();
         ranks.sort_unstable();
         assert_eq!(ranks, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// A valid `PackedThread` wire image of exactly `len` bytes: the head
+    /// of a default thread with its trailing `payload_len` field set,
+    /// followed by that many payload bytes.
+    fn thread_image(len: usize) -> Vec<u8> {
+        let mut img = PackedThread::default().to_bytes();
+        let head = img.len();
+        img[head - 8..].copy_from_slice(&((len - head) as u64).to_le_bytes());
+        img.extend((0..len - head).map(|i| (i % 251) as u8));
+        img
+    }
+
+    /// A rank image with parked mail (inline and shared bodies), both
+    /// sequence tables and a stashed out-of-order message.
+    fn sample_move(rank: u64, thread_len: usize) -> RankMove {
+        use crate::proto::MailEntry;
+        RankMove {
+            world: 7,
+            rank,
+            epoch: 2,
+            thread: thread_image(thread_len),
+            mailbox: vec![
+                MailEntry { src: 1, tag: 9, data: vec![0xAB; 100].into() },
+                MailEntry { src: 2, tag: 4, data: vec![1, 2, 3].into() },
+            ],
+            next_seq: vec![(1, 5), (2, 1)],
+            send_seq: vec![(0, 3)],
+            stashed: vec![(1, 7, 9, vec![0xCD; 70].into())],
+        }
+    }
+
+    /// Packing into the frame in place changes no byte on the wire: the
+    /// frame is exactly `frame_payload(&to_bytes(mv))`, and it unframes,
+    /// unpacks and yields the original thread image.
+    #[test]
+    fn in_place_frame_matches_the_framed_pup_bytes() {
+        let len = 256 * 1024 + 13;
+        let mut mv = sample_move(3, len);
+        let frame = frame_image(&mut mv);
+        let reference = flows_core::frame_payload(&flows_pup::to_bytes(&mut mv));
+        assert_eq!(frame.len(), reference.len());
+        assert!(frame.as_slice() == &reference[..], "in-place frame differs from the pinned wire");
+        let back: RankMove = flows_pup::from_bytes(unframe_payload(&frame).unwrap()).unwrap();
+        assert_eq!(back, mv);
+        assert_eq!(back.thread.len(), len);
+        let thread = PackedThread::from_bytes(&back.thread).expect("thread image");
+        assert_eq!(thread.payload_len(), len - PackedThread::default().to_bytes().len());
+        assert_eq!(thread.payload().as_slice(), &mv.thread[len - thread.payload_len()..]);
+    }
+
+    fn three_frames(thread_len: usize) -> Vec<Payload> {
+        (0..3).map(|r| frame_image(&mut sample_move(r, thread_len + r as usize))).collect()
+    }
+
+    fn batch_of(frames: &[Payload]) -> Payload {
+        let head = RepHead { world: 7, owner: 2, gen: 5, epoch: 1, purpose: 0, count: frames.len() as u64 };
+        let images: Vec<(u64, u64, Payload)> =
+            frames.iter().enumerate().map(|(r, f)| (r as u64, 100 + r as u64, f.clone())).collect();
+        let mut out = Vec::new();
+        write_rep_batch(&mut out, head, &images);
+        out.into()
+    }
+
+    /// Byte offsets of the head's `count` field and of the first record's
+    /// `len` field (each the last `u64` of its pup'd struct).
+    fn count_and_len_offsets() -> (usize, usize) {
+        let head = flows_pup::packed_size(&mut RepHead::default());
+        let rec = flows_pup::packed_size(&mut RepRec::default());
+        (head - 8, head + rec - 8)
+    }
+
+    #[test]
+    fn rep_batch_parses_into_slices_of_the_arrival_buffer() {
+        let frames = three_frames(300);
+        let batch = batch_of(&frames);
+        let (head, recs) = parse_rep_batch(&batch).expect("well-formed batch");
+        assert_eq!((head.owner, head.gen, head.count), (2, 5, 3));
+        for (r, (rec, frame)) in recs.iter().enumerate() {
+            assert_eq!((rec.rank, rec.load_ns), (r as u64, 100 + r as u64));
+            assert_eq!(frame, &frames[r]);
+            assert!(frame.same_backing(&batch), "record {r} must be a zero-copy slice");
+        }
+    }
+
+    /// One corrupt frame among three: the other two are shelved as slices
+    /// of the batch, the bad one is counted and never shelved.
+    #[test]
+    fn a_corrupt_frame_in_a_batch_is_counted_and_the_rest_shelved() {
+        let frames = three_frames(300);
+        let mut bytes = batch_of(&frames).to_vec();
+        // Flip one payload byte inside the second frame.
+        let (_, len_at) = count_and_len_offsets();
+        let second = len_at + 8 + frames[0].len() + flows_pup::packed_size(&mut RepRec::default());
+        bytes[second + FRAME_HEADER_LEN + 40] ^= 0x10;
+        let batch: Payload = bytes.into();
+        let (head, recs) = parse_rep_batch(&batch).expect("structure is intact");
+        let mut rs = RecoverState::default();
+        rs.shelve_replicas(head.gen, recs);
+        assert_eq!(rs.invalid_replicas, 1);
+        let shelved = &rs.shelf[&5];
+        let mut ranks: Vec<u64> = shelved.keys().copied().collect();
+        ranks.sort_unstable();
+        assert_eq!(ranks, vec![0, 2]);
+        for (r, rep) in shelved {
+            assert!(rep.frame.same_backing(&batch), "rank {r} shelved as a copy");
+            assert!(!rep.own);
+            assert_eq!(rep.frame, frames[*r as usize]);
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_batch_is_an_error() {
+        let bytes = batch_of(&three_frames(200)).to_vec();
+        for n in 0..bytes.len() {
+            assert!(parse_rep_batch(&bytes[..n].to_vec().into()).is_err(), "truncation to {n} accepted");
+        }
+    }
+
+    mod rep_batch_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes never panic the decoder.
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
+                let _ = parse_rep_batch(&bytes.into());
+            }
+
+            /// A `count` beyond the records present, or a frame `len`
+            /// running past the end of the batch, is an error.
+            #[test]
+            fn oversized_count_or_len_is_an_error(extra in any::<u64>(), pick in any::<bool>()) {
+                let mut bytes = batch_of(&three_frames(150)).to_vec();
+                let (count_at, len_at) = count_and_len_offsets();
+                let (at, min) = if pick {
+                    (count_at, 4)
+                } else {
+                    (len_at, (bytes.len() - len_at - 8) as u64 + 1)
+                };
+                let v = min + extra % (u64::MAX - min);
+                bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                prop_assert!(parse_rep_batch(&bytes.into()).is_err(), "field at {} = {} accepted", at, v);
+            }
+        }
     }
 }

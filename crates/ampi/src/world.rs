@@ -631,18 +631,14 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
     };
     let online = pe.fault_plan().is_some_and(|p| p.online);
     if online {
-        // Online mode: the image goes to the in-memory shelf (own copy)
-        // and later over the wire to buddy PEs — no process-global store.
-        crate::recover::deposit_checkpoint(pe, rank, seq, flows_pup::to_bytes(&mut mv), load_ns);
+        // Online mode: the image is packed into its checkpoint frame on
+        // the in-memory shelf (own copy) and later goes over the wire to
+        // buddy PEs — no process-global store.
+        crate::recover::deposit_checkpoint(pe, rank, seq, &mut mv, load_ns);
     } else {
-        crate::ft::store_snapshot(
-            meta.world,
-            seq,
-            rank,
-            meta.size,
-            flows_pup::to_bytes(&mut mv),
-            load_ns,
-        );
+        let mut bytes = Vec::with_capacity(mv.packed_len());
+        flows_pup::pack_into(&mut mv, &mut bytes);
+        crate::ft::store_snapshot(meta.world, seq, rank, meta.size, bytes, load_ns);
     }
     let back = pe.sched().unpack_thread(packed).expect("unpack after checkpoint");
     debug_assert_eq!(back, tid);

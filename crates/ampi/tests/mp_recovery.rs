@@ -20,7 +20,9 @@ use flows_ampi::{run_world, run_world_ft, AmpiOptions};
 use flows_converse::{FaultPlan, NetModel};
 use flows_lb::GreedyLb;
 use std::collections::HashMap;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const RANKS: usize = 8;
 const PES: usize = 4;
@@ -125,6 +127,11 @@ fn mp_recovery_child() {
     mp_recovery_body(world);
 }
 
+/// How long the leader's run may take before the test gives up on it. A
+/// clean run takes seconds; a leader machine that never quiesces would
+/// otherwise stall the whole suite.
+const LEADER_LIMIT: Duration = Duration::from_secs(120);
+
 #[test]
 fn cross_process_crash_heals_over_socket_backend() {
     let world = flows_net::TopologySpec::new(2, 2)
@@ -133,6 +140,23 @@ fn cross_process_crash_heals_over_socket_backend() {
         .child_args(["mp_recovery_child", "--exact", "--nocapture"])
         .launch()
         .expect("launch");
-    mp_recovery_body(world.clone());
+    // The watchdog is scoped, so it is joined; dropping `finished` (at the
+    // end of the body or while a failed assertion unwinds) releases it.
+    let (finished, wait) = mpsc::channel::<()>();
+    let watched = world.clone();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            if let Err(RecvTimeoutError::Timeout) = wait.recv_timeout(LEADER_LIMIT) {
+                eprintln!(
+                    "mp_recovery: the leader's machine is still running after \
+                     {LEADER_LIMIT:?}; reaping the child and failing the test"
+                );
+                let _ = watched.shutdown();
+                std::process::exit(101);
+            }
+        });
+        mp_recovery_body(world.clone());
+        drop(finished);
+    });
     world.shutdown().expect("child exited clean");
 }

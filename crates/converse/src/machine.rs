@@ -81,6 +81,10 @@ pub(crate) struct Hub {
     /// (multi-process runs only; the local `sent` counter covers just
     /// this process's PEs).
     pub(crate) net_global_sent: AtomicU64,
+    /// Why the leader's comm thread ended the run early: a child process
+    /// left the machine without `PROC_DEAD` or `GOODBYE`. `run` panics
+    /// with it once the local PEs have stopped.
+    lost_proc: Mutex<Option<String>>,
 }
 
 /// The link-layer ledger a dying PE publishes so survivors can write off
@@ -117,6 +121,7 @@ impl Default for Hub {
             pair_reaped: Mutex::new(Vec::new()),
             base: 0,
             net_global_sent: AtomicU64::new(0),
+            lost_proc: Mutex::new(None),
         }
     }
 }
@@ -254,6 +259,13 @@ impl Hub {
     pub(crate) fn set_done_and_wake(&self) {
         self.done.store(true, Ordering::SeqCst);
         self.wake_all();
+    }
+
+    /// End the run because a child process vanished: record the
+    /// diagnosis for `run` to raise, stop every local drive loop.
+    pub(crate) fn fail_lost_proc(&self, why: String) {
+        self.lost_proc.lock().expect("hub lock").get_or_insert(why);
+        self.set_done_and_wake();
     }
 
     /// Snapshot of the failure masks, for cross-process synchronization.
@@ -765,6 +777,9 @@ impl MachineBuilder {
             });
         if let Some(h) = pump {
             let _ = h.join();
+        }
+        if let Some(why) = hub.lost_proc.lock().expect("hub lock").take() {
+            panic!("{why}");
         }
         let wall_ns = flows_sys::time::monotonic_ns() - t0;
         let syscalls: Vec<SyscallCounts> = results.iter().map(|r| r.5).collect();

@@ -42,6 +42,10 @@ const PUMP_PARK: Duration = Duration::from_micros(500);
 /// How long the leader waits for children's `GOODBYE`s after `DONE`.
 const GOODBYE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How often the leader's comm loop reaps exited children (one `waitpid`
+/// per child each time).
+const CHILD_POLL: Duration = Duration::from_millis(20);
+
 /// Encode one link-layer packet and ship it to the process hosting the
 /// global PE `dest`. Called by `Pe::post` for non-local destinations —
 /// from any PE thread, concurrently with the comm thread.
@@ -358,45 +362,23 @@ impl NetPump {
     }
 
     /// The leader comm loop: gather rows, double-probe the fixpoint,
-    /// declare quiescence, then collect goodbyes.
-    // flows-wire: handles net-ctrl
+    /// declare quiescence, then collect goodbyes. A child that exits
+    /// without saying so ends the run with a diagnosis instead.
     fn run_leader(self) {
         let procs = self.world.procs();
         let mut rows = vec![ProcRow::default(); procs];
         let mut round: u64 = 0;
         let mut snapshot: Option<(u64, u64, u64)> = None;
         let mut last_masks = (0u64, 0u64, 0u64, 0u64);
+        let mut next_reap = Instant::now();
         loop {
-            while let Some((_, f)) = self.world.try_recv() {
-                match f.kind {
-                    FrameKind::Ctrl => match f.ctrl {
-                        ctrl::STATS => self.absorb_stats(&mut rows, &f),
-                        ctrl::MORGUE => self.absorb_morgue(&f),
-                        ctrl::PROC_DEAD => {
-                            let proc = f.a as usize;
-                            if proc < procs && !rows[proc].dead {
-                                let woff = f.body.as_slice().get(..8).map_or(0, |b| {
-                                    u64::from_le_bytes(b.try_into().unwrap())
-                                });
-                                // Frozen final counters; a dead process's
-                                // failures are the survivors' to resolve,
-                                // so it gathers as idle and resolved.
-                                rows[proc] = ProcRow {
-                                    sent: f.b,
-                                    recv: f.c,
-                                    written_off: woff,
-                                    idle: true,
-                                    unresolved: false,
-                                    round: u64::MAX,
-                                    dead: true,
-                                    departed: true,
-                                };
-                                self.world.mark_proc_dead(proc);
-                            }
-                        }
-                        _ => {}
-                    },
-                    _ => self.inject(f),
+            self.drain_leader(&mut rows);
+            if Instant::now() >= next_reap {
+                next_reap = Instant::now() + CHILD_POLL;
+                if let Some(why) = self.reap_children(&mut rows) {
+                    self.hub.fail_lost_proc(why);
+                    self.finish(&rows, self.hub.sent.load(Ordering::SeqCst));
+                    return;
                 }
             }
             if self.hub.done_flag() {
@@ -477,6 +459,79 @@ impl NetPump {
             }
             self.world.park(PUMP_PARK);
         }
+    }
+
+    /// Drain every pending frame on the leader: absorb control traffic
+    /// into the gather rows, inject the rest.
+    // flows-wire: handles net-ctrl
+    fn drain_leader(&self, rows: &mut [ProcRow]) {
+        while let Some((_, f)) = self.world.try_recv() {
+            match f.kind {
+                FrameKind::Ctrl => match f.ctrl {
+                    ctrl::STATS => self.absorb_stats(rows, &f),
+                    ctrl::MORGUE => self.absorb_morgue(&f),
+                    ctrl::PROC_DEAD => {
+                        let proc = f.a as usize;
+                        if proc < rows.len() && !rows[proc].dead {
+                            let woff = f.body.as_slice().get(..8).map_or(0, |b| {
+                                u64::from_le_bytes(b.try_into().unwrap())
+                            });
+                            // Frozen final counters; a dead process's
+                            // failures are the survivors' to resolve, so
+                            // it gathers as idle and resolved.
+                            rows[proc] = ProcRow {
+                                sent: f.b,
+                                recv: f.c,
+                                written_off: woff,
+                                idle: true,
+                                unresolved: false,
+                                round: u64::MAX,
+                                dead: true,
+                                departed: true,
+                            };
+                            self.world.mark_proc_dead(proc);
+                        }
+                    }
+                    ctrl::GOODBYE => {
+                        if let Some(row) = rows.get_mut(f.a as usize) {
+                            row.departed = true;
+                        }
+                    }
+                    _ => {}
+                },
+                _ => self.inject(f),
+            }
+        }
+    }
+
+    /// Reap children that have exited. One that sent neither `PROC_DEAD`
+    /// nor `GOODBYE` left the machine without a word: its PEs will never
+    /// answer a probe, so no wave could ever settle. Frames it wrote just
+    /// before exiting may still be queued, so drain once more before
+    /// judging. Returns a diagnosis naming every such child.
+    fn reap_children(&self, rows: &mut [ProcRow]) -> Option<String> {
+        let exited = self.world.poll_children();
+        if exited.is_empty() {
+            return None;
+        }
+        self.drain_leader(rows);
+        let mut lost = Vec::new();
+        for (rank, code) in exited {
+            let Some(row) = rows.get_mut(rank) else { continue };
+            if row.dead || row.departed {
+                continue;
+            }
+            row.departed = true;
+            self.world.mark_proc_dead(rank);
+            lost.push(format!("rank {rank} exited with code {code}"));
+        }
+        (!lost.is_empty()).then(|| {
+            format!(
+                "flows-net: child process {} without PROC_DEAD or GOODBYE; \
+                 the machine cannot reach quiescence",
+                lost.join(", ")
+            )
+        })
     }
 
     /// Balanced-and-idle check over the gather rows. `Some((Σsent, Σrecv,

@@ -41,7 +41,17 @@ struct PeerHealth {
     /// confirm needs at least one heartbeat period of *additional*
     /// silence, so one stale evaluation can never convict on its own).
     suspect_vt: u64,
+    /// Threaded mode: wall-clock time of the last heartbeat from this
+    /// peer (or of the first observation).
+    last_wall: u64,
 }
+
+/// Threaded mode: wall-clock silence a peer must also show before it is
+/// confirmed dead. An idle observer jumps its virtual clock a heartbeat
+/// period per ~0.2 ms of quiet, so a live peer that is merely busy or
+/// descheduled for a few milliseconds of wall time looks silent for many
+/// virtual periods; a dead peer stays silent in wall time as well.
+const CONFIRM_WALL_QUIET_NS: u64 = 100_000_000;
 
 thread_local! {
     static CURRENT_PE: Cell<*const Pe> = const { Cell::new(std::ptr::null()) };
@@ -182,6 +192,7 @@ impl Pe {
                     mean_ns: HEARTBEAT_NS as f64,
                     suspected: false,
                     suspect_vt: 0,
+                    last_wall: 0,
                 };
                 num_pes
             ]
@@ -757,6 +768,9 @@ impl Pe {
         {
             let mut det = self.det.borrow_mut();
             let ph = &mut det[src];
+            if self.threaded.get() {
+                ph.last_wall = flows_sys::time::monotonic_ns();
+            }
             if ph.last_vt != 0 {
                 let dt = now.saturating_sub(ph.last_vt) as f64;
                 ph.mean_ns = (0.8 * ph.mean_ns + 0.2 * dt).max(period * 0.5);
@@ -805,6 +819,11 @@ impl Pe {
             return;
         }
         let confirmed = self.hub.confirmed_mask();
+        let wall = if self.threaded.get() {
+            flows_sys::time::monotonic_ns()
+        } else {
+            0
+        };
         let mut to_confirm: Vec<(usize, f64)> = Vec::new();
         {
             let mut det = self.det.borrow_mut();
@@ -817,6 +836,7 @@ impl Pe {
                     // First observation: treat "now" as a pseudo-heartbeat
                     // so silence is measured from when we started looking.
                     ph.last_vt = now.max(1);
+                    ph.last_wall = wall;
                     continue;
                 }
                 let elapsed = now.saturating_sub(ph.last_vt);
@@ -841,6 +861,8 @@ impl Pe {
                 if ph.suspected
                     && phi >= ctx.plan.phi_confirm
                     && now.saturating_sub(ph.suspect_vt) >= period
+                    && (!self.threaded.get()
+                        || wall.saturating_sub(ph.last_wall) >= CONFIRM_WALL_QUIET_NS)
                 {
                     to_confirm.push((p, phi));
                 }

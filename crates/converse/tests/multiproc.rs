@@ -9,8 +9,10 @@
 
 use flows_converse::{MachineBuilder, NetModel};
 use flows_net::{child_rank, Backend, TopologySpec, World};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 const PROCS: usize = 2;
 const PES: usize = 2;
@@ -129,6 +131,17 @@ fn mp_child() {
     exercise(world);
 }
 
+/// Child-process body of the silent-exit test: attach, then leave the
+/// machine at once with exit code 3 — no `PROC_DEAD`, no `GOODBYE`.
+#[test]
+fn mp_child_exits_silently() {
+    if child_rank().is_none() {
+        return;
+    }
+    let _world = flows_net::attach_from_env().expect("child attach");
+    std::process::exit(3);
+}
+
 /// Held by a leader for its whole run. Both leaders run in this one test
 /// process and each needs the isomalloc region at its single fixed base,
 /// so they take turns; a leader that panicked poisons the lock, which
@@ -145,6 +158,27 @@ fn lead(backend: Backend) {
         .expect("launch");
     exercise(world.clone());
     world.shutdown().expect("children exited clean");
+}
+
+/// A child that exits without a word used to leave the leader spinning
+/// beside a zombie forever. The leader's comm loop reaps it, and the run
+/// ends in bounded time with a diagnosis naming the child and its code.
+#[test]
+fn a_child_that_exits_silently_fails_the_leader_in_bounded_time() {
+    let _turn = FIXED_BASE.lock().unwrap_or_else(PoisonError::into_inner);
+    let world = TopologySpec::new(PROCS, PES)
+        .backend(Backend::Uds)
+        .child_args(["mp_child_exits_silently", "--exact", "--nocapture"])
+        .launch()
+        .expect("launch");
+    let t0 = Instant::now();
+    let err = std::panic::catch_unwind(AssertUnwindSafe(|| exercise(world.clone())))
+        .expect_err("the leader's run must fail, not quiesce");
+    let elapsed = t0.elapsed();
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("rank 1 exited with code 3"), "diagnosis: {msg:?}");
+    assert!(elapsed < Duration::from_secs(10), "leader took {elapsed:?}");
+    assert_eq!(world.shutdown(), Err("rank 1 exited with 3".to_string()));
 }
 
 #[test]

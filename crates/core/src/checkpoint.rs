@@ -25,7 +25,7 @@ const CKPT_MAGIC: [u8; 4] = *b"FCKP";
 const CKPT_VERSION: u32 = 2;
 
 /// Byte length of the self-describing frame header written by
-/// [`frame_payload`].
+/// [`frame_in_place`].
 pub const FRAME_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -62,22 +62,33 @@ fn frame_sum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Wrap an opaque payload in the checkpoint frame: magic, format version,
-/// payload length and a word-lane checksum. Shared by [`Checkpoint`]
-/// serialization and the fault-tolerance layers above, which ship
-/// checkpoint images over the wire to buddy PEs — a replica is validated
+/// Build a checkpoint frame at the end of `out` without copying its
+/// payload: reserve the header, let `pack` append the payload right
+/// behind it, then write magic, format version, payload length and the
+/// word-lane checksum into the reservation. The one header writer — the
+/// fault-tolerance layers pack a rank image straight into the buffer that
+/// is then shelved and shipped to buddy PEs, and a replica is validated
 /// with exactly the same frame logic as an on-disk image.
+pub fn frame_in_place(out: &mut Vec<u8>, pack: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.resize(start + FRAME_HEADER_LEN, 0);
+    pack(out);
+    let (head, payload) = out[start..].split_at_mut(FRAME_HEADER_LEN);
+    head[..4].copy_from_slice(&CKPT_MAGIC);
+    head[4..8].copy_from_slice(&CKPT_VERSION.to_le_bytes());
+    head[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    head[16..].copy_from_slice(&frame_sum(payload).to_le_bytes());
+}
+
+/// Wrap an already-packed payload in the checkpoint frame (see
+/// [`frame_in_place`]); used by [`Checkpoint`] serialization.
 pub fn frame_payload(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&CKPT_MAGIC);
-    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&frame_sum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_in_place(&mut out, |o| o.extend_from_slice(payload));
     out
 }
 
-/// Validate a frame written by [`frame_payload`] and return the payload.
+/// Validate a frame written by [`frame_in_place`] and return the payload.
 /// Rejects truncation, foreign bytes, version skew, length mismatch and
 /// bit flips with a precise error — a corrupt replica must be *detected*,
 /// never misparsed.
@@ -397,7 +408,7 @@ mod tests {
     }
 
     mod frame_props {
-        use super::super::{frame_payload, unframe_payload, FRAME_HEADER_LEN};
+        use super::super::{frame_in_place, frame_payload, unframe_payload, FRAME_HEADER_LEN};
         use proptest::prelude::*;
 
         proptest! {
@@ -408,6 +419,24 @@ mod tests {
                 let framed = frame_payload(&payload);
                 prop_assert_eq!(framed.len(), FRAME_HEADER_LEN + payload.len());
                 prop_assert_eq!(unframe_payload(&framed).unwrap(), &payload[..]);
+            }
+
+            /// A frame built in place behind bytes already in the buffer
+            /// leaves them alone and is byte-identical to `frame_payload`,
+            /// however the payload is appended.
+            #[test]
+            fn in_place_frame_matches_frame_payload(
+                prefix in proptest::collection::vec(any::<u8>(), 0..40),
+                payload in proptest::collection::vec(any::<u8>(), 0..4097),
+            ) {
+                let mut out = prefix.clone();
+                frame_in_place(&mut out, |o| {
+                    for chunk in payload.chunks(7) {
+                        o.extend_from_slice(chunk);
+                    }
+                });
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&out[prefix.len()..], &frame_payload(&payload)[..]);
             }
 
             /// Any single-byte corruption of a framed image — header or

@@ -51,7 +51,9 @@ pub mod shared;
 pub mod steal;
 pub mod tcb;
 
-pub use checkpoint::{evacuate, frame_payload, unframe_payload, Checkpoint, FRAME_HEADER_LEN};
+pub use checkpoint::{
+    evacuate, frame_in_place, frame_payload, unframe_payload, Checkpoint, FRAME_HEADER_LEN,
+};
 pub use migrate::PackedThread;
 pub use payload::{ExternRegion, Payload, PayloadBuf, PayloadPool, PoolStats};
 pub use privatize::{GlobalVar, GlobalsLayout, GlobalsLayoutBuilder, PrivatizeMode};

@@ -47,7 +47,19 @@ mkdir -p target
 cargo run --offline -q -p flows-check --bin flowslint -- --root . \
   --baseline flowslint.baseline --sarif-out target/flowslint.sarif
 cargo test --offline -q -p flows-check
-cargo test --offline -q -p flows-mem -p flows-core -p flows-ampi --features sanitize
+# The sanitize pass runs multi-process suites; a hang there must fail the
+# gate, not stall it. `timeout` kills the whole process group on expiry.
+sanitize_limit=900
+rc=0
+timeout --signal=KILL "$sanitize_limit" \
+  cargo test --offline -q -p flows-mem -p flows-core -p flows-ampi --features sanitize || rc=$?
+if [ "$rc" -eq 137 ]; then
+  echo "FAIL: step 4 (--features sanitize test pass) exceeded ${sanitize_limit}s and was killed"
+  exit 1
+elif [ "$rc" -ne 0 ]; then
+  echo "FAIL: step 4 (--features sanitize test pass) exited $rc"
+  exit 1
+fi
 echo "OK: flowslint clean (SARIF at target/flowslint.sarif) + check suite + sanitize pass green"
 
 ISO=$(cargo run --offline --release -q -p flows-bench --bin table2_limits -- \
