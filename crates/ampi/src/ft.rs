@@ -1,23 +1,14 @@
-//! Checkpoint-based fault tolerance for AMPI worlds.
+//! Fault-tolerant AMPI runs: the report of a world run under a
+//! [`FaultPlan`] with online recovery.
 //!
 //! The paper's migration machinery gives checkpointing for free: packing a
 //! rank for a checkpoint is *exactly* packing it for migration (§4.5) —
-//! the destination is stable storage instead of another PE. This module
-//! adds the driver around that observation:
-//!
-//! * [`Ampi::checkpoint`](crate::Ampi::checkpoint) is a collective; when
-//!   every rank has reached it, each rank is packed, its image stored in a
-//!   process-global generation store, and the rank resumes;
-//! * a generation **commits** only once all `size` rank images of one
-//!   checkpoint sequence are present — a crash mid-checkpoint falls back
-//!   to the previous committed generation, keeping the cut consistent;
-//! * [`run_world_ft`] drives a world under a
-//!   [`FaultPlan`](flows_converse::FaultPlan): when a scripted PE crash
-//!   aborts an attempt, the machine is rebuilt with one PE fewer (the
-//!   paper's "restart on a different number of processors", §4.5), the
-//!   last committed generation is restored with the dead PE's ranks
-//!   redistributed — block mapping refined by the world's LB strategy fed
-//!   with measured loads — and the run continues to completion.
+//! the destination is memory on a buddy PE instead of another scheduler.
+//! [`Ampi::checkpoint`](crate::Ampi::checkpoint) packs every rank into the
+//! in-memory buddy shelf of `recover.rs`, and a scripted PE crash is healed
+//! in place from it. When no complete generation survives a crash, every
+//! rank restarts from scratch on the surviving PEs: the paper's "restart on
+//! a different number of processors", counted in [`FtReport::restarts`].
 //!
 //! **Matched-boundary requirement.** `checkpoint()` snapshots each rank's
 //! thread, mailbox and sequence state, but not messages still in flight in
@@ -27,226 +18,59 @@
 //! State outside rank threads (globals, host-side accumulators) is *not*
 //! rolled back; keep external side effects idempotent under re-execution.
 
-use crate::world::{next_world_id, run_attempt, AmpiOptions};
-use flows_converse::{FaultPlan, FaultSummary, MachineReport};
-use flows_core::SharedPools;
-use flows_mem::IsoConfig;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// One rank's checkpoint image: the pup'd `RankMove` (packed thread +
-/// mailbox + sequence state) plus its measured load at pack time, used to
-/// rebalance placement on restart.
-pub(crate) struct Snapshot {
-    pub move_bytes: Vec<u8>,
-    pub load_ns: u64,
-}
-
-/// Per-world checkpoint generations.
-struct WorldCkpts {
-    size: usize,
-    /// Incomplete generations: seq → (rank → image).
-    pending: BTreeMap<u64, HashMap<u64, Snapshot>>,
-    /// The newest generation with all `size` rank images.
-    committed: Option<(u64, Arc<HashMap<u64, Snapshot>>)>,
-}
-
-static STORE: OnceLock<Mutex<HashMap<u64, WorldCkpts>>> = OnceLock::new();
-
-fn store() -> &'static Mutex<HashMap<u64, WorldCkpts>> {
-    STORE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Deposit one rank's image for generation `seq`; commit the generation
-/// when it is complete. Called from the PE that hosts the rank.
-pub(crate) fn store_snapshot(
-    world: u64,
-    seq: u64,
-    rank: u64,
-    size: usize,
-    move_bytes: Vec<u8>,
-    load_ns: u64,
-) {
-    let mut g = store().lock().expect("checkpoint store poisoned");
-    let w = g.entry(world).or_insert_with(|| WorldCkpts {
-        size,
-        pending: BTreeMap::new(),
-        committed: None,
-    });
-    w.size = size;
-    let generation = w.pending.entry(seq).or_default();
-    generation.insert(rank, Snapshot { move_bytes, load_ns });
-    if generation.len() == w.size {
-        let full = w.pending.remove(&seq).expect("generation just completed");
-        // Older partial generations can never complete once a newer one
-        // has — drop them.
-        w.pending = w.pending.split_off(&seq);
-        w.committed = Some((seq, Arc::new(full)));
-    }
-}
-
-/// The newest committed generation of `world`, if any.
-pub(crate) fn committed_generation(world: u64) -> Option<(u64, Arc<HashMap<u64, Snapshot>>)> {
-    let g = store().lock().expect("checkpoint store poisoned");
-    g.get(&world).and_then(|w| w.committed.clone())
-}
-
-/// Forget everything stored for `world` (run finished).
-pub(crate) fn clear_world(world: u64) {
-    store().lock().expect("checkpoint store poisoned").remove(&world);
-}
+use crate::world::{run_world, AmpiOptions};
+use flows_converse::{FaultPlan, FaultSummary, MachineReport, RecoveryEvent, RecoveryPhase};
 
 /// What a fault-tolerant run went through to finish.
 #[derive(Debug)]
 pub struct FtReport {
-    /// The machine report of the final (successful) attempt.
+    /// The machine report of the run.
     pub report: MachineReport,
-    /// Checkpoint restarts taken (= PE crashes survived).
+    /// Recovery rounds that found no complete checkpoint generation and
+    /// restarted every rank from scratch on the surviving PEs.
     pub restarts: usize,
-    /// PEs the final attempt ran on (initial PEs minus crashes).
-    pub pes_used: usize,
-    /// PEs that crashed, in order.
+    /// PEs that crashed (the machine ran on `pes - crashed_pes.len()` PEs
+    /// at the end).
     pub crashed_pes: Vec<usize>,
-    /// Fault-injection and recovery counters accumulated over every
-    /// attempt (`None` components of aborted attempts included).
+    /// Fault-injection and recovery counters.
     pub faults: FaultSummary,
-    /// Logical messages sent, accumulated over every attempt — compare
-    /// with the final attempt's `report.messages` to see the work a crash
-    /// threw away, and with `faults.physical_packets()` for the protocol
-    /// overhead.
-    pub total_messages: u64,
-    /// Online recovery rounds completed in place (crashes healed without
-    /// tearing the machine down). Always 0 for offline restart plans.
+    /// Recovery rounds completed in place (crashes healed without tearing
+    /// the machine down), scratch restarts included.
     pub recoveries: usize,
 }
 
-/// Run `main` as every rank of a fresh AMPI world under `plan`, surviving
-/// the plan's scripted PE crashes by checkpoint restart.
-///
-/// Every attempt reuses one isomalloc region (checkpoint images embed
-/// absolute slot addresses) and one world id (so routed object ids and
-/// reduction tags stay stable). A crash before the first committed
-/// checkpoint restarts the world from scratch on the surviving PEs. The
-/// machine degrades: each crash permanently removes one PE.
-///
-/// Panics if every PE has crashed, or if fewer PEs remain than the
-/// one-rank-per-PE minimum requires.
+/// Distinct recovery epochs that reached `phase` on the timeline.
+fn rounds(timeline: &[RecoveryEvent], phase: RecoveryPhase) -> usize {
+    let mut epochs: Vec<u64> = timeline
+        .iter()
+        .filter(|e| e.phase == phase)
+        .map(|e| e.info)
+        .collect();
+    epochs.sort_unstable();
+    epochs.dedup();
+    epochs.len()
+}
+
+impl From<MachineReport> for FtReport {
+    /// Read the recovery story off a finished run's timeline.
+    fn from(report: MachineReport) -> FtReport {
+        FtReport {
+            restarts: rounds(&report.recovery, RecoveryPhase::Restart),
+            recoveries: rounds(&report.recovery, RecoveryPhase::Resume),
+            crashed_pes: report.dead_pes.clone(),
+            faults: report.faults.unwrap_or_default(),
+            report,
+        }
+    }
+}
+
+/// Run `main` as every rank of a fresh AMPI world under `plan`:
+/// [`run_world`] with the plan attached. Scripted PE crashes need
+/// [`FaultPlan::online_recovery`] and `opts.modeled_time`.
 pub fn run_world_ft(
     opts: AmpiOptions,
     plan: FaultPlan,
     main: impl Fn(&mut crate::Ampi) + Send + Sync + 'static,
 ) -> FtReport {
-    assert!(opts.ranks > 0 && opts.pes > 0);
-    let world = next_world_id();
-    let main: Arc<dyn Fn(&mut crate::Ampi) + Send + Sync> = Arc::new(main);
-
-    // Build the machine memory substrate once, outside the attempt loop.
-    let mut iso = IsoConfig::for_pes(opts.pes);
-    iso.base = 0;
-    iso.slot_len = opts.slot_len;
-    iso.slots_per_pe = (opts.ranks / opts.pes + 2) * 2;
-
-    if plan.online {
-        // Online recovery: ONE machine, crashes healed in place. The
-        // survivors roll back to buddy-replicated images and re-spawn the
-        // dead PE's ranks through the normal migration unpack path — no
-        // restart loop, no world teardown.
-        assert!(
-            opts.modeled_time,
-            "online recovery requires modeled time (deterministic replay)"
-        );
-        // Any single PE may end up hosting every rank after repeated
-        // crashes; size the isomalloc region for that worst case.
-        iso.slots_per_pe = (opts.ranks + 2) * 2;
-        if opts.multiproc.is_some() {
-            // Keep the fixed default base: checkpoint images embed
-            // absolute slot addresses, and a respawn on another process
-            // adopts the slot at the identical virtual address.
-            iso.base = flows_mem::DEFAULT_BASE;
-        }
-        let shared = SharedPools::new(iso, 1 << 20).expect("ft memory pools");
-        if opts.multiproc.is_some() {
-            assert!(
-                shared.region().at_fixed_base(),
-                "multi-process recovery needs the isomalloc region at its fixed base"
-            );
-        }
-        let report = run_attempt(world, &opts, opts.pes, Some(shared), Some(plan), None, &main);
-        assert!(
-            report.crashed.is_none(),
-            "online recovery must heal crashes, not abort the attempt"
-        );
-        clear_world(world);
-        let mut resume_epochs: Vec<u64> = report
-            .recovery
-            .iter()
-            .filter(|e| e.phase == flows_converse::RecoveryPhase::Resume)
-            .map(|e| e.info)
-            .collect();
-        resume_epochs.sort_unstable();
-        resume_epochs.dedup();
-        let faults = report.faults.unwrap_or_default();
-        let total_messages = report.messages;
-        let crashed_pes = report.dead_pes.clone();
-        return FtReport {
-            report,
-            restarts: 0,
-            pes_used: opts.pes,
-            crashed_pes,
-            faults,
-            total_messages,
-            recoveries: resume_epochs.len(),
-        };
-    }
-
-    let shared = SharedPools::new(iso, 1 << 20).expect("ft memory pools");
-    let mut plan = plan;
-    let mut pes_now = opts.pes;
-    let mut restarts = 0usize;
-    let mut crashed_pes = Vec::new();
-    let mut faults = FaultSummary::default();
-    let mut total_messages = 0u64;
-    loop {
-        let restore = committed_generation(world).map(|(_, snaps)| snaps);
-        let report = run_attempt(
-            world,
-            &opts,
-            pes_now,
-            Some(shared.clone()),
-            Some(plan.clone()),
-            restore,
-            &main,
-        );
-        if let Some(f) = &report.faults {
-            faults.accumulate(f);
-        }
-        total_messages += report.messages;
-        match report.crashed {
-            None => {
-                clear_world(world);
-                return FtReport {
-                    report,
-                    restarts,
-                    pes_used: pes_now,
-                    crashed_pes,
-                    faults,
-                    total_messages,
-                    recoveries: 0,
-                };
-            }
-            Some(dead) => {
-                // Consume the scripted crash: PE ids compact on restart,
-                // so a surviving entry for this id would fire again.
-                plan.crashes.retain(|c| c.pe != dead);
-                crashed_pes.push(dead);
-                assert!(pes_now > 1, "every PE has crashed; nothing left to restart on");
-                pes_now -= 1;
-                assert!(
-                    opts.ranks >= pes_now,
-                    "fewer PEs than the one-rank-per-PE minimum"
-                );
-                restarts += 1;
-            }
-        }
-    }
+    run_world(opts.with_faults(plan), main).into()
 }

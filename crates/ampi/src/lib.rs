@@ -273,10 +273,11 @@ impl Ampi {
 
     /// Coordinated checkpoint (`AMPI_Checkpoint`): a collective at which
     /// every rank is packed exactly as a migration would pack it, with the
-    /// images held in a process-global generation store. Under
-    /// [`run_world_ft`] a PE crash rolls the world back to the last
-    /// *committed* generation (all ranks present) and restarts on the
-    /// surviving PEs.
+    /// images held on the PEs' in-memory checkpoint shelves. Under a plan
+    /// with [`flows_converse::FaultPlan::online_recovery`] the images are
+    /// also replicated to buddy PEs, and a PE crash rolls the survivors
+    /// back to the newest complete generation in place — or, when none
+    /// survives, restarts every rank from scratch on the surviving PEs.
     ///
     /// Call this only at a matched communication boundary — a point where
     /// every message sent has been received (an iteration boundary after

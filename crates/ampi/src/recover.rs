@@ -1,14 +1,15 @@
-//! Online recovery: in-memory buddy checkpoints and in-place healing.
-//!
-//! Instead of tearing the world down after a crash (the offline
-//! checkpoint-restart loop in `ft.rs`), online mode keeps the surviving
-//! PEs' schedulers alive and heals around the failure:
+//! Online recovery: in-memory buddy checkpoints and in-place healing —
+//! the one checkpoint store and the one crash path. A crash never tears
+//! the world down: the surviving PEs' schedulers stay alive and heal
+//! around the failure:
 //!
 //! * **Buddy replication.** Every checkpoint generation a PE packs each
 //!   local rank image once, straight into its checkpoint frame (magic,
 //!   format version 2 and a word-lane FNV-1a checksum written in place by
 //!   `flows_core::frame_in_place`), deposits that frame on an in-memory
-//!   *shelf* and ships it to its next `k` live ring successors. Frames are
+//!   *shelf* and ships it to its next `k` live ring successors (`k` is the
+//!   plan's replication degree; 0 without recovery, when the images stay
+//!   on their own shelf until the commit prunes them). Frames are
 //!   shared [`Payload`]s: the shelf, the replication batch builder and a
 //!   recovery re-replication hold the same bytes by refcount, and a buddy
 //!   shelves zero-copy slices of the batch it received. A generation is
@@ -25,7 +26,9 @@
 //!   on sight from here on) and reports its checksum-valid shelf holdings.
 //!   The leader picks the newest generation with full rank coverage —
 //!   falling back to older generations when copies are missing or
-//!   corrupt, and to a from-scratch restart when none survives — and
+//!   corrupt, and to a from-scratch restart of every rank on the
+//!   survivors when none survives (the paper's restart on fewer
+//!   processors, recorded as a `Restart` phase) — and
 //!   broadcasts a holder-constrained respawn assignment. Survivors unpack
 //!   their assigned ranks through the normal migration path (suspended:
 //!   admission stays paused), re-replicate the adopted images to new
@@ -104,8 +107,10 @@ pub(crate) struct RecoverState {
     /// Leader this PE's PLAN_DONE goes to.
     plan_leader: usize,
     leader: Option<LeaderState>,
-    /// Replica frames rejected by checksum validation.
-    invalid_replicas: u64,
+    /// Recovery traffic dropped as invalid: replica frames failing their
+    /// checksum, and replica batches or control messages that do not
+    /// decode.
+    invalid_msgs: u64,
 }
 
 /// Register the recovery control + replication handlers. Must occupy the
@@ -128,19 +133,18 @@ fn rep_handler() -> HandlerId {
     *REP_HANDLER.get().expect("recovery handlers registered")
 }
 
+/// The plan's buddy-replication degree (0 without a plan).
+fn replication(pe: &Pe) -> usize {
+    pe.fault_plan().map_or(0, |p| p.replication)
+}
+
 /// This PE's `k` buddies: the next `k` ring successors not in `dead_mask`.
 pub(crate) fn buddies_of(me: usize, n: usize, k: usize, dead_mask: u64) -> Vec<usize> {
-    let mut out = Vec::new();
-    for i in 1..n {
-        let c = (me + i) % n;
-        if dead_mask & (1 << c) == 0 {
-            out.push(c);
-            if out.len() == k {
-                break;
-            }
-        }
-    }
-    out
+    (1..n)
+        .map(|i| (me + i) % n)
+        .filter(|&c| dead_mask & (1 << c) == 0)
+        .take(k)
+        .collect()
 }
 
 /// Pick the rollback generation and respawn assignment from the
@@ -216,7 +220,7 @@ fn frame_image(mv: &mut RankMove) -> Payload {
 }
 
 /// Deposit one local rank's image for generation `gen` (called from the
-/// checkpoint snapshot path in online mode). The image is packed into its
+/// checkpoint snapshot path). The image is packed into its
 /// frame here, once; that one buffer is the shelf's own copy and the
 /// source of every buddy replica.
 pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, mv: &mut RankMove, load_ns: u64) {
@@ -229,7 +233,7 @@ pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, mv: &mut RankMove
 /// All local ranks have deposited generation `gen`: ship the images to
 /// this PE's buddies; once every buddy acks, vote for the commit.
 pub(crate) fn finalize_generation(pe: &Pe, meta: &Arc<WorldMeta>, gen: u64) {
-    let k = pe.fault_plan().map(|p| p.replication).unwrap_or(1);
+    let k = replication(pe);
     let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask());
     let (epoch, own): (u64, Vec<(u64, u64, Payload)>) = pe.ext::<RecoverState, _>(|rs| {
         let mut own: Vec<(u64, u64, Payload)> = rs
@@ -332,7 +336,7 @@ impl RecoverState {
                     .or_default()
                     .insert(rec.rank, Replica { frame, load_ns: rec.load_ns, own: false });
             } else {
-                self.invalid_replicas += 1;
+                self.invalid_msgs += 1;
             }
         }
     }
@@ -344,7 +348,7 @@ impl RecoverState {
 /// acked, so the owner's generation never commits on it.
 pub(crate) fn on_replica(pe: &Pe, msg: Message) {
     let Ok((h, recs)) = parse_rep_batch(&msg.data) else {
-        pe.ext::<RecoverState, _>(|rs| rs.invalid_replicas += 1);
+        pe.ext::<RecoverState, _>(|rs| rs.invalid_msgs += 1);
         return;
     };
     let stale = pe.ext::<RecoverState, _>(|rs| {
@@ -553,7 +557,7 @@ fn build_inventory(pe: &Pe) -> (u64, Vec<(u64, u64)>) {
                 }
             });
         }
-        rs.invalid_replicas += dropped;
+        rs.invalid_msgs += dropped;
         // Shelf buckets are HashMaps; sort so the inventory wire bytes
         // (and everything downstream of them) are run-to-run stable.
         pairs.sort_unstable();
@@ -681,8 +685,7 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
     if !mine.is_empty() {
         pe.note_recovery(RecoveryPhase::Respawn, lowest_dead, g);
     }
-    let k = pe.fault_plan().map(|p| p.replication).unwrap_or(1);
-    let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask() | dead_mask);
+    let buddies = buddies_of(pe.id(), pe.num_pes(), replication(pe), pe.confirmed_dead_mask() | dead_mask);
     if adopted.is_empty() || buddies.is_empty() {
         plan_done(pe, epoch, leader);
         return;
@@ -717,6 +720,11 @@ fn record_plan_done(pe: &Pe, from: usize) {
         }
     });
     let Some((epoch, genp1, dead_mask, live_mask)) = ready else { return };
+    if genp1 == 0 {
+        // No generation survived: the whole world restarts from scratch
+        // on the survivors — restart on fewer processors.
+        pe.note_recovery(RecoveryPhase::Restart, lowest_bit(dead_mask), epoch);
+    }
     let mut m = CtlMsg { kind: ctl::RESUME, epoch, a: genp1, b: dead_mask, pairs: Vec::new() };
     let wire = pe.pack_payload(&mut m);
     for d in 0..pe.num_pes() {
@@ -769,10 +777,33 @@ fn apply_resume(pe: &Pe, epoch: u64, _genp1: u64, dead_mask: u64) {
     }
 }
 
-/// Recovery control-plane dispatcher (see [`ctl`] for the kinds).
+/// Decode a control message that may have crossed a process boundary,
+/// trusting none of it: bytes that do not decode exactly, an unknown kind,
+/// or a PE index outside the `num_pes` machine is an `Err`, never a panic.
+fn parse_ctl(data: &[u8], num_pes: usize) -> Result<CtlMsg, String> {
+    let m: CtlMsg = flows_pup::from_bytes(data).map_err(|e| format!("ctl message: {e}"))?;
+    let on_machine = |p: u64| p < num_pes as u64;
+    let pes_ok = match m.kind {
+        ctl::INVENTORY | ctl::PLAN_DONE => on_machine(m.a),
+        ctl::PLAN => m.pairs.iter().all(|&(_, p)| on_machine(p)),
+        k if k > ctl::VOTE => return Err(format!("unknown ctl kind {k}")),
+        _ => true,
+    };
+    if pes_ok {
+        Ok(m)
+    } else {
+        Err(format!("ctl kind {} names a PE outside {num_pes}", m.kind))
+    }
+}
+
+/// Recovery control-plane dispatcher (see [`ctl`] for the kinds). A
+/// malformed message is counted with the invalid replicas and dropped.
 // flows-wire: handles ampi-ctl
 pub(crate) fn on_ctl(pe: &Pe, msg: Message) {
-    let m: CtlMsg = flows_pup::from_bytes(&msg.data).expect("ctl wire");
+    let Ok(m) = parse_ctl(&msg.data, pe.num_pes()) else {
+        pe.ext::<RecoverState, _>(|rs| rs.invalid_msgs += 1);
+        return;
+    };
     if m.kind != ctl::START {
         // START carries the *new* epoch; everything else from an older
         // epoch is pre-rollback traffic.
@@ -790,7 +821,7 @@ pub(crate) fn on_ctl(pe: &Pe, msg: Message) {
         ctl::PLAN_DONE => record_plan_done(pe, m.a as usize),
         ctl::RESUME => apply_resume(pe, m.epoch, m.a, m.b),
         ctl::VOTE => on_vote(pe, msg.src_pe, m.a, m.b),
-        k => panic!("bad recovery control kind {k}"),
+        _ => {} // refused by parse_ctl
     }
 }
 
@@ -831,12 +862,6 @@ fn on_ack(pe: &Pe, gen: u64, purpose: u64) {
     }
 }
 
-/// Buddy-replica frames rejected by checksum validation on this PE.
-#[allow(dead_code)]
-pub(crate) fn invalid_replicas(pe: &Pe) -> u64 {
-    pe.ext::<RecoverState, _>(|rs| rs.invalid_replicas)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,6 +878,8 @@ mod tests {
         assert_eq!(buddies_of(2, 4, 1, 1 << 3), vec![0]);
         // Everyone else dead: no buddies.
         assert_eq!(buddies_of(1, 4, 2, 0b1101), vec![]);
+        // No recovery (k = 0): images stay on their own shelf.
+        assert_eq!(buddies_of(1, 4, 0, 0), vec![]);
     }
 
     #[test]
@@ -1006,7 +1033,7 @@ mod tests {
         let (head, recs) = parse_rep_batch(&batch).expect("structure is intact");
         let mut rs = RecoverState::default();
         rs.shelve_replicas(head.gen, recs);
-        assert_eq!(rs.invalid_replicas, 1);
+        assert_eq!(rs.invalid_msgs, 1);
         let shelved = &rs.shelf[&5];
         let mut ranks: Vec<u64> = shelved.keys().copied().collect();
         ranks.sort_unstable();
@@ -1023,6 +1050,54 @@ mod tests {
         let bytes = batch_of(&three_frames(200)).to_vec();
         for n in 0..bytes.len() {
             assert!(parse_rep_batch(&bytes[..n].to_vec().into()).is_err(), "truncation to {n} accepted");
+        }
+    }
+
+    #[test]
+    fn unknown_ctl_kinds_and_off_machine_pes_are_refused() {
+        let bad = [
+            CtlMsg { kind: ctl::VOTE + 1, ..CtlMsg::default() },
+            CtlMsg { kind: ctl::INVENTORY, a: 4, ..CtlMsg::default() },
+            CtlMsg { kind: ctl::PLAN_DONE, a: 64, ..CtlMsg::default() },
+            CtlMsg { kind: ctl::PLAN, pairs: vec![(0, 1), (1, 4)], ..CtlMsg::default() },
+        ];
+        for mut m in bad {
+            assert!(parse_ctl(&flows_pup::to_bytes(&mut m), 4).is_err(), "{m:?} accepted");
+        }
+    }
+
+    mod ctl_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes never panic the decoder; whatever it accepts
+            /// is a known kind naming only PEs of the machine.
+            #[test]
+            fn arbitrary_bytes_are_refused_or_well_formed(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
+                if let Ok(m) = parse_ctl(&bytes, 4) {
+                    prop_assert!(m.kind <= ctl::VOTE);
+                    prop_assert!(m.kind != ctl::PLAN_DONE || m.a < 4);
+                }
+            }
+
+            /// A valid message of every kind decodes back to itself, and
+            /// every truncation of it is an error.
+            #[test]
+            fn every_truncation_of_a_ctl_message_is_an_error(
+                kind in 0..ctl::VOTE + 1,
+                epoch in any::<u64>(),
+                a in 0u64..4,
+                b in any::<u64>(),
+                pairs in proptest::collection::vec((any::<u64>(), 0u64..4), 0..6),
+            ) {
+                let mut m = CtlMsg { kind, epoch, a, b, pairs };
+                let bytes = flows_pup::to_bytes(&mut m);
+                prop_assert_eq!(parse_ctl(&bytes, 4), Ok(m));
+                for n in 0..bytes.len() {
+                    prop_assert!(parse_ctl(&bytes[..n], 4).is_err(), "truncation to {} accepted", n);
+                }
+            }
         }
     }
 

@@ -5,7 +5,7 @@ use crate::proto::{
     frame, BatchHead, LoadReport, MailEntry, MoveRec, PlanMsg, RankMove, RankWire, PORT_AMPI,
 };
 use flows_comm::{CommLayer, ObjId, ReduceOp};
-use flows_converse::{MachineBuilder, MachineReport, Message, NetModel, Payload, Pe};
+use flows_converse::{FaultPlan, MachineBuilder, MachineReport, Message, NetModel, Payload, Pe};
 use flows_core::{SchedConfig, StackFlavor, ThreadId, ThreadState};
 use flows_lb::{LbStats, LbStrategy, NullLb, ObjLoad};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -203,10 +203,11 @@ pub struct AmpiOptions {
     pub stack_len: usize,
     /// Isomalloc slot bytes per rank thread (stack + heap).
     pub slot_len: usize,
-    /// Transport-fault plan injected into the machine. `run_world` rejects
-    /// plans with scripted PE crashes (no recovery driver) — use
-    /// [`crate::run_world_ft`] for those.
-    pub faults: Option<flows_converse::FaultPlan>,
+    /// Fault plan injected into the machine. Scripted PE crashes need
+    /// [`FaultPlan::online_recovery`] (the machine refuses them otherwise)
+    /// and `modeled_time`; they are healed in place from the in-memory
+    /// checkpoint shelf.
+    pub faults: Option<FaultPlan>,
     /// Record a Projections-style event trace (see
     /// `MachineBuilder::tracing`); the reduction and raw rings ride in the
     /// returned `MachineReport`.
@@ -259,9 +260,10 @@ impl AmpiOptions {
         self
     }
 
-    /// Inject transport faults (drop/duplicate/delay/reorder) into the
-    /// run. Crash-free plans only; see [`crate::run_world_ft`] for crashes.
-    pub fn with_faults(mut self, plan: flows_converse::FaultPlan) -> Self {
+    /// Inject faults into the run: transport faults (drop/duplicate/
+    /// delay/reorder), stalls, and — under [`FaultPlan::online_recovery`]
+    /// and modeled time — PE crashes healed in place.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
@@ -282,45 +284,14 @@ impl AmpiOptions {
 }
 
 /// Run `main` as every rank of a fresh AMPI world. Returns the machine
-/// report (virtual times, scheduler stats) for the harnesses.
+/// report (virtual times, scheduler stats, recovery timeline) for the
+/// harnesses. A plan with [`FaultPlan::online_recovery`] heals scripted
+/// PE crashes in place; [`crate::run_world_ft`] reads the story back.
 pub fn run_world(
     opts: AmpiOptions,
     main: impl Fn(&mut crate::Ampi) + Send + Sync + 'static,
 ) -> MachineReport {
-    let world = NEXT_WORLD.fetch_add(1, Ordering::Relaxed);
     let pes = opts.pes;
-    let plan = opts.faults.clone();
-    if let Some(p) = &plan {
-        assert!(
-            p.crashes.is_empty(),
-            "run_world has no recovery driver — script PE crashes via run_world_ft"
-        );
-    }
-    let main: Arc<dyn Fn(&mut crate::Ampi) + Send + Sync> = Arc::new(main);
-    let report = run_attempt(world, &opts, pes, None, plan, None, &main);
-    // Applications may call checkpoint() even without a fault plan; drop
-    // whatever the store accumulated for this world.
-    crate::ft::clear_world(world);
-    report
-}
-
-pub(crate) fn next_world_id() -> u64 {
-    NEXT_WORLD.fetch_add(1, Ordering::Relaxed)
-}
-
-/// One machine launch of world `world` on `pes` PEs. `run_world` calls
-/// this once; the fault-tolerant driver ([`crate::run_world_ft`]) calls it
-/// repeatedly — reusing the world id and memory pools across attempts and
-/// passing the last committed checkpoint generation as `restore`.
-pub(crate) fn run_attempt(
-    world: u64,
-    opts: &AmpiOptions,
-    pes: usize,
-    shared: Option<Arc<flows_core::SharedPools>>,
-    plan: Option<flows_converse::FaultPlan>,
-    restore: Option<Arc<HashMap<u64, crate::ft::Snapshot>>>,
-    main: &Arc<dyn Fn(&mut crate::Ampi) + Send + Sync>,
-) -> MachineReport {
     assert!(opts.ranks > 0 && pes > 0);
     assert!(
         opts.ranks >= pes,
@@ -328,13 +299,21 @@ pub(crate) fn run_attempt(
         opts.ranks,
         pes
     );
+    let recovers = opts.faults.as_ref().is_some_and(FaultPlan::recovers);
+    assert!(
+        !recovers || opts.modeled_time,
+        "online recovery requires modeled time (deterministic replay)"
+    );
     let meta = Arc::new(WorldMeta {
-        world,
+        world: NEXT_WORLD.fetch_add(1, Ordering::Relaxed),
         size: opts.ranks,
         strategy: opts.strategy.clone(),
-        main: main.clone(),
+        main: Arc::new(main),
         multiproc: opts.multiproc.is_some(),
     });
+    // Under recovery any single PE may end up hosting every rank after
+    // repeated crashes; size the isomalloc region for that worst case.
+    let slots_per_pe = (if recovers { opts.ranks + 2 } else { opts.ranks / pes + 2 }) * 2;
 
     let mut mb = MachineBuilder::new(pes)
         .net_model(opts.net)
@@ -343,14 +322,9 @@ pub(crate) fn run_attempt(
         .sched_config(SchedConfig {
             stack_len: opts.stack_len,
             ..SchedConfig::default()
-        });
-    mb = match shared {
-        // Restart attempts must see the same isomalloc region: checkpoint
-        // images embed absolute slot addresses.
-        Some(s) => mb.shared_pools(s),
-        None => mb.iso_layout(opts.slot_len, (opts.ranks / pes + 2) * 2),
-    };
-    if let Some(p) = &plan {
+        })
+        .iso_layout(opts.slot_len, slots_per_pe);
+    if let Some(p) = &opts.faults {
         mb = mb.fault_plan(p.clone());
     }
     let _ = CommLayer::register(&mut mb);
@@ -364,43 +338,33 @@ pub(crate) fn run_attempt(
     let stored = *BATCH_HANDLER.get_or_init(|| bt);
     assert_eq!(stored, bt, "AMPI must occupy the same handler slot in every machine");
     crate::recover::register(&mut mb);
-    if plan.as_ref().is_some_and(|p| p.online) {
+    if recovers {
         mb = mb.on_death_confirmed(crate::recover::on_death_confirmed);
     }
-
     if let Some(w) = &opts.multiproc {
         mb = mb.multiproc(w.clone());
     }
 
-    let placement = restore
-        .as_ref()
-        .map(|snaps| Arc::new(place_restored(snaps, pes, &meta)));
-    let opts2 = opts.clone();
+    let init = move |pe: &Pe| init_pe(pe, &meta);
     // A multi-process machine has no deterministic round-robin mode: the
     // comm thread and the transport are inherently concurrent.
-    let threaded = opts.threaded || opts.multiproc.is_some();
-    let init = move |pe: &Pe| match (&restore, &placement) {
-        (Some(snaps), Some(place)) => restore_pe(pe, &meta, snaps, place),
-        _ => init_pe(pe, &meta, &opts2, pes),
-    };
-    if threaded {
+    if opts.threaded || opts.multiproc.is_some() {
         mb.run(init)
     } else {
         mb.run_deterministic(init)
     }
 }
 
-fn init_pe(pe: &Pe, meta: &Arc<WorldMeta>, opts: &AmpiOptions, pes: usize) {
+fn init_pe(pe: &Pe, meta: &Arc<WorldMeta>) {
     pe.ext::<AmpiState, _>(|st| st.meta = Some(meta.clone()));
     flows_comm::set_delivery(pe, PORT_AMPI, deliver);
     let meta_for_sink = meta.clone();
     flows_comm::set_reduction_sink(pe, move |pe, red| on_reduction(pe, &meta_for_sink, red));
 
-    for rank in 0..opts.ranks {
-        if pe_of_rank(rank, opts.ranks, pes) != pe.id() {
-            continue;
+    for rank in 0..meta.size {
+        if pe_of_rank(rank, meta.size, pe.num_pes()) == pe.id() {
+            spawn_rank(pe, meta, rank as u64);
         }
-        spawn_rank(pe, meta, rank as u64);
     }
 }
 
@@ -441,88 +405,6 @@ pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
     flows_comm::register_obj(pe, obj_of(meta.world, rank));
 }
 
-/// Place the restored ranks of a checkpoint generation over `pes` PEs:
-/// block mapping refined by the world's LB strategy fed with each rank's
-/// measured load at pack time — the post-failure rebalance.
-fn place_restored(
-    snaps: &HashMap<u64, crate::ft::Snapshot>,
-    pes: usize,
-    meta: &WorldMeta,
-) -> HashMap<u64, usize> {
-    let ranks = meta.size;
-    let mut place: HashMap<u64, usize> = snaps
-        .keys()
-        .map(|&r| (r, pe_of_rank(r as usize, ranks, pes)))
-        .collect();
-    // Feed the strategy in rank order: snapshot map iteration order must
-    // not leak into tie-breaking, or restarts stop being deterministic.
-    let mut objs: Vec<ObjLoad> = snaps
-        .iter()
-        .map(|(&r, s)| ObjLoad {
-            id: r,
-            pe: place[&r],
-            load: s.load_ns as f64 * 1e-9,
-            migratable: true,
-        })
-        .collect();
-    objs.sort_by_key(|o| o.id);
-    let stats = LbStats {
-        num_pes: pes,
-        objs,
-        background: Vec::new(),
-    };
-    for m in meta.strategy.decide(&stats) {
-        if m.to < pes {
-            place.insert(m.obj, m.to);
-        }
-    }
-    place
-}
-
-/// Bring a checkpoint generation back to life on this PE: unpack every
-/// rank placed here, rebuild its runtime box, announce its location, and
-/// wake it inside the `checkpoint()` call it suspended in.
-fn restore_pe(
-    pe: &Pe,
-    meta: &Arc<WorldMeta>,
-    snaps: &HashMap<u64, crate::ft::Snapshot>,
-    place: &HashMap<u64, usize>,
-) {
-    pe.ext::<AmpiState, _>(|st| st.meta = Some(meta.clone()));
-    flows_comm::set_delivery(pe, PORT_AMPI, deliver);
-    let meta_for_sink = meta.clone();
-    flows_comm::set_reduction_sink(pe, move |pe, red| on_reduction(pe, &meta_for_sink, red));
-
-    let mut mine: Vec<u64> = place
-        .iter()
-        .filter(|&(_, &dest)| dest == pe.id())
-        .map(|(&r, _)| r)
-        .collect();
-    mine.sort_unstable(); // deterministic restore order
-    for rank in mine {
-        let snap = snaps.get(&rank).expect("snapshot for placed rank");
-        let mv: RankMove =
-            flows_pup::from_bytes(&snap.move_bytes).expect("checkpoint snapshot wire");
-        let packed =
-            flows_core::PackedThread::from_bytes(&mv.thread).expect("checkpointed thread");
-        let tid = pe.sched().unpack_thread(packed).expect("restore rank thread");
-        let mut bx = RankBox::new(tid);
-        bx.mailbox = mv.mailbox.into();
-        bx.next_seq = mv.next_seq.into_iter().collect();
-        bx.send_seq = mv.send_seq.into_iter().collect();
-        bx.stashed = mv
-            .stashed
-            .into_iter()
-            .map(|(src, seq, tag, data)| ((src, seq), (tag, data)))
-            .collect();
-        pe.ext::<AmpiState, _>(|st| {
-            st.ranks.insert(rank, bx);
-        });
-        flows_comm::register_obj(pe, obj_of(meta.world, rank));
-        pe.sched().reset_load_tid(tid);
-        pe.sched().awaken_tid(tid).expect("awaken restored rank");
-    }
-}
 
 /// Routed delivery to a rank living on this PE. The payload is a pup'd
 /// [`RankWire`] header followed by the raw message bytes; the tail is
@@ -583,10 +465,10 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
 }
 
 /// A checkpoint command arrived for a rank suspended in `checkpoint()`:
-/// pack the rank exactly as a migration would, store the image in the
-/// process-global checkpoint store (our "stable storage"), then unpack it
-/// in place and let it keep running — a checkpoint *is* a migration whose
-/// destination is disk (§4.5).
+/// pack the rank exactly as a migration would, deposit the image on this
+/// PE's in-memory checkpoint shelf, then unpack it in place and let it keep
+/// running — a checkpoint *is* a migration whose destination is storage
+/// (§4.5).
 fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
     let meta = pe.ext::<AmpiState, _>(|st| st.meta.clone()).expect("meta");
     let (tid, mailbox, next_seq, send_seq, stashed) = pe.ext::<AmpiState, _>(|st| {
@@ -629,35 +511,25 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
             .map(|((src, sq), (tag, data))| (src, sq, tag, data))
             .collect(),
     };
-    let online = pe.fault_plan().is_some_and(|p| p.online);
-    if online {
-        // Online mode: the image is packed into its checkpoint frame on
-        // the in-memory shelf (own copy) and later goes over the wire to
-        // buddy PEs — no process-global store.
-        crate::recover::deposit_checkpoint(pe, rank, seq, &mut mv, load_ns);
-    } else {
-        let mut bytes = Vec::with_capacity(mv.packed_len());
-        flows_pup::pack_into(&mut mv, &mut bytes);
-        crate::ft::store_snapshot(meta.world, seq, rank, meta.size, bytes, load_ns);
-    }
+    // The image is packed into its checkpoint frame on the shelf (own
+    // copy) and later goes over the wire to the plan's buddy PEs.
+    crate::recover::deposit_checkpoint(pe, rank, seq, &mut mv, load_ns);
     let back = pe.sched().unpack_thread(packed).expect("unpack after checkpoint");
     debug_assert_eq!(back, tid);
     pe.ext::<AmpiState, _>(|st| {
         st.ranks.get_mut(&rank).expect("rank survives snapshot").wait = Wait::None;
     });
     pe.sched().awaken_tid(tid).expect("awaken checkpointed rank");
-    if online {
-        // Last local rank through its snapshot? Then this PE's slice of
-        // generation `seq` is complete: replicate it to the buddies and
-        // vote for the global commit.
-        let pending = pe.ext::<AmpiState, _>(|st| {
-            st.ranks
-                .values()
-                .any(|b| matches!(b.wait, Wait::Ckpt { seq: s } if s == seq))
-        });
-        if !pending {
-            crate::recover::finalize_generation(pe, &meta, seq);
-        }
+    // Last local rank through its snapshot? Then this PE's slice of
+    // generation `seq` is complete: replicate it to the buddies and vote
+    // for the global commit.
+    let pending = pe.ext::<AmpiState, _>(|st| {
+        st.ranks
+            .values()
+            .any(|b| matches!(b.wait, Wait::Ckpt { seq: s } if s == seq))
+    });
+    if !pending {
+        crate::recover::finalize_generation(pe, &meta, seq);
     }
 }
 

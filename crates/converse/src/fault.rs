@@ -17,9 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Crash PE `pe` once its virtual clock reaches `at_vtime_ns`. The PE
-/// stops executing (messages to it are never delivered) and the run aborts
-/// with [`crate::MachineReport::crashed`] set — recovery is the job of a
-/// layer above (see `flows-ampi`'s checkpoint/restart driver).
+/// stops executing for good; the survivors detect it, write its traffic
+/// off and invoke the death-confirmed upcall, through which the layer
+/// above heals the loss in place (see `flows-ampi`'s online recovery).
+/// Only plans with [`FaultPlan::online_recovery`] may script crashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeCrash {
     /// The PE that fails.
@@ -67,12 +68,6 @@ pub struct FaultPlan {
     pub crashes: Vec<PeCrash>,
     /// Scripted PE stalls.
     pub stalls: Vec<PeStall>,
-    /// Online recovery mode: a scripted crash no longer aborts the run.
-    /// Survivors detect the failure with the phi-accrual detector, write
-    /// off undeliverable traffic, and invoke the registered
-    /// death-confirmed upcall (the AMPI layer's rollback/respawn
-    /// protocol). Only supported under deterministic drive.
-    pub online: bool,
     /// Phi threshold at which a silent peer becomes *suspected*.
     pub phi_suspect: f64,
     /// Phi threshold at which the recovery leader *confirms* a suspected
@@ -80,6 +75,8 @@ pub struct FaultPlan {
     pub phi_confirm: f64,
     /// Buddy-replication degree k: each PE ships its checkpoint images to
     /// its next k live ring successors (consumed by the AMPI layer).
+    /// 0 means no recovery: a transport-only plan, with no heartbeats and
+    /// no failure detector. Set through [`FaultPlan::online_recovery`].
     pub replication: usize,
 }
 
@@ -97,21 +94,25 @@ impl FaultPlan {
             reorder_prob: 0.0,
             crashes: Vec::new(),
             stalls: Vec::new(),
-            online: false,
             phi_suspect: 4.0,
             phi_confirm: 8.0,
-            replication: 1,
+            replication: 0,
         }
     }
 
     /// Enable online recovery with buddy-replication degree `k`: crashes
-    /// are detected and healed in place instead of aborting the run, with
-    /// the failure detector fed a heartbeat every 100 us of virtual time.
+    /// are detected and healed in place, with the failure detector fed a
+    /// heartbeat every 100 us of virtual time.
     pub fn online_recovery(mut self, k: usize) -> Self {
         assert!(k >= 1, "replication degree must be at least 1");
-        self.online = true;
         self.replication = k;
         self
+    }
+
+    /// Does this plan run online recovery (heartbeats, failure detector,
+    /// in-place healing)? True iff a replication degree was set.
+    pub fn recovers(&self) -> bool {
+        self.replication > 0
     }
 
     /// Set the phi-accrual suspicion and confirmation thresholds.
@@ -321,22 +322,6 @@ impl FaultSummary {
     pub fn physical_packets(&self) -> u64 {
         self.data_packets + self.acks
     }
-
-    /// Accumulate another summary (for multi-attempt recovery runs).
-    pub fn accumulate(&mut self, other: &FaultSummary) {
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.delayed += other.delayed;
-        self.reordered += other.reordered;
-        self.retransmits += other.retransmits;
-        self.dup_dropped += other.dup_dropped;
-        self.acks += other.acks;
-        self.data_packets += other.data_packets;
-        self.stalled_steps += other.stalled_steps;
-        self.retransmits_capped += other.retransmits_capped;
-        self.heartbeats += other.heartbeats;
-        self.written_off += other.written_off;
-    }
 }
 
 /// One phase of the online-recovery state machine, as recorded on the
@@ -355,6 +340,9 @@ pub enum RecoveryPhase {
     Rollback,
     /// An orphan rank of the dead PE was respawned on a survivor.
     Respawn,
+    /// No complete checkpoint generation survived: every rank restarted
+    /// from scratch on the surviving PEs (info: the round's epoch).
+    Restart,
     /// Recovery completed; normal work resumed.
     Resume,
 }
@@ -369,6 +357,7 @@ impl RecoveryPhase {
             RecoveryPhase::Confirm => "confirm",
             RecoveryPhase::Rollback => "rollback",
             RecoveryPhase::Respawn => "respawn",
+            RecoveryPhase::Restart => "restart",
             RecoveryPhase::Resume => "resume",
         }
     }
@@ -388,7 +377,7 @@ pub struct RecoveryEvent {
     /// Observer virtual time (ns).
     pub vt: u64,
     /// Phase-specific detail (phi*1000 for suspect/confirm, generation
-    /// for rollback/respawn, epoch for resume).
+    /// for rollback/respawn, epoch for restart/resume).
     pub info: u64,
 }
 
@@ -440,13 +429,19 @@ mod tests {
     }
 
     #[test]
-    fn summary_accumulates() {
+    fn summary_snapshots_the_counters() {
         let s = FaultStats::default();
         FaultStats::bump(&s.dropped);
         FaultStats::bump(&s.acks);
-        let mut total = s.summary();
-        total.accumulate(&s.summary());
-        assert_eq!(total.dropped, 2);
-        assert_eq!(total.physical_packets(), 2);
+        FaultStats::bump_by(&s.data_packets, 2);
+        let total = s.summary();
+        assert_eq!(total.dropped, 1);
+        assert_eq!(total.physical_packets(), 3);
+    }
+
+    #[test]
+    fn recovery_is_on_iff_a_replication_degree_is_set() {
+        assert!(!FaultPlan::new(1).drop_prob(0.1).stall_pe(0, 0, 4).recovers());
+        assert!(FaultPlan::new(1).online_recovery(2).recovers());
     }
 }

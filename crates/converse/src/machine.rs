@@ -41,10 +41,6 @@ pub(crate) struct Hub {
     pub recv: AtomicU64,
     idle: AtomicUsize,
     done: AtomicBool,
-    /// First PE to hit a scripted crash (`usize::MAX` = none). A crash
-    /// aborts the run: quiescence can never be reached once a PE stops
-    /// consuming its messages.
-    crashed: AtomicUsize,
     /// One waker per PE in threaded mode (unset under deterministic
     /// drive): posting a packet unparks its destination.
     wakers: OnceLock<Vec<Unparker>>,
@@ -109,7 +105,6 @@ impl Default for Hub {
             recv: AtomicU64::new(0),
             idle: AtomicUsize::new(0),
             done: AtomicBool::new(false),
-            crashed: AtomicUsize::new(usize::MAX),
             wakers: OnceLock::new(),
             dead: AtomicU64::new(0),
             fenced: AtomicU64::new(0),
@@ -127,20 +122,11 @@ impl Default for Hub {
 }
 
 impl Hub {
-    /// Record a scripted crash and wake every drive loop so the run stops.
-    pub(crate) fn record_crash(&self, pe: usize) {
-        let _ = self
-            .crashed
-            .compare_exchange(usize::MAX, pe, Ordering::SeqCst, Ordering::SeqCst);
-        self.done.store(true, Ordering::SeqCst);
-        self.wake_all();
-    }
-
-    /// Record a crash in online mode: the run continues; survivors will
-    /// detect, confirm and heal. The morgue entry must be complete before
-    /// the dead bit is visible (it is — both sit behind SeqCst stores and
-    /// the deterministic driver serializes PEs anyway).
-    pub(crate) fn record_crash_online(&self, pe: usize, morgue: Morgue) {
+    /// Record a PE's death: the run continues; survivors will detect,
+    /// confirm and heal. The morgue entry must be complete before the dead
+    /// bit is visible (it is — both sit behind SeqCst stores and the
+    /// deterministic driver serializes PEs anyway).
+    pub(crate) fn record_death(&self, pe: usize, morgue: Morgue) {
         self.morgue.lock().unwrap().insert(pe, morgue);
         self.dead.fetch_or(1 << pe, Ordering::SeqCst);
     }
@@ -249,11 +235,6 @@ impl Hub {
         self.idle.load(Ordering::SeqCst)
     }
 
-    /// Has the run been declared over (quiescence or crash abort)?
-    pub(crate) fn done_flag(&self) -> bool {
-        self.done.load(Ordering::SeqCst)
-    }
-
     /// Declare the run over and wake every parked PE (the comm thread's
     /// entry into the shutdown the drive loops normally own).
     pub(crate) fn set_done_and_wake(&self) {
@@ -289,19 +270,12 @@ impl Hub {
         self.resolved.fetch_or(resolved, Ordering::SeqCst);
     }
 
-    /// Wake every parked PE (crash abort / quiescence declaration).
+    /// Wake every parked PE (the run was declared over).
     fn wake_all(&self) {
         if let Some(ws) = self.wakers.get() {
             for w in ws {
                 w.unpark();
             }
-        }
-    }
-
-    fn crashed_pe(&self) -> Option<usize> {
-        match self.crashed.load(Ordering::SeqCst) {
-            usize::MAX => None,
-            pe => Some(pe),
         }
     }
 }
@@ -328,9 +302,6 @@ pub struct MachineReport {
     /// Busy virtual time per PE (work only, no arrival waits) — the load
     /// balance picture.
     pub pe_busy: Vec<u64>,
-    /// The PE that hit a scripted crash, if the run was aborted by one.
-    /// A crashed run's other counters cover work up to the abort.
-    pub crashed: Option<usize>,
     /// Fault-injection / recovery counters (present iff a
     /// [`FaultPlan`] was attached).
     pub faults: Option<FaultSummary>,
@@ -350,9 +321,8 @@ pub struct MachineReport {
     /// resume phase observed during the run, in order. Empty unless the
     /// fault plan enabled online recovery.
     pub recovery: Vec<RecoveryEvent>,
-    /// PEs that failed during the run. Under online recovery the run
-    /// still completes (`crashed` stays `None`); these are the healed
-    /// casualties.
+    /// PEs that failed during the run. The run still completes around
+    /// them; these are the healed casualties.
     pub dead_pes: Vec<usize>,
 }
 
@@ -450,9 +420,14 @@ impl MachineBuilder {
 
     /// Attach a deterministic fault plan. This switches every cross-PE
     /// link to the reliable (ack/retransmit) transport and arms the plan's
-    /// scripted PE faults.
+    /// scripted PE faults. A plan that scripts crashes must also enable
+    /// [`FaultPlan::online_recovery`]: a crash is only ever healed.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        if plan.online {
+        assert!(
+            plan.crashes.is_empty() || plan.recovers(),
+            "a fault plan with scripted crashes needs FaultPlan::online_recovery(k) to heal them"
+        );
+        if plan.recovers() {
             assert!(
                 self.num_pes <= 64,
                 "online recovery tracks PE liveness in a 64-bit mask"
@@ -494,7 +469,8 @@ impl MachineBuilder {
         self
     }
 
-    /// Provide pre-built memory pools (to share across machines in tests).
+    /// Provide pre-built memory pools (for tests that inspect the pools
+    /// after a run).
     pub fn shared_pools(mut self, shared: Arc<SharedPools>) -> Self {
         self.shared = Some(shared);
         self
@@ -599,7 +575,6 @@ impl MachineBuilder {
             self.world.is_none(),
             "a multi-process machine needs its comm thread: use run()"
         );
-        let online = self.fault.as_ref().is_some_and(|p| p.online);
         let (seeds, hub, stats, rings, _txs) = self.make_seeds();
         let pes: Vec<Pe> = seeds.into_iter().map(PeSeed::build).collect();
         let sc0 = flows_sys::counters::snapshot();
@@ -617,7 +592,7 @@ impl MachineBuilder {
         // the round-robin shrinks (and snaps back on the next delivery).
         const FULL_BURST: u32 = 64;
         let mut budgets = vec![FULL_BURST; pes.len()];
-        'drive: loop {
+        loop {
             let mut progress = false;
             for (pe, budget) in pes.iter().zip(budgets.iter_mut()) {
                 let prev = pe.enter();
@@ -638,19 +613,12 @@ impl MachineBuilder {
                 if pumped {
                     progress = true;
                 }
-                if !online && hub.crashed_pe().is_some() {
-                    // A dead PE stops consuming messages: quiescence is
-                    // unreachable, so abort and report the crash. Under
-                    // online recovery the run continues — survivors
-                    // detect, write the dead PE's traffic off, and heal.
-                    break 'drive;
-                }
             }
-            if online && pes.iter().all(|p| p.crashed()) {
+            if pes.iter().all(|p| p.crashed()) {
                 // Total loss: every PE is dead (scripted crashes plus any
                 // fenced stalls). Nobody is left to recover, so report the
                 // wreckage instead of waiting for a heal that cannot come.
-                break 'drive;
+                break;
             }
             if !progress {
                 // Batched quiescence accounting: fold every PE's local
@@ -688,7 +656,7 @@ impl MachineBuilder {
     /// on a per-PE [`Parker`] and are woken by incoming packets (instead
     /// of spinning on `yield_now`).
     pub fn run(mut self, init: impl Fn(&Pe) + Send + Sync) -> MachineReport {
-        let online = self.fault.as_ref().is_some_and(|p| p.online);
+        let online = self.fault.as_ref().is_some_and(|p| p.recovers());
         let multiproc = self.world.is_some();
         assert!(
             !online || multiproc,
@@ -699,7 +667,7 @@ impl MachineBuilder {
             assert!(!self.steal, "work stealing cannot cross process boundaries");
         }
         if let (Some(w), Some(plan)) = (&self.world, &self.fault) {
-            if plan.online && w.is_leader() {
+            if w.is_leader() {
                 let leader_pes = w.first_pe()..w.first_pe() + w.pes_per_proc();
                 assert!(
                     !leader_pes.clone().all(|p| plan.crash_for(p).is_some()),
@@ -759,7 +727,8 @@ impl MachineBuilder {
                             init(&pe);
                             drive_until_quiescent(&pe, &hub, local_pes, multiproc, &parker);
                             // Final flush so the report's totals are complete
-                            // on every exit path (quiescence or crash abort).
+                            // on every exit path (quiescence, this PE's own
+                            // crash, or a lost child process).
                             pe.flush_counters();
                             pe.leave(prev);
                             (
@@ -797,7 +766,6 @@ impl MachineBuilder {
             pe_delivered: results.iter().map(|r| r.4).collect(),
             stranded_threads: results.iter().map(|r| r.2).collect(),
             pe_busy: results.iter().map(|r| r.3).collect(),
-            crashed: hub.crashed_pe(),
             faults: stats.map(|s| s.summary()),
             syscalls,
             trace,
@@ -887,7 +855,6 @@ fn report(
         pe_delivered: pes.iter().map(|p| p.delivered()).collect(),
         stranded_threads: pes.iter().map(|p| p.sched().thread_count()).collect(),
         pe_busy: pes.iter().map(|p| p.busy_ns()).collect(),
-        crashed: hub.crashed_pe(),
         faults: stats.map(|s| s.summary()),
         trace: finish_trace(&rings, &syscalls),
         syscalls,
@@ -1303,7 +1270,6 @@ mod tests {
         assert!(f.dropped > 0, "plan injected drops: {f:?}");
         assert!(f.retransmits >= f.dropped, "every drop was repaired");
         assert!(f.acks > 0);
-        assert!(rep.crashed.is_none());
     }
 
     #[test]
@@ -1326,42 +1292,9 @@ mod tests {
     }
 
     #[test]
-    fn scripted_crash_aborts_the_run() {
-        let plan = FaultPlan::new(7).crash_pe(2, 0);
-        let total = Arc::new(AtomicU64::new(0));
-        let mut mb = MachineBuilder::new(4).fault_plan(plan);
-        let h = {
-            let total = total.clone();
-            mb.handler(move |_pe, _msg| {
-                total.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        let rep = mb.run_deterministic(|pe| {
-            if pe.id() == 0 {
-                for d in 0..pe.num_pes() {
-                    pe.send(d, h, vec![]);
-                }
-            }
-        });
-        assert_eq!(rep.crashed, Some(2));
-        // PE2 never ran its handler; the rest may or may not have before
-        // the abort, but never more than their own message.
-        assert!(total.load(Ordering::Relaxed) <= 3);
-    }
-
-    #[test]
-    fn scripted_crash_aborts_threaded_mode() {
-        let plan = FaultPlan::new(7).crash_pe(1, 0);
-        let mut mb = MachineBuilder::new(3).fault_plan(plan);
-        let h = mb.handler(|_pe, _msg| {});
-        let rep = mb.run(|pe| {
-            if pe.id() == 0 {
-                for d in 0..pe.num_pes() {
-                    pe.send(d, h, vec![]);
-                }
-            }
-        });
-        assert_eq!(rep.crashed, Some(1));
+    #[should_panic(expected = "FaultPlan::online_recovery(k)")]
+    fn crash_plan_without_online_recovery_is_refused() {
+        let _ = MachineBuilder::new(4).fault_plan(FaultPlan::new(7).crash_pe(2, 0));
     }
 
     #[test]
@@ -1371,7 +1304,8 @@ mod tests {
         assert_eq!(total, 41);
         let f = rep.faults.unwrap();
         assert!(f.stalled_steps >= 50, "stall consumed its steps: {f:?}");
-        assert!(rep.crashed.is_none());
+        assert!(rep.dead_pes.is_empty());
+        assert_eq!(f.heartbeats, 0, "a transport-only plan runs no detector");
     }
 
     /// One online-mode run: ring traffic, PE 2 crashes mid-flight, the
@@ -1444,9 +1378,7 @@ mod tests {
         use crate::fault::RecoveryPhase;
         let (total, rep) = online_crash_run(21);
         // The run completed (this test returning at all is the headline:
-        // quiescence was re-established around the corpse) and was never
-        // aborted the legacy way.
-        assert!(rep.crashed.is_none(), "online mode must not abort");
+        // quiescence was re-established around the corpse).
         assert_eq!(rep.dead_pes, vec![2]);
         assert!(
             total < 201,
@@ -1505,7 +1437,6 @@ mod tests {
             .phi_thresholds(2.0, 1e12);
         let (total, rep) = faulty_ring(plan);
         assert_eq!(total, 41, "every hop still delivered exactly once");
-        assert!(rep.crashed.is_none());
         assert!(rep.dead_pes.is_empty(), "a stall is not a death");
         let f = rep.faults.unwrap();
         assert!(f.stalled_steps >= 600);

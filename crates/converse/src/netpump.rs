@@ -234,7 +234,7 @@ impl NetPump {
             return;
         }
         if let Some(m) = decode_morgue(f.body.as_slice(), self.num_pes) {
-            self.hub.record_crash_online(pe, m);
+            self.hub.record_death(pe, m);
         }
     }
 
@@ -328,22 +328,6 @@ impl NetPump {
                     _ => self.inject(f),
                 }
             }
-            if self.hub.done_flag() {
-                // A local abort (legacy crash path) without a DONE: say
-                // goodbye so the leader's finish wait does not time out.
-                self.world.send(
-                    0,
-                    &Frame::control(
-                        ctrl::GOODBYE,
-                        me as u32,
-                        me as u64,
-                        0,
-                        0,
-                        flows_core::Payload::empty(),
-                    ),
-                );
-                return;
-            }
             if self.online {
                 let (dead, _, _, _) = self.hub.masks();
                 if dead & self.local_mask() == self.local_mask() {
@@ -380,12 +364,6 @@ impl NetPump {
                     self.finish(&rows, self.hub.sent.load(Ordering::SeqCst));
                     return;
                 }
-            }
-            if self.hub.done_flag() {
-                // Declared below on a previous iteration — unreachable —
-                // or a legacy crash abort: finish either way.
-                self.finish(&rows, self.hub.sent.load(Ordering::SeqCst));
-                return;
             }
             rows[0] = self.own_row();
             let masks = self.hub.masks();

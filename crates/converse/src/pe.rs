@@ -184,8 +184,7 @@ impl Pe {
         ring: Option<Arc<TraceRing>>,
         death_upcall: Option<DeathUpcall>,
     ) -> Pe {
-        let online = fault.as_ref().is_some_and(|c| c.plan.online);
-        let det = if online {
+        let det = if fault.as_ref().is_some_and(|c| c.plan.recovers()) {
             vec![
                 PeerHealth {
                     last_vt: 0,
@@ -243,11 +242,11 @@ impl Pe {
 
     /// Is this machine running the online-recovery protocol?
     fn online(&self) -> bool {
-        self.fault.as_ref().is_some_and(|c| c.plan.online)
+        self.fault.as_ref().is_some_and(|c| c.plan.recovers())
     }
 
-    /// The attached fault plan, if any (layers above read the online
-    /// flag, replication degree and heartbeat period from here).
+    /// The attached fault plan, if any (layers above read the replication
+    /// degree from here).
     pub fn fault_plan(&self) -> Option<&crate::fault::FaultPlan> {
         self.fault.as_ref().map(|c| &*c.plan)
     }
@@ -665,7 +664,7 @@ impl Pe {
         }
         // Heartbeats and the phi-accrual failure detector ride the fault
         // clock; none of it counts as progress.
-        if ctx.plan.online && !self.crashed.get() {
+        if ctx.plan.recovers() && !self.crashed.get() {
             self.heartbeat_maintain(ctx);
             self.detector_maintain(ctx);
             self.upcall_maintain(ctx);
@@ -977,22 +976,14 @@ impl Pe {
         self.hub.resolve(dead);
     }
 
-    /// Check scripted PE faults. Returns `true` if the PE must skip this
-    /// pump iteration (crashed or stalled).
-    /// Fail-stop this PE. Under the legacy (offline) fault model this
-    /// simply records the crash so the driver can abort and restart the
-    /// world. Under online recovery the PE additionally publishes a
-    /// *morgue record* — per-peer cumulative-receive and last-assigned
-    /// sequence counters — from which every survivor computes, exactly,
-    /// how many logical messages died with it; those are written off so
-    /// quiescence can be re-established without the dead PE's counters.
+    /// Fail-stop this PE and publish its *morgue record* — per-peer
+    /// cumulative-receive and last-assigned sequence counters — from which
+    /// every survivor computes, exactly, how many logical messages died
+    /// with it; those are written off so quiescence can be re-established
+    /// without the dead PE's counters.
     fn die(&self, ctx: &FaultCtx) {
         self.crashed.set(true);
         emit(EventKind::FaultCrash, self.id as u64, 0, 0);
-        if !ctx.plan.online {
-            self.hub.record_crash(self.id);
-            return;
-        }
         // Self-sends queued locally die with us: counted as sent, never
         // received.
         let lost_local = self.local_q.borrow().len() as u64;
@@ -1018,9 +1009,11 @@ impl Pe {
             vt: self.vtime.get(),
             info: reclaimed,
         });
-        self.hub.record_crash_online(self.id, morgue);
+        self.hub.record_death(self.id, morgue);
     }
 
+    /// Check scripted PE faults. Returns `true` if the PE must skip this
+    /// pump iteration (crashed or stalled).
     fn fault_gate(&self) -> bool {
         let ctx = match &self.fault {
             Some(c) => c,
@@ -1029,7 +1022,7 @@ impl Pe {
         if self.crashed.get() {
             return true;
         }
-        if ctx.plan.online && self.hub.is_fenced(self.id) {
+        if self.hub.is_fenced(self.id) {
             // STONITH: the recovery leader confirmed us dead (e.g. a stall
             // that outlived the confirm threshold). Convert to a real
             // crash so the failure model stays fail-stop — we must not
@@ -1173,7 +1166,8 @@ impl Pe {
 
     /// Is there any local work (messages, runnable threads, unfinished
     /// link-layer recovery, or an in-progress stall)? A crashed PE has no
-    /// work — the machine driver aborts instead of waiting on it.
+    /// work — the survivors write its traffic off instead of waiting on
+    /// it.
     pub fn has_work(&self) -> bool {
         if self.crashed.get() {
             return false;

@@ -202,8 +202,8 @@ impl IsoRegion {
     /// index (the migration protocol releases the source handle with
     /// [`Slot::into_global_index`] before the destination adopts it).
     ///
-    /// Checkpoint restart adopts indices whose previous handle was
-    /// *dropped* (the crashed machine's teardown freed them), so if the
+    /// A recovery respawn adopts indices whose previous handle was
+    /// *dropped* (the dead PE or the rollback discarded its threads), so if the
     /// index sits on its home PE's free list it is reclaimed: removed from
     /// the list and counted live again. Otherwise the index is presumed
     /// still owned remotely (normal migration) and accounting is untouched.
@@ -449,9 +449,18 @@ impl Slot {
     /// the slot's bytes travel with the packed thread and the index is
     /// re-adopted on the destination PE.
     pub fn into_global_index(self) -> usize {
-        let idx = self.global_index;
-        std::mem::forget(self);
-        idx
+        self.release()
+    }
+
+    /// Give up this handle without running `Drop` (no page discard, no
+    /// free-list push) but *with* releasing its region reference, so a
+    /// dropped machine's region is unmapped once its last slot is gone.
+    fn release(self) -> usize {
+        let this = std::mem::ManuallyDrop::new(self);
+        // SAFETY: `this` is never dropped, so reading the Arc out moves
+        // the handle's one region reference; it is dropped exactly once.
+        drop(unsafe { std::ptr::read(&this.region) });
+        this.global_index
     }
 
     /// Whether a commit ever landed between the warm extents (such a slot
@@ -471,7 +480,7 @@ impl Slot {
         st.free.push(local);
         st.live -= 1;
         drop(st);
-        std::mem::forget(self);
+        self.release();
     }
 }
 

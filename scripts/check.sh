@@ -24,11 +24,13 @@
 #     quarantine, vacated-slot poisoning, scheduler lifecycle trips,
 #     pup-size validation) and proves both that the regular suites still
 #     pass with detectors on and that every detector still fires.
-#  5. Million-thread capacity: one PE must hold >= 1M live migratable
+#  5. The whole workspace's test suites, not only the umbrella crate's:
+#     every crate's unit and integration tests, under a hard timeout.
+#  6. Million-thread capacity: one PE must hold >= 1M live migratable
 #     threads (lazy slabs) at <= 4 KiB each. The ceiling is ~20x the
 #     measured Tcb+bookkeeping cost, so it trips on an O(threads) memory
 #     regression, not allocator jitter.
-#  6. flowsbench smoke: every workload must verify. Performance floors
+#  7. flowsbench smoke: every workload must verify. Performance floors
 #     are not kept here — a floor is a `benchmark/run.sh` result compared
 #     against the parent commit.
 set -eu
@@ -61,6 +63,19 @@ elif [ "$rc" -ne 0 ]; then
   exit 1
 fi
 echo "OK: flowslint clean (SARIF at target/flowslint.sarif) + check suite + sanitize pass green"
+
+workspace_limit=1200
+rc=0
+timeout --signal=KILL "$workspace_limit" \
+  cargo test --offline -q --workspace --no-fail-fast || rc=$?
+if [ "$rc" -eq 137 ]; then
+  echo "FAIL: step 5 (workspace test pass) exceeded ${workspace_limit}s and was killed"
+  exit 1
+elif [ "$rc" -ne 0 ]; then
+  echo "FAIL: step 5 (workspace test pass) exited $rc"
+  exit 1
+fi
+echo "OK: every workspace test suite green"
 
 ISO=$(cargo run --offline --release -q -p flows-bench --bin table2_limits -- \
   --proc-cap 16 --kthread-cap 16 --uthread-cap 16 --iso-cap 1000000 | grep '^iso_' || true)
