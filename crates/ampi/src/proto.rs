@@ -19,7 +19,6 @@ pub const PORT_AMPI: Port = 1;
 ///   non-overtaking guarantee even when forwarding paths race during
 ///   migration;
 /// * 1 — collective result: `a` = collective sequence number;
-/// * 2 — load-balance decision: `a` = LB sequence, `b` = destination PE;
 /// * 3 — checkpoint command: `a` = checkpoint sequence; the rank packs
 ///   itself into the generation store and resumes.
 // flows-image: root
@@ -53,16 +52,15 @@ pub struct MailEntry {
 }
 pup_fields!(MailEntry { src, tag, data });
 
-/// A rank in transit between PEs: the packed thread plus the runtime
-/// state that lives outside the thread's own memory — its mailbox and the
-/// per-sender in-order delivery state.
+/// A rank's checkpoint image: the packed thread plus the runtime state
+/// that lives outside the thread's own memory — its mailbox and the
+/// per-sender in-order delivery state. (Migration ships the leaner
+/// [`MoveRec`] batch record instead.)
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct RankMove {
     pub world: u64,
     pub rank: u64,
-    /// Sender's recovery epoch. A move that was in flight when a rollback
-    /// struck carries *post-checkpoint* thread state and must be dropped,
-    /// never unpacked (the shelf copy is the authoritative image).
+    /// Recovery epoch the image was taken in.
     pub epoch: u64,
     pub thread: Vec<u8>,
     pub mailbox: Vec<MailEntry>,
@@ -264,7 +262,7 @@ mod tests {
     #[test]
     fn wires_round_trip() {
         let mut w = RankWire {
-            kind: 2,
+            kind: 3,
             a: 5,
             b: 7,
             seq: 9,

@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 static NEXT_WORLD: AtomicU64 = AtomicU64::new(1);
-static MOVE_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();
 static PLAN_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();
 static BATCH_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();
 
@@ -328,9 +327,6 @@ pub fn run_world(
         mb = mb.fault_plan(p.clone());
     }
     let _ = CommLayer::register(&mut mb);
-    let mv = mb.handler(on_rank_move);
-    let stored = *MOVE_HANDLER.get_or_init(|| mv);
-    assert_eq!(stored, mv, "AMPI must occupy the same handler slot in every machine");
     let pl = mb.handler(on_lb_plan);
     let stored = *PLAN_HANDLER.get_or_init(|| pl);
     assert_eq!(stored, pl, "AMPI must occupy the same handler slot in every machine");
@@ -415,13 +411,12 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
         flows_pup::from_bytes_prefix(&payload).expect("rank wire");
     let data = payload.slice_from(used);
     let rank = obj.0 & 0xFFFF_FFFF;
-    // Runtime commands (collective results, LB decisions, checkpoint
-    // orders) stamp the sender's recovery epoch in `seq`; one computed
+    // Runtime commands (collective results, checkpoint orders) stamp the sender's recovery epoch in `seq`; one computed
     // before a rollback targets a cut that no longer exists and must be
     // dropped. Point-to-point mail (kind 0) instead relies on per-sender
     // rank sequence numbers: deterministic replay from the restored cut
     // regenerates byte-identical copies, which `admit` de-duplicates.
-    if matches!(w.kind, 1..=3) && w.seq != flows_comm::comm_epoch(pe) {
+    if matches!(w.kind, 1 | 3) && w.seq != flows_comm::comm_epoch(pe) {
         return;
     }
     match w.kind {
@@ -458,7 +453,6 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
                 pe.sched().awaken_tid(tid).expect("awaken collective");
             }
         }
-        2 => on_lb_decision(pe, rank, w.a, w.b as usize),
         3 => on_ckpt_snapshot(pe, rank, w.a),
         k => panic!("bad rank wire kind {k}"),
     }
@@ -586,18 +580,7 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
                 .collect(),
             background: Vec::new(),
         };
-        if std::env::var_os("FLOWS_LB_DEBUG").is_some() {
-            let mut objs = stats.objs.clone();
-            objs.sort_by_key(|o| o.id);
-            eprintln!("[lb] seq {} loads:", red.seq);
-            for o in &objs {
-                eprintln!("[lb]   rank {:3} pe {} load {:.4}s", o.id, o.pe, o.load);
-            }
-        }
         let migs = meta.strategy.decide(&stats);
-        if std::env::var_os("FLOWS_LB_DEBUG").is_some() {
-            eprintln!("[lb] decisions: {migs:?}");
-        }
         flows_trace::emit(
             flows_trace::EventKind::LbEpoch,
             red.seq,
@@ -633,57 +616,6 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
     } else {
         panic!("reduction for unknown tag {}", red.tag);
     }
-}
-
-/// A decision arrived for a rank suspended in `migrate()`.
-fn on_lb_decision(pe: &Pe, rank: u64, seq: u64, dest: usize) {
-    let meta = pe.ext::<AmpiState, _>(|st| st.meta.clone()).expect("meta");
-    if dest == pe.id() {
-        // Staying: wake the rank, roll its load epoch.
-        let tid = pe.ext::<AmpiState, _>(|st| {
-            let b = st.ranks.get_mut(&rank).expect("decision for missing rank");
-            assert!(
-                matches!(b.wait, Wait::Lb { seq: s } if s == seq),
-                "rank {rank} got an LB decision it was not waiting for"
-            );
-            b.wait = Wait::None;
-            b.tid
-        });
-        pe.sched().reset_load_tid(tid);
-        pe.sched().awaken_tid(tid).expect("awaken stayer");
-        return;
-    }
-    // Moving: pack the thread and its mailbox, ship, forward the location.
-    let bx = pe.ext::<AmpiState, _>(|st| {
-        st.moves_out += 1;
-        st.ranks.remove(&rank).expect("decision for missing rank")
-    });
-    assert_eq!(
-        pe.sched().state(bx.tid),
-        Some(ThreadState::Suspended),
-        "rank {rank} must be suspended at its migrate() point"
-    );
-    let packed = pe.sched().pack_thread(bx.tid).expect("pack rank thread");
-    flows_comm::migrate_obj_out(pe, obj_of(meta.world, rank), dest);
-    let mut mv = RankMove {
-        world: meta.world,
-        rank,
-        epoch: flows_comm::comm_epoch(pe),
-        thread: packed.to_bytes(),
-        mailbox: bx.mailbox.into_iter().collect(),
-        next_seq: bx.next_seq.into_iter().collect(),
-        send_seq: bx.send_seq.into_iter().collect(),
-        stashed: bx
-            .stashed
-            .into_iter()
-            .map(|((src, seq), (tag, data))| (src, seq, tag, data))
-            .collect(),
-    };
-    pe.send(
-        dest,
-        *MOVE_HANDLER.get().expect("registered"),
-        pe.pack_payload(&mut mv),
-    );
 }
 
 /// This PE's slice of an LB plan arrived: wake the stayers; pack the
@@ -792,31 +724,6 @@ fn on_move_batch(pe: &Pe, msg: Message) {
         pe.sched().awaken_tid(tid).expect("awaken migrated rank");
     }
     debug_assert_eq!(off, msg.data.len(), "trailing bytes in migration batch");
-}
-
-/// A migrated rank arrives.
-fn on_rank_move(pe: &Pe, msg: Message) {
-    let mv: RankMove = flows_pup::from_bytes(&msg.data).expect("rank move wire");
-    if mv.epoch != flows_comm::comm_epoch(pe) {
-        return; // in-flight mover from before the rollback; shelf wins
-    }
-    let packed = flows_core::PackedThread::from_bytes(&mv.thread).expect("packed thread");
-    let tid = pe.sched().unpack_thread(packed).expect("unpack rank thread");
-    let mut bx = RankBox::new(tid);
-    bx.mailbox = mv.mailbox.into();
-    bx.next_seq = mv.next_seq.into_iter().collect();
-    bx.send_seq = mv.send_seq.into_iter().collect();
-    bx.stashed = mv
-        .stashed
-        .into_iter()
-        .map(|(src, seq, tag, data)| ((src, seq), (tag, data)))
-        .collect();
-    pe.ext::<AmpiState, _>(|st| {
-        st.ranks.insert(mv.rank, bx);
-    });
-    flows_comm::migrate_obj_in(pe, obj_of(mv.world, mv.rank));
-    pe.sched().reset_load_tid(tid);
-    pe.sched().awaken_tid(tid).expect("awaken migrated rank");
 }
 
 /// Internal accessors used by the `Ampi` handle (crate-private).

@@ -354,10 +354,14 @@ struct Proto {
 }
 
 /// Is the identifier at `idx` used in a dispatch position: a match arm
-/// pattern (`=> `, `| `) or an equality comparison?
+/// pattern (`=> `, `| `, a guard's `if`) or an equality comparison?
 fn is_match_site(toks: &[Tok], idx: usize) -> bool {
     if let Some(next) = toks.get(idx + 1) {
-        if next.is_punct("=>") || next.is_punct("|") || next.is_punct("==") || next.is_punct("!=")
+        if next.is_punct("=>")
+            || next.is_punct("|")
+            || next.is_punct("==")
+            || next.is_punct("!=")
+            || next.is_ident("if")
         {
             return true;
         }

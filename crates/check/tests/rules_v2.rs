@@ -230,6 +230,22 @@ fn fully_matched_protocol_is_clean() {
 }
 
 #[test]
+fn guarded_arm_counts_as_a_match() {
+    let src = "// flows-wire: defines toy\n\
+               pub mod toy {\n\
+               \x20   pub const PING: u8 = 1;\n\
+               }\n\
+               // flows-wire: handles toy\n\
+               pub fn pump(k: u8, child: bool) {\n\
+               \x20   match k {\n\
+               \x20       toy::PING if child => {}\n\
+               \x20       _ => {}\n\
+               \x20   }\n\
+               }\n";
+    assert!(lint_at("crates/net/src/x.rs", src).is_empty());
+}
+
+#[test]
 fn waived_message_is_clean() {
     let src = "// flows-wire: defines toy\n\
                pub mod toy {\n\

@@ -7,7 +7,8 @@
 //! *handlers* and running ready threads.
 //!
 //! Because the reproduction host is a single-core box, the machine
-//! supports two drive modes with identical semantics:
+//! supports two drive modes with identical semantics — one scheduler loop
+//! handed different slices of PEs:
 //!
 //! * [`MachineBuilder::run`] — one OS thread per PE (true concurrency,
 //!   used by benches);

@@ -1,18 +1,25 @@
-//! Building and driving the machine: handler registration, the two drive
-//! modes, and quiescence detection.
+//! Building and driving the machine: handler registration, the one PE
+//! drive loop behind both entry points, and quiescence detection.
+//!
+//! [`MachineBuilder::run_deterministic`] and [`MachineBuilder::run`] differ
+//! only in how they hand PEs to `drive`: one OS thread pumping every PE
+//! round-robin with no parker, or one OS thread per PE pumping a
+//! one-element slice and parking on its own [`Parker`]. The burst, the
+//! idle barrier, the quiescence rule ([`Ledger::quiescent`]) and the
+//! report are shared.
 
 use crate::fault::{FaultCtx, FaultPlan, FaultStats, FaultSummary, RecoveryEvent};
 use crate::link::Packet;
 use crate::msg::{HandlerId, Message, NetModel};
 use crate::pe::{DeathUpcall, Handler, Pe};
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, Sender};
 use crossbeam::sync::{Parker, Unparker};
 use flows_core::{SchedConfig, SchedStats, Scheduler, SharedPools};
 use flows_mem::IsoConfig;
 use flows_sys::counters::SyscallCounts;
 use flows_trace::{TraceRing, TraceSummary};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -27,20 +34,31 @@ const TRACE_RING_EVENTS: usize = 1 << 16;
 
 /// Shared counters used for machine-wide quiescence detection (the
 /// Converse QD analog): the machine is quiescent when every PE is idle and
-/// every sent message has been received.
+/// every sent message has been received or written off (see [`Ledger`]).
 ///
-/// The sent/recv totals are updated in *batches*: each PE accumulates its
-/// deltas in plain cells and flushes them (`Pe::flush_counters`) when it
-/// enters the idle barrier — never on the per-message path. Because every
-/// flush happens-before the PE's `idle` increment (all `SeqCst`), any
-/// observer that sees `idle == num_pes` also sees every flush, so the
-/// `sent == recv` fixpoint check remains exact.
-#[derive(Debug)]
+/// The sent/recv totals are updated in *batches*: each PE flushes its
+/// deltas (`Pe::flush_counters`) when it enters the idle barrier, never on
+/// the per-message path. Every flush happens-before the PE's announcement
+/// (all `SeqCst`) and an announced PE pumps nothing until it leaves, so a
+/// [`Hub::ledger`] read during which every PE stayed announced is exact
+/// (modeled in `crates/converse/tests/quiescence_interleave.rs`).
+#[derive(Debug, Default)]
 pub(crate) struct Hub {
     pub sent: AtomicU64,
     pub recv: AtomicU64,
-    idle: AtomicUsize,
+    /// The idle barrier: the low 32 bits count the local PEs announced
+    /// idle, the high bits count exits, so a reader can tell "nobody left
+    /// while I read" from "somebody left, pumped, and came back".
+    idle: AtomicU64,
     done: AtomicBool,
+    /// PEs this process hosts (all of them unless the machine spans
+    /// processes): the idle count that means "this process is idle".
+    local: usize,
+    /// Machine-wide fault counters (present iff a plan was attached);
+    /// their `written_off` closes the quiescence balance.
+    pub(crate) stats: Option<Arc<FaultStats>>,
+    /// The pools whose steal mesh this machine uses (work stealing on).
+    steal: Option<Arc<SharedPools>>,
     /// One waker per PE in threaded mode (unset under deterministic
     /// drive): posting a packet unparks its destination.
     wakers: OnceLock<Vec<Unparker>>,
@@ -96,29 +114,6 @@ pub(crate) struct Morgue {
     /// Dead peers this PE had already reaped while alive (their mutual
     /// traffic is accounted; the leader must not write it off again).
     pub reaped_mask: u64,
-}
-
-impl Default for Hub {
-    fn default() -> Self {
-        Hub {
-            sent: AtomicU64::new(0),
-            recv: AtomicU64::new(0),
-            idle: AtomicUsize::new(0),
-            done: AtomicBool::new(false),
-            wakers: OnceLock::new(),
-            dead: AtomicU64::new(0),
-            fenced: AtomicU64::new(0),
-            confirmed: AtomicU64::new(0),
-            resolved: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            morgue: Mutex::new(HashMap::new()),
-            timeline: Mutex::new(Vec::new()),
-            pair_reaped: Mutex::new(Vec::new()),
-            base: 0,
-            net_global_sent: AtomicU64::new(0),
-            lost_proc: Mutex::new(None),
-        }
-    }
 }
 
 impl Hub {
@@ -230,16 +225,41 @@ impl Hub {
         }
     }
 
-    /// Number of local PEs currently announced at the idle barrier.
-    pub(crate) fn idle_count(&self) -> usize {
-        self.idle.load(Ordering::SeqCst)
+    /// Take `n` announced PEs out of the idle barrier, counting one exit.
+    fn leave_idle(&self, n: usize) {
+        self.idle.fetch_add((1 << 32) - n as u64, Ordering::SeqCst);
     }
 
-    /// Declare the run over and wake every parked PE (the comm thread's
-    /// entry into the shutdown the drive loops normally own).
+    /// This process's quiescence ledger. It reads as idle only if every
+    /// local PE was announced at the first read of the barrier word and
+    /// none left before the second: the counters between were then read
+    /// at rest. (A single read is not enough — a PE can leave, deliver,
+    /// reply, flush and re-announce between two counter loads.)
+    pub(crate) fn ledger(&self) -> Ledger {
+        let word = self.idle.load(Ordering::SeqCst);
+        let mut row = Ledger {
+            sent: self.sent.load(Ordering::SeqCst),
+            recv: self.recv.load(Ordering::SeqCst),
+            written_off: self
+                .stats
+                .as_ref()
+                .map_or(0, |s| s.written_off.load(Ordering::Relaxed)),
+            idle: false,
+            unresolved: self.unresolved(),
+            stolen: self.steal.as_ref().map_or(0, |p| p.steal().in_flight()),
+        };
+        row.idle = word as u32 as usize == self.local && self.idle.load(Ordering::SeqCst) == word;
+        row
+    }
+
+    /// Declare the run over and wake every parked PE.
     pub(crate) fn set_done_and_wake(&self) {
         self.done.store(true, Ordering::SeqCst);
-        self.wake_all();
+        if let Some(ws) = self.wakers.get() {
+            for w in ws {
+                w.unpark();
+            }
+        }
     }
 
     /// End the run because a child process vanished: record the
@@ -269,14 +289,50 @@ impl Hub {
         self.confirmed.fetch_or(confirmed, Ordering::SeqCst);
         self.resolved.fetch_or(resolved, Ordering::SeqCst);
     }
+}
 
-    /// Wake every parked PE (the run was declared over).
-    fn wake_all(&self) {
-        if let Some(ws) = self.wakers.get() {
-            for w in ws {
-                w.unpark();
-            }
-        }
+/// One quiescence-gather row: a process's message ledger and idleness.
+/// The in-process check reads this process's own row off the [`Hub`]; a
+/// multi-process machine's comm-thread leader applies the same rule to the
+/// sum of every process's row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Ledger {
+    pub sent: u64,
+    pub recv: u64,
+    /// Messages to or from confirmed-dead PEs: never to be received.
+    pub written_off: u64,
+    pub idle: bool,
+    /// A failure whose recovery has not completed.
+    pub unresolved: bool,
+    /// Threads in flight through the steal mesh, unseen by the counters.
+    pub stolen: usize,
+}
+
+impl Ledger {
+    /// The quiescence rule: every PE idle, no unresolved failure, no
+    /// stolen thread in flight, and every message sent was received or
+    /// written off.
+    pub(crate) fn quiescent(&self) -> bool {
+        self.idle
+            && !self.unresolved
+            && self.stolen == 0
+            && self.sent == self.recv + self.written_off
+    }
+
+    /// The machine-wide row: counters add up, idleness needs every row.
+    pub(crate) fn total(rows: impl IntoIterator<Item = Ledger>) -> Ledger {
+        let start = Ledger {
+            idle: true,
+            ..Ledger::default()
+        };
+        rows.into_iter().fold(start, |a, r| Ledger {
+            sent: a.sent + r.sent,
+            recv: a.recv + r.recv,
+            written_off: a.written_off + r.written_off,
+            idle: a.idle && r.idle,
+            unresolved: a.unresolved || r.unresolved,
+            stolen: a.stolen + r.stolen,
+        })
     }
 }
 
@@ -506,16 +562,14 @@ impl MachineBuilder {
         pools
     }
 
+    /// Build the hub and one seed per local PE: a `Send` closure that
+    /// builds its [`Pe`] (and the `!Send` scheduler) on the OS thread that
+    /// will drive it. `threaded` is the drive mode every PE is born into.
     #[allow(clippy::type_complexity)]
     fn make_seeds(
         &mut self,
-    ) -> (
-        Vec<PeSeed>,
-        Arc<Hub>,
-        Option<Arc<FaultStats>>,
-        Vec<Arc<TraceRing>>,
-        Vec<crossbeam::channel::Sender<Packet>>,
-    ) {
+        threaded: bool,
+    ) -> (Vec<impl FnOnce() -> Pe + Send>, Arc<Hub>, Vec<Arc<TraceRing>>, Vec<Sender<Packet>>) {
         let shared = self.build_shared();
         let handlers = Arc::new(std::mem::take(&mut self.handlers));
         // A multi-process machine hosts only its world's slice of the PEs:
@@ -525,15 +579,17 @@ impl MachineBuilder {
             Some(w) => (w.first_pe(), w.pes_per_proc()),
             None => (0, self.num_pes),
         };
-        let hub = Arc::new(Hub {
-            base,
-            ..Hub::default()
-        });
         let fault = self.fault.clone().map(|plan| FaultCtx {
             plan,
             stats: Arc::new(FaultStats::default()),
         });
-        let stats = fault.as_ref().map(|f| f.stats.clone());
+        let hub = Arc::new(Hub {
+            base,
+            local,
+            stats: fault.as_ref().map(|f| f.stats.clone()),
+            steal: self.steal.then(|| shared.clone()),
+            ..Hub::default()
+        });
         let rings: Vec<Arc<TraceRing>> = if self.tracing {
             flows_trace::set_enabled(true);
             (0..local)
@@ -543,118 +599,52 @@ impl MachineBuilder {
             Vec::new()
         };
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..local).map(|_| unbounded()).unzip();
+        let (num_pes, net) = (self.num_pes, self.net);
+        let (modeled_time, steal) = (self.modeled_time, self.steal);
         let seeds = rxs
             .into_iter()
             .enumerate()
-            .map(|(i, rx)| PeSeed {
-                id: base + i,
-                base,
-                num_pes: self.num_pes,
-                shared: shared.clone(),
-                sched_cfg: self.sched_cfg.clone(),
-                rx,
-                txs: txs.clone(),
-                handlers: handlers.clone(),
-                hub: hub.clone(),
-                net: self.net,
-                fault: fault.clone(),
-                modeled_time: self.modeled_time,
-                steal: self.steal,
-                ring: rings.get(i).cloned(),
-                death_upcall: self.death_upcall.clone(),
-                world: self.world.clone(),
+            .map(|(i, rx)| {
+                let (id, ring) = (base + i, rings.get(i).cloned());
+                let (shared, cfg, txs) = (shared.clone(), self.sched_cfg.clone(), txs.clone());
+                let (handlers, hub, fault) = (handlers.clone(), hub.clone(), fault.clone());
+                let (world, upcall) = (self.world.clone(), self.death_upcall.clone());
+                move || {
+                    // Pools are built machine-wide (global PE count) in every
+                    // process so isomalloc slot ranges agree across processes.
+                    let pool = shared.payload_pool(id).clone();
+                    let sched = Scheduler::new(id, shared, cfg);
+                    Pe::new(
+                        id, num_pes, base, world, sched, rx, txs, handlers, hub, net, fault,
+                        modeled_time, steal, threaded, pool, ring, upcall,
+                    )
+                }
             })
             .collect();
-        (seeds, hub, stats, rings, txs)
+        (seeds, hub, rings, txs)
     }
 
-    /// Drive all PEs round-robin on the calling OS thread until
-    /// quiescence. Deterministic given deterministic application code.
+    /// Drive every PE on the calling OS thread until quiescence: each PE
+    /// in turn pumps a bounded burst, and the round repeats until the
+    /// machine is quiescent or every PE has crashed. Nothing parks or
+    /// yields, so the pump sequence — and with it every modeled clock —
+    /// is a function of the program and the fault plan alone.
     pub fn run_deterministic(mut self, init: impl Fn(&Pe)) -> MachineReport {
         assert!(
             self.world.is_none(),
             "a multi-process machine needs its comm thread: use run()"
         );
-        let (seeds, hub, stats, rings, _txs) = self.make_seeds();
-        let pes: Vec<Pe> = seeds.into_iter().map(PeSeed::build).collect();
-        let sc0 = flows_sys::counters::snapshot();
+        let (seeds, hub, rings, _txs) = self.make_seeds(false);
+        let pes: Vec<Pe> = seeds.into_iter().map(|build| build()).collect();
         let t0 = flows_sys::time::monotonic_ns();
-        for pe in &pes {
-            let prev = pe.enter();
-            init(pe);
-            pe.leave(prev);
-        }
-        // Bounded burst per turn: draining a PE completely would livelock
-        // on cross-PE spin synchronization (threads that yield while
-        // waiting for another PE's progress stay runnable forever). The
-        // budget adapts per PE: a burst that pumps without delivering a
-        // single message is just spin-yielding waiters, so its share of
-        // the round-robin shrinks (and snaps back on the next delivery).
-        const FULL_BURST: u32 = 64;
-        let mut budgets = vec![FULL_BURST; pes.len()];
-        loop {
-            let mut progress = false;
-            for (pe, budget) in pes.iter().zip(budgets.iter_mut()) {
-                let prev = pe.enter();
-                let delivered_before = pe.delivered();
-                let mut pumped = false;
-                for _ in 0..*budget {
-                    if !pe.pump() {
-                        break;
-                    }
-                    pumped = true;
-                }
-                pe.leave(prev);
-                *budget = if pumped && pe.delivered() == delivered_before {
-                    (*budget / 2).max(1)
-                } else {
-                    FULL_BURST
-                };
-                if pumped {
-                    progress = true;
-                }
-            }
-            if pes.iter().all(|p| p.crashed()) {
-                // Total loss: every PE is dead (scripted crashes plus any
-                // fenced stalls). Nobody is left to recover, so report the
-                // wreckage instead of waiting for a heal that cannot come.
-                break;
-            }
-            if !progress {
-                // Batched quiescence accounting: fold every PE's local
-                // deltas into the hub before the fixpoint comparison.
-                for pe in &pes {
-                    pe.flush_counters();
-                }
-                // Messages written off against confirmed-dead PEs were
-                // sent but can never be received; the fixpoint accounts
-                // for them. No quiescence while a failure is unhealed.
-                let written_off = stats
-                    .as_ref()
-                    .map_or(0, |s| s.summary().written_off);
-                if hub.sent.load(Ordering::SeqCst)
-                    == hub.recv.load(Ordering::SeqCst) + written_off
-                    && pes.iter().all(|p| !p.has_work())
-                    && !hub.unresolved()
-                {
-                    break;
-                }
-            }
-        }
-        for pe in &pes {
-            pe.flush_counters();
-        }
-        let wall_ns = flows_sys::time::monotonic_ns() - t0;
-        // One OS thread drove every PE, so the syscall delta is
-        // machine-wide; it sits at index 0 (see `MachineReport::syscalls`).
-        let mut syscalls = vec![SyscallCounts::default(); pes.len()];
-        syscalls[0] = flows_sys::counters::snapshot().since(&sc0);
-        report(&pes, &hub, wall_ns, stats.as_deref(), syscalls, rings)
+        let rows = drive(&pes, &hub, None, false, &init);
+        MachineReport::assemble(rows, &hub, t0, rings, false)
     }
 
-    /// Drive each PE on its own OS thread until quiescence. Idle PEs park
-    /// on a per-PE [`Parker`] and are woken by incoming packets (instead
-    /// of spinning on `yield_now`).
+    /// Drive each PE on its own OS thread until quiescence. Idle PEs spin
+    /// briefly, then park on a per-PE [`Parker`] and are woken by incoming
+    /// packets. With a [`flows_net::World`] attached, a comm thread bridges
+    /// the transport and owns the machine-wide quiescence decision.
     pub fn run(mut self, init: impl Fn(&Pe) + Send + Sync) -> MachineReport {
         let online = self.fault.as_ref().is_some_and(|p| p.recovers());
         let multiproc = self.world.is_some();
@@ -682,10 +672,8 @@ impl MachineBuilder {
             // partition the namespace so they can never collide.
             flows_core::seed_tid_namespace(w.rank());
         }
-        let (seeds, hub, stats, rings, txs) = self.make_seeds();
-        let num_pes = self.num_pes;
-        let local_pes = seeds.len();
-        let parkers: Vec<Parker> = (0..local_pes).map(|_| Parker::new()).collect();
+        let (seeds, hub, rings, txs) = self.make_seeds(true);
+        let parkers: Vec<Parker> = seeds.iter().map(|_| Parker::new()).collect();
         hub.wakers
             .set(parkers.iter().map(Parker::unparker).collect())
             .expect("fresh hub");
@@ -697,9 +685,7 @@ impl MachineBuilder {
                 world,
                 hub: hub.clone(),
                 txs,
-                stats: stats.clone(),
                 online,
-                num_pes,
             };
             std::thread::Builder::new()
                 .name("flows-netpump".into())
@@ -707,68 +693,71 @@ impl MachineBuilder {
                 .expect("spawn comm thread")
         });
         let t0 = flows_sys::time::monotonic_ns();
-        let results: Vec<(u64, SchedStats, usize, u64, u64, SyscallCounts)> =
-            std::thread::scope(|s| {
-                let init = &init;
-                let handles: Vec<_> = seeds
-                    .into_iter()
-                    .zip(parkers)
-                    .map(|(seed, parker)| {
-                        let hub = hub.clone();
-                        s.spawn(move || {
-                            // The Pe (and its !Send scheduler) is born on the
-                            // OS thread that will drive it. Syscall counters
-                            // are thread-local, so the delta below is exactly
-                            // this PE's.
-                            let sc0 = flows_sys::counters::snapshot();
-                            let pe = seed.build();
-                            pe.set_threaded();
-                            let prev = pe.enter();
-                            init(&pe);
-                            drive_until_quiescent(&pe, &hub, local_pes, multiproc, &parker);
-                            // Final flush so the report's totals are complete
-                            // on every exit path (quiescence, this PE's own
-                            // crash, or a lost child process).
-                            pe.flush_counters();
-                            pe.leave(prev);
-                            (
-                                pe.vtime_ns(),
-                                pe.sched().stats(),
-                                pe.sched().thread_count(),
-                                pe.busy_ns(),
-                                pe.delivered(),
-                                flows_sys::counters::snapshot().since(&sc0),
-                            )
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("PE thread")).collect()
-            });
+        let rows: Vec<PeResult> = std::thread::scope(|s| {
+            let (init, hub) = (&init, &*hub);
+            let handles: Vec<_> = seeds
+                .into_iter()
+                .zip(parkers)
+                .map(|(build, parker)| {
+                    s.spawn(move || drive(&[build()], hub, Some(&parker), multiproc, init))
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("PE thread")).collect()
+        });
         if let Some(h) = pump {
             let _ = h.join();
         }
         if let Some(why) = hub.lost_proc.lock().expect("hub lock").take() {
             panic!("{why}");
         }
-        let wall_ns = flows_sys::time::monotonic_ns() - t0;
-        let syscalls: Vec<SyscallCounts> = results.iter().map(|r| r.5).collect();
-        let trace = finish_trace(&rings, &syscalls);
-        let messages = if multiproc {
-            hub.net_global_sent.load(Ordering::SeqCst)
-        } else {
-            hub.sent.load(Ordering::SeqCst)
-        };
+        MachineReport::assemble(rows, &hub, t0, rings, multiproc)
+    }
+}
+
+/// One PE's row of the [`MachineReport`], taken when its drive ends.
+struct PeResult {
+    vtime: u64,
+    sched: SchedStats,
+    stranded: usize,
+    busy: u64,
+    delivered: u64,
+    syscalls: SyscallCounts,
+}
+
+impl MachineReport {
+    /// Both entry points' report: per-PE rows plus the hub's machine-wide
+    /// state. A multi-process machine counts the messages the quiescence
+    /// leader declared, not just this process's.
+    fn assemble(
+        rows: Vec<PeResult>,
+        hub: &Hub,
+        t0: u64,
+        rings: Vec<Arc<TraceRing>>,
+        multiproc: bool,
+    ) -> MachineReport {
+        let syscalls: Vec<SyscallCounts> = rows.iter().map(|r| r.syscalls).collect();
+        let messages = if multiproc { &hub.net_global_sent } else { &hub.sent };
         MachineReport {
-            pe_vtimes: results.iter().map(|r| r.0).collect(),
-            wall_ns,
-            sched_stats: results.iter().map(|r| r.1).collect(),
-            messages,
-            pe_delivered: results.iter().map(|r| r.4).collect(),
-            stranded_threads: results.iter().map(|r| r.2).collect(),
-            pe_busy: results.iter().map(|r| r.3).collect(),
-            faults: stats.map(|s| s.summary()),
+            pe_vtimes: rows.iter().map(|r| r.vtime).collect(),
+            wall_ns: flows_sys::time::monotonic_ns() - t0,
+            sched_stats: rows.iter().map(|r| r.sched).collect(),
+            messages: messages.load(Ordering::SeqCst),
+            pe_delivered: rows.iter().map(|r| r.delivered).collect(),
+            stranded_threads: rows.iter().map(|r| r.stranded).collect(),
+            pe_busy: rows.iter().map(|r| r.busy).collect(),
+            faults: hub.stats.as_ref().map(|s| s.summary()),
+            trace: (!rings.is_empty()).then(|| {
+                // Fill the syscall-derived fields the events alone cannot know.
+                let mut sum = flows_trace::summarize(&rings);
+                for p in sum.pes.iter_mut() {
+                    if let Some(c) = syscalls.get(p.pe as usize) {
+                        p.remap = c.remap;
+                        p.syscalls_total = c.total();
+                    }
+                }
+                sum
+            }),
             syscalls,
-            trace,
             trace_rings: rings,
             recovery: hub.timeline_snapshot(),
             dead_pes: hub.dead_list(),
@@ -776,93 +765,8 @@ impl MachineBuilder {
     }
 }
 
-/// Everything needed to build a [`Pe`]; unlike a Pe it is `Send`, so the
-/// threaded drive mode can ship one seed to each PE's OS thread.
-struct PeSeed {
-    id: usize,
-    num_pes: usize,
-    base: usize,
-    world: Option<Arc<flows_net::World>>,
-    shared: Arc<SharedPools>,
-    sched_cfg: SchedConfig,
-    rx: crossbeam::channel::Receiver<Packet>,
-    txs: Vec<crossbeam::channel::Sender<Packet>>,
-    handlers: Arc<Vec<Handler>>,
-    hub: Arc<Hub>,
-    net: NetModel,
-    fault: Option<FaultCtx>,
-    modeled_time: bool,
-    steal: bool,
-    ring: Option<Arc<TraceRing>>,
-    death_upcall: Option<DeathUpcall>,
-}
-
-impl PeSeed {
-    fn build(self) -> Pe {
-        // Pools are built machine-wide (global PE count) in every process
-        // so isomalloc slot ranges agree across process boundaries.
-        let pool = self.shared.payload_pool(self.id).clone();
-        Pe::new(
-            self.id,
-            self.num_pes,
-            self.base,
-            self.world,
-            Scheduler::new(self.id, self.shared, self.sched_cfg),
-            self.rx,
-            self.txs,
-            self.handlers,
-            self.hub,
-            self.net,
-            self.fault,
-            self.modeled_time,
-            self.steal,
-            pool,
-            self.ring,
-            self.death_upcall,
-        )
-    }
-}
-
-/// Reduce the rings (if tracing was on) and fill the syscall-derived
-/// fields the events alone cannot know.
-fn finish_trace(rings: &[Arc<TraceRing>], syscalls: &[SyscallCounts]) -> Option<TraceSummary> {
-    if rings.is_empty() {
-        return None;
-    }
-    let mut sum = flows_trace::summarize(rings);
-    for p in sum.pes.iter_mut() {
-        if let Some(c) = syscalls.get(p.pe as usize) {
-            p.remap = c.remap;
-            p.syscalls_total = c.total();
-        }
-    }
-    Some(sum)
-}
-
-fn report(
-    pes: &[Pe],
-    hub: &Hub,
-    wall_ns: u64,
-    stats: Option<&FaultStats>,
-    syscalls: Vec<SyscallCounts>,
-    rings: Vec<Arc<TraceRing>>,
-) -> MachineReport {
-    MachineReport {
-        pe_vtimes: pes.iter().map(|p| p.vtime_ns()).collect(),
-        wall_ns,
-        sched_stats: pes.iter().map(|p| p.sched().stats()).collect(),
-        messages: hub.sent.load(Ordering::SeqCst),
-        pe_delivered: pes.iter().map(|p| p.delivered()).collect(),
-        stranded_threads: pes.iter().map(|p| p.sched().thread_count()).collect(),
-        pe_busy: pes.iter().map(|p| p.busy_ns()).collect(),
-        faults: stats.map(|s| s.summary()),
-        trace: finish_trace(&rings, &syscalls),
-        syscalls,
-        trace_rings: rings,
-        recovery: hub.timeline_snapshot(),
-        dead_pes: hub.dead_list(),
-    }
-}
+/// Pumps per PE per turn while its bursts keep delivering messages.
+const FULL_BURST: u32 = 64;
 
 /// How many idle re-checks a PE spin-yields through before it actually
 /// parks. Parking immediately costs a condvar wakeup (microseconds) per
@@ -872,101 +776,131 @@ fn report(
 /// parker for genuinely quiet PEs.
 const IDLE_SPINS_BEFORE_PARK: u32 = 128;
 
-/// The per-PE loop of threaded mode with distributed quiescence detection.
+/// The scheduler loop: run `init` on each of `pes`, pump them on the
+/// calling OS thread until the run ends, and return their report rows
+/// (the thread's syscall delta in the first). Deterministic drive passes
+/// every PE and no parker; threaded drive one PE and its parker.
 ///
-/// An idle PE flushes its batched counters *before* announcing itself at
-/// the idle barrier (the ordering the exactness argument on [`Hub`] rests
-/// on), then spin-yields briefly and finally parks until a packet arrives.
-/// The park has a short timeout so virtual-time retransmission deadlines
-/// are still noticed on an otherwise-silent machine.
-fn drive_until_quiescent(pe: &Pe, hub: &Hub, num_pes: usize, multiproc: bool, parker: &Parker) {
-    loop {
+/// A burst's budget adapts: draining a PE completely would livelock on
+/// cross-PE spin synchronization, so a burst that pumps without delivering
+/// (spin-yielding waiters) halves its share until the next delivery. A
+/// round without progress flushes the counters *before* announcing idle
+/// (the ordering [`Hub`]'s exactness rests on). A multi-process machine's
+/// PEs only report idleness — the comm thread decides — and re-pump after
+/// each park so link maintenance runs while they wait on remote traffic.
+fn drive(
+    pes: &[Pe],
+    hub: &Hub,
+    parker: Option<&Parker>,
+    multiproc: bool,
+    init: &dyn Fn(&Pe),
+) -> Vec<PeResult> {
+    let sc0 = flows_sys::counters::snapshot();
+    // A lone PE stays current for the whole drive (its bursts re-enter as
+    // a no-op); PEs sharing the thread take turns.
+    let lone = (pes.len() == 1).then(|| pes[0].enter());
+    for pe in pes {
+        let prev = pe.enter();
+        init(pe);
+        pe.leave(prev);
+    }
+    let n = pes.len();
+    let mut budgets = vec![FULL_BURST; n];
+    'run: loop {
         if hub.done.load(Ordering::SeqCst) {
-            // Another PE crashed (or quiescence was declared while we were
-            // spinning on link recovery toward a dead PE): stop.
-            return;
+            break;
         }
         let mut progress = false;
-        while pe.pump() {
-            progress = true;
-            if hub.done.load(Ordering::SeqCst) {
-                return;
+        for (pe, budget) in pes.iter().zip(budgets.iter_mut()) {
+            let prev = pe.enter();
+            let delivered_before = pe.delivered();
+            let mut pumped = false;
+            for _ in 0..*budget {
+                if !pe.pump() {
+                    break;
+                }
+                pumped = true;
             }
+            pe.leave(prev);
+            *budget = if pumped && pe.delivered() == delivered_before {
+                (*budget / 2).max(1)
+            } else {
+                FULL_BURST
+            };
+            progress |= pumped;
         }
         if progress {
             continue;
         }
-        // Enter the idle barrier: flush first, then announce idle.
-        pe.flush_counters();
-        hub.idle.fetch_add(1, Ordering::SeqCst);
+        for pe in pes {
+            pe.flush_counters();
+        }
+        hub.idle.fetch_add(n as u64, Ordering::SeqCst);
         let mut spins = 0u32;
         loop {
-            if hub.done.load(Ordering::SeqCst) {
-                return;
+            // Total loss ends the run too: nobody is left to heal it, and
+            // a crashed PE stays announced idle.
+            if hub.done.load(Ordering::SeqCst) || pes.iter().all(Pe::crashed) {
+                break 'run;
             }
-            if pe.has_work() {
-                hub.idle.fetch_sub(1, Ordering::SeqCst);
-                if !pe.has_local_work() {
-                    // Work but nothing deliverable (waiting on an ack or a
-                    // retransmit deadline): yield so the peer that owes us
-                    // the packet gets the core — a pure-userspace re-pump
-                    // would spin out the whole OS quantum on a loaded
-                    // host. A freshly-arrived packet skips the yield and
-                    // is pumped immediately.
+            if pes.iter().any(Pe::has_work) {
+                hub.leave_idle(n);
+                if parker.is_some() && !pes.iter().any(Pe::has_local_work) {
+                    // Waiting on an ack or a retransmit deadline: let the
+                    // peer that owes us the packet have the core.
                     std::thread::yield_now();
                 }
-                break;
+                continue 'run;
             }
-            if !multiproc
-                && hub.idle.load(Ordering::SeqCst) == num_pes
-                && hub.sent.load(Ordering::SeqCst) == hub.recv.load(Ordering::SeqCst)
-                && pe.steal_in_flight() == 0
-            {
-                // Everyone idle, no message in flight, and no stolen
-                // thread sitting in a steal inbox: quiescent. (A donation
-                // is work the sent==recv comparison knows nothing about;
-                // the donor increments the inbox length before it ever
-                // announces idle, so seeing idle==num_pes here means
-                // seeing the donation too.)
-                hub.done.store(true, Ordering::SeqCst);
-                hub.wake_all();
-                return;
+            if !multiproc && hub.ledger().quiescent() {
+                hub.set_done_and_wake();
+                break 'run;
+            }
+            let Some(parker) = parker else {
+                // No work, yet a failure awaits healing: only more pumps
+                // (heartbeats, detection) can move the machine.
+                hub.leave_idle(n);
+                continue 'run;
+            };
+            // Keep a steal request planted at whoever is richest *now*: one
+            // consumed by an empty donation, or aimed at a victim gone idle,
+            // would leave this PE parked with nobody obligated to wake it.
+            // (A donation after the has_work check sets the token first.)
+            for pe in pes {
+                pe.steal_request();
             }
             if spins < IDLE_SPINS_BEFORE_PARK {
                 spins += 1;
-                // Keep a steal request planted while spinning: on a
-                // loaded host (or a single-core one) the spin phase can
-                // outlast an entire victim burst, so waiting until the
-                // park to ask for work would miss it completely. Cheap —
-                // a relaxed scan plus one idempotent fetch_or.
-                pe.steal_request();
                 std::thread::yield_now();
             } else {
-                // Last look before actually sleeping: refresh our steal
-                // request at whoever is richest *now*. Without this, a
-                // request consumed by an empty donation round — or aimed
-                // at a victim that has since gone idle while another PE
-                // got busy — would leave this PE parked with nobody
-                // obligated to wake it: the classic lost-wakeup window.
-                // (A donation that lands between the has_work check above
-                // and the park is already safe: the donor's wake sets the
-                // parker token first, so the park returns immediately.)
-                pe.steal_request();
                 parker.park_timeout(IDLE_PARK);
                 if multiproc {
-                    // Quiescence is the comm thread's call in a
-                    // multi-process machine (it gathers every process's
-                    // counters); a PE only reports idleness. Leave the
-                    // barrier and re-pump so link maintenance — heartbeat
-                    // schedules, retransmission deadlines, failure
-                    // detection — keeps running while the machine waits
-                    // on remote traffic.
-                    hub.idle.fetch_sub(1, Ordering::SeqCst);
-                    break;
+                    hub.leave_idle(n);
+                    continue 'run;
                 }
             }
         }
     }
+    let mut syscalls = Some(flows_sys::counters::snapshot().since(&sc0));
+    let rows = pes
+        .iter()
+        .map(|pe| {
+            // Final flush: the totals are complete on every exit path.
+            pe.flush_counters();
+            PeResult {
+                vtime: pe.vtime_ns(),
+                sched: pe.sched().stats(),
+                stranded: pe.sched().thread_count(),
+                busy: pe.busy_ns(),
+                delivered: pe.delivered(),
+                syscalls: syscalls.take().unwrap_or_default(),
+            }
+        })
+        .collect();
+    if let Some(prev) = lone {
+        pes[0].leave(prev);
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -1412,6 +1346,57 @@ mod tests {
             .iter()
             .filter(|e| e.phase == RecoveryPhase::Confirm)
             .all(|e| e.dead == 2));
+    }
+
+    /// The deterministic schedule pinned across versions, not just across
+    /// two runs of one build: a drive loop that reorders pumps moves
+    /// modeled time (idle pumps feed the retransmit clock jump) and fails
+    /// here. Every value is modeled time, so none depends on the host.
+    #[test]
+    fn deterministic_schedule_is_pinned() {
+        use crate::fault::RecoveryPhase::*;
+        let (_, rep) = online_crash_run(21);
+        assert_eq!(rep.pe_vtimes, [2_080_292, 2_070_288, 180_192, 2_050_260]);
+        let events: Vec<_> = rep.recovery.iter().map(|e| (e.phase, e.pe, e.dead, e.vt)).collect();
+        assert_eq!(
+            events,
+            [
+                (Crash, 2, 2, 180_192),
+                (Suspect, 1, 2, 1_170_288),
+                (Suspect, 0, 2, 1_140_256),
+                (Suspect, 3, 2, 1_210_224),
+                (Confirm, 0, 2, 2_040_256),
+                (Rollback, 0, 2, 2_040_256),
+                (Resume, 0, 2, 2_080_292),
+            ]
+        );
+        let plan = FaultPlan::new(1234)
+            .drop_prob(0.2)
+            .dup_prob(0.2)
+            .delay(0.2, 50_000)
+            .reorder_prob(0.2);
+        let (_, rep) = faulty_ring(plan);
+        assert_eq!(
+            rep.pe_vtimes,
+            [3_237_009_809, 3_237_019_841, 3_236_989_745, 3_236_999_777]
+        );
+        assert_eq!(
+            rep.faults,
+            Some(FaultSummary {
+                dropped: 108,
+                duplicated: 100,
+                delayed: 10,
+                reordered: 6,
+                retransmits: 512,
+                dup_dropped: 504,
+                acks: 545,
+                data_packets: 545,
+                stalled_steps: 0,
+                retransmits_capped: 464,
+                heartbeats: 0,
+                written_off: 0,
+            })
+        );
     }
 
     #[test]

@@ -25,9 +25,8 @@
 //! supported across processes are whole-process crashes with the
 //! survivors' recovery leader on the lead process.
 
-use crate::fault::FaultStats;
 use crate::link::{Packet, PacketBody};
-use crate::machine::{Hub, Morgue};
+use crate::machine::{Hub, Ledger, Morgue};
 use crate::msg::{HandlerId, Message};
 use crossbeam::channel::Sender;
 use flows_net::{ctrl, Frame, FrameKind, World};
@@ -111,31 +110,44 @@ fn decode_morgue(body: &[u8], num_pes: usize) -> Option<Morgue> {
     })
 }
 
+/// A bodiless control frame from process `src` carrying one scalar.
+fn signal(kind: u8, src: usize, a: u64) -> Frame {
+    Frame::control(kind, src as u32, a, 0, 0, flows_core::Payload::empty())
+}
+
 /// Everything the comm thread needs; built by `MachineBuilder::run`.
 pub(crate) struct NetPump {
     pub world: Arc<World>,
     pub hub: Arc<Hub>,
     /// Local PEs' inject channels, indexed by `global_pe - base`.
     pub txs: Vec<Sender<Packet>>,
-    pub stats: Option<Arc<FaultStats>>,
     pub online: bool,
-    pub num_pes: usize,
 }
 
 /// One process's quiescence-gather row on the leader.
 #[derive(Clone, Copy, Default)]
 struct ProcRow {
-    sent: u64,
-    recv: u64,
-    written_off: u64,
-    idle: bool,
-    unresolved: bool,
+    ledger: Ledger,
     /// Probe round this row last echoed (0 = never probed).
     round: u64,
     /// Process announced PROC_DEAD; its counters are frozen.
     dead: bool,
-    /// Process sent GOODBYE (only during the finish wait).
+    /// Process sent GOODBYE (or PROC_DEAD, or exited).
     departed: bool,
+}
+
+/// The comm thread's protocol state. The leader keeps one gather row per
+/// process; a child keeps none and tracks only the probes it answered.
+#[derive(Default)]
+struct Gather {
+    rows: Vec<ProcRow>,
+    /// Highest probe round this process has answered (child side). Every
+    /// STATS frame carries it — "I have seen probe N" is monotone state,
+    /// not a one-shot reply. If a state-change report could carry round 0
+    /// it would overwrite the leader's record of our reply, and a wave
+    /// whose counters then stopped moving would wait forever for a
+    /// re-reply nothing will ever trigger.
+    seen_round: u64,
 }
 
 impl NetPump {
@@ -164,26 +176,8 @@ impl NetPump {
         self.hub.wake(dst);
     }
 
-    fn local_written_off(&self) -> u64 {
-        self.stats.as_ref().map_or(0, |s| s.summary().written_off)
-    }
-
-    /// This process's own gather row, sampled from the hub.
-    fn own_row(&self) -> ProcRow {
-        ProcRow {
-            sent: self.hub.sent.load(Ordering::SeqCst),
-            recv: self.hub.recv.load(Ordering::SeqCst),
-            written_off: self.local_written_off(),
-            idle: self.hub.idle_count() == self.local(),
-            unresolved: self.hub.unresolved(),
-            round: 0,
-            dead: false,
-            departed: false,
-        }
-    }
-
     fn stats_frame(&self, round: u64) -> Frame {
-        let row = self.own_row();
+        let row = self.hub.ledger();
         let (dead, fenced, confirmed, resolved) = self.hub.masks();
         let mut body = Vec::with_capacity(1 + 5 * 8);
         body.push(u8::from(row.idle) | (u8::from(row.unresolved) << 1));
@@ -212,17 +206,44 @@ impl NetPump {
         }
         let u64_at =
             |o: usize| u64::from_le_bytes(b[1 + o * 8..1 + o * 8 + 8].try_into().unwrap());
-        rows[proc] = ProcRow {
+        rows[proc].ledger = Ledger {
             sent: f.a,
             recv: f.b,
             written_off: u64_at(0),
             idle: b[0] & 1 != 0,
             unresolved: b[0] & 2 != 0,
-            round: f.c,
-            dead: false,
-            departed: rows[proc].departed,
+            stolen: 0,
         };
+        rows[proc].round = f.c;
         self.hub.absorb_masks(u64_at(1), u64_at(2), u64_at(3), u64_at(4));
+    }
+
+    /// A PROC_DEAD notice (leader side): freeze the process's final
+    /// counters. A dead process's failures are the survivors' to resolve,
+    /// so it gathers as idle and resolved.
+    fn absorb_proc_dead(&self, rows: &mut [ProcRow], f: &Frame) {
+        let proc = f.a as usize;
+        if proc >= rows.len() || rows[proc].dead {
+            return;
+        }
+        let woff = f
+            .body
+            .as_slice()
+            .get(..8)
+            .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+        rows[proc] = ProcRow {
+            ledger: Ledger {
+                sent: f.b,
+                recv: f.c,
+                written_off: woff,
+                idle: true,
+                ..Ledger::default()
+            },
+            round: u64::MAX,
+            dead: true,
+            departed: true,
+        };
+        self.world.mark_proc_dead(proc);
     }
 
     /// A morgue notice from a dying remote PE: record the crash exactly
@@ -230,10 +251,11 @@ impl NetPump {
     /// machinery runs unchanged on survivors.
     fn absorb_morgue(&self, f: &Frame) {
         let pe = f.a as usize;
-        if pe >= self.num_pes || self.hub.morgue_ready(pe) {
+        let num_pes = self.world.num_pes();
+        if pe >= num_pes || self.hub.morgue_ready(pe) {
             return;
         }
-        if let Some(m) = decode_morgue(f.body.as_slice(), self.num_pes) {
+        if let Some(m) = decode_morgue(f.body.as_slice(), num_pes) {
             self.hub.record_death(pe, m);
         }
     }
@@ -245,6 +267,43 @@ impl NetPump {
             .get(..8)
             .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
         self.hub.absorb_masks(f.a, fenced, f.b, f.c);
+    }
+
+    /// Drain every pending frame: inject packets, dispatch control frames.
+    /// Each role ignores the kinds it is never sent — a child has no
+    /// gather rows, and only a child answers PROBE and DONE. Returns true
+    /// at DONE, leaving the rest unread.
+    // flows-wire: handles net-ctrl
+    fn drain(&self, g: &mut Gather) -> bool {
+        let child = !self.world.is_leader();
+        while let Some((_, f)) = self.world.try_recv() {
+            if f.kind != FrameKind::Ctrl {
+                self.inject(f);
+                continue;
+            }
+            match f.ctrl {
+                ctrl::MORGUE => self.absorb_morgue(&f),
+                ctrl::MASKS => self.absorb_masks_frame(&f),
+                ctrl::STATS => self.absorb_stats(&mut g.rows, &f),
+                ctrl::PROC_DEAD => self.absorb_proc_dead(&mut g.rows, &f),
+                ctrl::GOODBYE => {
+                    if let Some(row) = g.rows.get_mut(f.a as usize) {
+                        row.departed = true;
+                    }
+                }
+                ctrl::PROBE if child => {
+                    g.seen_round = g.seen_round.max(f.a);
+                    self.world.send(0, &self.stats_frame(g.seen_round));
+                }
+                ctrl::DONE if child => {
+                    self.hub.net_global_sent.store(f.a, Ordering::SeqCst);
+                    self.hub.set_done_and_wake();
+                    return true;
+                }
+                _ => {}
+            }
+        }
+        false
     }
 
     /// All of this process's PEs have hit their scripted crashes: publish
@@ -269,16 +328,16 @@ impl NetPump {
                 }
             }
         }
-        let woff = self.local_written_off();
+        let row = self.hub.ledger();
         self.world.send(
             0,
             &Frame::control(
                 ctrl::PROC_DEAD,
                 me as u32,
                 me as u64,
-                self.hub.sent.load(Ordering::SeqCst),
-                self.hub.recv.load(Ordering::SeqCst),
-                woff.to_le_bytes().to_vec().into(),
+                row.sent,
+                row.recv,
+                row.written_off.to_le_bytes().to_vec().into(),
             ),
         );
         self.hub.set_done_and_wake();
@@ -286,47 +345,14 @@ impl NetPump {
 
     /// The child-process comm loop: pump frames, answer probes, report
     /// state changes, exit on DONE (or on whole-process death).
-    // flows-wire: handles net-ctrl
     fn run_child(self) {
-        let me = self.world.rank();
-        let mut last_sent: Option<(u64, u64, u64, bool, bool)> = None;
-        // Highest probe round this process has answered. Every STATS frame
-        // carries it — "I have seen probe N" is monotone state, not a
-        // one-shot reply. If a state-change report could carry round 0 it
-        // would overwrite the leader's record of our reply, and a wave
-        // whose counters then stopped moving would wait forever for a
-        // re-reply nothing will ever trigger.
-        let mut seen_round: u64 = 0;
+        let mut g = Gather::default();
+        let mut last_sent: Option<Ledger> = None;
         loop {
-            while let Some((_, f)) = self.world.try_recv() {
-                match f.kind {
-                    FrameKind::Ctrl => match f.ctrl {
-                        ctrl::MORGUE => self.absorb_morgue(&f),
-                        ctrl::MASKS => self.absorb_masks_frame(&f),
-                        ctrl::PROBE => {
-                            seen_round = seen_round.max(f.a);
-                            self.world.send(0, &self.stats_frame(seen_round));
-                        }
-                        ctrl::DONE => {
-                            self.hub.net_global_sent.store(f.a, Ordering::SeqCst);
-                            self.hub.set_done_and_wake();
-                            self.world.send(
-                                0,
-                                &Frame::control(
-                                    ctrl::GOODBYE,
-                                    me as u32,
-                                    me as u64,
-                                    0,
-                                    0,
-                                    flows_core::Payload::empty(),
-                                ),
-                            );
-                            return;
-                        }
-                        _ => {}
-                    },
-                    _ => self.inject(f),
-                }
+            if self.drain(&mut g) {
+                let me = self.world.rank();
+                self.world.send(0, &signal(ctrl::GOODBYE, me, me as u64));
+                return;
             }
             if self.online {
                 let (dead, _, _, _) = self.hub.masks();
@@ -335,11 +361,10 @@ impl NetPump {
                     return;
                 }
             }
-            let row = self.own_row();
-            let state = (row.sent, row.recv, row.written_off, row.idle, row.unresolved);
-            if last_sent != Some(state) {
-                last_sent = Some(state);
-                self.world.send(0, &self.stats_frame(seen_round));
+            let row = self.hub.ledger();
+            if last_sent != Some(row) {
+                last_sent = Some(row);
+                self.world.send(0, &self.stats_frame(g.seen_round));
             }
             self.world.park(PUMP_PARK);
         }
@@ -349,23 +374,25 @@ impl NetPump {
     /// declare quiescence, then collect goodbyes. A child that exits
     /// without saying so ends the run with a diagnosis instead.
     fn run_leader(self) {
-        let procs = self.world.procs();
-        let mut rows = vec![ProcRow::default(); procs];
+        let mut g = Gather {
+            rows: vec![ProcRow::default(); self.world.procs()],
+            ..Gather::default()
+        };
         let mut round: u64 = 0;
-        let mut snapshot: Option<(u64, u64, u64)> = None;
+        let mut snapshot: Option<Ledger> = None;
         let mut last_masks = (0u64, 0u64, 0u64, 0u64);
         let mut next_reap = Instant::now();
         loop {
-            self.drain_leader(&mut rows);
+            self.drain(&mut g);
             if Instant::now() >= next_reap {
                 next_reap = Instant::now() + CHILD_POLL;
-                if let Some(why) = self.reap_children(&mut rows) {
+                if let Some(why) = self.reap_children(&mut g) {
                     self.hub.fail_lost_proc(why);
-                    self.finish(&rows, self.hub.sent.load(Ordering::SeqCst));
+                    self.finish(&mut g, self.hub.sent.load(Ordering::SeqCst));
                     return;
                 }
             }
-            rows[0] = self.own_row();
+            g.rows[0].ledger = self.hub.ledger();
             let masks = self.hub.masks();
             if masks != last_masks {
                 last_masks = masks;
@@ -378,60 +405,38 @@ impl NetPump {
                     resolved,
                     fenced.to_le_bytes().to_vec().into(),
                 );
-                for (p, row) in rows.iter().enumerate().skip(1) {
-                    if !row.dead {
-                        self.world.send(p, &f);
-                    }
-                }
+                self.broadcast_live(&g.rows, &f);
             }
-            match self.fixpoint(&rows) {
-                None => snapshot = None,
-                Some(sums) => {
-                    let replied = rows
-                        .iter()
-                        .skip(1)
-                        .all(|r| r.dead || r.round >= round.max(1));
-                    match snapshot {
-                        Some(prev) if replied && prev == sums => {
-                            // Second wave saw the identical balanced
-                            // fixpoint: quiescent machine-wide.
-                            let global_sent = sums.0;
-                            self.hub.net_global_sent.store(global_sent, Ordering::SeqCst);
-                            self.hub.set_done_and_wake();
-                            self.finish(&rows, global_sent);
-                            return;
-                        }
-                        Some(prev) if replied => {
-                            // Moved under the probe: start a fresh wave.
-                            let _ = prev;
-                            snapshot = None;
-                        }
-                        Some(prev) if prev != sums => {
-                            // The ledger moved while replies were still
-                            // outstanding — this wave's snapshot is moot,
-                            // and an unanswered stale wave must not be
-                            // waited out (the traffic that moved the sums
-                            // may have been the machine's last).
-                            snapshot = None;
-                        }
-                        Some(_) => {} // waiting for probe replies
-                        None => {
-                            round += 1;
-                            snapshot = Some(sums);
-                            let f = Frame::control(
-                                ctrl::PROBE,
-                                0,
-                                round,
-                                0,
-                                0,
-                                flows_core::Payload::empty(),
-                            );
-                            for (p, row) in rows.iter().enumerate().skip(1) {
-                                if !row.dead {
-                                    self.world.send(p, &f);
-                                }
-                            }
-                        }
+            // The in-process quiescence rule over the sum of every row.
+            let sums = Ledger::total(g.rows.iter().map(|r| r.ledger));
+            if !sums.quiescent() {
+                snapshot = None;
+            } else {
+                let replied = g
+                    .rows
+                    .iter()
+                    .skip(1)
+                    .all(|r| r.dead || r.round >= round.max(1));
+                match snapshot {
+                    Some(prev) if replied && prev == sums => {
+                        // Second wave saw the identical balanced fixpoint:
+                        // quiescent machine-wide.
+                        self.hub.net_global_sent.store(sums.sent, Ordering::SeqCst);
+                        self.hub.set_done_and_wake();
+                        self.finish(&mut g, sums.sent);
+                        return;
+                    }
+                    // Moved under the probe: start a fresh wave. Or the
+                    // ledger moved while replies were still outstanding —
+                    // this wave's snapshot is moot, and an unanswered stale
+                    // wave must not be waited out (the traffic that moved
+                    // the sums may have been the machine's last).
+                    Some(prev) if replied || prev != sums => snapshot = None,
+                    Some(_) => {} // waiting for probe replies
+                    None => {
+                        round += 1;
+                        snapshot = Some(sums);
+                        self.broadcast_live(&g.rows, &signal(ctrl::PROBE, 0, round));
                     }
                 }
             }
@@ -439,45 +444,11 @@ impl NetPump {
         }
     }
 
-    /// Drain every pending frame on the leader: absorb control traffic
-    /// into the gather rows, inject the rest.
-    // flows-wire: handles net-ctrl
-    fn drain_leader(&self, rows: &mut [ProcRow]) {
-        while let Some((_, f)) = self.world.try_recv() {
-            match f.kind {
-                FrameKind::Ctrl => match f.ctrl {
-                    ctrl::STATS => self.absorb_stats(rows, &f),
-                    ctrl::MORGUE => self.absorb_morgue(&f),
-                    ctrl::PROC_DEAD => {
-                        let proc = f.a as usize;
-                        if proc < rows.len() && !rows[proc].dead {
-                            let woff = f.body.as_slice().get(..8).map_or(0, |b| {
-                                u64::from_le_bytes(b.try_into().unwrap())
-                            });
-                            // Frozen final counters; a dead process's
-                            // failures are the survivors' to resolve, so
-                            // it gathers as idle and resolved.
-                            rows[proc] = ProcRow {
-                                sent: f.b,
-                                recv: f.c,
-                                written_off: woff,
-                                idle: true,
-                                unresolved: false,
-                                round: u64::MAX,
-                                dead: true,
-                                departed: true,
-                            };
-                            self.world.mark_proc_dead(proc);
-                        }
-                    }
-                    ctrl::GOODBYE => {
-                        if let Some(row) = rows.get_mut(f.a as usize) {
-                            row.departed = true;
-                        }
-                    }
-                    _ => {}
-                },
-                _ => self.inject(f),
+    /// Send `f` to every child whose process is still alive.
+    fn broadcast_live(&self, rows: &[ProcRow], f: &Frame) {
+        for (p, row) in rows.iter().enumerate().skip(1) {
+            if !row.dead {
+                self.world.send(p, f);
             }
         }
     }
@@ -487,15 +458,15 @@ impl NetPump {
     /// answer a probe, so no wave could ever settle. Frames it wrote just
     /// before exiting may still be queued, so drain once more before
     /// judging. Returns a diagnosis naming every such child.
-    fn reap_children(&self, rows: &mut [ProcRow]) -> Option<String> {
+    fn reap_children(&self, g: &mut Gather) -> Option<String> {
         let exited = self.world.poll_children();
         if exited.is_empty() {
             return None;
         }
-        self.drain_leader(rows);
+        self.drain(g);
         let mut lost = Vec::new();
         for (rank, code) in exited {
-            let Some(row) = rows.get_mut(rank) else { continue };
+            let Some(row) = g.rows.get_mut(rank) else { continue };
             if row.dead || row.departed {
                 continue;
             }
@@ -512,47 +483,18 @@ impl NetPump {
         })
     }
 
-    /// Balanced-and-idle check over the gather rows. `Some((Σsent, Σrecv,
-    /// Σwritten_off))` when every live process is idle with no unresolved
-    /// failure and the global ledger balances.
-    fn fixpoint(&self, rows: &[ProcRow]) -> Option<(u64, u64, u64)> {
-        if rows.iter().any(|r| !r.idle || r.unresolved) {
-            return None;
-        }
-        let sent: u64 = rows.iter().map(|r| r.sent).sum();
-        let recv: u64 = rows.iter().map(|r| r.recv).sum();
-        let woff: u64 = rows.iter().map(|r| r.written_off).sum();
-        (sent == recv + woff).then_some((sent, recv, woff))
-    }
-
     /// Broadcast DONE and wait for every live child's GOODBYE so no child
     /// is still mid-drain when the leader tears the session down.
-    // flows-wire: handles net-ctrl
-    fn finish(&self, rows: &[ProcRow], global_sent: u64) {
-        let mut pending: Vec<bool> = rows.iter().map(|r| !r.departed).collect();
-        pending[0] = false;
-        let done = Frame::control(
-            ctrl::DONE,
-            0,
-            global_sent,
-            0,
-            0,
-            flows_core::Payload::empty(),
-        );
-        for (p, wait) in pending.iter().enumerate() {
-            if *wait {
+    fn finish(&self, g: &mut Gather, global_sent: u64) {
+        let done = signal(ctrl::DONE, 0, global_sent);
+        for (p, row) in g.rows.iter().enumerate().skip(1) {
+            if !row.departed {
                 self.world.send(p, &done);
             }
         }
         let deadline = Instant::now() + GOODBYE_TIMEOUT;
-        while pending.iter().any(|w| *w) && Instant::now() < deadline {
-            while let Some((_, f)) = self.world.try_recv() {
-                if f.kind == FrameKind::Ctrl && f.ctrl == ctrl::GOODBYE {
-                    if let Some(w) = pending.get_mut(f.a as usize) {
-                        *w = false;
-                    }
-                }
-            }
+        while g.rows.iter().skip(1).any(|r| !r.departed) && Instant::now() < deadline {
+            self.drain(g);
             self.world.park(PUMP_PARK);
         }
     }

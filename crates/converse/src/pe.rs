@@ -115,8 +115,9 @@ pub struct Pe {
     stall_fired: Cell<bool>,
     crashed: Cell<bool>,
     idle_pumps: Cell<u32>,
-    /// Driven by `MachineBuilder::run` (one OS thread per PE)?
-    threaded: Cell<bool>,
+    /// Driven by `MachineBuilder::run` (one OS thread per PE)? Enables
+    /// the wall-clock retransmit gate (see `RETX_WALL_QUIET_NS`).
+    threaded: bool,
     /// Wall clock at which the current idle streak crossed the pump
     /// threshold (threaded retransmit gate).
     idle_wall_start: Cell<u64>,
@@ -180,6 +181,7 @@ impl Pe {
         fault: Option<FaultCtx>,
         modeled_time: bool,
         steal: bool,
+        threaded: bool,
         pool: Arc<PayloadPool>,
         ring: Option<Arc<TraceRing>>,
         death_upcall: Option<DeathUpcall>,
@@ -221,7 +223,7 @@ impl Pe {
             stall_fired: Cell::new(false),
             crashed: Cell::new(false),
             idle_pumps: Cell::new(0),
-            threaded: Cell::new(false),
+            threaded,
             idle_wall_start: Cell::new(0),
             pool,
             local_sent: Cell::new(0),
@@ -260,12 +262,6 @@ impl Pe {
     /// Has `pe` been confirmed dead?
     pub fn is_confirmed_dead(&self, pe: usize) -> bool {
         self.hub.is_confirmed(pe)
-    }
-
-    /// Mark this PE as driven by threaded mode (enables the wall-clock
-    /// retransmit gate; see `RETX_WALL_QUIET_NS`).
-    pub(crate) fn set_threaded(&self) {
-        self.threaded.set(true);
     }
 
     /// This PE's index.
@@ -630,11 +626,11 @@ impl Pe {
         if !other_progress && !moved {
             let idle = self.idle_pumps.get() + 1;
             self.idle_pumps.set(idle);
-            if idle == IDLE_PUMPS_BEFORE_RETX_JUMP && self.threaded.get() {
+            if idle == IDLE_PUMPS_BEFORE_RETX_JUMP && self.threaded {
                 self.idle_wall_start.set(flows_sys::time::monotonic_ns());
             }
             if idle >= IDLE_PUMPS_BEFORE_RETX_JUMP && !self.has_local_work() {
-                let quiet = !self.threaded.get()
+                let quiet = !self.threaded
                     || flows_sys::time::monotonic_ns()
                         .saturating_sub(self.idle_wall_start.get())
                         >= RETX_WALL_QUIET_NS;
@@ -758,7 +754,7 @@ impl Pe {
         if self.det.borrow().is_empty() || self.crashed.get() {
             return;
         }
-        if self.threaded.get() && sender_vt > self.vtime.get() {
+        if self.threaded && sender_vt > self.vtime.get() {
             self.vtime.set(sender_vt);
         }
         let now = self.vtime.get().max(1);
@@ -767,7 +763,7 @@ impl Pe {
         {
             let mut det = self.det.borrow_mut();
             let ph = &mut det[src];
-            if self.threaded.get() {
+            if self.threaded {
                 ph.last_wall = flows_sys::time::monotonic_ns();
             }
             if ph.last_vt != 0 {
@@ -818,7 +814,7 @@ impl Pe {
             return;
         }
         let confirmed = self.hub.confirmed_mask();
-        let wall = if self.threaded.get() {
+        let wall = if self.threaded {
             flows_sys::time::monotonic_ns()
         } else {
             0
@@ -860,7 +856,7 @@ impl Pe {
                 if ph.suspected
                     && phi >= ctx.plan.phi_confirm
                     && now.saturating_sub(ph.suspect_vt) >= period
-                    && (!self.threaded.get()
+                    && (!self.threaded
                         || wall.saturating_sub(ph.last_wall) >= CONFIRM_WALL_QUIET_NS)
                 {
                     to_confirm.push((p, phi));
@@ -1143,24 +1139,12 @@ impl Pe {
             || (self.steal && self.sched.steal_inbox_len() > 0)
     }
 
-    /// Barrier-safe steal request refresh (see `drive_until_quiescent`'s
-    /// pre-park re-check): posts/refreshes a request at the currently
-    /// richest victim without moving any thread. No-op when stealing is
-    /// off.
+    /// Barrier-safe steal request refresh (see the drive loop's pre-park
+    /// re-check): posts/refreshes a request at the currently richest
+    /// victim without moving any thread. No-op when stealing is off.
     pub(crate) fn steal_request(&self) {
         if self.steal {
             self.sched.request_steal();
-        }
-    }
-
-    /// Packed threads in flight through the steal mesh, machine-wide.
-    /// The threaded quiescence fixpoint must see zero: a donation sitting
-    /// in some inbox is work no `sent == recv` comparison knows about.
-    pub(crate) fn steal_in_flight(&self) -> usize {
-        if self.steal {
-            self.sched.shared().steal().in_flight()
-        } else {
-            0
         }
     }
 
@@ -1175,19 +1159,26 @@ impl Pe {
         self.has_local_work() || self.stall_left.get() > 0 || self.links.borrow().in_flight()
     }
 
+    /// Make this PE current on the calling OS thread. Re-entering the
+    /// current PE is a no-op (its trace ring and carried CPU reading stay).
     pub(crate) fn enter(&self) -> *const Pe {
-        // SAFETY: `self.ring` (an Arc) outlives the enter..leave span.
-        let prev = unsafe { flows_trace::swap_current(flows_trace::ring_ptr(self.ring.as_ref())) };
-        self.prev_ring.set(prev);
-        // Whatever ran on this OS thread before this PE took it over is
-        // not this PE's CPU time.
-        PUMP_CPU_NS.set(0);
-        CURRENT_PE.with(|c| c.replace(self as *const Pe))
+        let prev = CURRENT_PE.with(|c| c.replace(self as *const Pe));
+        if !std::ptr::eq(prev, self) {
+            let ring = flows_trace::ring_ptr(self.ring.as_ref());
+            // SAFETY: `self.ring` (an Arc) outlives the enter..leave span.
+            self.prev_ring.set(unsafe { flows_trace::swap_current(ring) });
+            // Whatever ran on this OS thread before this PE took it over
+            // is not this PE's CPU time.
+            PUMP_CPU_NS.set(0);
+        }
+        prev
     }
 
     pub(crate) fn leave(&self, prev: *const Pe) {
-        // SAFETY: restoring the pointer that was current before enter().
-        unsafe { flows_trace::swap_current(self.prev_ring.get()) };
+        if !std::ptr::eq(prev, self) {
+            // SAFETY: restoring the pointer that was current before enter().
+            unsafe { flows_trace::swap_current(self.prev_ring.get()) };
+        }
         CURRENT_PE.with(|c| c.set(prev));
     }
 }

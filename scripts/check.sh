@@ -25,7 +25,8 @@
 #     pup-size validation) and proves both that the regular suites still
 #     pass with detectors on and that every detector still fires.
 #  5. The whole workspace's test suites, not only the umbrella crate's:
-#     every crate's unit and integration tests, under a hard timeout.
+#     every package's unit and integration tests, each package under its
+#     own hard timeout and the whole step under another.
 #  6. Million-thread capacity: one PE must hold >= 1M live migratable
 #     threads (lazy slabs) at <= 4 KiB each. The ceiling is ~20x the
 #     measured Tcb+bookkeeping cost, so it trips on an O(threads) memory
@@ -64,15 +65,32 @@ elif [ "$rc" -ne 0 ]; then
 fi
 echo "OK: flowslint clean (SARIF at target/flowslint.sarif) + check suite + sanitize pass green"
 
+# One package at a time, each under its own kill timeout, so a hang names
+# its package; the step as a whole stays bounded by workspace_limit.
 workspace_limit=1200
-rc=0
-timeout --signal=KILL "$workspace_limit" \
-  cargo test --offline -q --workspace --no-fail-fast || rc=$?
-if [ "$rc" -eq 137 ]; then
-  echo "FAIL: step 5 (workspace test pass) exceeded ${workspace_limit}s and was killed"
-  exit 1
-elif [ "$rc" -ne 0 ]; then
-  echo "FAIL: step 5 (workspace test pass) exited $rc"
+suite_limit=600
+step_end=$((SECONDS + workspace_limit))
+failed=()
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
+  pkg=$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -1)
+  left=$((step_end - SECONDS))
+  if [ "$left" -le 0 ]; then
+    echo "FAIL: step 5 (workspace test pass) exceeded ${workspace_limit}s before $pkg ran"
+    exit 1
+  fi
+  limit=$((left < suite_limit ? left : suite_limit))
+  rc=0
+  timeout --signal=KILL "$limit" cargo test --offline -q -p "$pkg" --no-fail-fast || rc=$?
+  if [ "$rc" -eq 137 ]; then
+    echo "FAIL: step 5: $pkg tests exceeded ${limit}s and were killed"
+    failed+=("$pkg")
+  elif [ "$rc" -ne 0 ]; then
+    echo "FAIL: step 5: $pkg tests exited $rc"
+    failed+=("$pkg")
+  fi
+done
+if [ "${#failed[@]}" -ne 0 ]; then
+  echo "FAIL: step 5 (workspace test pass): ${failed[*]}"
   exit 1
 fi
 echo "OK: every workspace test suite green"
