@@ -39,7 +39,7 @@ pub use ft::{run_world_ft, FtReport};
 pub use nonblocking::{Request, RESERVED_TAG_BASE};
 pub use world::{lb_batch_messages, pe_of_rank, run_world, AmpiOptions};
 
-use crate::proto::{LoadReport, RankWire, PORT_AMPI};
+use crate::proto::{route_rank_wire, LoadReport, RankWire};
 use crate::world::{contribute_now, obj_of, tag_ckpt, tag_coll, tag_lb, with_rank_box, Wait};
 use flows_comm::ReduceOp;
 use flows_core::suspend;
@@ -68,6 +68,11 @@ pub struct Ampi {
 // sequence ahead of its receivers; they now live in the rank's `RankBox`
 // (explicitly pup'd with the image). Mutable cross-checkpoint state
 // belongs either inline here or in the RankBox.
+//
+// The same holds for the rank's entry closure (`world::spawn_rank`): it
+// owns no refcount or heap value. A rank that returned after a checkpoint
+// and is rolled back returns a second time, and anything its stack owned
+// would be dropped twice; it reaches `main` through a non-owning pointer.
 
 impl Ampi {
     pub(crate) fn new(world: u64, rank: usize, size: usize) -> Ampi {
@@ -122,12 +127,7 @@ impl Ampi {
             seq: this_seq,
         };
         let obj = obj_of(self.world, dest as u64);
-        flows_converse::with_pe(|pe| {
-            // Header + raw tail into one pooled buffer — the only copy of
-            // the user bytes on the whole send path.
-            let wire = crate::proto::frame(pe, &mut w, &data);
-            flows_comm::route(pe, obj, PORT_AMPI, wire)
-        });
+        flows_converse::with_pe(|pe| route_rank_wire(pe, obj, &mut w, &data));
     }
 
     /// Blocking receive (`MPI_Recv`): `None` matches any source / any tag.

@@ -2,8 +2,8 @@
 
 #![allow(missing_docs)] // field meanings documented on each struct
 
-use flows_comm::Port;
-use flows_converse::{Payload, Pe};
+use flows_comm::{ObjId, Port};
+use flows_converse::{Payload, PayloadBuf, Pe};
 use flows_pup::pup_fields;
 
 /// The comm-layer port AMPI rank traffic travels on.
@@ -31,15 +31,31 @@ pub struct RankWire {
 }
 pup_fields!(RankWire { kind, a, b, seq });
 
-/// Frame a rank wire: header prefix packed into a pooled buffer, message
-/// bytes appended as the raw tail. The inverse of
-/// `from_bytes_prefix::<RankWire>` + `payload.slice_from(used)`.
-pub(crate) fn frame(pe: &Pe, hdr: &mut RankWire, data: &[u8]) -> Payload {
-    // Header is 25 fixed bytes (u8 + 3×u64).
-    let mut buf = pe.payload_buf_with_capacity(25 + data.len());
+/// Bytes of a packed [`RankWire`] (u8 + 3 × u64).
+pub(crate) const RANK_WIRE_LEN: usize = 25;
+
+/// Route `data` to rank object `obj` behind `hdr`: header and raw tail are
+/// packed straight into the routed wire's one pooled buffer — the only
+/// copy of the message bytes between sender and mailbox. The inverse is
+/// [`parse_rank_wire`].
+pub(crate) fn route_rank_wire(pe: &Pe, obj: ObjId, hdr: &mut RankWire, data: &[u8]) {
+    flows_comm::route_with(pe, obj, PORT_AMPI, RANK_WIRE_LEN + data.len(), |buf| {
+        pack_rank_wire(buf, hdr, data)
+    });
+}
+
+fn pack_rank_wire(buf: &mut PayloadBuf, hdr: &mut RankWire, data: &[u8]) {
     flows_pup::pack_into(hdr, buf.vec_mut());
     buf.extend_from_slice(data);
-    buf.freeze()
+}
+
+/// Split a delivered rank wire into its header and a zero-copy view of the
+/// message bytes. `None` for bytes too short for the header or an unknown
+/// `kind`: routed bytes cross process boundaries in multi-process worlds,
+/// so the caller counts a drop instead of panicking.
+pub(crate) fn parse_rank_wire(payload: &Payload) -> Option<(RankWire, Payload)> {
+    let (w, used) = flows_pup::from_bytes_prefix::<RankWire>(payload).ok()?;
+    matches!(w.kind, 0 | 1 | 3).then(|| (w, payload.slice_from(used)))
 }
 
 /// One parked point-to-point message. `data` shares the arrival buffer
@@ -294,6 +310,84 @@ mod tests {
         let bytes = flows_pup::to_bytes(&mut mv);
         assert_eq!(flows_pup::from_bytes::<RankMove>(&bytes).unwrap(), mv);
         assert_eq!(mv.packed_len(), bytes.len());
+    }
+
+    /// The wire an AMPI message travels as is the one the earlier
+    /// two-buffer path built — a `RankWire` frame copied behind a route
+    /// header — byte for byte: routing header (object, port, hops 0, not
+    /// pinned), rank header, raw message bytes.
+    #[test]
+    fn one_buffer_rank_wire_pins_the_framed_bytes() {
+        #[derive(Default)]
+        struct RouteHdr {
+            obj: u64,
+            port: u8,
+            hops: u32,
+            pinned: u8,
+        }
+        pup_fields!(RouteHdr { obj, port, hops, pinned });
+
+        let wires = std::sync::Mutex::new(Vec::new());
+        flows_converse::MachineBuilder::new(1).run_deterministic(|pe| {
+            for (n, obj) in [(0usize, 3u64), (64, 0), (4096, u32::MAX as u64 + 5)] {
+                let data: Vec<u8> = (0..n).map(|i| (i * 7) as u8).collect();
+                let mut w = RankWire { kind: 0, a: 11, b: 1 << 40, seq: 9 };
+                let len = RANK_WIRE_LEN + n;
+                let wire = flows_comm::route_wire_with(pe, ObjId(obj), PORT_AMPI, len, |buf| {
+                    pack_rank_wire(buf, &mut w, &data)
+                });
+                let mut route = RouteHdr {
+                    obj,
+                    port: PORT_AMPI,
+                    ..RouteHdr::default()
+                };
+                let mut want = flows_pup::to_bytes(&mut route);
+                want.extend(flows_pup::to_bytes(&mut w));
+                want.extend(&data);
+                wires.lock().unwrap().push((wire.to_vec(), want));
+            }
+        });
+        let wires = wires.into_inner().unwrap();
+        assert_eq!(wires.len(), 3);
+        for (got, want) in wires {
+            assert_eq!(got, want);
+        }
+    }
+
+    /// The rank header is the fixed-size prefix `RANK_WIRE_LEN` says.
+    #[test]
+    fn rank_wire_len_is_the_pup_size() {
+        assert_eq!(
+            flows_pup::packed_size(&mut RankWire::default()),
+            RANK_WIRE_LEN
+        );
+    }
+
+    mod decode {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes never panic the rank-wire decoder: it
+            /// refuses anything too short or of an unknown kind, and what
+            /// it accepts re-packs to the bytes it came from.
+            #[test]
+            fn arbitrary_bytes_are_refused_or_round_trip(
+                bytes in proptest::collection::vec(any::<u8>(), 0..80),
+            ) {
+                let p: Payload = bytes.clone().into();
+                match parse_rank_wire(&p) {
+                    None => prop_assert!(
+                        bytes.len() < RANK_WIRE_LEN || !matches!(bytes[0], 0 | 1 | 3)
+                    ),
+                    Some((mut w, data)) => {
+                        let mut again = PayloadBuf::new();
+                        pack_rank_wire(&mut again, &mut w, &data);
+                        prop_assert_eq!(&again[..], &bytes[..]);
+                    }
+                }
+            }
+        }
     }
 
     /// `packed_len` is the pup size for every shape of image: empty,

@@ -2,7 +2,8 @@
 //! measurement-based load-balancing epoch.
 
 use crate::proto::{
-    frame, BatchHead, LoadReport, MailEntry, MoveRec, PlanMsg, RankMove, RankWire, PORT_AMPI,
+    parse_rank_wire, route_rank_wire, BatchHead, LoadReport, MailEntry, MoveRec, PlanMsg, RankMove,
+    RankWire, PORT_AMPI,
 };
 use flows_comm::{CommLayer, ObjId, ReduceOp};
 use flows_converse::{FaultPlan, MachineBuilder, MachineReport, Message, NetModel, Payload, Pe};
@@ -367,32 +368,27 @@ fn init_pe(pe: &Pe, meta: &Arc<WorldMeta>) {
 /// Spawn rank `rank`'s main thread fresh on this PE and register its
 /// routed object (initial placement and scratch recovery respawn).
 pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
-    // The clone rides the rank's own stack (the entry trampoline moves it
-    // there), but its refcount cell is on the spawning process's heap. In
-    // a multi-process world a rank respawned in another process after a
-    // cross-process recovery must not decrement through that stale
-    // pointer, so the count is leaked instead (one word per rank spawn,
-    // reclaimed at process exit). Cross-process worlds additionally
-    // require a capture-free `main` (a plain `fn`): a closure's
-    // environment lives behind this pointer and would be read, not just
-    // dropped.
-    let mut main = std::mem::ManuallyDrop::new(meta.main.clone());
-    let multiproc = meta.multiproc;
+    // The rank's stack must own no refcount: a rank that returned and is
+    // then rolled back to a checkpoint taken before it returned would drop
+    // a stack-held clone a second time. It calls through a non-owning
+    // pointer instead; `WorldMeta` owns the closure for the world's life
+    // (every PE's `AmpiState` holds the meta until machine teardown), so
+    // user closures drop exactly once, at world end. Cross-process worlds
+    // additionally require a capture-free `main` (a plain `fn`): a rank
+    // respawned in another process from its image still runs inside the
+    // call, and a closure environment would be read through a pointer into
+    // the spawning process's heap.
+    let main = Arc::as_ptr(&meta.main);
     let world = meta.world;
     let size = meta.size;
     let tid = pe
         .sched()
         .spawn(StackFlavor::Isomalloc, move || {
             let mut ampi = crate::Ampi::new(world, rank as usize, size);
-            main(&mut ampi);
+            // SAFETY: the pointee is `meta.main`, kept alive by the world
+            // meta past every rank thread's life (see above).
+            unsafe { (*main)(&mut ampi) };
             ampi.finish();
-            if !multiproc {
-                // Single-process machine: the refcount cell is in this
-                // process; release the clone normally so user closures
-                // (and what they capture) are dropped at world end.
-                // SAFETY: `main` is not used again.
-                unsafe { std::mem::ManuallyDrop::drop(&mut main) };
-            }
         })
         .expect("spawn rank thread");
     pe.ext::<AmpiState, _>(|st| {
@@ -401,15 +397,15 @@ pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
     flows_comm::register_obj(pe, obj_of(meta.world, rank));
 }
 
-
 /// Routed delivery to a rank living on this PE. The payload is a pup'd
 /// [`RankWire`] header followed by the raw message bytes; the tail is
 /// sliced off as an Arc-backed sub-payload, so the user data reaches the
 /// mailbox without being copied out of the arrival buffer.
 fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
-    let (w, used): (RankWire, usize) =
-        flows_pup::from_bytes_prefix(&payload).expect("rank wire");
-    let data = payload.slice_from(used);
+    let Some((w, data)) = parse_rank_wire(&payload) else {
+        flows_comm::drop_malformed(pe);
+        return;
+    };
     let rank = obj.0 & 0xFFFF_FFFF;
     // Runtime commands (collective results, checkpoint orders) stamp the sender's recovery epoch in `seq`; one computed
     // before a rollback targets a cut that no longer exists and must be
@@ -453,8 +449,8 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
                 pe.sched().awaken_tid(tid).expect("awaken collective");
             }
         }
-        3 => on_ckpt_snapshot(pe, rank, w.a),
-        k => panic!("bad rank wire kind {k}"),
+        // Kind 3, the only other kind `parse_rank_wire` admits.
+        _ => on_ckpt_snapshot(pe, rank, w.a),
     }
 }
 
@@ -531,17 +527,16 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
 /// rank; the LB reduction runs the strategy and broadcasts decisions.
 fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
     if red.tag == tag_coll(meta.world) {
-        // The result wire is identical for every rank: frame it once and
-        // hand each route an Arc clone of the same buffer.
+        // Each rank's wire is packed straight from the reduced bytes: one
+        // copy per rank, which its routing hops then forward in place.
         let mut w = RankWire {
             kind: 1,
             a: red.seq,
             b: 0,
             seq: flows_comm::comm_epoch(pe),
         };
-        let wire = frame(pe, &mut w, &red.data);
         for r in 0..meta.size as u64 {
-            flows_comm::route(pe, obj_of(meta.world, r), PORT_AMPI, wire.clone());
+            route_rank_wire(pe, obj_of(meta.world, r), &mut w, &red.data);
         }
     } else if red.tag == tag_ckpt(meta.world) {
         // Every rank reached its checkpoint() call — a coordinated
@@ -553,9 +548,8 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
             b: 0,
             seq: flows_comm::comm_epoch(pe),
         };
-        let wire = frame(pe, &mut w, &[]);
         for r in 0..meta.size as u64 {
-            flows_comm::route(pe, obj_of(meta.world, r), PORT_AMPI, wire.clone());
+            route_rank_wire(pe, obj_of(meta.world, r), &mut w, &[]);
         }
     } else if red.tag == tag_lb(meta.world) {
         // Decode the gathered load reports.

@@ -404,3 +404,72 @@ fn waitall_gathers_many() {
         }
     });
 }
+
+/// Pooled buffers drawn on every PE (`PoolStats::allocs + reuses`).
+fn pool_draws() -> u64 {
+    flows_converse::with_pe(|pe| {
+        let s = pe.payload_pool().stats();
+        s.allocs + s.reuses
+    })
+}
+
+/// A point-to-point message costs one pooled buffer end to end: the send
+/// packs route header, rank header and bytes into one buffer, and every
+/// routing hop forwards that buffer in place. A 2-PE ping of N 4 KiB
+/// messages draws N buffers plus the two barriers' constant share
+/// (three per message before the one-copy path).
+#[test]
+fn a_routed_message_draws_one_pooled_buffer() {
+    const N: u64 = 64;
+    let draws = Arc::new(Mutex::new(Vec::new()));
+    let d2 = draws.clone();
+    run_world(opts(2, 2), move |ampi| {
+        ampi.barrier();
+        let before = pool_draws();
+        for i in 0..N {
+            if ampi.rank() == 0 {
+                ampi.send(1, 5, vec![i as u8; 4096]);
+            } else {
+                let (_, _, data) = ampi.recv(Some(0), Some(5));
+                assert_eq!(data, vec![i as u8; 4096]);
+            }
+        }
+        ampi.barrier();
+        d2.lock().unwrap().push(pool_draws() - before);
+    });
+    let draws = draws.lock().unwrap();
+    assert_eq!(draws.len(), 2);
+    let total: u64 = draws.iter().sum();
+    assert!(
+        (N..N + 16).contains(&total),
+        "{total} draws for {N} messages ({draws:?})"
+    );
+}
+
+/// Malformed rank wires — too short for the header, or of an unknown
+/// kind — are counted drops beside the routing layer's, never a panic.
+#[test]
+fn malformed_rank_wires_are_counted_drops() {
+    let drops = Arc::new(AtomicU64::new(u64::MAX));
+    let d2 = drops.clone();
+    run_world(opts(2, 2), move |ampi| {
+        if ampi.rank() == 0 {
+            let me = flows_comm::ObjId(0);
+            flows_converse::with_pe(|pe| {
+                flows_comm::route(pe, me, flows_ampi::proto::PORT_AMPI, vec![0u8; 24]);
+                let mut kind2 = vec![0u8; 40];
+                kind2[0] = 2;
+                flows_comm::route(pe, me, flows_ampi::proto::PORT_AMPI, kind2);
+            });
+        }
+        // Both were queued on rank 0's PE ahead of its contribution.
+        ampi.barrier();
+        if ampi.rank() == 0 {
+            d2.store(
+                flows_converse::with_pe(flows_comm::route_drops),
+                Ordering::Relaxed,
+            );
+        }
+    });
+    assert_eq!(drops.load(Ordering::Relaxed), 2);
+}

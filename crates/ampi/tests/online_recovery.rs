@@ -464,3 +464,85 @@ fn seeded_crash_stall_loss_schedules_heal_in_place() {
         }
     }
 }
+
+/// The ring of [`ring_workload`] with a 64 KiB isomalloc heap block per
+/// rank, touched every iteration, and no closing collective: ranks with
+/// less modeled work return first, while the others still run their final
+/// iteration.
+fn late_workload(iters: u64, results: Results) -> impl Fn(&mut flows_ampi::Ampi) + Send + Sync {
+    const WORDS: usize = 64 * 1024 / 8;
+    move |ampi| {
+        let me = ampi.rank();
+        let n = ampi.size();
+        let block = ampi.malloc(WORDS * 8).expect("rank heap block") as *mut u64;
+        // SAFETY: a live, 8-byte aligned isomalloc block of WORDS words,
+        // owned by this rank until it frees it below; nothing aliases it.
+        let heap = unsafe { std::slice::from_raw_parts_mut(block, WORDS) };
+        for (i, w) in heap.iter_mut().enumerate() {
+            *w = (me * WORDS + i) as u64;
+        }
+        let mut check = me as u64 + 1;
+        for it in 0..iters {
+            ampi.send((me + 1) % n, 7, check.to_le_bytes().to_vec());
+            let got = {
+                let (_, _, data) = ampi.recv(Some((me + n - 1) % n), Some(7));
+                u64::from_le_bytes(data[..8].try_into().unwrap())
+            };
+            check = check
+                .wrapping_mul(1_000_003)
+                .wrapping_add(got)
+                .wrapping_add(it);
+            for w in heap.iter_mut().step_by(512) {
+                *w = w.wrapping_add(check);
+            }
+            ampi.charge_ns(50_000 + 20_000 * me as u64);
+            ampi.checkpoint();
+        }
+        let fold = heap.iter().fold(check, |a, w| a.rotate_left(5) ^ w);
+        assert!(ampi.free(block as *mut u8), "rank heap free");
+        results.lock().unwrap().insert(me, (fold, 0));
+    }
+}
+
+/// A crash late in the job, after some ranks have returned, rolls those
+/// ranks back to a checkpoint taken before they returned: they run their
+/// last iteration and return a second time. Nothing on a rank's stack may
+/// be released twice by that (the rank's entry once dropped a reference
+/// it held there, corrupting the heap). Each of two victims crashes at
+/// four points across the final iteration, located from a crash-free run
+/// so the schedule follows the job's modeled length; every run heals in
+/// place with the crash-free results.
+#[test]
+fn crash_after_ranks_returned_heals_in_place() {
+    const LATE_ITERS: u64 = 12;
+    let plan = || FaultPlan::new(0x1A7E).online_recovery(2);
+    let run = |plan: FaultPlan| {
+        let results: Results = Arc::new(Mutex::new(HashMap::new()));
+        let ft = run_world_ft(
+            opts(RANKS, PES),
+            plan,
+            late_workload(LATE_ITERS, results.clone()),
+        );
+        let map = results.lock().unwrap().clone();
+        (ft, map)
+    };
+    let (clean_ft, clean) = run(plan());
+    assert_eq!(clean.len(), RANKS);
+    assert_eq!(clean_ft.recoveries, 0);
+    let end = clean_ft.report.parallel_time_ns();
+    let iter = end / LATE_ITERS;
+    for victim in [3, 1] {
+        for share in [25, 50, 75, 97] {
+            let vt = end - iter + iter * share / 100;
+            let (ft, got) = run(plan().crash_pe(victim, vt));
+            let at = format!("PE {victim} crashed at vt {vt} of {end}");
+            assert_eq!(ft.crashed_pes, vec![victim], "{at}");
+            assert_eq!(
+                (ft.restarts, ft.recoveries),
+                (0, 1),
+                "{at}: healed in place"
+            );
+            assert_eq!(got, clean, "{at}: results differ from the crash-free run");
+        }
+    }
+}

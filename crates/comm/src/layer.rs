@@ -1,7 +1,7 @@
 //! Object location management: registration, routing, forwarding,
 //! buffering, migration notices.
 
-use flows_converse::{HandlerId, MachineBuilder, Message, Payload, Pe};
+use flows_converse::{HandlerId, MachineBuilder, Message, Payload, PayloadBuf, Pe};
 use flows_pup::{pup_fields, Pup};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
@@ -63,8 +63,8 @@ impl Pup for ObjId {
 
 /// Routing header. On the wire a routed message is this header PUP-packed
 /// followed by the *raw* application payload — no length prefix, no
-/// re-encoding: the receiver parses the header with `from_bytes_prefix`
-/// and takes the rest as a zero-copy [`Payload`] slice.
+/// re-encoding: the receiver parses the header with [`parse_route`] and
+/// takes the rest as a zero-copy [`Payload`] slice.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct RouteHdr {
     obj: ObjId,
@@ -76,13 +76,64 @@ struct RouteHdr {
 }
 pup_fields!(RouteHdr { obj, port, hops, pinned });
 
-/// Build the wire image of a routed message in a pooled buffer.
-fn route_wire(pe: &Pe, hdr: &mut RouteHdr, payload: &[u8]) -> Payload {
-    // Header is 14 fixed bytes (u64 + u8 + u32 + u8).
-    let mut buf = pe.payload_buf_with_capacity(14 + payload.len());
-    flows_pup::pack_into(hdr, buf.vec_mut());
-    buf.extend_from_slice(payload);
+/// Bytes of a packed [`RouteHdr`] (u64 + u8 + u32 + u8, little-endian).
+const ROUTE_HDR_LEN: usize = 14;
+
+impl RouteHdr {
+    /// The header's wire bytes: its pup form, written without a `Puper`
+    /// so a forward can overwrite them in place.
+    fn encode(&self) -> [u8; ROUTE_HDR_LEN] {
+        let mut b = [0u8; ROUTE_HDR_LEN];
+        b[..8].copy_from_slice(&self.obj.0.to_le_bytes());
+        b[8] = self.port;
+        b[9..13].copy_from_slice(&self.hops.to_le_bytes());
+        b[13] = self.pinned;
+        b
+    }
+}
+
+/// Decode the header of a routed wire; `None` when the bytes are too short
+/// to hold one. Routed wires cross process boundaries in multi-process
+/// machines, so a malformed one is a counted drop, never a panic.
+fn parse_route(bytes: &[u8]) -> Option<RouteHdr> {
+    let b = bytes.get(..ROUTE_HDR_LEN)?;
+    Some(RouteHdr {
+        obj: ObjId(u64::from_le_bytes(b[..8].try_into().ok()?)),
+        port: b[8],
+        hops: u32::from_le_bytes(b[9..13].try_into().ok()?),
+        pinned: b[13],
+    })
+}
+
+/// Build the wire image of a routed message in one pooled buffer: `hdr`,
+/// then whatever `pack` appends (at least `len_hint` bytes of room).
+fn route_wire(
+    pe: &Pe,
+    hdr: &RouteHdr,
+    len_hint: usize,
+    pack: impl FnOnce(&mut PayloadBuf),
+) -> Payload {
+    let mut buf = pe.payload_buf_with_capacity(ROUTE_HDR_LEN + len_hint);
+    buf.extend_from_slice(&hdr.encode());
+    pack(&mut buf);
     buf.freeze()
+}
+
+/// Send a routed wire on to `dest` with `hdr` as its header. The arrived
+/// buffer is re-sent as is when this PE holds its only view (the self-hop
+/// of every [`route`], a hop whose sender kept no copy). A wire still
+/// shared — with a link's retransmit table, an injected duplicate, or a
+/// transport's ring slot — is copied instead, so no other holder ever sees
+/// the rewritten header.
+fn forward(pe: &Pe, dest: usize, hdr: &RouteHdr, mut wire: Payload) {
+    match wire.get_mut() {
+        Some(bytes) => bytes[..ROUTE_HDR_LEN].copy_from_slice(&hdr.encode()),
+        None => {
+            let body = &wire[ROUTE_HDR_LEN..];
+            wire = route_wire(pe, hdr, body.len(), |buf| buf.extend_from_slice(body));
+        }
+    }
+    pe.send(dest, ids().route, wire);
 }
 
 /// Maximum forwarding hops before a message is pinned to its home PE. A
@@ -132,6 +183,8 @@ pub(crate) struct CommState {
     delivery: HashMap<Port, DeliveryFn>,
     /// Hop-budget overflows observed on this PE (surfaced, not fatal).
     overflows: Vec<RouteOverflow>,
+    /// Routed wires dropped as malformed on this PE (see [`route_drops`]).
+    drops: u64,
     /// This PE's rollback epoch (0 until a recovery bumps it). Stamped on
     /// location updates and reduction contributions; older stamps are
     /// dropped on receipt — the layer's half of the replay guard.
@@ -186,11 +239,13 @@ impl CommLayer {
 }
 
 fn on_route(pe: &Pe, msg: Message) {
-    let (hdr, used) = flows_pup::from_bytes_prefix::<RouteHdr>(&msg.data).expect("route wire");
-    // The application payload is the tail of the arrived bytes — a
-    // zero-copy view, shared with whatever the link layer still holds.
-    let payload = msg.data.slice_from(used);
-    route_inner(pe, hdr, payload, Some(msg.src_pe));
+    let Some(hdr) = parse_route(&msg.data) else {
+        drop_malformed(pe);
+        return;
+    };
+    // The whole arrived wire travels on: a forward re-sends it, a delivery
+    // hands out its tail as a zero-copy view.
+    route_inner(pe, hdr, msg.data, Some(msg.src_pe));
 }
 
 fn on_update(pe: &Pe, msg: Message) {
@@ -209,7 +264,7 @@ fn on_update(pe: &Pe, msg: Message) {
     }
 }
 
-fn route_inner(pe: &Pe, mut hdr: RouteHdr, payload: Payload, came_from: Option<usize>) {
+fn route_inner(pe: &Pe, mut hdr: RouteHdr, wire: Payload, came_from: Option<usize>) {
     let me = pe.id();
     let num = pe.num_pes();
     // Home resolution skips confirmed-dead PEs (identity map while the
@@ -230,63 +285,54 @@ fn route_inner(pe: &Pe, mut hdr: RouteHdr, payload: Payload, came_from: Option<u
         hdr.pinned = 1;
         if home != me {
             hdr.hops += 1;
-            pe.send(home, ids().route, route_wire(pe, &mut hdr, &payload));
+            forward(pe, home, &hdr, wire);
             return;
         }
     }
     enum Action {
-        Deliver(DeliveryFn),
+        Deliver(Option<DeliveryFn>),
         Forward(usize),
-        Buffered,
+        Buffer,
     }
     let pinned = hdr.pinned != 0;
     let action = pe.ext::<CommState, _>(|st| {
-        // Buffering parks a clone of the payload view (an `Arc` bump).
         if st.local.contains(&hdr.obj) {
-            Action::Deliver(
-                st.delivery
-                    .get(&hdr.port)
-                    .unwrap_or_else(|| {
-                        panic!("no delivery installed for port {} on PE {me}", hdr.port)
-                    })
-                    .clone(),
-            )
+            Action::Deliver(st.delivery.get(&hdr.port).cloned())
         } else if pinned {
             // Pinned to home: never forward again; wait for the next
             // location update to flush us.
-            st.buffered
-                .entry(hdr.obj)
-                .or_default()
-                .push_back((hdr.port, payload.clone()));
-            Action::Buffered
+            Action::Buffer
         } else if let Some(&loc) = st.locations.get(&hdr.obj) {
-            if loc == me {
+            if loc != me {
+                Action::Forward(loc)
+            } else if home == me {
                 // Stale self-reference: the object left without a trace —
                 // treat as unknown, buffer if home.
-                if home == me {
-                    st.buffered
-                        .entry(hdr.obj)
-                        .or_default()
-                        .push_back((hdr.port, payload.clone()));
-                    Action::Buffered
-                } else {
-                    Action::Forward(home)
-                }
+                Action::Buffer
             } else {
-                Action::Forward(loc)
+                Action::Forward(home)
             }
         } else if home == me {
-            st.buffered
-                .entry(hdr.obj)
-                .or_default()
-                .push_back((hdr.port, payload.clone()));
-            Action::Buffered
+            Action::Buffer
         } else {
             Action::Forward(home)
         }
     });
     match action {
-        Action::Deliver(f) => f(pe, hdr.obj, payload),
+        Action::Deliver(Some(f)) => f(pe, hdr.obj, wire.slice_from(ROUTE_HDR_LEN)),
+        // A resident object with nothing listening on the port: only a
+        // malformed (or foreign) wire names one.
+        Action::Deliver(None) => drop_malformed(pe),
+        Action::Buffer => {
+            // Buffering parks a view of the payload (an `Arc` bump).
+            let payload = wire.slice_from(ROUTE_HDR_LEN);
+            pe.ext::<CommState, _>(|st| {
+                st.buffered
+                    .entry(hdr.obj)
+                    .or_default()
+                    .push_back((hdr.port, payload))
+            });
+        }
         Action::Forward(dest) => {
             // Teach the stale sender where the object went, so its future
             // sends go direct instead of detouring through us forever —
@@ -302,9 +348,8 @@ fn route_inner(pe: &Pe, mut hdr: RouteHdr, payload: Payload, came_from: Option<u
                 }
             }
             hdr.hops += 1;
-            pe.send(dest, ids().route, route_wire(pe, &mut hdr, &payload));
+            forward(pe, dest, &hdr, wire);
         }
-        Action::Buffered => {}
     }
 }
 
@@ -382,16 +427,55 @@ fn notify_home(pe: &Pe, obj: ObjId, loc: usize) {
 /// delivering inline: a delivery callback may itself `route`, and inline
 /// delivery would re-enter the destination object while the sender is
 /// still borrowed — the classic event-driven re-entrancy hazard. One hop
-/// through the PE's local queue keeps every delivery top-level.
+/// through the PE's local queue keeps every delivery top-level. That hop
+/// costs no copy: the routing handler forwards the wire it dequeues in
+/// place.
+///
+/// This copies `payload` once, behind the routing header. A caller that
+/// builds its message anyway should pack it with [`route_with`] instead
+/// and skip that copy.
 pub fn route(pe: &Pe, obj: ObjId, port: Port, payload: impl Into<Payload>) {
     let payload = payload.into();
-    let mut hdr = RouteHdr {
+    route_with(pe, obj, port, payload.len(), |buf| {
+        buf.extend_from_slice(&payload)
+    });
+}
+
+/// Send a message to `obj` on `port` whose bytes `pack` writes straight
+/// behind the routing header, in one pooled buffer with room for at least
+/// `len_hint` payload bytes. The wire is built once: every hop that holds
+/// it alone forwards it in place, so on a healthy in-process path this is
+/// the message's only copy. Delivery hands the callback exactly the bytes
+/// `pack` appended.
+pub fn route_with(
+    pe: &Pe,
+    obj: ObjId,
+    port: Port,
+    len_hint: usize,
+    pack: impl FnOnce(&mut PayloadBuf),
+) {
+    let wire = route_wire_with(pe, obj, port, len_hint, pack);
+    pe.send(pe.id(), ids().route, wire);
+}
+
+/// The wire [`route_with`] sends, built without sending it: the routing
+/// header, then whatever `pack` appends. Exposed so the layers above can
+/// pin their wire formats.
+#[doc(hidden)]
+pub fn route_wire_with(
+    pe: &Pe,
+    obj: ObjId,
+    port: Port,
+    len_hint: usize,
+    pack: impl FnOnce(&mut PayloadBuf),
+) -> Payload {
+    let hdr = RouteHdr {
         obj,
         port,
         hops: 0,
         pinned: 0,
     };
-    pe.send(pe.id(), ids().route, route_wire(pe, &mut hdr, &payload));
+    route_wire(pe, &hdr, len_hint, pack)
 }
 
 /// Convenience wrapper over [`route`] using the calling context's PE.
@@ -437,6 +521,22 @@ pub fn buffered_count(pe: &Pe, obj: ObjId) -> usize {
 /// but worth investigating).
 pub fn route_overflows(pe: &Pe) -> Vec<RouteOverflow> {
     pe.ext::<CommState, _>(|st| st.overflows.clone())
+}
+
+/// Routed messages this PE dropped as malformed: a wire too short for its
+/// routing header, a port with no delivery installed, or a payload the
+/// port's own decoder refused (layers report those through
+/// [`drop_malformed`]). Zero on a healthy machine; routed bytes cross the
+/// process boundary in multi-process machines, so bad ones are counted,
+/// never a panic.
+pub fn route_drops(pe: &Pe) -> u64 {
+    pe.ext::<CommState, _>(|st| st.drops)
+}
+
+/// Count one routed message dropped as malformed (see [`route_drops`]);
+/// for delivery callbacks whose decoder refused the payload.
+pub fn drop_malformed(pe: &Pe) {
+    pe.ext::<CommState, _>(|st| st.drops += 1);
 }
 
 #[cfg(test)]
@@ -495,6 +595,131 @@ mod tests {
         });
         assert_eq!(delivered.load(Ordering::Relaxed), 1, "message not lost");
         assert!(overflow_seen.load(Ordering::Relaxed) > 0, "overflow surfaced");
+    }
+
+    /// The hand-written header codec is the pup form byte for byte, so
+    /// wires stay what `pup_fields!` defines.
+    #[test]
+    fn route_header_codec_is_the_pup_form() {
+        for mut hdr in [
+            RouteHdr::default(),
+            RouteHdr {
+                obj: ObjId(0x0102_0304_0506_0708),
+                port: 9,
+                hops: 0xA0B0_C0D0,
+                pinned: 1,
+            },
+            RouteHdr {
+                obj: ObjId(u64::MAX),
+                port: u8::MAX,
+                hops: u32::MAX,
+                pinned: u8::MAX,
+            },
+        ] {
+            let pup = flows_pup::to_bytes(&mut hdr);
+            assert_eq!(hdr.encode()[..], pup[..]);
+            assert_eq!(parse_route(&pup), Some(hdr));
+        }
+    }
+
+    /// A wire some other holder still shares — the duplicate a faulty
+    /// link injects, a retransmit table's copy — is copied on forward, and
+    /// that holder keeps the original header; a wire held alone is
+    /// forwarded in its own buffer.
+    #[test]
+    fn forward_rewrites_in_place_only_a_wire_held_alone() {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut mb = MachineBuilder::new(2);
+        let _comm = CommLayer::register(&mut mb);
+        let log2 = log.clone();
+        mb.run_deterministic(move |pe| {
+            let l = log2.clone();
+            set_delivery(pe, 3, move |pe, o, payload| {
+                l.lock().unwrap().push((pe.id(), o.0, payload.to_vec()));
+            });
+            if pe.id() == 1 {
+                register_obj(pe, ObjId(7));
+                return;
+            }
+            let hdr = RouteHdr {
+                obj: ObjId(7),
+                port: 3,
+                hops: 2,
+                pinned: 0,
+            };
+            let on = RouteHdr { hops: 3, ..hdr };
+            let wire = |fill| route_wire(pe, &hdr, 100, |b| b.extend_from_slice(&[fill; 100]));
+            let shared = wire(9);
+            let dup = shared.clone();
+            forward(pe, 1, &on, shared);
+            assert_eq!(
+                parse_route(&dup),
+                Some(hdr),
+                "the duplicate keeps its header"
+            );
+            assert_eq!(dup[ROUTE_HDR_LEN..], [9u8; 100]);
+
+            let alone = wire(8);
+            let pool = pe.payload_pool().stats();
+            forward(pe, 1, &on, alone);
+            let after = pe.payload_pool().stats();
+            assert_eq!(
+                (after.allocs + after.reuses) - (pool.allocs + pool.reuses),
+                0,
+                "an in-place forward draws no buffer"
+            );
+        });
+        let mut got = log.lock().unwrap().clone();
+        got.sort();
+        assert_eq!(got, vec![(1, 7, vec![8u8; 100]), (1, 7, vec![9u8; 100])]);
+    }
+
+    /// Wires too short for a routing header, and wires naming a port with
+    /// no delivery on a resident object, are counted drops.
+    #[test]
+    fn malformed_route_wires_are_counted_drops() {
+        let drops = Arc::new(AtomicU64::new(u64::MAX));
+        let mut mb = MachineBuilder::new(1);
+        let comm = CommLayer::register(&mut mb);
+        let d = drops.clone();
+        let probe = mb.handler(move |pe, _| d.store(route_drops(pe), Ordering::Relaxed));
+        mb.run_deterministic(move |pe| {
+            set_delivery(pe, 0, |_, _, _| panic!("nothing valid was sent"));
+            register_obj(pe, ObjId(1));
+            assert_eq!(route_drops(pe), 0);
+            pe.send(0, comm.route, vec![1u8, 2, 3]);
+            pe.send(0, comm.route, Vec::new());
+            let stray = RouteHdr {
+                obj: ObjId(1),
+                port: 200,
+                hops: 0,
+                pinned: 0,
+            };
+            pe.send(0, comm.route, stray.encode().to_vec());
+            // The local queue is FIFO: the probe runs after all three.
+            pe.send(0, probe, Vec::new());
+        });
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
+    }
+
+    mod decode {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes never panic the header decoder: too short
+            /// is refused, anything longer decodes to the header its first
+            /// 14 bytes encode.
+            #[test]
+            fn arbitrary_bytes_are_refused_or_round_trip(
+                bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                match parse_route(&bytes) {
+                    None => prop_assert!(bytes.len() < ROUTE_HDR_LEN),
+                    Some(hdr) => prop_assert_eq!(&hdr.encode()[..], &bytes[..ROUTE_HDR_LEN]),
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! * [`route`] delivers a payload to an object wherever it currently
 //!   lives: locally, via a cached location, or via the home PE, with
 //!   forwarding and buffering while the object is in flight;
+//!   [`route_with`] is the same with the payload packed straight behind
+//!   the routing header, so the wire is built once and every hop that
+//!   holds it alone forwards it in place;
 //! * [`contribute`] implements migration-tolerant reductions: every
 //!   contribution is tagged with its (tag, seq, rank) and collected at a
 //!   fixed root, so a rank may migrate mid-reduction without any protocol
@@ -25,9 +28,10 @@ pub mod layer;
 pub mod reduce;
 
 pub use layer::{
-    buffered_count, comm_epoch, evict_obj, live_home, max_route_hops, migrate_obj_in,
-    migrate_obj_out, purge_dead_locations, register_obj, route, route_from_here, route_overflows,
-    set_comm_epoch, set_delivery, CommLayer, ObjId, Port, RouteOverflow,
+    buffered_count, comm_epoch, drop_malformed, evict_obj, live_home, max_route_hops,
+    migrate_obj_in, migrate_obj_out, purge_dead_locations, register_obj, route, route_drops,
+    route_from_here, route_overflows, route_wire_with, route_with, set_comm_epoch, set_delivery,
+    CommLayer, ObjId, Port, RouteOverflow,
 };
 pub use reduce::{
     contribute, duplicate_contributions, live_root_of, purge_pending, set_reduction_sink,

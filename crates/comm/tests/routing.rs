@@ -4,7 +4,7 @@ use flows_comm::{
     contribute, migrate_obj_in, migrate_obj_out, register_obj, route, set_delivery,
     set_reduction_sink, CommLayer, ObjId, ReduceOp,
 };
-use flows_converse::{MachineBuilder, NetModel};
+use flows_converse::{FaultPlan, MachineBuilder, NetModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -219,4 +219,48 @@ fn interleaved_reduction_sequences_do_not_mix() {
     let mut got = results.lock().unwrap().clone();
     got.sort();
     assert_eq!(got, vec![(0, 1), (1, 21), (2, 41)]);
+}
+
+/// Every link duplicates every packet. A routed message is forwarded by
+/// its home while the link still shares the arrived wire — with the
+/// injected duplicate and the sender's retransmit copy — so the forward
+/// must copy rather than rewrite it in place. Each message still reaches
+/// the object exactly once with its bytes intact.
+#[test]
+fn forwarding_over_duplicating_links_delivers_each_message_once_intact() {
+    let mut mb = MachineBuilder::new(3)
+        .net_model(NetModel::zero())
+        .fault_plan(FaultPlan::new(0xD0B1E).dup_prob(1.0));
+    let _layer = CommLayer::register(&mut mb);
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let obj = ObjId(4); // home = 4 % 3 = 1; lives on PE2
+    let body = |i: u8| vec![i; 200];
+    let fire = mb.handler(move |pe, _| {
+        for i in 0..8 {
+            route(pe, obj, 0, body(i));
+        }
+    });
+    // Travels behind PE2's location update on the same in-order link, so
+    // the home knows where the object lives before PE0 routes to it.
+    let go = mb.handler(move |pe, _| pe.send(0, fire, vec![]));
+    let g = got.clone();
+    let report = mb.run_deterministic(move |pe| {
+        let g = g.clone();
+        set_delivery(pe, 0, move |pe, _, data: flows_converse::Payload| {
+            g.lock().unwrap().push((pe.id(), data.to_vec()))
+        });
+        if pe.id() == 2 {
+            register_obj(pe, obj);
+            pe.send(1, go, vec![]);
+        }
+    });
+    let mut got = got.lock().unwrap().clone();
+    got.sort();
+    let want: Vec<_> = (0..8).map(|i| (2, body(i))).collect();
+    assert_eq!(got, want);
+    let faults = report.faults.expect("fault plan installed");
+    assert!(
+        faults.duplicated > 0 && faults.dup_dropped > 0,
+        "{faults:?}"
+    );
 }

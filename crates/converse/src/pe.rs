@@ -10,7 +10,7 @@ use flows_sys::time::thread_cpu_ns;
 use flows_trace::{emit, EventKind, TraceRing};
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -136,7 +136,10 @@ pub struct Pe {
     /// The ring that was current before `enter()` (restored by `leave()`,
     /// which keeps nested machines from cross-recording).
     prev_ring: Cell<*const TraceRing>,
-    exts: RefCell<HashMap<TypeId, Box<dyn Any>>>,
+    /// Typed extension slots, scanned linearly: a PE holds a handful of
+    /// types (comm, reduce, AMPI, recovery, chare), so a lookup is a few
+    /// `TypeId` compares — cheaper than hashing on every message.
+    exts: RefCell<Vec<(TypeId, Box<dyn Any>)>>,
     /// Phi-accrual detector state per peer (empty unless the plan enables
     /// online recovery).
     det: RefCell<Vec<PeerHealth>>,
@@ -231,7 +234,7 @@ impl Pe {
             delivered: Cell::new(0),
             ring,
             prev_ring: Cell::new(std::ptr::null()),
-            exts: RefCell::new(HashMap::new()),
+            exts: RefCell::new(Vec::new()),
             det: RefCell::new(det),
             det_eval_vt: Cell::new(0),
             next_hb: Cell::new(0),
@@ -490,10 +493,15 @@ impl Pe {
     /// suspend the calling thread (the borrow is checked at runtime).
     pub fn ext<T: Any + Default, R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let mut exts = self.exts.borrow_mut();
-        let slot = exts
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Box::new(T::default()));
-        f(slot.downcast_mut::<T>().expect("ext type"))
+        let id = TypeId::of::<T>();
+        let i = match exts.iter().position(|(t, _)| *t == id) {
+            Some(i) => i,
+            None => {
+                exts.push((id, Box::new(T::default())));
+                exts.len() - 1
+            }
+        };
+        f(exts[i].1.downcast_mut::<T>().expect("ext type"))
     }
 
     /// Count a logical receive and run the message's handler.

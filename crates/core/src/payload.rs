@@ -435,6 +435,24 @@ impl Payload {
         self.to_vec()
     }
 
+    /// Mutable access to the bytes of this view, granted only when nothing
+    /// else can observe them: an inline payload, or the sole view of its
+    /// shared backing (built on `Arc::get_mut`). `None` for a payload with
+    /// a live clone — a retransmit table's copy, an injected duplicate —
+    /// for a slice whose sibling views are alive, and for an extern view
+    /// (foreign memory is read-only). A forwarding layer rewrites a header
+    /// in place through this and falls back to a copy on `None`.
+    #[inline]
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        match &mut self.repr {
+            Repr::Inline { len, bytes } => Some(&mut bytes[..*len as usize]),
+            Repr::Shared { backing, off, len } => {
+                Arc::get_mut(backing).map(|b| &mut b.data[*off..*off + *len])
+            }
+            Repr::Extern { .. } => None,
+        }
+    }
+
     /// Do two payloads share the same backing buffer? (Aliasing probe for
     /// tests: `clone` and `slice` of payloads over [`INLINE_CAP`] bytes
     /// share; inline payloads never do.)
@@ -827,6 +845,46 @@ mod tests {
         let p = Payload::from_extern(small);
         assert!(released.load(Ordering::SeqCst), "inlined, slot freed");
         assert_eq!(p, vec![7u8; 8]);
+    }
+
+    #[test]
+    fn get_mut_is_granted_only_to_a_sole_owner() {
+        // Sole owner of a shared backing: granted, and writes land in the
+        // one buffer every later view reads.
+        let mut p: Payload = vec![1u8; 100].into();
+        p.get_mut().expect("sole owner")[0] = 9;
+        assert_eq!(p[0], 9);
+        // Inline payloads have no shared storage: always granted.
+        let mut small: Payload = vec![1u8, 2, 3].into();
+        small.get_mut().expect("inline")[2] = 7;
+        assert_eq!(small, [1u8, 2, 7]);
+
+        // A live clone (a retransmit table's, a duplicate's) refuses.
+        let q = p.clone();
+        assert!(p.get_mut().is_none(), "clone alive");
+        drop(q);
+        assert!(p.get_mut().is_some(), "clone gone");
+
+        // A slice with a live sibling refuses; once alone it is granted
+        // exactly its own range.
+        let mut tail = p.slice_from(90);
+        assert!(tail.get_mut().is_none(), "sibling alive");
+        drop(p);
+        let t = tail.get_mut().expect("sibling gone");
+        assert_eq!(t.len(), 10);
+        t[0] = 4;
+        assert_eq!(tail[0], 4);
+
+        // An extern view aliases foreign memory: never granted, even alone.
+        struct Region(Vec<u8>);
+        impl ExternRegion for Region {
+            fn bytes(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        let mut e = Payload::from_extern(Arc::new(Region(vec![0u8; 200])));
+        assert_eq!(e.ref_count(), 1);
+        assert!(e.get_mut().is_none(), "extern view");
     }
 
     #[test]
