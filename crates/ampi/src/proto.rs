@@ -9,11 +9,11 @@ use flows_pup::pup_fields;
 /// The comm-layer port AMPI rank traffic travels on.
 pub const PORT_AMPI: Port = 1;
 
-/// Header of a payload routed to a rank. The wire format is this header
-/// pup'd as a fixed-size prefix followed by the raw message bytes — the
-/// receive path parses the prefix and takes the tail as a zero-copy
-/// [`Payload`] slice (no unpack copy of the user data). `kind` selects
-/// the interpretation:
+/// Header of a payload routed to a rank. The wire format is the raw
+/// message bytes followed by this header pup'd as a fixed-size suffix —
+/// the receive path parses the suffix and takes the bytes before it as a
+/// zero-copy [`Payload`] prefix of the arrival buffer, which `recv` hands
+/// the user without a copy. `kind` selects the interpretation:
 /// * 0 — point-to-point message: `a` = source rank, `b` = tag, `seq` =
 ///   per-(source, destination) sequence number enforcing MPI's
 ///   non-overtaking guarantee even when forwarding paths race during
@@ -34,10 +34,10 @@ pup_fields!(RankWire { kind, a, b, seq });
 /// Bytes of a packed [`RankWire`] (u8 + 3 × u64).
 pub(crate) const RANK_WIRE_LEN: usize = 25;
 
-/// Route `data` to rank object `obj` behind `hdr`: header and raw tail are
-/// packed straight into the routed wire's one pooled buffer — the only
-/// copy of the message bytes between sender and mailbox. The inverse is
-/// [`parse_rank_wire`].
+/// Route `data` to rank object `obj` with `hdr`: the raw bytes and then the
+/// header are packed straight into the routed wire's one pooled buffer —
+/// the only copy of the message bytes between sender and `recv`'s return.
+/// The inverse is [`parse_rank_wire`].
 pub(crate) fn route_rank_wire(pe: &Pe, obj: ObjId, hdr: &mut RankWire, data: &[u8]) {
     flows_comm::route_with(pe, obj, PORT_AMPI, RANK_WIRE_LEN + data.len(), |buf| {
         pack_rank_wire(buf, hdr, data)
@@ -45,17 +45,19 @@ pub(crate) fn route_rank_wire(pe: &Pe, obj: ObjId, hdr: &mut RankWire, data: &[u
 }
 
 fn pack_rank_wire(buf: &mut PayloadBuf, hdr: &mut RankWire, data: &[u8]) {
-    flows_pup::pack_into(hdr, buf.vec_mut());
     buf.extend_from_slice(data);
+    flows_pup::pack_into(hdr, buf.vec_mut());
 }
 
-/// Split a delivered rank wire into its header and a zero-copy view of the
-/// message bytes. `None` for bytes too short for the header or an unknown
-/// `kind`: routed bytes cross process boundaries in multi-process worlds,
-/// so the caller counts a drop instead of panicking.
+/// Split a delivered rank wire into its header (the last
+/// [`RANK_WIRE_LEN`] bytes) and a zero-copy view of the message bytes, a
+/// prefix of the arrival buffer. `None` for bytes too short for the header
+/// or an unknown `kind`: routed bytes cross process boundaries in
+/// multi-process worlds, so the caller counts a drop instead of panicking.
 pub(crate) fn parse_rank_wire(payload: &Payload) -> Option<(RankWire, Payload)> {
-    let (w, used) = flows_pup::from_bytes_prefix::<RankWire>(payload).ok()?;
-    matches!(w.kind, 0 | 1 | 3).then(|| (w, payload.slice_from(used)))
+    let at = payload.len().checked_sub(RANK_WIRE_LEN)?;
+    let w: RankWire = flows_pup::from_bytes(&payload[at..]).ok()?;
+    matches!(w.kind, 0 | 1 | 3).then(|| (w, payload.slice(0..at)))
 }
 
 /// One parked point-to-point message. `data` shares the arrival buffer
@@ -285,8 +287,8 @@ mod tests {
         };
         let bytes = flows_pup::to_bytes(&mut w);
         assert_eq!(flows_pup::from_bytes::<RankWire>(&bytes).unwrap(), w);
-        // The header is a fixed-size prefix: a tail of raw message bytes
-        // must survive a prefix parse untouched.
+        // The header is fixed-size: bytes after it must survive a prefix
+        // parse untouched.
         let mut framed = bytes.clone();
         framed.extend_from_slice(&[1, 2, 3]);
         let (back, used) = flows_pup::from_bytes_prefix::<RankWire>(&framed).unwrap();
@@ -312,10 +314,10 @@ mod tests {
         assert_eq!(mv.packed_len(), bytes.len());
     }
 
-    /// The wire an AMPI message travels as is the one the earlier
-    /// two-buffer path built — a `RankWire` frame copied behind a route
-    /// header — byte for byte: routing header (object, port, hops 0, not
-    /// pinned), rank header, raw message bytes.
+    /// The wire an AMPI message travels as, byte for byte: raw message
+    /// bytes, rank header, routing header (object, port, hops 0, not
+    /// pinned) — the headers trail the body, so the delivered message is
+    /// a prefix of the arrival buffer.
     #[test]
     fn one_buffer_rank_wire_pins_the_framed_bytes() {
         #[derive(Default)]
@@ -341,9 +343,9 @@ mod tests {
                     port: PORT_AMPI,
                     ..RouteHdr::default()
                 };
-                let mut want = flows_pup::to_bytes(&mut route);
+                let mut want = data.clone();
                 want.extend(flows_pup::to_bytes(&mut w));
-                want.extend(&data);
+                want.extend(flows_pup::to_bytes(&mut route));
                 wires.lock().unwrap().push((wire.to_vec(), want));
             }
         });
@@ -354,7 +356,7 @@ mod tests {
         }
     }
 
-    /// The rank header is the fixed-size prefix `RANK_WIRE_LEN` says.
+    /// The rank header is the fixed-size suffix `RANK_WIRE_LEN` says.
     #[test]
     fn rank_wire_len_is_the_pup_size() {
         assert_eq!(
@@ -378,7 +380,8 @@ mod tests {
                 let p: Payload = bytes.clone().into();
                 match parse_rank_wire(&p) {
                     None => prop_assert!(
-                        bytes.len() < RANK_WIRE_LEN || !matches!(bytes[0], 0 | 1 | 3)
+                        bytes.len() < RANK_WIRE_LEN
+                            || !matches!(bytes[bytes.len() - RANK_WIRE_LEN], 0 | 1 | 3)
                     ),
                     Some((mut w, data)) => {
                         let mut again = PayloadBuf::new();

@@ -397,10 +397,11 @@ pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
     flows_comm::register_obj(pe, obj_of(meta.world, rank));
 }
 
-/// Routed delivery to a rank living on this PE. The payload is a pup'd
-/// [`RankWire`] header followed by the raw message bytes; the tail is
-/// sliced off as an Arc-backed sub-payload, so the user data reaches the
-/// mailbox without being copied out of the arrival buffer.
+/// Routed delivery to a rank living on this PE. The payload is the raw
+/// message bytes followed by a pup'd [`RankWire`] header; the bytes are
+/// sliced off as an Arc-backed prefix of the arrival buffer, so the user
+/// data reaches the mailbox — and, through `recv`, the user — without
+/// being copied out of it.
 fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
     let Some((w, data)) = parse_rank_wire(&payload) else {
         flows_comm::drop_malformed(pe);
@@ -552,15 +553,12 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
             route_rank_wire(pe, obj_of(meta.world, r), &mut w, &[]);
         }
     } else if red.tag == tag_lb(meta.world) {
-        // Decode the gathered load reports.
-        let mut reports = Vec::with_capacity(meta.size);
-        let mut rest = &red.data[..];
-        while !rest.is_empty() {
-            let (rep, used): (LoadReport, usize) =
-                flows_pup::from_bytes_prefix(rest).expect("load report");
-            reports.push(rep);
-            rest = &rest[used..];
-        }
+        // The gathered load reports crossed process boundaries in a
+        // multi-process world: a malformed gather is a counted drop.
+        let Some(reports) = decode_load_reports(&red.data) else {
+            flows_comm::drop_malformed(pe);
+            return;
+        };
         let stats = LbStats {
             num_pes: pe.num_pes(),
             objs: reports
@@ -612,12 +610,27 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
     }
 }
 
+/// The concatenated [`LoadReport`]s of an LB reduction; `None` unless the
+/// bytes are whole reports and nothing else.
+fn decode_load_reports(mut rest: &[u8]) -> Option<Vec<LoadReport>> {
+    let mut reports = Vec::new();
+    while !rest.is_empty() {
+        let (rep, used): (LoadReport, usize) = flows_pup::from_bytes_prefix(rest).ok()?;
+        reports.push(rep);
+        rest = &rest[used..];
+    }
+    Some(reports)
+}
+
 /// This PE's slice of an LB plan arrived: wake the stayers; pack the
 /// movers and ship them, with every mover bound for the same destination
 /// sharing ONE wire message — a pup'd [`BatchHead`] followed by `count`
 /// ([`MoveRec`], raw `PackedThread` bytes) records.
 fn on_lb_plan(pe: &Pe, msg: Message) {
-    let plan: PlanMsg = flows_pup::from_bytes(&msg.data).expect("lb plan wire");
+    let Ok(plan) = flows_pup::from_bytes::<PlanMsg>(&msg.data) else {
+        flows_comm::drop_malformed(pe);
+        return;
+    };
     if plan.epoch != flows_comm::comm_epoch(pe) {
         return; // plan computed against a pre-rollback placement
     }
@@ -685,21 +698,36 @@ fn on_lb_plan(pe: &Pe, msg: Message) {
     }
 }
 
-/// A batch of migrated ranks arrives: parse the records sequentially —
-/// each thread image lands as a zero-copy slice of the arrival buffer.
+/// Decode a whole migration batch: its head and every (record, thread
+/// image) pair, each image a zero-copy slice of `data`. `None` unless the
+/// bytes are exactly `count` well-formed records behind the head.
+fn decode_move_batch(
+    data: &Payload,
+) -> Option<(BatchHead, Vec<(MoveRec, flows_core::PackedThread)>)> {
+    let (head, mut off): (BatchHead, usize) = flows_pup::from_bytes_prefix(data).ok()?;
+    let mut movers = Vec::new();
+    for _ in 0..head.count {
+        let (rec, used): (MoveRec, usize) = flows_pup::from_bytes_prefix(&data[off..]).ok()?;
+        off += used;
+        let (packed, consumed) = flows_core::PackedThread::from_payload(data, off).ok()?;
+        off += consumed;
+        movers.push((rec, packed));
+    }
+    (off == data.len()).then_some((head, movers))
+}
+
+/// A batch of migrated ranks arrives. The whole batch is decoded before
+/// any rank is unpacked, so a malformed one is a counted drop that leaves
+/// nothing half-applied.
 fn on_move_batch(pe: &Pe, msg: Message) {
-    let (head, mut off): (BatchHead, usize) =
-        flows_pup::from_bytes_prefix(&msg.data).expect("batch head");
+    let Some((head, movers)) = decode_move_batch(&msg.data) else {
+        flows_comm::drop_malformed(pe);
+        return;
+    };
     if head.epoch != flows_comm::comm_epoch(pe) {
         return; // in-flight movers carry post-rollback-cut state; shelf wins
     }
-    for _ in 0..head.count {
-        let (rec, used): (MoveRec, usize) =
-            flows_pup::from_bytes_prefix(&msg.data[off..]).expect("move rec");
-        off += used;
-        let (packed, consumed) =
-            flows_core::PackedThread::from_payload(&msg.data, off).expect("batched thread");
-        off += consumed;
+    for (rec, packed) in movers {
         let tid = pe.sched().unpack_thread(packed).expect("unpack batched rank");
         let mut bx = RankBox::new(tid);
         bx.mailbox = rec.mailbox.into();
@@ -717,7 +745,6 @@ fn on_move_batch(pe: &Pe, msg: Message) {
         pe.sched().reset_load_tid(tid);
         pe.sched().awaken_tid(tid).expect("awaken migrated rank");
     }
-    debug_assert_eq!(off, msg.data.len(), "trailing bytes in migration batch");
 }
 
 /// Internal accessors used by the `Ampi` handle (crate-private).
@@ -743,4 +770,75 @@ pub(crate) fn contribute_now(world: u64, tag: u64, seq: u64, rank: u64, op: Redu
     flows_converse::with_pe(|pe| {
         flows_comm::contribute(pe, tag, seq, rank, op, size as u64, data)
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An LB plan, a migration batch and an LB load-report gather that do
+    /// not decode are counted drops (`flows_comm::route_drops`), never a
+    /// panic: all three cross process boundaries in multi-process worlds.
+    #[test]
+    fn malformed_lb_wires_are_counted_drops() {
+        let drops = Arc::new(AtomicU64::new(u64::MAX));
+        let d2 = drops.clone();
+        let opts = AmpiOptions::new(1, 1).with_net(NetModel::zero());
+        run_world(opts, move |ampi| {
+            flows_converse::with_pe(|pe| {
+                let garbage = vec![0xA5u8; 100];
+                pe.send(0, *PLAN_HANDLER.get().unwrap(), garbage.clone());
+                pe.send(0, *BATCH_HANDLER.get().unwrap(), garbage.clone());
+                // A one-rank gather completes at once, on this PE.
+                flows_comm::contribute(pe, tag_lb(0), 1 << 40, 0, ReduceOp::Concat, 1, garbage);
+            });
+            // All three were queued on this PE ahead of the contribution.
+            ampi.barrier();
+            d2.store(flows_converse::with_pe(flows_comm::route_drops), Ordering::Relaxed);
+        });
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
+    }
+
+    /// A batch decodes only as exactly `count` records behind its head.
+    #[test]
+    fn move_batch_decoder_wants_exactly_count_records() {
+        let batch = |count: u64, tail: &[u8]| {
+            let mut head = BatchHead { world: 1, epoch: 0, count };
+            let mut v = flows_pup::to_bytes(&mut head);
+            v.extend_from_slice(tail);
+            Payload::from(v)
+        };
+        let (head, movers) = decode_move_batch(&batch(0, &[])).expect("empty batch");
+        assert_eq!((head.count, movers.len()), (0, 0));
+        assert!(decode_move_batch(&batch(0, &[7])).is_none(), "trailing byte");
+        assert!(decode_move_batch(&batch(1, &[])).is_none(), "missing record");
+        assert!(decode_move_batch(&batch(u64::MAX, &[0; 64])).is_none(), "hostile count");
+    }
+
+    mod decode {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes never panic the LB decoders: a plan, a load
+            /// gather and a migration batch are refused, or (plan, gather)
+            /// re-pack to the bytes they came from.
+            #[test]
+            fn arbitrary_lb_bytes_are_refused_or_round_trip(
+                bytes in proptest::collection::vec(any::<u8>(), 0..160),
+            ) {
+                if let Ok(mut plan) = flows_pup::from_bytes::<PlanMsg>(&bytes) {
+                    prop_assert_eq!(flows_pup::to_bytes(&mut plan), bytes.clone());
+                }
+                if let Some(reports) = decode_load_reports(&bytes) {
+                    let mut again = Vec::new();
+                    for mut r in reports {
+                        flows_pup::pack_into(&mut r, &mut again);
+                    }
+                    prop_assert_eq!(again, bytes.clone());
+                }
+                let _ = decode_move_batch(&Payload::from(bytes));
+            }
+        }
+    }
 }

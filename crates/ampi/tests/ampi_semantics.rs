@@ -414,7 +414,7 @@ fn pool_draws() -> u64 {
 }
 
 /// A point-to-point message costs one pooled buffer end to end: the send
-/// packs route header, rank header and bytes into one buffer, and every
+/// packs bytes, rank header and route header into one buffer, and every
 /// routing hop forwards that buffer in place. A 2-PE ping of N 4 KiB
 /// messages draws N buffers plus the two barriers' constant share
 /// (three per message before the one-copy path).
@@ -446,6 +446,47 @@ fn a_routed_message_draws_one_pooled_buffer() {
     );
 }
 
+/// `recv` hands the user the arrived buffer itself: the headers trail the
+/// body, so the delivered message is a prefix of its pooled wire buffer,
+/// which leaves the sender's pool (`PoolStats::detached`) instead of being
+/// copied into a fresh `Vec`. A 2-PE stream of N 64 KiB messages arrives
+/// intact and in order; each was drawn as one pooled buffer at send (the
+/// message's one copy), and each returned `Vec` is that buffer, trailer
+/// truncated — a fresh copy would have exactly its length as capacity.
+#[test]
+fn recv_hands_over_the_arrived_buffer() {
+    const N: u64 = 48;
+    const BODY: usize = 64 * 1024;
+    const TRAILER: usize = 25 + 14; // rank header + routing header
+    let draws = Arc::new(Mutex::new(Vec::new()));
+    let d2 = draws.clone();
+    let report = run_world(opts(2, 2), move |ampi| {
+        ampi.barrier();
+        let before = pool_draws();
+        for i in 0..N {
+            let body: Vec<u8> = (0..BODY).map(|j| (i as usize * 31 + j) as u8).collect();
+            if ampi.rank() == 0 {
+                ampi.send(1, 6, body);
+            } else {
+                let (src, tag, data) = ampi.recv(Some(0), Some(6));
+                assert_eq!((src, tag), (0, 6));
+                assert!(data == body, "message {i} arrived intact and in order");
+                assert!(
+                    data.capacity() >= BODY + TRAILER,
+                    "message {i}: recv returned a copy (capacity {})",
+                    data.capacity()
+                );
+            }
+        }
+        ampi.barrier();
+        d2.lock().unwrap().push(pool_draws() - before);
+    });
+    let detached: u64 = report.pools.iter().map(|p| p.detached).sum();
+    assert_eq!(detached, N, "one pooled buffer handed to recv per message");
+    let total: u64 = draws.lock().unwrap().iter().sum();
+    assert!((N..N + 16).contains(&total), "{total} draws for {N} messages");
+}
+
 /// Malformed rank wires — too short for the header, or of an unknown
 /// kind — are counted drops beside the routing layer's, never a panic.
 #[test]
@@ -457,8 +498,10 @@ fn malformed_rank_wires_are_counted_drops() {
             let me = flows_comm::ObjId(0);
             flows_converse::with_pe(|pe| {
                 flows_comm::route(pe, me, flows_ampi::proto::PORT_AMPI, vec![0u8; 24]);
+                // The rank header trails the body: its kind byte is the
+                // first of the last 25.
                 let mut kind2 = vec![0u8; 40];
-                kind2[0] = 2;
+                kind2[40 - 25] = 2;
                 flows_comm::route(pe, me, flows_ampi::proto::PORT_AMPI, kind2);
             });
         }

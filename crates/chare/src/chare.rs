@@ -141,8 +141,9 @@ pub fn create(pe: &Pe, obj: ObjId, type_id: ChareTypeId, chare: Box<dyn Chare>) 
 
 /// Invoke entry method `ep` of chare `obj` with `data`, wherever it lives.
 pub fn send(pe: &Pe, obj: ObjId, ep: u32, data: Vec<u8>) {
-    // Packed straight behind the routing header: one copy of `data`. The
-    // pup form is `ep` (4 bytes), a length prefix (8) and the bytes.
+    // Packed straight into the routed wire, ahead of its trailing routing
+    // header: one copy of `data`. The pup form is `ep` (4 bytes), a length
+    // prefix (8) and the bytes.
     let mut m = EpMsg { ep, data };
     flows_comm::route_with(pe, obj, PORT_CHARE, 12 + m.data.len(), |buf| {
         flows_pup::pack_into(&mut m, buf.vec_mut());

@@ -61,10 +61,13 @@ impl Pup for ObjId {
     }
 }
 
-/// Routing header. On the wire a routed message is this header PUP-packed
-/// followed by the *raw* application payload — no length prefix, no
-/// re-encoding: the receiver parses the header with [`parse_route`] and
-/// takes the rest as a zero-copy [`Payload`] slice.
+/// Routing header. On the wire a routed message is the *raw* application
+/// payload followed by this header PUP-packed — no length prefix, no
+/// re-encoding: the receiver parses the header from the last
+/// [`ROUTE_HDR_LEN`] bytes with [`parse_route`] and takes the rest as a
+/// zero-copy [`Payload`] slice. Trailing, not leading, so the delivered
+/// body is a prefix of the arrived buffer, which a receiver that holds it
+/// alone can take over without a copy ([`Payload::into_vec`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct RouteHdr {
     obj: ObjId,
@@ -92,11 +95,12 @@ impl RouteHdr {
     }
 }
 
-/// Decode the header of a routed wire; `None` when the bytes are too short
-/// to hold one. Routed wires cross process boundaries in multi-process
-/// machines, so a malformed one is a counted drop, never a panic.
+/// Decode the header of a routed wire (its last [`ROUTE_HDR_LEN`] bytes);
+/// `None` when the bytes are too short to hold one. Routed wires cross
+/// process boundaries in multi-process machines, so a malformed one is a
+/// counted drop, never a panic.
 fn parse_route(bytes: &[u8]) -> Option<RouteHdr> {
-    let b = bytes.get(..ROUTE_HDR_LEN)?;
+    let b = &bytes[bytes.len().checked_sub(ROUTE_HDR_LEN)?..];
     Some(RouteHdr {
         obj: ObjId(u64::from_le_bytes(b[..8].try_into().ok()?)),
         port: b[8],
@@ -105,18 +109,23 @@ fn parse_route(bytes: &[u8]) -> Option<RouteHdr> {
     })
 }
 
-/// Build the wire image of a routed message in one pooled buffer: `hdr`,
-/// then whatever `pack` appends (at least `len_hint` bytes of room).
+/// Build the wire image of a routed message in one pooled buffer: whatever
+/// `pack` appends (room for at least `len_hint` bytes), then `hdr`.
 fn route_wire(
     pe: &Pe,
     hdr: &RouteHdr,
     len_hint: usize,
     pack: impl FnOnce(&mut PayloadBuf),
 ) -> Payload {
-    let mut buf = pe.payload_buf_with_capacity(ROUTE_HDR_LEN + len_hint);
-    buf.extend_from_slice(&hdr.encode());
+    let mut buf = pe.payload_buf_with_capacity(len_hint + ROUTE_HDR_LEN);
     pack(&mut buf);
+    buf.extend_from_slice(&hdr.encode());
     buf.freeze()
+}
+
+/// The body of a routed wire: everything before its trailing header.
+fn route_body(wire: &Payload) -> Payload {
+    wire.slice(0..wire.len() - ROUTE_HDR_LEN)
 }
 
 /// Send a routed wire on to `dest` with `hdr` as its header. The arrived
@@ -127,9 +136,12 @@ fn route_wire(
 /// the rewritten header.
 fn forward(pe: &Pe, dest: usize, hdr: &RouteHdr, mut wire: Payload) {
     match wire.get_mut() {
-        Some(bytes) => bytes[..ROUTE_HDR_LEN].copy_from_slice(&hdr.encode()),
+        Some(bytes) => {
+            let at = bytes.len() - ROUTE_HDR_LEN;
+            bytes[at..].copy_from_slice(&hdr.encode())
+        }
         None => {
-            let body = &wire[ROUTE_HDR_LEN..];
+            let body = &wire[..wire.len() - ROUTE_HDR_LEN];
             wire = route_wire(pe, hdr, body.len(), |buf| buf.extend_from_slice(body));
         }
     }
@@ -244,12 +256,15 @@ fn on_route(pe: &Pe, msg: Message) {
         return;
     };
     // The whole arrived wire travels on: a forward re-sends it, a delivery
-    // hands out its tail as a zero-copy view.
+    // hands out its body, a prefix, as a zero-copy view.
     route_inner(pe, hdr, msg.data, Some(msg.src_pe));
 }
 
 fn on_update(pe: &Pe, msg: Message) {
-    let m: UpdateMsg = flows_pup::from_bytes(&msg.data).expect("update wire");
+    let Ok(m) = flows_pup::from_bytes::<UpdateMsg>(&msg.data) else {
+        drop_malformed(pe);
+        return;
+    };
     let flushed = pe.ext::<CommState, _>(|st| {
         if m.epoch < st.epoch {
             // Stale: sent before the last rollback. The placement it
@@ -319,13 +334,13 @@ fn route_inner(pe: &Pe, mut hdr: RouteHdr, wire: Payload, came_from: Option<usiz
         }
     });
     match action {
-        Action::Deliver(Some(f)) => f(pe, hdr.obj, wire.slice_from(ROUTE_HDR_LEN)),
+        Action::Deliver(Some(f)) => f(pe, hdr.obj, route_body(&wire)),
         // A resident object with nothing listening on the port: only a
         // malformed (or foreign) wire names one.
         Action::Deliver(None) => drop_malformed(pe),
         Action::Buffer => {
             // Buffering parks a view of the payload (an `Arc` bump).
-            let payload = wire.slice_from(ROUTE_HDR_LEN);
+            let payload = route_body(&wire);
             pe.ext::<CommState, _>(|st| {
                 st.buffered
                     .entry(hdr.obj)
@@ -356,7 +371,8 @@ fn route_inner(pe: &Pe, mut hdr: RouteHdr, wire: Payload, came_from: Option<usiz
 /// Install this PE's delivery callback for `port` (invoked for every
 /// payload routed on that port to a locally resident object). Must be set
 /// once per (PE, port) before messages arrive. The delivered [`Payload`]
-/// is a zero-copy view of the arrived bytes.
+/// is a zero-copy view of the arrived bytes: a prefix of the arrival
+/// buffer, which the callback may take over with [`Payload::into_vec`].
 pub fn set_delivery(pe: &Pe, port: Port, f: impl Fn(&Pe, ObjId, Payload) + 'static) {
     pe.ext::<CommState, _>(|st| {
         let prev = st.delivery.insert(port, Rc::new(f));
@@ -431,9 +447,9 @@ fn notify_home(pe: &Pe, obj: ObjId, loc: usize) {
 /// costs no copy: the routing handler forwards the wire it dequeues in
 /// place.
 ///
-/// This copies `payload` once, behind the routing header. A caller that
-/// builds its message anyway should pack it with [`route_with`] instead
-/// and skip that copy.
+/// This copies `payload` once, in front of the trailing routing header. A
+/// caller that builds its message anyway should pack it with
+/// [`route_with`] instead and skip that copy.
 pub fn route(pe: &Pe, obj: ObjId, port: Port, payload: impl Into<Payload>) {
     let payload = payload.into();
     route_with(pe, obj, port, payload.len(), |buf| {
@@ -442,11 +458,12 @@ pub fn route(pe: &Pe, obj: ObjId, port: Port, payload: impl Into<Payload>) {
 }
 
 /// Send a message to `obj` on `port` whose bytes `pack` writes straight
-/// behind the routing header, in one pooled buffer with room for at least
-/// `len_hint` payload bytes. The wire is built once: every hop that holds
-/// it alone forwards it in place, so on a healthy in-process path this is
-/// the message's only copy. Delivery hands the callback exactly the bytes
-/// `pack` appended.
+/// into one pooled buffer with room for at least `len_hint` payload bytes;
+/// the routing header is appended after them. The wire is built once:
+/// every hop that holds it alone rewrites the trailing header in place, so
+/// on a healthy in-process path this is the message's only copy. Delivery
+/// hands the callback exactly the bytes `pack` appended, as a prefix of
+/// the arrived buffer.
 pub fn route_with(
     pe: &Pe,
     obj: ObjId,
@@ -458,9 +475,9 @@ pub fn route_with(
     pe.send(pe.id(), ids().route, wire);
 }
 
-/// The wire [`route_with`] sends, built without sending it: the routing
-/// header, then whatever `pack` appends. Exposed so the layers above can
-/// pin their wire formats.
+/// The wire [`route_with`] sends, built without sending it: whatever
+/// `pack` appends, then the routing header. Exposed so the layers above
+/// can pin their wire formats.
 #[doc(hidden)]
 pub fn route_wire_with(
     pe: &Pe,
@@ -523,18 +540,18 @@ pub fn route_overflows(pe: &Pe) -> Vec<RouteOverflow> {
     pe.ext::<CommState, _>(|st| st.overflows.clone())
 }
 
-/// Routed messages this PE dropped as malformed: a wire too short for its
-/// routing header, a port with no delivery installed, or a payload the
-/// port's own decoder refused (layers report those through
-/// [`drop_malformed`]). Zero on a healthy machine; routed bytes cross the
-/// process boundary in multi-process machines, so bad ones are counted,
-/// never a panic.
+/// Messages this PE dropped as malformed: a routed wire too short for its
+/// routing header, a port with no delivery installed, a location update or
+/// reduction contribution that does not decode, or a payload a layer's own
+/// decoder refused (layers report those through [`drop_malformed`]). Zero
+/// on a healthy machine; these bytes cross the process boundary in
+/// multi-process machines, so bad ones are counted, never a panic.
 pub fn route_drops(pe: &Pe) -> u64 {
     pe.ext::<CommState, _>(|st| st.drops)
 }
 
-/// Count one routed message dropped as malformed (see [`route_drops`]);
-/// for delivery callbacks whose decoder refused the payload.
+/// Count one message dropped as malformed (see [`route_drops`]); for
+/// delivery callbacks and handlers whose decoder refused the bytes.
 pub fn drop_malformed(pe: &Pe) {
     pe.ext::<CommState, _>(|st| st.drops += 1);
 }
@@ -657,7 +674,7 @@ mod tests {
                 Some(hdr),
                 "the duplicate keeps its header"
             );
-            assert_eq!(dup[ROUTE_HDR_LEN..], [9u8; 100]);
+            assert_eq!(dup[..dup.len() - ROUTE_HDR_LEN], [9u8; 100]);
 
             let alone = wire(8);
             let pool = pe.payload_pool().stats();
@@ -702,13 +719,46 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 3);
     }
 
+    /// Location updates and reduction contributions that do not decode are
+    /// counted drops too: both cross process boundaries in multi-process
+    /// machines.
+    #[test]
+    fn malformed_updates_and_contributions_are_counted_drops() {
+        let drops = Arc::new(AtomicU64::new(u64::MAX));
+        let mut mb = MachineBuilder::new(1);
+        let _comm = CommLayer::register(&mut mb);
+        let d = drops.clone();
+        let probe = mb.handler(move |pe, _| d.store(route_drops(pe), Ordering::Relaxed));
+        mb.run_deterministic(move |pe| {
+            for h in [ids().update, ids().contrib] {
+                pe.send(0, h, Vec::new());
+                pe.send(0, h, vec![0xA5u8; 100]);
+            }
+            pe.send(0, probe, Vec::new());
+        });
+        assert_eq!(drops.load(Ordering::Relaxed), 4);
+    }
+
     mod decode {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// Arbitrary bytes never panic the location-update decoder:
+            /// it refuses them, or what it accepts re-packs to them.
+            #[test]
+            fn arbitrary_update_bytes_are_refused_or_round_trip(
+                bytes in proptest::collection::vec(any::<u8>(), 0..48),
+            ) {
+                if let Ok(mut m) = flows_pup::from_bytes::<UpdateMsg>(&bytes) {
+                    prop_assert_eq!(flows_pup::to_bytes(&mut m), bytes);
+                }
+            }
+        }
+
+        proptest! {
             /// Arbitrary bytes never panic the header decoder: too short
-            /// is refused, anything longer decodes to the header its first
+            /// is refused, anything longer decodes to the header its last
             /// 14 bytes encode.
             #[test]
             fn arbitrary_bytes_are_refused_or_round_trip(
@@ -716,7 +766,10 @@ mod tests {
             ) {
                 match parse_route(&bytes) {
                     None => prop_assert!(bytes.len() < ROUTE_HDR_LEN),
-                    Some(hdr) => prop_assert_eq!(&hdr.encode()[..], &bytes[..ROUTE_HDR_LEN]),
+                    Some(hdr) => prop_assert_eq!(
+                        &hdr.encode()[..],
+                        &bytes[bytes.len() - ROUTE_HDR_LEN..]
+                    ),
                 }
             }
         }

@@ -10,9 +10,10 @@
 //! * [`route`] delivers a payload to an object wherever it currently
 //!   lives: locally, via a cached location, or via the home PE, with
 //!   forwarding and buffering while the object is in flight;
-//!   [`route_with`] is the same with the payload packed straight behind
-//!   the routing header, so the wire is built once and every hop that
-//!   holds it alone forwards it in place;
+//!   [`route_with`] is the same with the payload packed straight into
+//!   the wire, in front of its trailing routing header, so the wire is
+//!   built once, every hop that holds it alone forwards it in place, and
+//!   the delivered body is a prefix of the arrived buffer;
 //! * [`contribute`] implements migration-tolerant reductions: every
 //!   contribution is tagged with its (tag, seq, rank) and collected at a
 //!   fixed root, so a rank may migrate mid-reduction without any protocol

@@ -172,7 +172,12 @@ pub fn contribute(pe: &Pe, tag: u64, seq: u64, rank: u64, op: ReduceOp, expected
 }
 
 pub(crate) fn on_contrib(pe: &Pe, msg: Message) {
-    let m: ContribMsg = flows_pup::from_bytes(&msg.data).expect("contrib wire");
+    // Contributions cross process boundaries in multi-process machines: a
+    // malformed wire is a counted drop (`route_drops`), never a panic.
+    let Ok(m) = flows_pup::from_bytes::<ContribMsg>(&msg.data) else {
+        crate::layer::drop_malformed(pe);
+        return;
+    };
     let op = ReduceOp::from_tag(m.op);
     // Read the epoch *before* borrowing ReduceState: ext() is one shared
     // RefCell per PE, so nested ext calls would panic.
@@ -275,6 +280,24 @@ fn combine(op: ReduceOp, acc: &mut Option<Vec<u8>>, data: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    mod decode {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary bytes never panic the contribution decoder: it
+            /// refuses them, or what it accepts re-packs to them.
+            #[test]
+            fn arbitrary_contrib_bytes_are_refused_or_round_trip(
+                bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            ) {
+                if let Ok(mut m) = flows_pup::from_bytes::<ContribMsg>(&bytes) {
+                    prop_assert_eq!(flows_pup::to_bytes(&mut m), bytes);
+                }
+            }
+        }
+    }
 
     #[test]
     fn op_tags_round_trip() {

@@ -14,7 +14,7 @@ use crate::msg::{HandlerId, Message, NetModel};
 use crate::pe::{DeathUpcall, Handler, Pe};
 use crossbeam::channel::{unbounded, Sender};
 use crossbeam::sync::{Parker, Unparker};
-use flows_core::{SchedConfig, SchedStats, Scheduler, SharedPools};
+use flows_core::{PoolStats, SchedConfig, SchedStats, Scheduler, SharedPools};
 use flows_mem::IsoConfig;
 use flows_sys::counters::SyscallCounts;
 use flows_trace::{TraceRing, TraceSummary};
@@ -380,6 +380,10 @@ pub struct MachineReport {
     /// PEs that failed during the run. The run still completes around
     /// them; these are the healed casualties.
     pub dead_pes: Vec<usize>,
+    /// Payload-pool counters per PE, taken when its drive ends: draws,
+    /// returns, buffers handed to receivers (`detached`) and the free
+    /// list's high-water mark.
+    pub pools: Vec<PoolStats>,
 }
 
 impl MachineReport {
@@ -722,6 +726,7 @@ struct PeResult {
     busy: u64,
     delivered: u64,
     syscalls: SyscallCounts,
+    pool: PoolStats,
 }
 
 impl MachineReport {
@@ -761,6 +766,7 @@ impl MachineReport {
             trace_rings: rings,
             recovery: hub.timeline_snapshot(),
             dead_pes: hub.dead_list(),
+            pools: rows.iter().map(|r| r.pool).collect(),
         }
     }
 }
@@ -894,6 +900,7 @@ fn drive(
                 busy: pe.busy_ns(),
                 delivered: pe.delivered(),
                 syscalls: syscalls.take().unwrap_or_default(),
+                pool: pe.payload_pool().stats(),
             }
         })
         .collect();

@@ -13,7 +13,10 @@
 //! When the last `Payload` clone drops, the underlying `Vec` returns to
 //! the pool it came from, so a steady-state message loop (ping-pong, ring,
 //! stencil exchange) allocates nothing after warm-up — the pool's
-//! [`PoolStats::allocs`] counter makes that claim testable.
+//! [`PoolStats::allocs`] counter makes that claim testable. The exception
+//! is a receiver that keeps the bytes: [`Payload::into_vec`] hands it the
+//! buffer itself instead of a copy, and the pool replaces it on a later
+//! miss ([`PoolStats::detached`]).
 
 use flows_pup::{Pup, Puper};
 use parking_lot::Mutex;
@@ -36,6 +39,8 @@ pub struct PayloadPool {
     allocs: AtomicU64,
     reuses: AtomicU64,
     returns: AtomicU64,
+    detached: AtomicU64,
+    high_water: AtomicU64,
 }
 
 impl std::fmt::Debug for PayloadPool {
@@ -60,6 +65,11 @@ pub struct PoolStats {
     pub returns: u64,
     /// Buffers currently parked in the free list.
     pub free_now: usize,
+    /// Buffers that left the pool for good, handed to a receiver as its
+    /// owned `Vec` by [`Payload::into_vec`]; a later miss replaces them.
+    pub detached: u64,
+    /// The largest `free_now` the pool has reached.
+    pub high_water: usize,
 }
 
 impl PayloadPool {
@@ -73,6 +83,8 @@ impl PayloadPool {
             allocs: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             returns: AtomicU64::new(0),
+            detached: AtomicU64::new(0),
+            high_water: AtomicU64::new(0),
         })
     }
 
@@ -119,6 +131,7 @@ impl PayloadPool {
         if free.len() < self.max_free {
             free.push(v);
             self.returns.fetch_add(1, Ordering::Relaxed);
+            self.high_water.fetch_max(free.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -129,6 +142,8 @@ impl PayloadPool {
             reuses: self.reuses.load(Ordering::Relaxed),
             returns: self.returns.load(Ordering::Relaxed),
             free_now: self.free.lock().len(),
+            detached: self.detached.load(Ordering::Relaxed),
+            high_water: self.high_water.load(Ordering::Relaxed) as usize,
         }
     }
 }
@@ -418,19 +433,35 @@ impl Payload {
         self.as_slice().to_vec()
     }
 
-    /// Extract the bytes, avoiding the copy when this is the only view of
-    /// a whole, pool-less buffer (pooled buffers are copied so the
-    /// backing store still returns to its pool; inline payloads always
-    /// copy — there is no heap buffer to steal).
+    /// Extract the bytes. The backing buffer itself is handed over,
+    /// truncated to this view, when this is its only view and the view is
+    /// a prefix of it (offset 0) — the shape of every delivered routed
+    /// message, whose headers trail its body. A pooled buffer taken this
+    /// way leaves its pool for good (counted in [`PoolStats::detached`]);
+    /// the pool allocates a replacement on a later miss. So that a small
+    /// message never pins a big buffer, the buffer is taken only when its
+    /// capacity is at most twice `max(len, pool's min capacity)`.
+    /// Everything else copies: a view with a live clone or sibling slice,
+    /// an offset view, a big buffer under a small view (which then goes
+    /// home to its pool), an extern view and an inline payload.
+    #[inline]
     pub fn into_vec(self) -> Vec<u8> {
-        if let Repr::Shared { backing, off, len } = self.repr {
-            if off == 0 && len == backing.data.len() && backing.pool.is_none() {
-                return match Arc::try_unwrap(backing) {
-                    Ok(mut backing) => std::mem::take(&mut backing.data),
-                    Err(backing) => backing.data.to_vec(),
-                };
+        if let Repr::Shared { backing, off: 0, len } = self.repr {
+            let min_cap = backing.pool.as_ref().map_or(0, |p| p.min_cap);
+            if backing.data.capacity() <= 2 * len.max(min_cap) {
+                match Arc::try_unwrap(backing) {
+                    Ok(mut backing) => {
+                        if let Some(pool) = backing.pool.take() {
+                            pool.detached.fetch_add(1, Ordering::Relaxed);
+                        }
+                        let mut v = std::mem::take(&mut backing.data);
+                        v.truncate(len);
+                        return v;
+                    }
+                    Err(backing) => return backing.data[..len].to_vec(),
+                }
             }
-            return backing.data[off..off + len].to_vec();
+            return backing.data[..len].to_vec();
         }
         self.to_vec()
     }
@@ -759,6 +790,129 @@ mod tests {
         let out = b.freeze().into_vec();
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(pool.stats().returns, 1, "pooled bytes went home");
+    }
+
+    /// The routed-delivery shape: a sole-owned prefix view hands over its
+    /// backing buffer itself, truncated to the view — pooled or not.
+    #[test]
+    fn into_vec_hands_over_a_sole_owned_prefix() {
+        let wire = Payload::from_vec(vec![3u8; 200]);
+        let base = wire.as_ptr();
+        let body = wire.slice(0..160);
+        drop(wire);
+        let out = body.into_vec();
+        assert_eq!(out.as_ptr(), base, "the same allocation");
+        assert_eq!(out, vec![3u8; 160]);
+
+        let pool = PayloadPool::new(64, 8);
+        let mut b = pool.buf_with_capacity(200);
+        b.extend_from_slice(&[4u8; 200]);
+        let wire = b.freeze();
+        let base = wire.as_ptr();
+        let body = wire.slice(0..160);
+        drop(wire);
+        let out = body.into_vec();
+        assert_eq!(out.as_ptr(), base, "the same pooled allocation");
+        assert_eq!(out, vec![4u8; 160]);
+        let s = pool.stats();
+        assert_eq!((s.detached, s.returns, s.free_now), (1, 0, 0), "{s:?}");
+        // The pool replaces it on its next miss.
+        drop(pool.buf());
+        assert_eq!(pool.stats().allocs, 2);
+    }
+
+    /// Anything but a sole-owned, right-sized prefix view copies.
+    #[test]
+    fn into_vec_copies_whatever_it_cannot_own() {
+        let pool = PayloadPool::new(64, 8);
+        let wire = || {
+            let mut b = pool.buf_with_capacity(200);
+            b.extend_from_slice(&(0..200u8).collect::<Vec<_>>());
+            b.freeze()
+        };
+        // A live clone keeps its bytes.
+        let w = wire();
+        let keep = w.clone();
+        let out = w.slice(0..100).into_vec();
+        assert_ne!(out.as_ptr(), keep.as_ptr());
+        assert_eq!(out[..], keep[..100]);
+        drop((w, keep));
+        // A sibling slice keeps its bytes.
+        let w = wire();
+        let base = w.as_ptr();
+        let (head, tail) = (w.slice(0..100), w.slice(100..200));
+        drop(w);
+        let out = head.into_vec();
+        assert_ne!(out.as_ptr(), base);
+        assert_eq!(tail[0], 100);
+        drop(tail);
+        // An offset view, even held alone.
+        let out = wire().slice(10..200).into_vec();
+        assert_eq!(out[0], 10);
+        assert_eq!(pool.stats().detached, 0, "nothing left the pool");
+        assert_eq!(pool.stats().returns, 3, "every buffer went home");
+
+        // An extern view: foreign memory is never handed out.
+        struct Region(Vec<u8>);
+        impl ExternRegion for Region {
+            fn bytes(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        let e = Payload::from_extern(Arc::new(Region(vec![5u8; 200])));
+        let base = e.as_ptr();
+        let out = e.slice(0..150).into_vec();
+        assert_ne!(out.as_ptr(), base);
+        assert_eq!(out, vec![5u8; 150]);
+        // An inline payload has no heap buffer to hand over.
+        assert_eq!(Payload::from(vec![6u8; 10]).into_vec(), vec![6u8; 10]);
+    }
+
+    /// A small view over a big buffer copies, and the buffer goes home:
+    /// a small message must not pin a buffer sized for a bulk one.
+    #[test]
+    fn into_vec_does_not_hand_a_small_message_a_big_buffer() {
+        let pool = PayloadPool::new(64, 8);
+        let mut b = pool.buf_with_capacity(64 * 1024);
+        b.extend_from_slice(&[7u8; 300]);
+        let wire = b.freeze();
+        let base = wire.as_ptr();
+        let body = wire.slice(0..200);
+        drop(wire);
+        let out = body.into_vec();
+        assert_ne!(out.as_ptr(), base);
+        assert_eq!(out, vec![7u8; 200]);
+        let s = pool.stats();
+        assert_eq!((s.detached, s.returns, s.free_now), (0, 1, 1), "{s:?}");
+
+        // At the bound (capacity = 2 × the pool's min capacity) it is
+        // still handed over.
+        assert_eq!(pool.buf().data.capacity(), 64 * 1024, "the big buffer, recycled");
+        let pool = PayloadPool::new(128, 8);
+        let mut b = pool.buf_with_capacity(256);
+        b.extend_from_slice(&[8u8; 100]);
+        assert!(b.data.capacity() <= 256);
+        let out = b.freeze().into_vec();
+        assert_eq!(out, vec![8u8; 100]);
+        assert_eq!(pool.stats().detached, 1);
+    }
+
+    #[test]
+    fn pool_high_water_is_the_largest_free_list() {
+        let pool = PayloadPool::new(16, 8);
+        let bufs: Vec<Payload> = (0..5)
+            .map(|_| {
+                let mut b = pool.buf();
+                b.resize(100, 1);
+                b.freeze()
+            })
+            .collect();
+        drop(bufs);
+        let held: Vec<PayloadBuf> = (0..3).map(|_| pool.buf()).collect();
+        let s = pool.stats();
+        assert_eq!((s.free_now, s.high_water), (2, 5), "{s:?}");
+        drop(held);
+        assert_eq!(pool.stats().high_water, 5);
     }
 
     #[test]

@@ -31,9 +31,12 @@
 #     threads (lazy slabs) at <= 4 KiB each. The ceiling is ~20x the
 #     measured Tcb+bookkeeping cost, so it trips on an O(threads) memory
 #     regression, not allocator jitter.
-#  7. flowsbench smoke: every workload must verify. Performance floors
-#     are not kept here — a floor is a `benchmark/run.sh` result compared
-#     against the parent commit.
+#  7. flowsbench's own tests, then its smoke. The tests prove the
+#     instrument still catches what it must (a planted corruption flips
+#     the fail ratio) after any change to the wires it reads; the smoke
+#     makes every workload verify. Performance floors are not kept here
+#     — a floor is a `benchmark/run.sh` result compared against the
+#     parent commit.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -101,6 +104,21 @@ echo "$ISO" | awk '$1 == "iso_live_threads:" { live = $2 } $1 == "iso_bytes_per_
   END { exit !(live >= 1000000 && bpt != "" && bpt <= 4096) }' \
   || { echo "FAIL: need iso_live_threads >= 1000000 and iso_bytes_per_thread <= 4096, got: $ISO"; exit 1; }
 echo "OK: capacity:" $ISO
+
+bench_test_limit=600
+rc=0
+# The same target directory benchmark/run.sh builds in, so the smoke
+# below reuses this build.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target/flowsbench}" timeout --signal=KILL "$bench_test_limit" \
+  cargo test --offline --release --manifest-path benchmark/Cargo.toml || rc=$?
+if [ "$rc" -eq 137 ]; then
+  echo "FAIL: flowsbench tests exceeded ${bench_test_limit}s and were killed"
+  exit 1
+elif [ "$rc" -ne 0 ]; then
+  echo "FAIL: flowsbench tests exited $rc"
+  exit 1
+fi
+echo "OK: flowsbench tests green (the instrument still catches corruption)"
 
 rc=0
 bash benchmark/run.sh --quick || rc=$?
