@@ -104,6 +104,21 @@ pup_fields!(RankMove {
 });
 
 impl RankMove {
+    /// The checkpoint image of a rank whose runtime state is `rec` and
+    /// whose packed thread is `thread`.
+    pub fn from_rec(world: u64, epoch: u64, thread: Vec<u8>, rec: MoveRec) -> RankMove {
+        RankMove {
+            world,
+            rank: rec.rank,
+            epoch,
+            thread,
+            mailbox: rec.mailbox,
+            next_seq: rec.next_seq,
+            send_seq: rec.send_seq,
+            stashed: rec.stashed,
+        }
+    }
+
     /// Packed byte length, from field lengths alone: the checkpoint path
     /// sizes its buffer with this instead of a sizing traversal, which
     /// for the byte-wise `thread` image would visit every byte. Every

@@ -42,11 +42,11 @@
 
 use crate::proto::{ctl, CtlMsg, RankMove, RepHead, RepRec};
 use crate::world::{obj_of, pe_of_rank, AmpiState, RankBox, WorldMeta};
-use flows_converse::{HandlerId, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
+use flows_converse::{HandlerId, IdMap, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
 use flows_core::{
     frame_in_place, unframe_payload, PackedThread, ThreadId, ThreadState, FRAME_HEADER_LEN,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 static CTL_HANDLER: OnceLock<HandlerId> = OnceLock::new();
@@ -84,14 +84,14 @@ struct LeaderState {
 #[derive(Default)]
 pub(crate) struct RecoverState {
     /// generation → rank → replica (own deposits and buddy copies).
-    shelf: BTreeMap<u64, HashMap<u64, Replica>>,
+    shelf: BTreeMap<u64, IdMap<u64, Replica>>,
     /// Steady-state replication: generation → (acks outstanding, own rank
     /// count to report in the commit vote).
-    await_acks: HashMap<u64, (usize, u64)>,
+    await_acks: IdMap<u64, (usize, u64)>,
     /// Recovery re-replication acks outstanding (purpose-1).
     rec_acks: usize,
     /// Commit coordinator: generation → (voter mask, rank-count sum).
-    votes: HashMap<u64, (u64, u64)>,
+    votes: IdMap<u64, (u64, u64)>,
     /// Latest globally-committed generation + 1 (0 = none yet).
     committed_p1: u64,
     /// Largest recovery epoch seen; traffic stamped older is stale.
@@ -157,7 +157,7 @@ pub(crate) fn best_gen(
     size: usize,
     inventories: &BTreeMap<usize, Vec<(u64, u64)>>,
 ) -> Option<(u64, Vec<(u64, u64)>)> {
-    let mut gens: BTreeMap<u64, HashMap<u64, Vec<(bool, usize)>>> = BTreeMap::new();
+    let mut gens: BTreeMap<u64, IdMap<u64, Vec<(bool, usize)>>> = BTreeMap::new();
     for (&pe, holdings) in inventories {
         for &(gen, coded) in holdings {
             let rank = coded & !OWN_BIT;
@@ -169,7 +169,7 @@ pub(crate) fn best_gen(
         if !(0..size as u64).all(|r| ranks.contains_key(&r)) {
             continue;
         }
-        let mut assigned: HashMap<usize, usize> = HashMap::new();
+        let mut assigned: IdMap<usize, usize> = IdMap::default();
         let mut assign = Vec::with_capacity(size);
         let mut orphans: Vec<u64> = Vec::new();
         for r in 0..size as u64 {
@@ -558,8 +558,9 @@ fn build_inventory(pe: &Pe) -> (u64, Vec<(u64, u64)>) {
             });
         }
         rs.invalid_msgs += dropped;
-        // Shelf buckets are HashMaps; sort so the inventory wire bytes
-        // (and everything downstream of them) are run-to-run stable.
+        // Shelf buckets iterate in hash order, which depends on their
+        // insertion history; sort so the inventory wire bytes (and
+        // everything downstream of them) are run-to-run stable.
         pairs.sort_unstable();
         (rs.committed_p1, pairs)
     })
@@ -765,8 +766,9 @@ fn apply_resume(pe: &Pe, epoch: u64, _genp1: u64, dead_mask: u64) {
     for rank in scratch {
         crate::world::spawn_rank(pe, &meta, rank);
     }
-    // Awaken in rank order: HashMap iteration order would leak into the
-    // scheduler queue and jitter post-recovery event timing run-to-run.
+    // Awaken in rank order: hash iteration order depends on the map's
+    // history and would leak it into the scheduler queue and post-recovery
+    // event timing.
     let mut tids: Vec<(u64, ThreadId)> =
         pe.ext::<AmpiState, _>(|st| st.ranks.iter().map(|(&r, b)| (r, b.tid)).collect());
     tids.sort_unstable_by_key(|e| e.0);

@@ -6,10 +6,12 @@ use crate::proto::{
     RankWire, PORT_AMPI,
 };
 use flows_comm::{CommLayer, ObjId, ReduceOp};
-use flows_converse::{FaultPlan, MachineBuilder, MachineReport, Message, NetModel, Payload, Pe};
+use flows_converse::{
+    FaultPlan, IdMap, MachineBuilder, MachineReport, Message, NetModel, Payload, Pe,
+};
 use flows_core::{SchedConfig, StackFlavor, ThreadId, ThreadState};
 use flows_lb::{LbStats, LbStrategy, NullLb, ObjLoad};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -54,24 +56,29 @@ pub(crate) struct RankBox {
     pub wait: Wait,
     pub coll_result: Option<Payload>,
     /// Next expected sequence number per source rank (MPI non-overtaking).
-    // flowslint::allow(migration-image-closure): the map itself never
-    // crosses a process boundary — pack_rank() drains it into the sorted
-    // `RankMove.next_seq` Vec<(u64, u64)> pairs and unpack rebuilds it,
-    // so the image carries the counters, not the randomized buckets.
-    pub next_seq: HashMap<u64, u64>,
+    /// The map itself never crosses a process boundary: packing a rank
+    /// drains it into the sorted `next_seq` pairs of its `RankMove` or
+    /// `MoveRec` ([`seq_pairs`]) and unpack rebuilds it.
+    pub next_seq: IdMap<u64, u64>,
     /// Next outgoing sequence number per destination rank. Lives here —
     /// not inside the rank's [`crate::Ampi`] handle — because the handle's
-    /// heap spill (HashMap buckets) would sit on the *process* heap, which
+    /// heap spill (map buckets) would sit on the *process* heap, which
     /// a checkpoint image does not capture: a rollback would then resume a
     /// checkpoint-cut stack against live post-cut counters and every
     /// replayed send would run one sequence ahead of its receiver. In the
-    /// box, the counters ride the explicit RankMove pup like `next_seq`.
-    // flowslint::allow(migration-image-closure): same contract as
-    // `next_seq` — explicitly converted to sorted pairs in RankMove at
-    // pack time (the PR 6 fix this rule now enforces).
-    pub send_seq: HashMap<u64, u64>,
+    /// box, the counters ride the explicit pup as sorted pairs, like
+    /// `next_seq`.
+    pub send_seq: IdMap<u64, u64>,
     /// Messages that arrived ahead of their sequence, keyed (src, seq).
     pub stashed: BTreeMap<(u64, u64), (u64, Payload)>,
+}
+
+/// A rank's sequence counters as the pairs its image carries, sorted so
+/// the image bytes do not depend on the order the counters were created in.
+fn seq_pairs(map: &IdMap<u64, u64>) -> Vec<(u64, u64)> {
+    let mut pairs: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 impl RankBox {
@@ -81,8 +88,8 @@ impl RankBox {
             mailbox: VecDeque::new(),
             wait: Wait::None,
             coll_result: None,
-            next_seq: HashMap::new(),
-            send_seq: HashMap::new(),
+            next_seq: IdMap::default(),
+            send_seq: IdMap::default(),
             stashed: BTreeMap::new(),
         }
     }
@@ -96,8 +103,8 @@ impl RankBox {
             *expect += 1;
             self.mailbox.push_back(MailEntry { src, tag, data });
             // Drain consecutive stashed messages from this source.
-            while let Some((t, d)) = self.stashed.remove(&(src, *self.next_seq.get(&src).expect("just set"))) {
-                *self.next_seq.get_mut(&src).expect("just set") += 1;
+            while let Some((t, d)) = self.stashed.remove(&(src, *expect)) {
+                *expect += 1;
                 self.mailbox.push_back(MailEntry { src, tag: t, data: d });
             }
         } else if seq > *expect {
@@ -108,6 +115,23 @@ impl RankBox {
         // send). The per-sender sequence makes delivery idempotent — drop
         // it silently. A repeat of a stashed seq overwrites with identical
         // bytes, which is equally harmless.
+    }
+
+    /// The rank's runtime state as its images carry it: a migration ships
+    /// this record, a checkpoint's `RankMove` the same fields. Payloads
+    /// are shared, not copied.
+    pub(crate) fn move_rec(&self, rank: u64) -> MoveRec {
+        MoveRec {
+            rank,
+            mailbox: self.mailbox.iter().cloned().collect(),
+            next_seq: seq_pairs(&self.next_seq),
+            send_seq: seq_pairs(&self.send_seq),
+            stashed: self
+                .stashed
+                .iter()
+                .map(|(&(src, seq), (tag, data))| (src, seq, *tag, data.clone()))
+                .collect(),
+        }
     }
 
     /// Does any mailbox entry match the current Recv wait?
@@ -125,7 +149,7 @@ impl RankBox {
 #[derive(Default)]
 pub(crate) struct AmpiState {
     pub meta: Option<Arc<WorldMeta>>,
-    pub ranks: HashMap<u64, RankBox>,
+    pub ranks: IdMap<u64, RankBox>,
     /// Ranks that finished on this PE (diagnostics).
     pub finished: u64,
     /// Migrations executed from this PE.
@@ -462,19 +486,13 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
 /// (§4.5).
 fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
     let meta = pe.ext::<AmpiState, _>(|st| st.meta.clone()).expect("meta");
-    let (tid, mailbox, next_seq, send_seq, stashed) = pe.ext::<AmpiState, _>(|st| {
+    let (tid, rec) = pe.ext::<AmpiState, _>(|st| {
         let b = st.ranks.get_mut(&rank).expect("checkpoint for missing rank");
         assert!(
             matches!(b.wait, Wait::Ckpt { seq: s } if s == seq),
             "rank {rank} got a checkpoint command it was not waiting for"
         );
-        (
-            b.tid,
-            b.mailbox.clone(),
-            b.next_seq.clone(),
-            b.send_seq.clone(),
-            b.stashed.clone(),
-        )
+        (b.tid, b.move_rec(rank))
     });
     assert_eq!(
         pe.sched().state(tid),
@@ -489,19 +507,7 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
         packed.payload_len() as u64,
     );
     let load_ns = packed.load_ns();
-    let mut mv = RankMove {
-        world: meta.world,
-        rank,
-        epoch: flows_comm::comm_epoch(pe),
-        thread: packed.to_bytes(),
-        mailbox: mailbox.into_iter().collect(),
-        next_seq: next_seq.into_iter().collect(),
-        send_seq: send_seq.into_iter().collect(),
-        stashed: stashed
-            .into_iter()
-            .map(|((src, sq), (tag, data))| (src, sq, tag, data))
-            .collect(),
-    };
+    let mut mv = RankMove::from_rec(meta.world, flows_comm::comm_epoch(pe), packed.to_bytes(), rec);
     // The image is packed into its checkpoint frame on the shelf (own
     // copy) and later goes over the wire to the plan's buddy PEs.
     crate::recover::deposit_checkpoint(pe, rank, seq, &mut mv, load_ns);
@@ -579,7 +585,7 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
             migs.len() as u64,
             reports.len() as u64,
         );
-        let dest_of: HashMap<u64, usize> = migs.iter().map(|m| (m.obj, m.to)).collect();
+        let dest_of: IdMap<u64, usize> = migs.iter().map(|m| (m.obj, m.to)).collect();
         // One plan message per source PE instead of one decision wire per
         // rank. Every reporting rank is suspended in migrate(), so the PE
         // it reported from is where it still lives.
@@ -667,17 +673,7 @@ fn on_lb_plan(pe: &Pe, msg: Message) {
         );
         let packed = pe.sched().pack_thread(bx.tid).expect("pack rank thread");
         flows_comm::migrate_obj_out(pe, obj_of(meta.world, rank), dest);
-        let rec = MoveRec {
-            rank,
-            mailbox: bx.mailbox.into_iter().collect(),
-            next_seq: bx.next_seq.into_iter().collect(),
-            send_seq: bx.send_seq.into_iter().collect(),
-            stashed: bx
-                .stashed
-                .into_iter()
-                .map(|((src, seq), (tag, data))| (src, seq, tag, data))
-                .collect(),
-        };
+        let rec = bx.move_rec(rank);
         batches.entry(dest).or_default().push((rec, packed));
     }
     for (dest, movers) in batches {
@@ -797,6 +793,35 @@ mod tests {
             d2.store(flows_converse::with_pe(flows_comm::route_drops), Ordering::Relaxed);
         });
         assert_eq!(drops.load(Ordering::Relaxed), 3);
+    }
+
+    /// A rank's image bytes depend on its sequence counters, not on the
+    /// order they were created in: both images carry them as sorted pairs.
+    #[test]
+    fn rank_images_do_not_depend_on_counter_insertion_order() {
+        let counters: Vec<(u64, u64)> = (0..200u64).map(|r| (r * 37 % 211, r + 1)).collect();
+        let mut a = RankBox::new(ThreadId(9));
+        let mut b = RankBox::new(ThreadId(9));
+        for &(peer, n) in &counters {
+            a.next_seq.insert(peer, n);
+            a.send_seq.insert(peer + 1000, 2 * n);
+        }
+        for &(peer, n) in counters.iter().rev() {
+            b.send_seq.insert(peer + 1000, 2 * n);
+            b.next_seq.insert(peer, n);
+        }
+        assert!(
+            !a.next_seq.iter().eq(b.next_seq.iter()),
+            "the maps must iterate differently for this pin to bite"
+        );
+        let (ra, rb) = (a.move_rec(3), b.move_rec(3));
+        assert_eq!(
+            flows_pup::to_bytes(&mut ra.clone()),
+            flows_pup::to_bytes(&mut rb.clone())
+        );
+        let mut ma = RankMove::from_rec(1, 0, vec![7; 16], ra);
+        let mut mb = RankMove::from_rec(1, 0, vec![7; 16], rb);
+        assert_eq!(flows_pup::to_bytes(&mut ma), flows_pup::to_bytes(&mut mb));
     }
 
     /// A batch decodes only as exactly `count` records behind its head.

@@ -7,10 +7,9 @@
 //! factory on the destination PE.
 
 use flows_comm::{ObjId, Port};
-use flows_converse::{MachineBuilder, Message, Payload, Pe};
+use flows_converse::{IdMap, MachineBuilder, Message, Payload, Pe};
 use flows_pup::pup_fields;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::{Mutex, OnceLock};
 
@@ -70,10 +69,10 @@ type ChareRef = Rc<RefCell<Box<dyn Chare>>>;
 
 #[derive(Default)]
 struct ChareState {
-    chares: HashMap<ObjId, (u32, ChareRef)>,
+    chares: IdMap<ObjId, (u32, ChareRef)>,
     /// Destinations of chares that asked to migrate from inside their own
     /// entry method; [`deliver`] performs the move when the entry returns.
-    deferred: HashMap<ObjId, usize>,
+    deferred: IdMap<ObjId, usize>,
 }
 
 static MOVE_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();

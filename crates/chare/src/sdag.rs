@@ -43,7 +43,8 @@
 //! assert_eq!(run.state().work, 10);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use flows_converse::IdMap;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Message tag an SDAG `when` waits for.
@@ -186,7 +187,7 @@ pub fn if_else<S>(
 // Interpreter
 // ---------------------------------------------------------------------------
 
-type Inbox = HashMap<Event, VecDeque<Vec<u8>>>;
+type Inbox = IdMap<Event, VecDeque<Vec<u8>>>;
 
 enum Task<S> {
     Atomic(AtomicFn<S>),
@@ -434,7 +435,7 @@ impl<S> SdagRun<S> {
         let mut run = SdagRun {
             root: Some(task_of(program)),
             state,
-            inbox: HashMap::new(),
+            inbox: IdMap::default(),
         };
         run.advance();
         run

@@ -21,12 +21,21 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// boundaries (paper §3.4).
 const FIXED_ROOTS: [&str; 3] = ["Tcb", "RankMove", "RankBox"];
 
+/// The workspace's deterministic hashed containers (`flows_core::idhash`):
+/// their hasher has no per-process seed, so iteration order is the same
+/// in every process and survives a restore. The names are trusted only
+/// when the field's crate does not define an alias of its own by them.
+const DETERMINISTIC_MAPS: [&str; 2] = ["IdMap", "IdSet"];
+/// The std maps `IdMap`/`IdSet` wrap.
+const STD_MAPS: [&str; 2] = ["HashMap", "HashSet"];
+
 /// Why a type name is process-local, or `None` if it is fine.
 fn process_local(name: &str) -> Option<&'static str> {
     Some(match name {
         "HashMap" | "HashSet" | "RandomState" => {
             "hash-randomized container — iteration order is seeded per process, \
-             so replay diverges after restore (the PR 6 replay wedge)"
+             so replay diverges after restore; \
+             `IdMap`/`IdSet` are the deterministic form"
         }
         "Mutex" | "RwLock" | "Condvar" | "Parker" | "Barrier" | "Once" | "OnceLock"
         | "OnceCell" | "LazyLock" => "OS-thread synchronization state is meaningless once \
@@ -46,8 +55,21 @@ fn process_local(name: &str) -> Option<&'static str> {
     })
 }
 
+/// A line waiver, as `(file index, declaring line)`.
+type Waiver = (usize, usize);
+
+/// A pending step of the reachability walk: a type (`(file index, type
+/// index)`), the field path that reached it, its root, and the waiver
+/// that pruned the path, if one did.
+type Step = (usize, usize, String, String, Option<Waiver>);
+
 /// Walk type reachability from every migration root and flag
 /// process-local state that is reachable without a waiver.
+///
+/// A waived field is not reported, and neither is anything below it: the
+/// waiver asserts the pack path handles it explicitly. The walk still
+/// goes on below it, reporting nothing, only to learn whether the waiver
+/// suppresses a finding; a waiver that suppresses none is stale.
 pub(crate) fn rule_image_closure(
     files: &[SourceFile],
     syms: &[FileSymbols],
@@ -61,22 +83,33 @@ pub(crate) fn rule_image_closure(
             index.entry(&t.name).or_default().push((fi, ti));
         }
     }
+    // (crate, alias name) → the names the alias expands to. Resolved only
+    // within a crate: an alias is a local shorthand.
+    let mut aliases: HashMap<(&str, &str), Vec<&str>> = HashMap::new();
+    for (fi, s) in syms.iter().enumerate() {
+        for a in &s.aliases {
+            aliases
+                .entry((&files[fi].crate_key, &a.name))
+                .or_default()
+                .extend(a.refs.iter().map(String::as_str));
+        }
+    }
 
     // Seed: fixed roots plus annotated ones. The walk carries the root
     // name and the field path for the report.
-    let mut queue: Vec<(usize, usize, String, String)> = Vec::new();
+    let mut queue: Vec<Step> = Vec::new();
     for (fi, s) in syms.iter().enumerate() {
         for (ti, t) in s.types.iter().enumerate() {
             let fixed = FIXED_ROOTS.contains(&t.name.as_str());
             if fixed || t.annos.contains(&ItemAnno::ImageRoot) {
-                queue.push((fi, ti, t.name.clone(), t.name.clone()));
+                queue.push((fi, ti, t.name.clone(), t.name.clone(), None));
             }
         }
     }
 
-    let mut visited: HashSet<(usize, usize)> = HashSet::new();
-    while let Some((fi, ti, path, root)) = queue.pop() {
-        if !visited.insert((fi, ti)) {
+    let mut visited: HashSet<(usize, usize, Option<Waiver>)> = HashSet::new();
+    while let Some((fi, ti, path, root, pruned)) = queue.pop() {
+        if !visited.insert((fi, ti, pruned)) {
             continue;
         }
         let t = &syms[fi].types[ti];
@@ -84,17 +117,21 @@ pub(crate) fn rule_image_closure(
             continue; // hand-written serializer owns this subtree
         }
         let f = &files[fi];
+        if f.file_waived(Rule::MigrationImageClosure) {
+            continue;
+        }
         for field in &t.fields {
-            // A waived field is neither reported nor descended into: the
-            // waiver asserts the pack path handles it explicitly.
-            if f.waived(Rule::MigrationImageClosure, field.line) {
-                continue;
-            }
+            let pruned = f
+                .line_waiver(Rule::MigrationImageClosure, field.line)
+                .map(|at| (fi, at))
+                .or(pruned);
+            let flag = |msg: String, out: &mut Vec<Finding>| match pruned {
+                Some((wfi, at)) => files[wfi].mark_used(Rule::MigrationImageClosure, at),
+                None => f.report(Rule::MigrationImageClosure, field.line, msg, out),
+            };
             let fpath = trim_path(&format!("{path}.{}", field.name));
             if field.raw_ptr {
-                f.report(
-                    Rule::MigrationImageClosure,
-                    field.line,
+                flag(
                     format!(
                         "raw pointer reachable from migration root `{root}` at `{fpath}` \
                          ({}): addresses do not survive repacking in another process — \
@@ -104,12 +141,29 @@ pub(crate) fn rule_image_closure(
                     out,
                 );
             }
+            // Each name with the alias it was reached through, if any.
+            let mut names: Vec<(&str, Option<&str>)> =
+                field.refs.iter().map(|r| (r.as_str(), None)).collect();
             let mut seen_here: HashSet<&str> = HashSet::new();
-            for r in &field.refs {
+            while let Some((r, via)) = names.pop() {
                 if !seen_here.insert(r) {
                     continue;
                 }
-                if let Some(cands) = index.get(r.as_str()) {
+                // A local alias is resolved before its name is trusted: a
+                // crate's own `type IdMap<K, V> = HashMap<K, V>` is still a
+                // std map. An alias that names `IdHasher` is the id-hashed
+                // form, so the std map it wraps is not randomized.
+                if let Some(expands) = aliases.get(&(f.crate_key.as_str(), r)) {
+                    let id_hashed = expands.contains(&"IdHasher");
+                    names.extend(
+                        expands
+                            .iter()
+                            .filter(|&&e| !(id_hashed && STD_MAPS.contains(&e)))
+                            .map(|&e| (e, via.or(Some(r)))),
+                    );
+                } else if DETERMINISTIC_MAPS.contains(&r) {
+                    continue;
+                } else if let Some(cands) = index.get(r) {
                     let same: Vec<(usize, usize)> = cands
                         .iter()
                         .copied()
@@ -117,14 +171,13 @@ pub(crate) fn rule_image_closure(
                         .collect();
                     let chosen = if same.is_empty() { cands.clone() } else { same };
                     for (cfi, cti) in chosen {
-                        queue.push((cfi, cti, fpath.clone(), root.clone()));
+                        queue.push((cfi, cti, fpath.clone(), root.clone(), pruned));
                     }
                 } else if let Some(why) = process_local(r) {
-                    f.report(
-                        Rule::MigrationImageClosure,
-                        field.line,
+                    let via = via.map(|a| format!(" (through alias `{a}`)")).unwrap_or_default();
+                    flag(
                         format!(
-                            "process-local `{r}` reachable from migration root `{root}` \
+                            "process-local `{r}`{via} reachable from migration root `{root}` \
                              at `{fpath}`: {why}; capture this state in the wire format \
                              explicitly or waive with a justification"
                         ),

@@ -34,11 +34,16 @@
 //! // flowslint::allow(no-direct-libc): fork-based benchmark child, by design
 //! ```
 //!
-//! A waiver on a pure-comment line covers the next line that contains
-//! code; on a code line it covers that line. The `allow-file` variant,
-//! written the same way, waives the rule for the whole file. Waivers
+//! The comment must *start* with the marker, as item annotations must
+//! (see [`parse`]), so prose that mentions a waiver — like the example
+//! above — is inert. A waiver on a pure-comment line covers the next
+//! line that contains code; on a code line it covers that line. The
+//! `allow-file` variant, written the same way, waives the rule for the
+//! whole file. Waivers
 //! must name a real rule — unknown ids are themselves findings — so a
-//! typo cannot silently disable checking.
+//! typo cannot silently disable checking. A line waiver that suppresses
+//! nothing is a finding too, so a waiver cannot outlive the code it
+//! excused and quietly cover whatever moves onto its line later.
 
 pub mod baseline;
 mod graph_rules;
@@ -49,6 +54,7 @@ pub mod report;
 pub mod tokens;
 
 use lexer::{find_token, strip, Stripped};
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
@@ -165,10 +171,14 @@ pub(crate) struct SourceFile {
     /// `crates/<key>/...` → `<key>`; everything else → "".
     pub(crate) crate_key: String,
     pub(crate) stripped: Stripped,
-    /// Per-line waived rules (line-scoped `flowslint::allow`).
-    line_waivers: Vec<HashSet<Rule>>,
+    /// Per-line waived rules (line-scoped `flowslint::allow`), each with
+    /// the index of the comment line that declared it.
+    line_waivers: Vec<Vec<(Rule, usize)>>,
     /// File-scoped waivers (`flowslint::allow-file`).
     file_waivers: HashSet<Rule>,
+    /// Line waivers, as `(rule, declaring line)`, that suppressed a
+    /// finding; every other declared line waiver is stale.
+    used: RefCell<HashSet<(Rule, usize)>>,
 }
 
 fn crate_key(path: &str) -> String {
@@ -180,11 +190,14 @@ fn crate_key(path: &str) -> String {
     }
 }
 
-/// Parse line- and file-scoped waiver markers out of one comment line.
-/// Returns (line rules, file rules, bad ids).
+/// Parse line- and file-scoped waiver markers out of one comment line
+/// that starts with one. Returns (line rules, file rules, bad ids).
 fn parse_waivers(comment: &str) -> (Vec<Rule>, Vec<Rule>, Vec<String>) {
     let (mut line, mut file, mut bad) = (Vec::new(), Vec::new(), Vec::new());
-    let mut rest = comment;
+    let mut rest = comment.trim_start();
+    if !rest.starts_with("flowslint::allow") {
+        return (line, file, bad);
+    }
     while let Some(at) = rest.find("flowslint::allow") {
         rest = &rest[at + "flowslint::allow".len()..];
         let file_scope = rest.starts_with("-file");
@@ -210,7 +223,7 @@ fn parse_waivers(comment: &str) -> (Vec<Rule>, Vec<Rule>, Vec<String>) {
 fn analyze(path: &str, src: &str, findings: &mut Vec<Finding>) -> SourceFile {
     let stripped = strip(src);
     let n = stripped.code.len();
-    let mut line_waivers: Vec<HashSet<Rule>> = vec![HashSet::new(); n];
+    let mut line_waivers: Vec<Vec<(Rule, usize)>> = vec![Vec::new(); n];
     let mut file_waivers = HashSet::new();
     for i in 0..n {
         let comment = &stripped.comments[i];
@@ -233,10 +246,11 @@ fn analyze(path: &str, src: &str, findings: &mut Vec<Finding>) -> SourceFile {
         }
         // A waiver covers its own line; a pure-comment waiver line also
         // covers everything down to (and including) the next code line.
-        line_waivers[i].extend(line.iter().copied());
+        let declared = line.iter().map(|&r| (r, i));
+        line_waivers[i].extend(declared.clone());
         if stripped.code[i].trim().is_empty() {
             for (j, lw) in line_waivers.iter_mut().enumerate().take(n).skip(i + 1) {
-                lw.extend(line.iter().copied());
+                lw.extend(declared.clone());
                 if !stripped.code[j].trim().is_empty() {
                     break;
                 }
@@ -249,13 +263,51 @@ fn analyze(path: &str, src: &str, findings: &mut Vec<Finding>) -> SourceFile {
         stripped,
         line_waivers,
         file_waivers,
+        used: RefCell::default(),
     }
 }
 
 impl SourceFile {
-    pub(crate) fn waived(&self, rule: Rule, line_idx: usize) -> bool {
+    pub(crate) fn file_waived(&self, rule: Rule) -> bool {
         self.file_waivers.contains(&rule)
-            || self.line_waivers.get(line_idx).is_some_and(|w| w.contains(&rule))
+    }
+
+    /// The declaring line of the line waiver for `rule` covering
+    /// `line_idx`, if any.
+    pub(crate) fn line_waiver(&self, rule: Rule, line_idx: usize) -> Option<usize> {
+        self.line_waivers
+            .get(line_idx)?
+            .iter()
+            .find(|&&(r, _)| r == rule)
+            .map(|&(_, at)| at)
+    }
+
+    /// Record that the line waiver declared at `at` suppressed a finding.
+    pub(crate) fn mark_used(&self, rule: Rule, at: usize) {
+        self.used.borrow_mut().insert((rule, at));
+    }
+
+    /// One finding per declared line waiver that suppressed nothing.
+    /// Runs after every rule has reported.
+    fn stale_waivers(&self, out: &mut Vec<Finding>) {
+        let used = self.used.borrow();
+        for (i, lw) in self.line_waivers.iter().enumerate() {
+            for &(rule, at) in lw {
+                // Each waiver once: on the line that declares it.
+                if at == i && !used.contains(&(rule, at)) {
+                    out.push(Finding {
+                        file: self.path.clone(),
+                        line: at + 1,
+                        rule: None,
+                        msg: format!(
+                            "stale waiver: `flowslint::allow({})` suppresses nothing — delete it",
+                            rule.id()
+                        ),
+                        context: self.line_context(at),
+                    });
+                }
+            }
+        }
     }
 
     fn line_context(&self, line_idx: usize) -> String {
@@ -267,7 +319,12 @@ impl SourceFile {
     }
 
     pub(crate) fn report(&self, rule: Rule, line_idx: usize, msg: String, out: &mut Vec<Finding>) {
-        if !self.waived(rule, line_idx) {
+        if self.file_waived(rule) {
+            return;
+        }
+        if let Some(at) = self.line_waiver(rule, line_idx) {
+            self.mark_used(rule, at);
+        } else {
             out.push(Finding {
                 file: self.path.clone(),
                 line: line_idx + 1,
@@ -540,6 +597,9 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
     graph_rules::rule_image_closure(&parsed, &syms, &mut findings);
     graph_rules::rule_atomic_protocol(&parsed, &mut findings);
     graph_rules::rule_wire_exhaustive(&parsed, &syms, &mut findings);
+    for f in &parsed {
+        f.stale_waivers(&mut findings);
+    }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     findings
 }
@@ -617,6 +677,8 @@ mod tests {
         assert!(bad.is_empty());
         let (_, _, bad) = parse_waivers(" flowslint::allow(no-such-rule)");
         assert_eq!(bad, vec!["no-such-rule".to_string()]);
+        let (l, f, bad) = parse_waivers(" e.g. flowslint::allow(no-direct-libc): prose");
+        assert!(l.is_empty() && f.is_empty() && bad.is_empty(), "unanchored is inert");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! This is not a Rust grammar — it is a flat, keyword-triggered scanner
 //! that recovers exactly the structure the interprocedural rules need:
 //! type definitions with their fields and the identifiers referenced in
-//! each field's type, `impl` headers, `fn` spans, inline `mod` spans
+//! each field's type, `type` aliases with the identifiers they name,
+//! `impl` headers, `fn` spans, inline `mod` spans
 //! with their `const` members, and `use` edges. It parses *through*
 //! bodies (items nested in functions and impls are still found) and
 //! fails soft on anything it does not understand, which is the right
@@ -81,6 +82,17 @@ pub struct TypeDef {
     pub annos: Vec<ItemAnno>,
 }
 
+/// A `type Name<..> = Ty;` alias (associated types included).
+#[derive(Debug, Clone)]
+pub struct AliasDef {
+    /// The alias name.
+    pub name: String,
+    /// 0-based line of the `type` keyword.
+    pub line: usize,
+    /// Every identifier appearing in the aliased type.
+    pub refs: Vec<String>,
+}
+
 /// A function definition (free or associated).
 #[derive(Debug, Clone)]
 pub struct FnDef {
@@ -127,6 +139,8 @@ pub struct FileSymbols {
     pub toks: Vec<Tok>,
     /// Struct/enum definitions.
     pub types: Vec<TypeDef>,
+    /// Type aliases.
+    pub aliases: Vec<AliasDef>,
     /// Function definitions, free and associated.
     pub fns: Vec<FnDef>,
     /// Inline modules.
@@ -154,6 +168,7 @@ pub fn parse_file(stripped: &Stripped) -> FileSymbols {
         i = match word {
             "struct" => parse_struct(&toks, i, stripped, &mut syms),
             "enum" => parse_enum(&toks, i, stripped, &mut syms),
+            "type" => parse_alias(&toks, i, &mut syms),
             "impl" if !impl_in_type_position(&toks, i) => parse_impl(&toks, i, &mut syms),
             "fn" => parse_fn(&toks, i, stripped, &mut syms),
             "mod" => parse_mod(&toks, i, stripped, &mut syms),
@@ -573,6 +588,28 @@ fn parse_mod(t: &[Tok], i: usize, stripped: &Stripped, out: &mut FileSymbols) ->
         }
         _ => i + 2, // `mod name;` — out-of-line, nothing to span
     }
+}
+
+fn parse_alias(t: &[Tok], i: usize, out: &mut FileSymbols) -> usize {
+    // `type Name<..> = Ty;` — a bodyless associated `type Item;` (or a
+    // `where`-bounded one) records nothing.
+    let Some(name) = t.get(i + 1).and_then(|x| x.ident().map(String::from)) else {
+        return i + 1;
+    };
+    let j = skip_generics(t, i + 2);
+    if !t.get(j).is_some_and(|x| x.is_punct("=")) {
+        return i + 1;
+    }
+    let mut refs = Vec::new();
+    let mut k = j + 1;
+    while k < t.len() && !t[k].is_punct(";") {
+        if let Some(w) = t[k].ident() {
+            refs.push(w.to_string());
+        }
+        k += 1;
+    }
+    out.aliases.push(AliasDef { name, line: t[i].line, refs });
+    k
 }
 
 fn parse_const(t: &[Tok], i: usize, out: &mut FileSymbols) -> usize {

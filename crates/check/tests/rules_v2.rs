@@ -108,6 +108,156 @@ fn opaque_without_reason_is_a_meta_finding() {
     assert!(f[0].rule.is_none(), "meta-finding, not a rule hit");
 }
 
+#[test]
+fn id_maps_are_deterministic() {
+    // `IdMap`/`IdSet` alias `HashMap`/`HashSet` with the unseeded id
+    // hasher: iteration order is the same in every process.
+    let src = "use flows_core::{IdMap, IdSet};\n\
+               pub struct RankBox {\n\
+               \x20   pub next_seq: IdMap<u64, u64>,\n\
+               \x20   pub peers: flows_core::IdSet<u64>,\n\
+               }\n";
+    assert!(lint_at("crates/ampi/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn local_alias_cannot_hide_a_randomized_map() {
+    // A std map behind a local alias, one and two aliases deep.
+    let src = "use std::collections::HashMap;\n\
+               type Seqs = HashMap<u64, u64>;\n\
+               type Counters = Seqs;\n\
+               pub struct RankBox {\n\
+               \x20   pub next_seq: Seqs,\n\
+               \x20   pub send_seq: Counters,\n\
+               }\n";
+    let f = lint_at("crates/ampi/src/x.rs", src);
+    assert_eq!(
+        rules_of(&f),
+        vec![Rule::MigrationImageClosure, Rule::MigrationImageClosure]
+    );
+    assert_eq!((f[0].line, f[1].line), (5, 6));
+    assert!(f[0].msg.contains("`HashMap` (through alias `Seqs`)"), "{}", f[0].msg);
+    assert!(f[1].msg.contains("(through alias `Counters`)"), "{}", f[1].msg);
+}
+
+#[test]
+fn alias_of_an_id_map_is_clean() {
+    let src = "use flows_core::IdMap;\n\
+               type Seqs = IdMap<u64, u64>;\n\
+               pub struct RankBox {\n\
+               \x20   pub next_seq: Seqs,\n\
+               }\n";
+    assert!(lint_at("crates/ampi/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn local_id_map_alias_of_a_std_map_is_flagged() {
+    // The trusted name does not vouch for a crate's own alias by it.
+    let src = "use std::collections::{HashMap, HashSet};\n\
+               type IdMap<K, V> = HashMap<K, V>;\n\
+               type IdSet<K> = HashSet<K, std::hash::RandomState>;\n\
+               pub struct RankBox {\n\
+               \x20   pub next_seq: IdMap<u64, u64>,\n\
+               \x20   pub peers: IdSet<u64>,\n\
+               }\n";
+    let f = lint_at("crates/ampi/src/x.rs", src);
+    assert_eq!(
+        rules_of(&f),
+        vec![Rule::MigrationImageClosure, Rule::MigrationImageClosure, Rule::MigrationImageClosure]
+    );
+    assert!(f[0].msg.contains("`HashMap` (through alias `IdMap`)"), "{}", f[0].msg);
+    assert!(f.iter().skip(1).all(|x| x.line == 6 && x.msg.contains("alias `IdSet`")));
+}
+
+#[test]
+fn local_alias_over_the_id_hasher_is_clean() {
+    // What flows-core itself defines: the std map with `IdHasher`.
+    let src = "use std::collections::HashMap;\n\
+               use std::hash::BuildHasherDefault;\n\
+               type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;\n\
+               pub struct RankBox {\n\
+               \x20   pub next_seq: IdMap<u64, u64>,\n\
+               }\n";
+    assert!(lint_at("crates/ampi/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn alias_resolves_only_within_its_crate() {
+    // `Seqs` in another crate names something else there.
+    let files = [
+        (
+            "crates/ampi/src/x.rs".to_string(),
+            "pub struct RankBox {\n\
+             \x20   pub next_seq: Seqs,\n\
+             }\n"
+                .to_string(),
+        ),
+        (
+            "crates/net/src/y.rs".to_string(),
+            "type Seqs = std::collections::HashMap<u64, u64>;\n".to_string(),
+        ),
+    ];
+    assert!(lint_sources(&files).is_empty());
+}
+
+// ---- stale waivers ----
+
+#[test]
+fn waiver_on_a_deterministic_map_is_stale() {
+    // What the two `RankBox` waivers became once the maps were `IdMap`s.
+    let src = "pub struct RankBox {\n\
+               \x20   // flowslint::allow(migration-image-closure): drained to sorted pairs.\n\
+               \x20   pub next_seq: IdMap<u64, u64>,\n\
+               }\n";
+    let f = lint_at("crates/ampi/src/x.rs", src);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].rule.is_none(), "meta-finding, not a rule hit");
+    assert_eq!(f[0].line, 2, "lands on the waiver itself");
+    assert!(f[0].msg.contains("stale waiver"), "{}", f[0].msg);
+}
+
+#[test]
+fn waiver_is_used_by_a_finding_below_its_field() {
+    // The flagged map is one hop below the waived field: the waiver
+    // prunes it, so the waiver is live.
+    let src = "pub struct RankBox {\n\
+               \x20   // flowslint::allow(migration-image-closure): rebuilt on unpack.\n\
+               \x20   pub cache: Cache,\n\
+               }\n\
+               pub struct Cache {\n\
+               \x20   pub map: std::collections::HashMap<u64, u64>,\n\
+               }\n";
+    assert!(lint_at("crates/ampi/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn pruned_type_is_still_reported_on_an_unwaived_path() {
+    // `Cache` hangs off the root twice; waiving one path must not hide
+    // the other.
+    let src = "pub struct RankBox {\n\
+               \x20   // flowslint::allow(migration-image-closure): rebuilt on unpack.\n\
+               \x20   pub cache: Cache,\n\
+               \x20   pub other: Cache,\n\
+               }\n\
+               pub struct Cache {\n\
+               \x20   pub map: std::collections::HashMap<u64, u64>,\n\
+               }\n";
+    let f = lint_at("crates/ampi/src/x.rs", src);
+    assert_eq!(rules_of(&f), vec![Rule::MigrationImageClosure]);
+    assert_eq!(f[0].line, 7);
+}
+
+#[test]
+fn waiver_for_a_line_with_nothing_to_suppress_is_stale() {
+    let src = "// flowslint::allow(no-direct-libc): left over from a fork call.\n\
+               fn a() {}\n";
+    let f = lint_at("crates/mech/src/x.rs", src);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].rule.is_none());
+    assert_eq!(f[0].line, 1);
+}
+
+
 // ---- rule 6: atomic-protocol ----
 
 #[test]

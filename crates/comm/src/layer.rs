@@ -1,9 +1,9 @@
 //! Object location management: registration, routing, forwarding,
 //! buffering, migration notices.
 
-use flows_converse::{HandlerId, MachineBuilder, Message, Payload, PayloadBuf, Pe};
+use flows_converse::{HandlerId, IdMap, IdSet, MachineBuilder, Message, Payload, PayloadBuf, Pe};
 use flows_pup::{pup_fields, Pup};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -186,13 +186,13 @@ pub type Port = u8;
 /// Per-PE location tables (lives in the PE's extension slots).
 #[derive(Default)]
 pub(crate) struct CommState {
-    local: HashSet<ObjId>,
+    local: IdSet<ObjId>,
     /// Best known location per object (authoritative on the home PE).
-    locations: HashMap<ObjId, usize>,
+    locations: IdMap<ObjId, usize>,
     /// Messages parked at the home (or at the destination) until the
     /// object (re)appears. Parked payloads share the arrived bytes.
-    buffered: HashMap<ObjId, VecDeque<(Port, Payload)>>,
-    delivery: HashMap<Port, DeliveryFn>,
+    buffered: IdMap<ObjId, VecDeque<(Port, Payload)>>,
+    delivery: IdMap<Port, DeliveryFn>,
     /// Hop-budget overflows observed on this PE (surfaced, not fatal).
     overflows: Vec<RouteOverflow>,
     /// Routed wires dropped as malformed on this PE (see [`route_drops`]).

@@ -7,10 +7,9 @@
 //! participant may migrate at any moment — even between contributing and
 //! the reduction finishing — without the protocol noticing (§3.1.2).
 
-use flows_converse::{Message, Pe};
+use flows_converse::{IdMap, Message, Pe};
 use flows_pup::pup_fields;
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Combining operation applied elementwise to the byte payloads.
@@ -89,7 +88,7 @@ type SinkFn = Rc<dyn Fn(&Pe, Reduction)>;
 
 #[derive(Default)]
 struct ReduceState {
-    pending: HashMap<(u64, u64), Pending>,
+    pending: IdMap<(u64, u64), Pending>,
     sink: OnceCell<SinkFn>,
     /// Re-contributions ignored (same `(tag, seq, rank)` seen twice) —
     /// only possible when a send is replayed across a recovery rollback.

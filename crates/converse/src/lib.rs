@@ -55,7 +55,7 @@ mod netpump;
 pub mod pe;
 
 pub use fault::{FaultPlan, FaultSummary, PeCrash, PeStall, RecoveryEvent, RecoveryPhase};
-pub use flows_core::{Payload, PayloadBuf, PayloadPool, PoolStats};
+pub use flows_core::{IdHasher, IdMap, IdSet, Payload, PayloadBuf, PayloadPool, PoolStats};
 pub use flows_trace::{TraceRing, TraceSummary};
 pub use machine::{MachineBuilder, MachineReport};
 pub use msg::{HandlerId, Message, NetModel};

@@ -14,11 +14,10 @@ use crate::msg::{HandlerId, Message, NetModel};
 use crate::pe::{DeathUpcall, Handler, Pe};
 use crossbeam::channel::{unbounded, Sender};
 use crossbeam::sync::{Parker, Unparker};
-use flows_core::{PoolStats, SchedConfig, SchedStats, Scheduler, SharedPools};
+use flows_core::{IdMap, PoolStats, SchedConfig, SchedStats, Scheduler, SharedPools};
 use flows_mem::IsoConfig;
 use flows_sys::counters::SyscallCounts;
 use flows_trace::{TraceRing, TraceSummary};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -82,7 +81,7 @@ pub(crate) struct Hub {
     epoch: AtomicU64,
     /// Final link-layer accounting published by each dying PE, keyed by
     /// PE id. Survivors read it to write off in-flight traffic exactly.
-    morgue: Mutex<HashMap<usize, Morgue>>,
+    morgue: Mutex<IdMap<usize, Morgue>>,
     /// Machine-wide recovery timeline (reported in `MachineReport`).
     timeline: Mutex<Vec<RecoveryEvent>>,
     /// Dead-PE pairs whose mutual in-flight traffic has been written off.

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod idhash;
 pub mod migrate;
 pub mod payload;
 pub mod privatize;
@@ -54,6 +55,7 @@ pub mod tcb;
 pub use checkpoint::{
     evacuate, frame_in_place, frame_payload, unframe_payload, Checkpoint, FRAME_HEADER_LEN,
 };
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use migrate::PackedThread;
 pub use payload::{ExternRegion, Payload, PayloadBuf, PayloadPool, PoolStats};
 pub use privatize::{GlobalVar, GlobalsLayout, GlobalsLayoutBuilder, PrivatizeMode};

@@ -15,7 +15,8 @@
 
 use crate::privatize::PrivatizeMode;
 use crate::shared::{SharedPools, DEFAULT_STACK_LEN};
-use crate::tcb::{Entry, FlavorData, StackFlavor, Tcb, ThreadId, ThreadState, TidMap};
+use crate::idhash::IdMap;
+use crate::tcb::{Entry, FlavorData, StackFlavor, Tcb, ThreadId, ThreadState};
 use flows_arch::{set_exit_hook, Context, InitialStack, SwapKind};
 use flows_sys::error::{SysError, SysResult};
 use flows_sys::time::{cycles, ticks_to_ns};
@@ -255,7 +256,7 @@ pub(crate) struct Inner {
     pub shared: Arc<SharedPools>,
     pub cfg: SchedConfig,
     pub runq: RunQueue,
-    pub threads: TidMap<Box<Tcb>>,
+    pub threads: IdMap<ThreadId, Box<Tcb>>,
     pub current: Option<ThreadId>,
     /// The running thread's control block, cached so thread-side calls
     /// (`yield_now`, `suspend`, `with_current_tcb`) skip the map lookup.
@@ -310,7 +311,7 @@ impl Scheduler {
                 sched_ctx: Context::new(cfg.swap_kind),
                 cfg,
                 runq: RunQueue::default(),
-                threads: TidMap::default(),
+                threads: IdMap::default(),
                 current: None,
                 current_tcb: std::ptr::null_mut(),
                 stats: SchedStats::default(),

@@ -20,46 +20,6 @@ impl flows_pup::Pup for ThreadId {
     }
 }
 
-/// Hasher of the per-PE thread table: one 64×64→128 multiply, folded.
-///
-/// The table is probed once per context switch, so SipHash (~20 ns on a
-/// `u64`) costs more than the swap it precedes; the identity hash is free
-/// but clusters, because ids are sequential counters and — in a
-/// multi-process machine — `rank << 48 | n`, which hashbrown would split
-/// into a handful of control tags (top 7 bits) and one bucket run (low
-/// bits). The multiply spreads the low-entropy id over the whole product;
-/// the fold brings the well-mixed high half down onto the low bits
-/// hashbrown indexes with. Ids are minted by the machine itself, never
-/// chosen by outside input, so no collision resistance is needed.
-#[derive(Default)]
-pub(crate) struct TidHasher(u64);
-
-impl std::hash::Hasher for TidHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // `ThreadId` hashes through `write_u64`; this is the trait's
-        // required method, not a path the table takes.
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        // 2^64 / φ, odd: consecutive ids land maximally far apart.
-        let m = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15_u128;
-        self.0 = m as u64 ^ (m >> 64) as u64;
-    }
-}
-
-/// The thread table: `ThreadId` → control block.
-pub(crate) type TidMap<V> =
-    std::collections::HashMap<ThreadId, V, std::hash::BuildHasherDefault<TidHasher>>;
-
 /// Lifecycle state of a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
@@ -244,37 +204,6 @@ mod tests {
             "Tcb grew to {} bytes; million-thread RSS pays this per thread",
             std::mem::size_of::<Tcb>()
         );
-    }
-
-    #[test]
-    fn tid_hasher_spreads_sequential_and_namespaced_ids() {
-        use std::hash::{BuildHasher, BuildHasherDefault};
-        let build = BuildHasherDefault::<TidHasher>::default();
-        let sequential: Vec<u64> = (1..=4096).collect();
-        let namespaced: Vec<u64> = (0..4u64)
-            .flat_map(|r| (0..1024u64).map(move |n| r << 48 | n))
-            .collect();
-        for ids in [sequential, namespaced] {
-            let mut buckets = [0usize; 1024];
-            let mut tags = std::collections::HashSet::new();
-            for &id in &ids {
-                let h = build.hash_one(ThreadId(id));
-                buckets[(h & 1023) as usize] += 1;
-                tags.insert(h >> 57);
-            }
-            let mean = ids.len() / buckets.len();
-            let worst = *buckets.iter().max().unwrap();
-            assert!(
-                worst <= 4 * mean,
-                "a bucket holds {worst} ids (mean {mean})"
-            );
-            // hashbrown's control byte is the top 7 bits.
-            assert!(
-                tags.len() >= 64,
-                "only {} distinct control tags",
-                tags.len()
-            );
-        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+use flows_core::{IdMap, IdSet};
 use std::collections::BinaryHeap;
 
 /// One migratable object's measured load.
@@ -88,7 +89,7 @@ impl LbStats {
     /// O(objs + migs) rather than O(objs × migs).
     pub fn loads_after(&self, migs: &[Migration]) -> Vec<f64> {
         let mut loads = self.pe_loads();
-        let by_id: std::collections::HashMap<u64, f64> =
+        let by_id: IdMap<u64, f64> =
             self.objs.iter().map(|o| (o.id, o.load)).collect();
         for m in migs {
             if let Some(&load) = by_id.get(&m.obj) {
@@ -241,7 +242,7 @@ impl LbStrategy for RefineLb {
             // The smallest migratable object on the donor whose move helps;
             // an object moves at most once per decision round (its `from`
             // must remain its real current location).
-            let moved: std::collections::HashSet<u64> =
+            let moved: IdSet<u64> =
                 migs.iter().map(|m| m.obj).collect();
             let candidate = place
                 .iter_mut()

@@ -23,7 +23,7 @@ use crate::frame::{Frame, Header, HEADER_LEN};
 use flows_core::{ExternRegion, Payload};
 use flows_sys::{futex, page_align_up, MemFd, Mapping, SysError, SysResult};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,6 +50,13 @@ const SLOT_FULL: u32 = 1;
 /// Slot flag: this slot is one chunk of a spilled (oversized) frame and
 /// more chunks follow.
 const FLAG_MORE: u32 = 1;
+
+/// How long a poll waits for the next chunk of a spilled frame before it
+/// leaves the frame half-assembled for a later poll. A live producer
+/// publishes chunks back to back, so the wait is normally one chunk copy;
+/// the bound keeps a producer that stalls or dies mid-frame from holding
+/// the consumer.
+const SPILL_CHUNK_WAIT: Duration = Duration::from_micros(50);
 
 /// Default slots per ring.
 pub const DEFAULT_SLOTS: usize = 64;
@@ -114,7 +121,12 @@ impl Segment {
         let slots = u32::from_le_bytes(probe[12..16].try_into().unwrap()) as usize;
         let slot_bytes = u32::from_le_bytes(probe[16..20].try_into().unwrap()) as usize;
         let want = Self::layout_len(procs, slots, slot_bytes);
-        if procs < 2 || slots < 2 || fd.len() < want as u64 {
+        if procs < 2
+            || slots < 2
+            || !slots.is_power_of_two()
+            || slot_bytes < HEADER_LEN
+            || fd.len() < want as u64
+        {
             return Err(SysError::logic(
                 "shm_segment",
                 format!("inconsistent geometry: procs={procs} slots={slots} len={}", fd.len()),
@@ -218,11 +230,69 @@ pub struct ShmTransport {
     /// Producer tails, one per destination; the mutex serializes this
     /// process's PE threads (local, never shared across processes).
     tails: Vec<Mutex<u64>>,
-    /// Consumer heads, one per source; only the comm thread consumes.
-    heads: Mutex<Vec<u64>>,
+    /// Consumer lanes, one per source; only the comm thread consumes.
+    lanes: Mutex<Vec<Lane>>,
     /// Round-robin scan start so no source ring starves.
     rr: AtomicUsize,
     dead: Vec<AtomicBool>,
+    /// See [`ShmTransport::slot_drops`].
+    drops: AtomicU64,
+}
+
+/// The consumer's read position in one source ring, plus the spilled
+/// frame it is reassembling from that ring, if one is half arrived.
+#[derive(Default)]
+struct Lane {
+    head: u64,
+    spill: Option<Spill>,
+}
+
+/// A spilled frame in reassembly: the bytes so far and, once the header
+/// has arrived, the header and the frame's `HEADER_LEN + body_len`.
+#[derive(Default)]
+struct Spill {
+    buf: Vec<u8>,
+    head: Option<(Header, usize)>,
+}
+
+/// What one spilled chunk did to its frame.
+enum Chunk {
+    /// More chunks are due.
+    Pending,
+    /// The frame is complete.
+    Whole(Frame),
+    /// A chunk overran its slot, or the chunks do not add up to the
+    /// header's `HEADER_LEN + body_len`.
+    Refused,
+}
+
+impl Spill {
+    /// Append the chunk of `len` bytes in the slot at `off`; `more` is its
+    /// `FLAG_MORE`.
+    fn take_chunk(&mut self, seg: &Segment, off: usize, len: usize, more: bool) -> Chunk {
+        let over = |t: usize| self.buf.len() + len > t;
+        if len > seg.slot_bytes || self.head.is_some_and(|(_, t)| over(t)) {
+            return Chunk::Refused;
+        }
+        self.buf.extend_from_slice(seg.bytes(off + SLOT_HDR, len));
+        if self.head.is_none() && self.buf.len() >= HEADER_LEN {
+            let Some(h) = Header::decode(&self.buf) else { return Chunk::Refused };
+            let total = HEADER_LEN + h.body_len as usize;
+            if self.buf.len() > total {
+                return Chunk::Refused;
+            }
+            self.head = Some((h, total));
+        }
+        match (self.head, more) {
+            (Some((hdr, total)), false) if self.buf.len() == total => {
+                let body = Payload::from_vec(self.buf.split_off(HEADER_LEN));
+                Chunk::Whole(Frame::from_header(hdr, body))
+            }
+            (Some((_, total)), true) if self.buf.len() < total => Chunk::Pending,
+            (None, true) => Chunk::Pending,
+            _ => Chunk::Refused, // the chunks and the header disagree
+        }
+    }
 }
 
 impl ShmTransport {
@@ -234,9 +304,10 @@ impl ShmTransport {
             seg,
             rank,
             tails: (0..procs).map(|_| Mutex::new(0)).collect(),
-            heads: Mutex::new(vec![0; procs]),
+            lanes: Mutex::new((0..procs).map(|_| Lane::default()).collect()),
             rr: AtomicUsize::new(0),
             dead: (0..procs).map(|_| AtomicBool::new(false)).collect(),
+            drops: AtomicU64::new(0),
         })
     }
 
@@ -364,107 +435,126 @@ impl ShmTransport {
     }
 
     /// Poll every source ring once (round-robin start); `None` when all
-    /// are empty.
+    /// are empty. A spilled frame whose next chunk is not published within
+    /// [`SPILL_CHUNK_WAIT`] stays half-assembled in its lane until a later
+    /// poll, so a producer that dies mid-frame never stalls the caller.
     pub fn try_recv(&self) -> Option<(usize, Frame)> {
         let seg = &self.seg;
         let procs = seg.procs;
-        let mut heads = self.heads.lock();
+        let mut lanes = self.lanes.lock();
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         for i in 0..procs {
             let src = (start + i) % procs;
             if src == self.rank {
                 continue;
             }
-            let idx = (heads[src] % seg.slots as u64) as usize;
-            let off = seg.slot_off(src, self.rank, idx);
-            if seg.atom(off).load(Ordering::Acquire) != SLOT_FULL { // flows-atomic: consumes shm-slot-full
-                continue;
+            let lane = &mut lanes[src];
+            loop {
+                let idx = (lane.head % seg.slots as u64) as usize;
+                let off = seg.slot_off(src, self.rank, idx);
+                let full = seg.atom(off).load(Ordering::Acquire) == SLOT_FULL; // flows-atomic: consumes shm-slot-full
+                let mid_frame = lane.spill.is_some();
+                if !(full || mid_frame && self.await_chunk(src, off)) {
+                    // The rest of a half-assembled frame never comes once
+                    // its producer has died.
+                    if mid_frame && self.dead[src].load(Ordering::Relaxed) {
+                        lane.spill = None;
+                        self.drops.fetch_add(1, Ordering::Relaxed);
+                    }
+                    break;
+                }
+                let len = seg.atom(off + 4).load(Ordering::Relaxed) as usize;
+                let more = seg.atom(off + 8).load(Ordering::Relaxed) & FLAG_MORE != 0;
+                if lane.spill.is_some() || more {
+                    if lane.spill.is_none() {
+                        // Spilled bytes are staged once on this side.
+                        crate::bump_body_copies();
+                    }
+                    let spill = lane.spill.get_or_insert_with(Spill::default);
+                    let step = spill.take_chunk(seg, off, len, more);
+                    seg.atom(off).store(SLOT_FREE, Ordering::Release); // flows-atomic: publishes shm-slot-free
+                    lane.head += 1;
+                    match step {
+                        Chunk::Pending => continue,
+                        Chunk::Whole(frame) => {
+                            lane.spill = None;
+                            return Some((src, frame));
+                        }
+                        Chunk::Refused => {
+                            // The frame's chunks not consumed yet are each
+                            // discarded by later polls.
+                            lane.spill = None;
+                            self.drops.fetch_add(1, Ordering::Relaxed);
+                            break;
+                        }
+                    }
+                }
+                // The slot's length word is the peer's claim: it must fit the
+                // slot and agree with the header, or the body view below would
+                // run past the slot (and, at the last slot, past the mapping).
+                let hdr = Header::decode(seg.bytes(off + SLOT_HDR, HEADER_LEN))
+                    .filter(|h| len <= seg.slot_bytes && len == HEADER_LEN + h.body_len as usize);
+                let Some(hdr) = hdr else {
+                    // A corrupt slot must not wedge the ring: bailing out
+                    // with the slot still FULL would make every later poll
+                    // re-read the same slot and the producer's lane would
+                    // stall forever once the ring wrapped. Discard the slot
+                    // and keep scanning.
+                    seg.atom(off).store(SLOT_FREE, Ordering::Release); // flows-atomic: publishes shm-slot-free
+                    lane.head += 1;
+                    self.drops.fetch_add(1, Ordering::Relaxed);
+                    break;
+                };
+                let body_len = hdr.body_len as usize;
+                let body = if body_len == 0 {
+                    seg.atom(off).store(SLOT_FREE, Ordering::Release); // flows-atomic: publishes shm-slot-free
+                    Payload::empty()
+                } else {
+                    // Zero-copy handoff: the payload aliases the slot; the
+                    // slot frees itself when the last view drops (or right
+                    // here, for small bodies that inline).
+                    let region: Arc<dyn ExternRegion> = Arc::new(SlotRegion {
+                        seg: seg.clone(),
+                        state_off: off,
+                        data_off: off + SLOT_HDR + HEADER_LEN,
+                        len: body_len,
+                    });
+                    Payload::from_extern(region)
+                };
+                lane.head += 1;
+                return Some((src, Frame::from_header(hdr, body)));
             }
-            let len = seg.atom(off + 4).load(Ordering::Relaxed) as usize;
-            let flags = seg.atom(off + 8).load(Ordering::Relaxed);
-            if flags & FLAG_MORE != 0 {
-                let frame = self.assemble_spill(&mut heads, src, off, len);
-                return frame.map(|f| (src, f));
-            }
-            debug_assert!(len >= HEADER_LEN && len <= seg.slot_bytes);
-            let Some(hdr) = Header::decode(seg.bytes(off + SLOT_HDR, HEADER_LEN)) else {
-                // A corrupt header must not wedge the ring: bailing out
-                // with the slot still FULL would make every later poll
-                // re-read the same slot and the producer's lane would
-                // stall forever once the ring wrapped. Discard the slot
-                // and keep scanning.
-                seg.atom(off).store(SLOT_FREE, Ordering::Release); // flows-atomic: publishes shm-slot-free
-                heads[src] += 1;
-                continue;
-            };
-            let body_len = hdr.body_len as usize;
-            let body = if body_len == 0 {
-                seg.atom(off).store(SLOT_FREE, Ordering::Release); // flows-atomic: publishes shm-slot-free
-                Payload::empty()
-            } else {
-                // Zero-copy handoff: the payload aliases the slot; the
-                // slot frees itself when the last view drops (or right
-                // here, for small bodies that inline).
-                let region: Arc<dyn ExternRegion> = Arc::new(SlotRegion {
-                    seg: seg.clone(),
-                    state_off: off,
-                    data_off: off + SLOT_HDR + HEADER_LEN,
-                    len: body_len,
-                });
-                Payload::from_extern(region)
-            };
-            heads[src] += 1;
-            return Some((src, Frame::from_header(hdr, body)));
         }
         None
     }
 
-    /// Reassemble a frame spilled across slots. Advances `heads[src]`
-    /// past every chunk.
-    fn assemble_spill(
-        &self,
-        heads: &mut [u64],
-        src: usize,
-        first_off: usize,
-        first_len: usize,
-    ) -> Option<Frame> {
-        let seg = &self.seg;
-        crate::bump_body_copies();
-        let mut buf = Vec::with_capacity(first_len * 2);
-        buf.extend_from_slice(seg.bytes(first_off + SLOT_HDR, first_len));
-        seg.atom(first_off).store(SLOT_FREE, Ordering::Release); // flows-atomic: publishes shm-slot-free
-        heads[src] += 1;
+    /// Wait, at most [`SPILL_CHUNK_WAIT`] and only while `src` lives, for
+    /// the slot at `off` to fill with the next chunk of a frame in flight.
+    fn await_chunk(&self, src: usize, off: usize) -> bool {
+        let state = self.seg.atom(off);
+        let start = Instant::now();
+        let mut spins = 0u32;
         loop {
-            let idx = (heads[src] % seg.slots as u64) as usize;
-            let off = seg.slot_off(src, self.rank, idx);
-            // The producer published the first chunk last-to-first? No:
-            // chunks are published in order, so later chunks may still
-            // be in flight — spin for each.
-            let state = seg.atom(off);
-            while state.load(Ordering::Acquire) != SLOT_FULL { // flows-atomic: consumes shm-slot-full
-                std::hint::spin_loop();
+            if state.load(Ordering::Acquire) == SLOT_FULL { // flows-atomic: consumes shm-slot-full
+                return true;
             }
-            let len = seg.atom(off + 4).load(Ordering::Relaxed) as usize;
-            let flags = seg.atom(off + 8).load(Ordering::Relaxed);
-            buf.extend_from_slice(seg.bytes(off + SLOT_HDR, len));
-            state.store(SLOT_FREE, Ordering::Release); // flows-atomic: publishes shm-slot-free
-            heads[src] += 1;
-            if flags & FLAG_MORE == 0 {
-                break;
+            spins = spins.wrapping_add(1);
+            if self.dead[src].load(Ordering::Relaxed)
+                || (spins.is_multiple_of(64) && start.elapsed() >= SPILL_CHUNK_WAIT)
+            {
+                return false;
             }
+            std::hint::spin_loop();
         }
-        let hdr = Header::decode(&buf)?;
-        let body = Payload::from_vec(buf.split_off(HEADER_LEN));
-        Some(Frame::from_header(hdr, body))
     }
 
     /// True when any source ring has an undelivered slot.
     fn any_full(&self) -> bool {
         let seg = &self.seg;
-        let heads = self.heads.lock();
+        let lanes = self.lanes.lock();
         (0..seg.procs).any(|src| {
             src != self.rank && {
-                let idx = (heads[src] % seg.slots as u64) as usize;
+                let idx = (lanes[src].head % seg.slots as u64) as usize;
                 // flows-atomic: consumes shm-slot-full
                 seg.atom(seg.slot_off(src, self.rank, idx)).load(Ordering::Acquire) == SLOT_FULL
             }
@@ -485,6 +575,16 @@ impl ShmTransport {
         }
         let _ = futex::wait(doorbell, snapshot, Some(timeout));
         parked.store(0, Ordering::SeqCst);
+    }
+
+    /// Ring slots (or spilled frames) this endpoint has discarded as
+    /// malformed: a header that does not decode, a slot length that
+    /// overruns the slot or disagrees with the header, a spilled frame
+    /// whose chunks do not add up to its header's length, or one whose
+    /// producer died mid-frame. A corrupt or hostile peer costs a counted
+    /// drop, never an out-of-bounds view or a wedged ring.
+    pub fn slot_drops(&self) -> u64 {
+        self.drops.load(Ordering::Relaxed)
     }
 
     /// Stop sending to (and waiting on slots of) process `proc`.
@@ -566,6 +666,180 @@ mod tests {
             a.send(1, &Frame::ack(0, 1, i));
             let (_, f) = b.try_recv().expect("ring healthy after discard");
             assert_eq!(f.a, i);
+        }
+    }
+
+    /// The slot's length word must fit the slot and agree with the
+    /// header; otherwise the body view would run past the slot.
+    #[test]
+    fn slot_length_past_the_slot_is_a_counted_drop() {
+        let (a, b) = pair();
+        let seg = a.segment();
+        let off = seg.slot_off(0, 1, 0);
+        a.send(1, &Frame::data(0, 1, 1, 0, 0, vec![3u8; 100].into()));
+        seg.atom(off + 4).store(u32::MAX, Ordering::Relaxed);
+        let drops = b.slot_drops();
+        assert!(b.try_recv().is_none());
+        assert!(b.slot_drops() > drops, "counted");
+        a.send(1, &Frame::ack(0, 1, 8));
+        assert_eq!(b.try_recv().expect("ring healthy").1.a, 8);
+    }
+
+    /// Send a three-chunk spilled frame from `a` to `b`: returns the
+    /// frame's body and the offsets of its chunk slots.
+    fn spill_three(a: &ShmTransport) -> (Vec<u8>, [usize; 3]) {
+        let body: Vec<u8> = (0..2 * DEFAULT_SLOT_BYTES + 2000).map(|i| (i * 7) as u8).collect();
+        a.send(1, &Frame::data(0, 1, 5, 2, 1, body.clone().into()));
+        let seg = a.segment();
+        (body, [0, 1, 2].map(|i| seg.slot_off(0, 1, i)))
+    }
+
+    #[test]
+    fn spill_chunk_longer_than_its_slot_is_refused() {
+        let (a, b) = pair();
+        let (_, chunks) = spill_three(&a);
+        a.segment().atom(chunks[1] + 4).store(u32::MAX, Ordering::Relaxed);
+        let drops = b.slot_drops();
+        assert!(b.try_recv().is_none());
+        assert!(b.slot_drops() > drops, "counted");
+    }
+
+    /// Withdraw the publication of the slot at `off`, as if its producer
+    /// had not written it yet; returns the state word to restore.
+    fn unpublish(seg: &Segment, off: usize) -> u32 {
+        seg.atom(off).swap(SLOT_FREE, Ordering::AcqRel)
+    }
+
+    #[test]
+    fn spill_waits_across_polls_for_its_last_chunk() {
+        let (a, b) = pair();
+        let (body, chunks) = spill_three(&a);
+        let seg = a.segment();
+        let state = unpublish(seg, chunks[2]);
+        let drops = b.slot_drops();
+        assert!(b.try_recv().is_none(), "two of three chunks: nothing yet");
+        assert!(b.try_recv().is_none(), "still waiting, not refused");
+        assert_eq!(b.slot_drops(), drops, "a pending frame is no drop");
+        seg.atom(chunks[2]).store(state, Ordering::Release);
+        let (src, got) = b.try_recv().expect("the last chunk completes the frame");
+        assert_eq!(src, 0);
+        assert_eq!(got.body, body);
+        assert_eq!(b.slot_drops(), drops);
+    }
+
+    #[test]
+    fn spill_is_dropped_once_its_producer_is_dead() {
+        let (a, b) = pair();
+        let (_, chunks) = spill_three(&a);
+        // The last chunk never arrives: its producer dies after the
+        // receiver has taken the first two and returned to its loop.
+        unpublish(a.segment(), chunks[2]);
+        let drops = b.slot_drops();
+        assert!(b.try_recv().is_none());
+        assert_eq!(b.slot_drops(), drops);
+        b.mark_dead(0);
+        assert!(b.try_recv().is_none());
+        assert_eq!(b.slot_drops(), drops + 1, "the half frame is a counted drop");
+    }
+
+    /// A producer that publishes chunks while the consumer polls (and
+    /// parks between them) gets every frame through whole, including
+    /// frames larger than the whole ring.
+    #[test]
+    fn concurrent_spills_reassemble() {
+        let (a, b) = pair();
+        let sizes = [3 * DEFAULT_SLOT_BYTES, 20 * DEFAULT_SLOT_BYTES + 5, 100];
+        let a2 = a.clone();
+        let producer = std::thread::spawn(move || {
+            for (i, &n) in sizes.iter().enumerate() {
+                a2.send(1, &Frame::data(0, 1, i as u64, 0, 0, vec![i as u8; n].into()));
+            }
+        });
+        let mut got = 0;
+        let t0 = Instant::now();
+        while got < sizes.len() {
+            assert!(t0.elapsed() < Duration::from_secs(20), "stalled at frame {got}");
+            match b.try_recv() {
+                Some((_, f)) => {
+                    assert_eq!(f.a, got as u64);
+                    assert_eq!(f.body.len(), sizes[got]);
+                    assert!(f.body.as_slice().iter().all(|&x| x == got as u8));
+                    got += 1;
+                }
+                None => b.park(Duration::from_millis(5)),
+            }
+        }
+        producer.join().unwrap();
+    }
+
+    mod smashed {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// A byte of a one-slot frame's length word or header smashed
+            /// by the peer: the frame arrives with its true body length,
+            /// or the slot is a counted drop; the ring keeps working.
+            #[test]
+            fn smashed_slot_is_whole_or_a_counted_drop(
+                at in 0usize..4 + HEADER_LEN,
+                byte in any::<u8>(),
+                len in 0usize..300,
+            ) {
+                let (a, b) = pair();
+                a.send(1, &Frame::data(0, 1, 1, 2, 3, vec![9u8; len].into()));
+                let seg = a.segment();
+                let off = seg.slot_off(0, 1, 0);
+                if at < 4 {
+                    seg.write_bytes(off + 4 + at, &[byte]);
+                } else {
+                    seg.write_bytes(off + SLOT_HDR + at - 4, &[byte]);
+                }
+                let drops = b.slot_drops();
+                match b.try_recv() {
+                    Some((_, f)) => prop_assert_eq!(f.body.len(), len),
+                    None => prop_assert!(b.slot_drops() > drops, "uncounted drop"),
+                }
+                a.send(1, &Frame::ack(0, 1, 77));
+                let next = (0..4).find_map(|_| b.try_recv());
+                prop_assert_eq!(next.map(|(_, f)| f.a), Some(77));
+            }
+
+            /// The same for a spilled frame: a byte of any chunk's length
+            /// or flags word, or of its first bytes (the frame header in
+            /// the first chunk), smashed after the producer published
+            /// and died. Every poll returns; the frame arrives with its
+            /// true length or is a counted drop.
+            #[test]
+            fn smashed_spill_is_whole_or_a_counted_drop(
+                chunk in 0usize..3,
+                at in 0usize..8 + HEADER_LEN,
+                byte in any::<u8>(),
+            ) {
+                let (a, b) = pair();
+                let (body, chunks) = spill_three(&a);
+                let seg = a.segment();
+                let off = chunks[chunk];
+                if at < 8 {
+                    seg.write_bytes(off + 4 + at, &[byte]);
+                } else {
+                    seg.write_bytes(off + SLOT_HDR + at - 8, &[byte]);
+                }
+                b.mark_dead(0);
+                let drops = b.slot_drops();
+                let mut got = Vec::new();
+                for _ in 0..8 {
+                    if let Some((_, f)) = b.try_recv() {
+                        got.push(f);
+                    }
+                }
+                for f in &got {
+                    prop_assert_eq!(f.body.len(), body.len());
+                }
+                prop_assert!(got.len() == 1 || b.slot_drops() > drops, "uncounted drop");
+            }
         }
     }
 

@@ -6,6 +6,7 @@ use crate::zones::{rank_of_zone, zone_layout, MzBench, MzClass, Zone};
 use flows_ampi::{run_world, AmpiOptions, FtReport};
 use flows_converse::{FaultPlan, FaultSummary, NetModel};
 use flows_lb::LbStrategy;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Configuration of one BT-MZ/SP-MZ run.
@@ -103,6 +104,11 @@ pub struct MzReport {
     pub pe_vtimes_s: Vec<f64>,
     /// Per-PE busy times (seconds): work only, no waits.
     pub pe_busy_s: Vec<f64>,
+    /// Per-PE solver work: zone cells times sweeps, summed over every
+    /// iteration the sweeping rank spent on that PE. Unlike the measured
+    /// busy times it is exact for a given placement (replayed iterations
+    /// after a crash count again).
+    pub pe_cells: Vec<u64>,
     /// Recovery rounds that restarted every rank from scratch on the
     /// surviving PEs (0 without crashes).
     pub restarts: usize,
@@ -125,6 +131,9 @@ pub fn run(cfg: &MzConfig) -> MzReport {
     );
     let checksum = Arc::new(Mutex::new(0.0f64));
     let checksum2 = checksum.clone();
+    let pe_cells: Arc<Vec<AtomicU64>> =
+        Arc::new((0..cfg.pes).map(|_| AtomicU64::new(0)).collect());
+    let pe_cells2 = pe_cells.clone();
     let zones2 = zones.clone();
     let cfg2 = cfg.clone();
 
@@ -150,7 +159,7 @@ pub fn run(cfg: &MzConfig) -> MzReport {
     }
 
     let ft = FtReport::from(run_world(opts, move |ampi: &mut flows_ampi::Ampi| {
-        rank_main(ampi, &cfg2, &zones2, &checksum2);
+        rank_main(ampi, &cfg2, &zones2, &checksum2, &pe_cells2);
     }));
     let report = &ft.report;
     let checksum = *checksum.lock().unwrap();
@@ -163,6 +172,7 @@ pub fn run(cfg: &MzConfig) -> MzReport {
         migrations: report.sched_stats.iter().map(|s| s.migrations_in).sum(),
         pe_vtimes_s: report.pe_vtimes.iter().map(|&v| v as f64 * 1e-9).collect(),
         pe_busy_s: report.pe_busy.iter().map(|&v| v as f64 * 1e-9).collect(),
+        pe_cells: pe_cells.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
         restarts: ft.restarts,
         dead_pes: ft.crashed_pes.clone(),
         messages: report.messages,
@@ -214,6 +224,7 @@ fn rank_main(
     cfg: &MzConfig,
     zones: &Arc<Vec<Zone>>,
     checksum: &Arc<Mutex<f64>>,
+    pe_cells: &[AtomicU64],
 ) {
     let nz = zones.len();
     let me = ampi.rank();
@@ -266,6 +277,8 @@ fn rank_main(
             for _ in 0..cfg.sweeps {
                 std::hint::black_box(g.sweep());
             }
+            pe_cells[ampi.current_pe()]
+                .fetch_add((g.nx * g.ny * cfg.sweeps) as u64, Ordering::Relaxed);
         }
         // Phase 4: the load-balancing point.
         if cfg.lb.is_some() && iter + 1 == cfg.lb_at {

@@ -22,12 +22,14 @@ fn main() {
     println!("without LB:");
     println!("  modeled parallel time : {:.4} s", without.modeled_time_s);
     println!("  per-PE busy times     : {:?}", round3(&without.pe_busy_s));
+    println!("  per-PE cells swept    : {:?}", without.pe_cells);
     println!("  checksum              : {:.9}", without.checksum);
 
     let with = run(&cfg.clone().with_lb(Arc::new(GreedyLb)));
     println!("\nwith GreedyLB (thread migration at migrate() points):");
     println!("  modeled parallel time : {:.4} s", with.modeled_time_s);
     println!("  per-PE busy times     : {:?}", round3(&with.pe_busy_s));
+    println!("  per-PE cells swept    : {:?}", with.pe_cells);
     println!("  rank migrations       : {}", with.migrations);
     println!("  checksum              : {:.9}", with.checksum);
 
