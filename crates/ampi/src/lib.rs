@@ -39,9 +39,12 @@ pub use ft::{run_world_ft, FtReport};
 pub use nonblocking::{Request, RESERVED_TAG_BASE};
 pub use world::{lb_batch_messages, pe_of_rank, run_world, AmpiOptions};
 
-use crate::proto::{route_rank_wire, LoadReport, RankWire};
-use crate::world::{contribute_now, obj_of, tag_ckpt, tag_coll, tag_lb, with_rank_box, Wait};
+use crate::proto::{route_rank_wire, LoadReport, RankWire, RANK_WIRE_LEN};
+use crate::world::{
+    contribute_now, obj_of, tag_ckpt, tag_coll, tag_lb, with_rank_box, AmpiState, Wait,
+};
 use flows_comm::ReduceOp;
+use flows_converse::Payload;
 use flows_core::suspend;
 
 /// Per-rank handle passed to the world's main function. Lives on the
@@ -104,30 +107,53 @@ impl Ampi {
     }
 
     /// Asynchronous-eager send (`MPI_Send` with buffering semantics):
-    /// never blocks; the payload is routed to wherever `dest` lives.
+    /// never blocks. A message to a rank on this PE is admitted into its
+    /// mailbox here and now, as the caller's own `Vec`; any other is routed
+    /// to wherever `dest` lives.
     pub fn send(&mut self, dest: usize, tag: u64, data: Vec<u8>) {
         assert!(dest < self.size, "send to rank {dest} of {}", self.size);
         debug_assert!(
             tag <= crate::nonblocking::RESERVED_TAG_BASE + (1 << 32),
             "tag out of range"
         );
-        // The per-destination sequence lives in the rank's box (pup'd with
-        // the checkpoint image), so a rollback rewinds it with the rest of
-        // the rank — see the note on the `Ampi` struct.
-        let this_seq = with_rank_box(self.rank as u64, |b| {
-            let seq = b.send_seq.entry(dest as u64).or_insert(0);
-            let v = *seq;
-            *seq += 1;
-            v
+        let (src, dest) = (self.rank as u64, dest as u64);
+        let len = data.len();
+        flows_converse::with_pe(|pe| {
+            // One borrow: the per-destination sequence lives in the rank's
+            // box (pup'd with the checkpoint image, so a rollback rewinds it
+            // — see the note on the `Ampi` struct), and a receiver on this
+            // PE is posted to in the same breath. Its delivery runs no user
+            // code, so it needs no hop through the PE's queue (DESIGN.md
+            // §6.7); sequence, stash and duplicate drop are the routed
+            // path's own, so per-sender order holds across a path switch.
+            let local = pe.ext::<AmpiState, _>(|st| {
+                let b = st.ranks.get_mut(&src).expect("rank box on current PE");
+                let seq = b.send_seq.entry(dest).or_insert(0);
+                let this_seq = *seq;
+                *seq += 1;
+                match st.ranks.get_mut(&dest) {
+                    Some(to) => Ok(to.post(src, this_seq, tag, Payload::from_vec(data))),
+                    None => Err((this_seq, data)),
+                }
+            });
+            match local {
+                Ok(wake) => {
+                    flows_comm::book_local_delivery(pe, RANK_WIRE_LEN + len);
+                    if let Some(tid) = wake {
+                        flows_core::awaken(tid).expect("awaken recv");
+                    }
+                }
+                Err((seq, data)) => {
+                    let mut w = RankWire {
+                        kind: 0,
+                        a: src,
+                        b: tag,
+                        seq,
+                    };
+                    route_rank_wire(pe, obj_of(self.world, dest), &mut w, &data);
+                }
+            }
         });
-        let mut w = RankWire {
-            kind: 0,
-            a: self.rank as u64,
-            b: tag,
-            seq: this_seq,
-        };
-        let obj = obj_of(self.world, dest as u64);
-        flows_converse::with_pe(|pe| route_rank_wire(pe, obj, &mut w, &data));
     }
 
     /// Blocking receive (`MPI_Recv`): `None` matches any source / any tag.

@@ -96,7 +96,8 @@ impl RankBox {
 
     /// Admit a point-to-point message in per-sender order: append it (and
     /// any unblocked stashed successors) to the mailbox, or stash it.
-    /// `data` still shares the arrival buffer — parking is copy-free.
+    /// `data` is the arrival buffer's body or the sender's own `Vec` —
+    /// parking is copy-free.
     fn admit(&mut self, src: u64, seq: u64, tag: u64, data: Payload) {
         let expect = self.next_seq.entry(src).or_insert(0);
         if seq == *expect {
@@ -134,15 +135,23 @@ impl RankBox {
         }
     }
 
-    /// Does any mailbox entry match the current Recv wait?
-    fn wait_satisfied(&self) -> bool {
-        if let Wait::Recv { src, tag } = &self.wait {
-            self.mailbox
-                .iter()
-                .any(|m| src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag))
-        } else {
-            false
-        }
+    /// Deliver a point-to-point message: [`RankBox::admit`] it, and when
+    /// the mailbox now matches the rank's `recv` wait, clear the wait and
+    /// return the thread to wake. The one delivery step of both paths: the
+    /// routed one (`deliver`) and the same-PE one (`Ampi::send`).
+    pub(crate) fn post(&mut self, src: u64, seq: u64, tag: u64, data: Payload) -> Option<ThreadId> {
+        self.admit(src, seq, tag, data);
+        let Wait::Recv { src, tag } = self.wait else {
+            return None;
+        };
+        let hit = self
+            .mailbox
+            .iter()
+            .any(|m| src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag));
+        hit.then(|| {
+            self.wait = Wait::None;
+            self.tid
+        })
     }
 }
 
@@ -446,13 +455,7 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
             // waiter.
             let wake = pe.ext::<AmpiState, _>(|st| {
                 let b = st.ranks.get_mut(&rank).expect("mail for missing rank");
-                b.admit(w.a, w.seq, w.b, data);
-                if b.wait_satisfied() {
-                    b.wait = Wait::None;
-                    Some(b.tid)
-                } else {
-                    None
-                }
+                b.post(w.a, w.seq, w.b, data)
             });
             if let Some(tid) = wake {
                 pe.sched().awaken_tid(tid).expect("awaken recv");

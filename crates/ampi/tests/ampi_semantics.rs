@@ -516,3 +516,223 @@ fn malformed_rank_wires_are_counted_drops() {
     });
     assert_eq!(drops.load(Ordering::Relaxed), 2);
 }
+
+/// `len` bytes of `fill` in a `Vec` whose capacity, `len * 3 / 2 + 1`,
+/// marks it: a copy has capacity `len` and a pooled wire buffer the pool's
+/// size, so a `recv` result of this capacity at the address the sender
+/// recorded is the sent allocation itself, not a reuse of its memory.
+fn marked(fill: u8, len: usize) -> Vec<u8> {
+    let mut v = Vec::with_capacity(len * 3 / 2 + 1);
+    v.resize(len, fill);
+    v
+}
+
+/// The address and capacity that identify a [`marked`] buffer.
+fn identity(v: &Vec<u8>) -> (usize, usize) {
+    (v.as_ptr() as usize, v.capacity())
+}
+
+/// Mail to a rank on the sender's own PE is admitted where it is sent:
+/// the sender's `Vec` is the mailbox entry, and `recv` hands that very
+/// allocation back. Two ranks on one PE pass N 4 KiB messages; each
+/// arrives as the buffer its sender built, and the N messages draw no
+/// pooled buffer beyond the barriers' constant share.
+#[test]
+fn same_pe_mail_is_the_senders_own_allocation() {
+    const N: usize = 64;
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let (draws, verified) = (
+        Arc::new(AtomicU64::new(u64::MAX)),
+        Arc::new(AtomicUsize::new(0)),
+    );
+    let (s2, d2, v2) = (sent.clone(), draws.clone(), verified.clone());
+    let report = run_world(opts(2, 1), move |ampi| {
+        ampi.barrier();
+        let before = pool_draws();
+        for i in 0..N {
+            if ampi.rank() == 0 {
+                let body = marked(i as u8, 4096);
+                s2.lock().unwrap().push(identity(&body));
+                ampi.send(1, 5, body);
+            } else {
+                let (_, _, data) = ampi.recv(Some(0), Some(5));
+                assert_eq!(data, vec![i as u8; 4096]);
+                assert_eq!(
+                    identity(&data),
+                    s2.lock().unwrap()[i],
+                    "message {i}: recv returned a copy, not the sender's buffer"
+                );
+                v2.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        ampi.barrier();
+        if ampi.rank() == 0 {
+            d2.store(pool_draws() - before, Ordering::Relaxed);
+        }
+    });
+    assert_eq!(
+        verified.load(Ordering::Relaxed),
+        N,
+        "every message was the sent buffer"
+    );
+    let draws = draws.load(Ordering::Relaxed);
+    assert!(draws < 16, "{draws} pooled draws for {N} same-PE messages");
+    assert_eq!(
+        report.pe_delivered_in_place,
+        [N as u64],
+        "every message took the local path"
+    );
+}
+
+/// Moves rank 1 alone, one PE up per load-balancing epoch.
+struct TourLb;
+
+impl flows_lb::LbStrategy for TourLb {
+    fn name(&self) -> &'static str {
+        "TourLB"
+    }
+
+    fn decide(&self, stats: &flows_lb::LbStats) -> Vec<flows_lb::Migration> {
+        stats
+            .objs
+            .iter()
+            .filter(|o| o.id == 1)
+            .map(|o| flows_lb::Migration {
+                obj: o.id,
+                from: o.pe,
+                to: (o.pe + 1) % stats.num_pes,
+            })
+            .collect()
+    }
+}
+
+/// One sender's stream keeps MPI order while its path switches under it.
+/// Rank 1 tours PE 1 → 2 → 0 → 1 across three epochs while rank 0 (on
+/// PE 0) keeps sending: routed or forwarded mail at first, posted on
+/// PE 0 itself while rank 1 lives there, routed again once it leaves.
+/// Mail still being forwarded when rank 1 lands on PE 0 is overtaken by
+/// the locally posted sequel, which `admit` stashes until its predecessors
+/// arrive. Every message arrives once, in send order.
+#[test]
+fn mail_keeps_its_order_while_its_path_switches() {
+    const PER_PHASE: u64 = 40;
+    let tour = Arc::new(Mutex::new(Vec::new()));
+    let t2 = tour.clone();
+    let report = run_world(
+        opts(3, 3).with_strategy(Arc::new(TourLb)),
+        move |ampi| match ampi.rank() {
+            0 => {
+                for i in 0..4 * PER_PHASE {
+                    ampi.send(1, 3, i.to_le_bytes().to_vec());
+                    if i % PER_PHASE == PER_PHASE - 1 && i < 3 * PER_PHASE {
+                        ampi.migrate();
+                    }
+                }
+            }
+            1 => {
+                let mut pes = vec![ampi.current_pe()];
+                for _ in 0..3 {
+                    ampi.migrate();
+                    pes.push(ampi.current_pe());
+                }
+                for i in 0..4 * PER_PHASE {
+                    let (src, tag, data) = ampi.recv(None, None);
+                    assert_eq!((src, tag), (0, 3));
+                    let got = u64::from_le_bytes(data[..8].try_into().unwrap());
+                    assert_eq!(got, i, "message {i} out of order");
+                }
+                let mut more = ampi.irecv(None, None);
+                assert!(!ampi.test(&mut more), "a message arrived twice");
+                *t2.lock().unwrap() = pes;
+            }
+            _ => (0..3).for_each(|_| ampi.migrate()),
+        },
+    );
+    assert_eq!(*tour.lock().unwrap(), [1, 2, 0, 1], "rank 1's tour");
+    assert!(
+        report.pe_delivered_in_place[0] >= PER_PHASE,
+        "the phase on PE 0 took the local path: {:?}",
+        report.pe_delivered_in_place
+    );
+    assert_eq!(report.stranded_threads.iter().sum::<usize>(), 0);
+}
+
+/// Send-to-self takes the same-PE path: the messages come back in order
+/// within each tag, as the very buffers that were sent.
+#[test]
+fn send_to_self_returns_the_sent_buffers_in_order() {
+    let done = Arc::new(AtomicUsize::new(0));
+    let d2 = done.clone();
+    run_world(opts(2, 2), move |ampi| {
+        let me = ampi.rank();
+        let mut sent = Vec::new();
+        for i in 0..8u8 {
+            let body = marked(i, 100);
+            sent.push(identity(&body));
+            ampi.send(me, u64::from(i % 2), body);
+        }
+        // Odd tags first, then the even ones: matching is by tag, order
+        // within a tag is send order.
+        for tag in [1u64, 0] {
+            for i in (tag as u8..8).step_by(2) {
+                let (src, t, data) = ampi.recv(Some(me), Some(tag));
+                assert_eq!((src, t), (me, tag));
+                assert_eq!(data, vec![i; 100]);
+                let got = identity(&data);
+                assert_eq!(got, sent[i as usize], "message {i} copied");
+            }
+        }
+        let (_, _, echo) = ampi.sendrecv(me, 9, vec![7; 3], Some(me), Some(9));
+        assert_eq!(echo, [7; 3]);
+        d2.fetch_add(1, Ordering::Relaxed);
+    });
+    assert_eq!(
+        done.load(Ordering::Relaxed),
+        2,
+        "both ranks got their own mail back"
+    );
+}
+
+/// `(report.messages, report.pe_delivered)` of the rings below, measured
+/// when every message still took the routed self-hop.
+const RING_1PE: (u64, [u64; 1]) = (28, [28]);
+const RING_2PE: (u64, [u64; 2]) = (42, [24, 18]);
+
+/// The same-PE path books every message exactly as the routed self-hop
+/// it replaced: deterministic rings on one PE and on two keep the
+/// machine's message total and per-PE dispatch counts measured when every
+/// message still took the hop.
+#[test]
+fn ring_message_counts_are_unchanged_by_the_local_path() {
+    fn ring(pes: usize) -> flows_converse::MachineReport {
+        run_world(opts(4, pes), |ampi| {
+            let (me, n) = (ampi.rank(), ampi.size());
+            for round in 0..5u8 {
+                ampi.send((me + 1) % n, 2, vec![round; 300]);
+                let (src, _, data) = ampi.recv(Some((me + n - 1) % n), Some(2));
+                assert_eq!((src, data[0]), ((me + n - 1) % n, round));
+            }
+            ampi.barrier();
+        })
+    }
+    let one = ring(1);
+    assert_eq!(
+        (one.messages, one.pe_delivered.clone()),
+        (RING_1PE.0, RING_1PE.1.to_vec())
+    );
+    assert_eq!(
+        one.pe_delivered_in_place,
+        [20],
+        "all 20 ring messages stay on the PE"
+    );
+    let two = ring(2);
+    assert_eq!(
+        (two.messages, two.pe_delivered.clone()),
+        (RING_2PE.0, RING_2PE.1.to_vec())
+    );
+    assert_eq!(
+        two.pe_delivered_in_place,
+        [5, 5],
+        "one of each PE's two ring links is local"
+    );
+}

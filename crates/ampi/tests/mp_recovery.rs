@@ -1,20 +1,24 @@
-//! Cross-process online recovery: a 2-process × 2-PE machine runs the
-//! ring workload; the whole child process is killed by the crash
-//! schedule, survivors on the lead process detect it by phi-accrual
-//! (heartbeats stop arriving over the wire) and heal from buddy
-//! checkpoint images that crossed the socket backend.
-//!
-//! This lives in its own test binary because the topology is
-//! `migratable()`: thread images cross the process boundary, so the
-//! leader disables ASLR and re-executes itself once — replaying only
-//! this binary's tests, not the whole online-recovery suite.
-//!
-//! Cross-process rules the workload obeys (the same ones real AMPI
-//! imposes on isomalloc programs): the rank main is a plain `fn` (its
-//! closure environment would live on the dead process's heap), results
-//! are collected in a `static` (same address in every process once ASLR
-//! is off, each process writing its own copy), and no heap allocation is
-//! held across a checkpoint.
+// Cross-process online recovery: a 2-process × 2-PE machine runs the
+// ring workload; the whole child process is killed by the crash
+// schedule, survivors on the lead process detect it by phi-accrual
+// (heartbeats stop arriving over the wire) and heal from buddy
+// checkpoint images that crossed the socket backend.
+//
+// This lives in its own test binary because the topology is
+// `migratable()`: thread images cross the process boundary, so the
+// leader disables ASLR and re-executes itself once — replaying only
+// this binary's tests, not the whole online-recovery suite.
+//
+// Cross-process rules the workload obeys (the same ones real AMPI
+// imposes on isomalloc programs): the rank main is a plain `fn` (its
+// closure environment would live on the dead process's heap), results
+// are collected in a `static` (same address in every process once ASLR
+// is off, each process writing its own copy), and no heap allocation is
+// held across a checkpoint.
+//
+// The umbrella package compiles this file a second time, through
+// `include!` in its `tests/mp_recovery_smoke.rs`, so Tier-1 runs it too;
+// hence plain comments here, not inner doc comments.
 
 use flows_ampi::{run_world, run_world_ft, AmpiOptions};
 use flows_converse::{FaultPlan, NetModel};

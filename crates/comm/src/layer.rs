@@ -445,7 +445,10 @@ fn notify_home(pe: &Pe, obj: ObjId, loc: usize) {
 /// still borrowed — the classic event-driven re-entrancy hazard. One hop
 /// through the PE's local queue keeps every delivery top-level. That hop
 /// costs no copy: the routing handler forwards the wire it dequeues in
-/// place.
+/// place. A layer whose delivery runs no user code — AMPI point-to-point
+/// mail only appends to a mailbox and wakes a suspended thread — may
+/// instead deliver to a resident object where it sends, and books that
+/// with [`book_local_delivery`].
 ///
 /// This copies `payload` once, in front of the trailing routing header. A
 /// caller that builds its message anyway should pack it with
@@ -473,6 +476,14 @@ pub fn route_with(
 ) {
     let wire = route_wire_with(pe, obj, port, len_hint, pack);
     pe.send(pe.id(), ids().route, wire);
+}
+
+/// Book a message of `len` payload bytes that a port's layer delivered to
+/// an object resident on this PE itself instead of routing it — allowed
+/// only where delivery runs no user code (see [`route`]). The PE counts and
+/// traces it as the routed self-hop it replaces ([`Pe::book_in_place`]).
+pub fn book_local_delivery(pe: &Pe, len: usize) {
+    pe.book_in_place(ids().route, len + ROUTE_HDR_LEN);
 }
 
 /// The wire [`route_with`] sends, built without sending it: whatever

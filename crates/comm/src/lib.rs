@@ -29,10 +29,10 @@ pub mod layer;
 pub mod reduce;
 
 pub use layer::{
-    buffered_count, comm_epoch, drop_malformed, evict_obj, live_home, max_route_hops,
-    migrate_obj_in, migrate_obj_out, purge_dead_locations, register_obj, route, route_drops,
-    route_from_here, route_overflows, route_wire_with, route_with, set_comm_epoch, set_delivery,
-    CommLayer, ObjId, Port, RouteOverflow,
+    book_local_delivery, buffered_count, comm_epoch, drop_malformed, evict_obj, live_home,
+    max_route_hops, migrate_obj_in, migrate_obj_out, purge_dead_locations, register_obj, route,
+    route_drops, route_from_here, route_overflows, route_wire_with, route_with, set_comm_epoch,
+    set_delivery, CommLayer, ObjId, Port, RouteOverflow,
 };
 pub use reduce::{
     contribute, duplicate_contributions, live_root_of, purge_pending, set_reduction_sink,

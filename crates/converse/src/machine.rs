@@ -351,6 +351,10 @@ pub struct MachineReport {
     /// Handler invocations per PE (the dispatch-rate numerator; sums to
     /// `messages` on a clean, crash-free run).
     pub pe_delivered: Vec<u64>,
+    /// Of `pe_delivered`, the messages delivered where they were sent,
+    /// without a trip through the PE's queue (AMPI mail to a rank on the
+    /// sender's own PE; see `Pe::book_in_place`).
+    pub pe_delivered_in_place: Vec<u64>,
     /// Threads still suspended at quiescence per PE (should be 0 for a
     /// clean application; useful to detect lost wake-ups in tests).
     pub stranded_threads: Vec<usize>,
@@ -724,6 +728,7 @@ struct PeResult {
     stranded: usize,
     busy: u64,
     delivered: u64,
+    in_place: u64,
     syscalls: SyscallCounts,
     pool: PoolStats,
 }
@@ -747,6 +752,7 @@ impl MachineReport {
             sched_stats: rows.iter().map(|r| r.sched).collect(),
             messages: messages.load(Ordering::SeqCst),
             pe_delivered: rows.iter().map(|r| r.delivered).collect(),
+            pe_delivered_in_place: rows.iter().map(|r| r.in_place).collect(),
             stranded_threads: rows.iter().map(|r| r.stranded).collect(),
             pe_busy: rows.iter().map(|r| r.busy).collect(),
             faults: hub.stats.as_ref().map(|s| s.summary()),
@@ -898,6 +904,7 @@ fn drive(
                 stranded: pe.sched().thread_count(),
                 busy: pe.busy_ns(),
                 delivered: pe.delivered(),
+                in_place: pe.delivered_in_place(),
                 syscalls: syscalls.take().unwrap_or_default(),
                 pool: pe.payload_pool().stats(),
             }

@@ -129,6 +129,9 @@ pub struct Pe {
     local_recv: Cell<u64>,
     /// Cumulative handler invocations (the bench's dispatch-rate counter).
     delivered: Cell<u64>,
+    /// Of `delivered`, the messages a layer above delivered where they
+    /// were sent, without the local queue ([`Pe::book_in_place`]).
+    in_place: Cell<u64>,
     /// This PE's trace event ring when the machine was built with
     /// `.tracing(true)`. Installed as the OS thread's current ring for
     /// exactly the `enter()`..`leave()` span.
@@ -232,6 +235,7 @@ impl Pe {
             local_sent: Cell::new(0),
             local_recv: Cell::new(0),
             delivered: Cell::new(0),
+            in_place: Cell::new(0),
             ring,
             prev_ring: Cell::new(std::ptr::null()),
             exts: RefCell::new(Vec::new()),
@@ -309,6 +313,28 @@ impl Pe {
     /// Handler invocations on this PE so far (the dispatch-rate counter).
     pub fn delivered(&self) -> u64 {
         self.delivered.get()
+    }
+
+    /// Of [`Pe::delivered`], the messages booked by [`Pe::book_in_place`].
+    pub(crate) fn delivered_in_place(&self) -> u64 {
+        self.in_place.get()
+    }
+
+    /// Book a message that a layer above delivered on this PE where it
+    /// was sent, skipping the local queue: it counts, and traces, exactly
+    /// as the self-send it replaces — `len` bytes to `handler` — would
+    /// have at [`Pe::send`] and at its dispatch, so the quiescence ledger,
+    /// `MachineReport::messages` and trace summaries cannot tell them
+    /// apart. Only for a delivery that runs no user code (see DESIGN.md
+    /// §6.7 on why a self-send otherwise enqueues).
+    pub fn book_in_place(&self, handler: HandlerId, len: usize) {
+        self.local_sent.set(self.local_sent.get() + 1);
+        self.local_recv.set(self.local_recv.get() + 1);
+        self.delivered.set(self.delivered.get() + 1);
+        self.in_place.set(self.in_place.get() + 1);
+        let (me, len, h) = (self.id as u64, len as u64, handler.0 as u64);
+        emit(EventKind::MsgSend, me, len, h);
+        emit(EventKind::MsgRecv, me, len, h);
     }
 
     /// An empty payload writer drawn from this PE's recycling pool.

@@ -19,7 +19,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,31 +79,54 @@ pub struct SockTransport {
     rx: Receiver<(usize, Frame)>,
     parker: Parker,
     dead: Vec<AtomicBool>,
+    /// See [`SockTransport::frame_drops`].
+    drops: Arc<AtomicU64>,
 }
 
-fn read_one_frame(s: &mut Stream) -> io::Result<Frame> {
+/// Body bytes reserved before any have arrived. A header's length is the
+/// peer's word: a frame that claims more grows its buffer only as its
+/// bytes really come in, so a lying header costs no more than the bytes
+/// actually sent.
+const BODY_RESERVE: usize = 64 * 1024;
+
+/// Read one frame. A header that does not decode, or a body cut short by
+/// EOF, is counted in `drops` and ends the stream: its framing is lost.
+fn read_one_frame(s: &mut Stream, drops: &AtomicU64) -> io::Result<Frame> {
+    let refuse = |why: &str| {
+        drops.fetch_add(1, Ordering::Relaxed);
+        io::Error::new(io::ErrorKind::InvalidData, why)
+    };
     let mut hdr = [0u8; HEADER_LEN];
     rawsock::read_frame(s, &mut hdr)?;
-    let h = Header::decode(&hdr)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad frame header"))?;
+    let h = Header::decode(&hdr).ok_or_else(|| refuse("bad frame header"))?;
     let body = if h.body_len == 0 {
         Payload::empty()
     } else {
-        let mut buf = vec![0u8; h.body_len as usize];
-        rawsock::read_frame(s, &mut buf)?;
+        let len = h.body_len as usize;
+        let mut buf = Vec::with_capacity(len.min(BODY_RESERVE));
+        rawsock::read_body(s, &mut buf, len)?;
+        if buf.len() < len {
+            return Err(refuse("frame cut short by EOF"));
+        }
         Payload::from_vec(buf)
     };
     Ok(Frame::from_header(h, body))
 }
 
-fn spawn_reader(peer: usize, mut s: Stream, tx: Sender<(usize, Frame)>, unparker: Unparker) {
+fn spawn_reader(
+    peer: usize,
+    mut s: Stream,
+    tx: Sender<(usize, Frame)>,
+    unparker: Unparker,
+    drops: Arc<AtomicU64>,
+) {
     std::thread::Builder::new()
         .name(format!("flows-net-rx-p{peer}"))
         .spawn(move || {
             // Reads until the peer closes (clean GOODBYE path) or dies
             // (the machine layer learns of deaths from control frames
             // and child reaping, not from this EOF).
-            while let Ok(frame) = read_one_frame(&mut s) {
+            while let Ok(frame) = read_one_frame(&mut s, &drops) {
                 if tx.send((peer, frame)).is_err() {
                     break;
                 }
@@ -127,6 +150,7 @@ impl SockTransport {
     ) -> io::Result<Arc<SockTransport>> {
         let (tx, rx) = unbounded::<(usize, Frame)>();
         let parker = Parker::new();
+        let drops = Arc::new(AtomicU64::new(0));
         let mut writers: Vec<Option<Mutex<Stream>>> = (0..procs).map(|_| None).collect();
 
         enum Listener {
@@ -156,7 +180,13 @@ impl SockTransport {
                 }
             };
             s.write_all(&[rank as u8])?;
-            spawn_reader(peer, s.try_clone()?, tx.clone(), parker.unparker());
+            spawn_reader(
+                peer,
+                s.try_clone()?,
+                tx.clone(),
+                parker.unparker(),
+                drops.clone(),
+            );
             *writer = Some(Mutex::new(s));
         }
 
@@ -178,7 +208,13 @@ impl SockTransport {
                     format!("bad hello rank {peer}"),
                 ));
             }
-            spawn_reader(peer, s.try_clone()?, tx.clone(), parker.unparker());
+            spawn_reader(
+                peer,
+                s.try_clone()?,
+                tx.clone(),
+                parker.unparker(),
+                drops.clone(),
+            );
             writers[peer] = Some(Mutex::new(s));
         }
 
@@ -189,6 +225,7 @@ impl SockTransport {
             rx,
             parker,
             dead: (0..procs).map(|_| AtomicBool::new(false)).collect(),
+            drops,
         }))
     }
 
@@ -219,6 +256,13 @@ impl SockTransport {
             return;
         }
         self.parker.park_timeout(timeout);
+    }
+
+    /// Frames the reader threads refused: a header that does not decode,
+    /// or a body its peer's EOF cut short (a crash mid-write, or a header
+    /// that claims more bytes than were sent). Each ends its stream.
+    pub fn frame_drops(&self) -> u64 {
+        self.drops.load(Ordering::Relaxed)
     }
 
     /// Stop sending to process `proc`.

@@ -28,6 +28,14 @@ pub fn read_frame(r: &mut dyn Read, buf: &mut [u8]) -> io::Result<()> {
     r.read_exact(buf)
 }
 
+/// Append up to `len` bytes to `buf`, growing it only as they arrive
+/// (`read_to_end` over a `take`), counted as one `sock_recv`. Fewer than
+/// `len` bytes appended means the stream reached EOF first.
+pub fn read_body(r: &mut dyn Read, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    crate::counters::sock_recv();
+    r.take(len as u64).read_to_end(buf).map(drop)
+}
+
 /// Bind a Unix-domain listener, replacing any stale socket file left by
 /// a previous (crashed) run at the same path.
 pub fn uds_listen(path: &Path) -> io::Result<UnixListener> {
