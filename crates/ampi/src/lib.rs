@@ -44,7 +44,6 @@ use crate::world::{
     contribute_now, obj_of, tag_ckpt, tag_coll, tag_lb, with_rank_box, AmpiState, Wait,
 };
 use flows_comm::ReduceOp;
-use flows_converse::Payload;
 use flows_core::suspend;
 
 /// Per-rank handle passed to the world's main function. Lives on the
@@ -132,7 +131,7 @@ impl Ampi {
                 let this_seq = *seq;
                 *seq += 1;
                 match st.ranks.get_mut(&dest) {
-                    Some(to) => Ok(to.post(src, this_seq, tag, Payload::from_vec(data))),
+                    Some(to) => Ok(to.post(src, this_seq, tag, data)),
                     None => Err((this_seq, data)),
                 }
             });
@@ -163,22 +162,11 @@ impl Ampi {
         let want_src = src.map(|s| s as u64);
         loop {
             let hit = with_rank_box(self.rank as u64, |b| {
-                let pos = b.mailbox.iter().position(|m| {
-                    want_src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag)
-                });
-                match pos {
-                    Some(i) => {
-                        let m = b.mailbox.remove(i).expect("found above");
-                        Some((m.src as usize, m.tag, m.data.into_vec()))
-                    }
-                    None => {
-                        b.wait = Wait::Recv {
-                            src: want_src,
-                            tag,
-                        };
-                        None
-                    }
+                let hit = b.take(want_src, tag);
+                if hit.is_none() {
+                    b.wait = Wait::Recv { src: want_src, tag };
                 }
+                hit
             });
             match hit {
                 Some(r) => return r,

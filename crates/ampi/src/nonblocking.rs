@@ -7,7 +7,7 @@
 //! the interesting half is `irecv`, which posts a match and lets the rank
 //! keep computing until `wait`.
 
-use crate::world::{with_rank_box, Wait};
+use crate::world::with_rank_box;
 use crate::Ampi;
 
 /// Tag space reserved for the collectives in this module; user tags must
@@ -70,19 +70,8 @@ impl Ampi {
             ReqKind::Send => true,
             ReqKind::Recv { got: Some(_), .. } => true,
             ReqKind::Recv { src, tag, got } => {
-                let want_src = src.map(|s| s as u64);
-                let want_tag = *tag;
-                let hit = with_rank_box(self.rank() as u64, |b| {
-                    let pos = b.mailbox.iter().position(|m| {
-                        want_src.is_none_or(|s| s == m.src)
-                            && want_tag.is_none_or(|t| t == m.tag)
-                    });
-                    pos.map(|i| {
-                        let m = b.mailbox.remove(i).expect("found above");
-                        (m.src as usize, m.tag, m.data.into_vec())
-                    })
-                });
-                *got = hit;
+                let src = src.map(|s| s as u64);
+                *got = with_rank_box(self.rank() as u64, |b| b.take(src, *tag));
                 got.is_some()
             }
         }
@@ -90,23 +79,12 @@ impl Ampi {
 
     /// Block until the request completes (`MPI_Wait`). For receives,
     /// returns `(source, tag, payload)`; for sends, `None`.
-    pub fn wait(&self, mut req: Request) -> Option<(usize, u64, Vec<u8>)> {
-        loop {
-            if self.test(&mut req) {
-                return match req.kind {
-                    ReqKind::Send => None,
-                    ReqKind::Recv { got, .. } => got,
-                };
-            }
-            // Park exactly like a blocking recv so delivery wakes us.
-            let (src, tag) = match &req.kind {
-                ReqKind::Recv { src, tag, .. } => (src.map(|s| s as u64), *tag),
-                ReqKind::Send => unreachable!("sends always test complete"),
-            };
-            with_rank_box(self.rank() as u64, |b| {
-                b.wait = Wait::Recv { src, tag };
-            });
-            flows_core::suspend();
+    pub fn wait(&self, req: Request) -> Option<(usize, u64, Vec<u8>)> {
+        match req.kind {
+            ReqKind::Send => None,
+            ReqKind::Recv { got: Some(got), .. } => Some(got),
+            // Not yet matched: block exactly as a `recv` with its match.
+            ReqKind::Recv { src, tag, got: None } => Some(self.recv(src, tag)),
         }
     }
 

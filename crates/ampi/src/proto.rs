@@ -12,8 +12,9 @@ pub const PORT_AMPI: Port = 1;
 /// Header of a payload routed to a rank. The wire format is the raw
 /// message bytes followed by this header pup'd as a fixed-size suffix —
 /// the receive path parses the suffix and takes the bytes before it as a
-/// zero-copy [`Payload`] prefix of the arrival buffer, which `recv` hands
-/// the user without a copy. `kind` selects the interpretation:
+/// zero-copy [`Payload`] prefix of the arrival buffer, whose `Vec` the
+/// mailbox takes over and `recv` hands the user without a copy. `kind`
+/// selects the interpretation:
 /// * 0 — point-to-point message: `a` = source rank, `b` = tag, `seq` =
 ///   per-(source, destination) sequence number enforcing MPI's
 ///   non-overtaking guarantee even when forwarding paths race during
@@ -60,8 +61,8 @@ pub(crate) fn parse_rank_wire(payload: &Payload) -> Option<(RankWire, Payload)> 
     matches!(w.kind, 0 | 1 | 3).then(|| (w, payload.slice(0..at)))
 }
 
-/// One parked point-to-point message. `data` shares the arrival buffer
-/// (an Arc slice), so parking mail copies nothing.
+/// One parked point-to-point message as a rank image carries it (the
+/// mailbox itself holds the `Vec`s that `recv` returns).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct MailEntry {
     pub src: u64,

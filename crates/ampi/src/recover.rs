@@ -40,7 +40,7 @@
 //! round's messages are dropped everywhere and its partial state is
 //! re-rolled-back by the new START.
 
-use crate::proto::{ctl, CtlMsg, RankMove, RepHead, RepRec};
+use crate::proto::{ctl, CtlMsg, MoveRec, RankMove, RepHead, RepRec};
 use crate::world::{obj_of, pe_of_rank, AmpiState, RankBox, WorldMeta};
 use flows_converse::{HandlerId, IdMap, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
 use flows_core::{
@@ -657,15 +657,8 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
         let mv: RankMove = flows_pup::from_bytes(bytes).expect("replica wire");
         let packed = PackedThread::from_bytes(&mv.thread).expect("replica thread");
         let tid = pe.sched().unpack_thread(packed).expect("respawn rank");
-        let mut bx = RankBox::new(tid);
-        bx.mailbox = mv.mailbox.into();
-        bx.next_seq = mv.next_seq.into_iter().collect();
-        bx.send_seq = mv.send_seq.into_iter().collect();
-        bx.stashed = mv
-            .stashed
-            .into_iter()
-            .map(|(src, seq, tag, data)| ((src, seq), (tag, data)))
-            .collect();
+        let RankMove { mailbox, next_seq, send_seq, stashed, .. } = mv;
+        let bx = RankBox::from_rec(tid, MoveRec { rank, mailbox, next_seq, send_seq, stashed });
         pe.ext::<AmpiState, _>(|st| {
             st.ranks.insert(rank, bx);
         });

@@ -50,9 +50,16 @@ pub(crate) enum Wait {
     },
 }
 
+/// One parked point-to-point message: `data` is the buffer `recv` returns.
+pub(crate) struct Mail {
+    pub src: u64,
+    pub tag: u64,
+    pub data: Vec<u8>,
+}
+
 pub(crate) struct RankBox {
     pub tid: ThreadId,
-    pub mailbox: VecDeque<MailEntry>,
+    pub mailbox: VecDeque<Mail>,
     pub wait: Wait,
     pub coll_result: Option<Payload>,
     /// Next expected sequence number per source rank (MPI non-overtaking).
@@ -70,7 +77,7 @@ pub(crate) struct RankBox {
     /// `next_seq`.
     pub send_seq: IdMap<u64, u64>,
     /// Messages that arrived ahead of their sequence, keyed (src, seq).
-    pub stashed: BTreeMap<(u64, u64), (u64, Payload)>,
+    pub stashed: BTreeMap<(u64, u64), (u64, Vec<u8>)>,
 }
 
 /// A rank's sequence counters as the pairs its image carries, sorted so
@@ -94,19 +101,36 @@ impl RankBox {
         }
     }
 
+    /// The box of a rank arriving with the runtime state of its image
+    /// (migration batch or checkpoint replica): the mail's buffers are taken
+    /// back with [`Payload::into_vec`].
+    pub(crate) fn from_rec(tid: ThreadId, rec: MoveRec) -> RankBox {
+        RankBox {
+            mailbox: rec.mailbox.into_iter()
+                .map(|m| Mail { src: m.src, tag: m.tag, data: m.data.into_vec() })
+                .collect(),
+            next_seq: rec.next_seq.into_iter().collect(),
+            send_seq: rec.send_seq.into_iter().collect(),
+            stashed: rec.stashed.into_iter()
+                .map(|(src, seq, tag, d)| ((src, seq), (tag, d.into_vec())))
+                .collect(),
+            ..RankBox::new(tid)
+        }
+    }
+
     /// Admit a point-to-point message in per-sender order: append it (and
     /// any unblocked stashed successors) to the mailbox, or stash it.
-    /// `data` is the arrival buffer's body or the sender's own `Vec` —
-    /// parking is copy-free.
-    fn admit(&mut self, src: u64, seq: u64, tag: u64, data: Payload) {
+    /// `data` is the buffer `recv` will return — the sender's own `Vec`, or
+    /// the arrival buffer taken over at delivery — so parking copies nothing.
+    fn admit(&mut self, src: u64, seq: u64, tag: u64, data: Vec<u8>) {
         let expect = self.next_seq.entry(src).or_insert(0);
         if seq == *expect {
             *expect += 1;
-            self.mailbox.push_back(MailEntry { src, tag, data });
+            self.mailbox.push_back(Mail { src, tag, data });
             // Drain consecutive stashed messages from this source.
             while let Some((t, d)) = self.stashed.remove(&(src, *expect)) {
                 *expect += 1;
-                self.mailbox.push_back(MailEntry { src, tag: t, data: d });
+                self.mailbox.push_back(Mail { src, tag: t, data: d });
             }
         } else if seq > *expect {
             self.stashed.insert((src, seq), (tag, data));
@@ -119,18 +143,20 @@ impl RankBox {
     }
 
     /// The rank's runtime state as its images carry it: a migration ships
-    /// this record, a checkpoint's `RankMove` the same fields. Payloads
-    /// are shared, not copied.
-    pub(crate) fn move_rec(&self, rank: u64) -> MoveRec {
+    /// this record, a checkpoint's `RankMove` the same fields. `image`
+    /// turns each parked buffer into its image payload: a migration, whose
+    /// box is already removed, moves it out; a checkpoint, whose box lives
+    /// on (and whose matched boundary leaves the mailbox empty), copies it.
+    pub(crate) fn move_rec(&mut self, rank: u64, mut image: impl FnMut(&mut Vec<u8>) -> Payload) -> MoveRec {
         MoveRec {
             rank,
-            mailbox: self.mailbox.iter().cloned().collect(),
+            mailbox: self.mailbox.iter_mut()
+                .map(|m| MailEntry { src: m.src, tag: m.tag, data: image(&mut m.data) })
+                .collect(),
             next_seq: seq_pairs(&self.next_seq),
             send_seq: seq_pairs(&self.send_seq),
-            stashed: self
-                .stashed
-                .iter()
-                .map(|(&(src, seq), (tag, data))| (src, seq, *tag, data.clone()))
+            stashed: self.stashed.iter_mut()
+                .map(|(&(src, seq), (tag, d))| (src, seq, *tag, image(d)))
                 .collect(),
         }
     }
@@ -139,19 +165,30 @@ impl RankBox {
     /// the mailbox now matches the rank's `recv` wait, clear the wait and
     /// return the thread to wake. The one delivery step of both paths: the
     /// routed one (`deliver`) and the same-PE one (`Ampi::send`).
-    pub(crate) fn post(&mut self, src: u64, seq: u64, tag: u64, data: Payload) -> Option<ThreadId> {
+    pub(crate) fn post(&mut self, src: u64, seq: u64, tag: u64, data: Vec<u8>) -> Option<ThreadId> {
         self.admit(src, seq, tag, data);
         let Wait::Recv { src, tag } = self.wait else {
             return None;
         };
-        let hit = self
-            .mailbox
-            .iter()
-            .any(|m| src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag));
-        hit.then(|| {
+        self.find(src, tag).map(|_| {
             self.wait = Wait::None;
             self.tid
         })
+    }
+
+    /// The mailbox index of the first message from `src` with `tag`
+    /// (`None` matches any): the one matcher of `post`, `recv` and `test`.
+    fn find(&self, src: Option<u64>, tag: Option<u64>) -> Option<usize> {
+        self.mailbox
+            .iter()
+            .position(|m| src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag))
+    }
+
+    /// Remove and return the first message [`RankBox::find`] matches, as
+    /// `recv` returns it: `(source, tag, buffer)`.
+    pub(crate) fn take(&mut self, src: Option<u64>, tag: Option<u64>) -> Option<(usize, u64, Vec<u8>)> {
+        let m = self.mailbox.remove(self.find(src, tag)?)?;
+        Some((m.src as usize, m.tag, m.data))
     }
 }
 
@@ -432,14 +469,18 @@ pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
 
 /// Routed delivery to a rank living on this PE. The payload is the raw
 /// message bytes followed by a pup'd [`RankWire`] header; the bytes are
-/// sliced off as an Arc-backed prefix of the arrival buffer, so the user
-/// data reaches the mailbox — and, through `recv`, the user — without
-/// being copied out of it.
+/// sliced off as a prefix of the arrival buffer. Point-to-point mail takes
+/// that buffer over at admission ([`Payload::into_vec`]), so the user data
+/// reaches the mailbox — and, through `recv`, the user — without being
+/// copied out of it; a view still shared (a link's retransmit table, an
+/// shm slot) or inline is copied here instead, and the slot released.
 fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
     let Some((w, data)) = parse_rank_wire(&payload) else {
         flows_comm::drop_malformed(pe);
         return;
     };
+    // The prefix view must be the buffer's only one for `into_vec` to take it.
+    drop(payload);
     let rank = obj.0 & 0xFFFF_FFFF;
     // Runtime commands (collective results, checkpoint orders) stamp the sender's recovery epoch in `seq`; one computed
     // before a rollback targets a cut that no longer exists and must be
@@ -455,7 +496,7 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
             // waiter.
             let wake = pe.ext::<AmpiState, _>(|st| {
                 let b = st.ranks.get_mut(&rank).expect("mail for missing rank");
-                b.post(w.a, w.seq, w.b, data)
+                b.post(w.a, w.seq, w.b, data.into_vec())
             });
             if let Some(tid) = wake {
                 pe.sched().awaken_tid(tid).expect("awaken recv");
@@ -495,7 +536,7 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
             matches!(b.wait, Wait::Ckpt { seq: s } if s == seq),
             "rank {rank} got a checkpoint command it was not waiting for"
         );
-        (b.tid, b.move_rec(rank))
+        (b.tid, b.move_rec(rank, |d| Payload::from(&d[..])))
     });
     assert_eq!(
         pe.sched().state(tid),
@@ -665,7 +706,7 @@ fn on_lb_plan(pe: &Pe, msg: Message) {
         }
         // Moving: pack the thread and its runtime state, queue it on the
         // destination's batch.
-        let bx = pe.ext::<AmpiState, _>(|st| {
+        let mut bx = pe.ext::<AmpiState, _>(|st| {
             st.moves_out += 1;
             st.ranks.remove(&rank).expect("plan for missing rank")
         });
@@ -676,7 +717,7 @@ fn on_lb_plan(pe: &Pe, msg: Message) {
         );
         let packed = pe.sched().pack_thread(bx.tid).expect("pack rank thread");
         flows_comm::migrate_obj_out(pe, obj_of(meta.world, rank), dest);
-        let rec = bx.move_rec(rank);
+        let rec = bx.move_rec(rank, |d| Payload::from_vec(std::mem::take(d)));
         batches.entry(dest).or_default().push((rec, packed));
     }
     for (dest, movers) in batches {
@@ -728,19 +769,11 @@ fn on_move_batch(pe: &Pe, msg: Message) {
     }
     for (rec, packed) in movers {
         let tid = pe.sched().unpack_thread(packed).expect("unpack batched rank");
-        let mut bx = RankBox::new(tid);
-        bx.mailbox = rec.mailbox.into();
-        bx.next_seq = rec.next_seq.into_iter().collect();
-        bx.send_seq = rec.send_seq.into_iter().collect();
-        bx.stashed = rec
-            .stashed
-            .into_iter()
-            .map(|(src, seq, tag, data)| ((src, seq), (tag, data)))
-            .collect();
+        let rank = rec.rank;
         pe.ext::<AmpiState, _>(|st| {
-            st.ranks.insert(rec.rank, bx);
+            st.ranks.insert(rank, RankBox::from_rec(tid, rec));
         });
-        flows_comm::migrate_obj_in(pe, obj_of(head.world, rec.rank));
+        flows_comm::migrate_obj_in(pe, obj_of(head.world, rank));
         pe.sched().reset_load_tid(tid);
         pe.sched().awaken_tid(tid).expect("awaken migrated rank");
     }
@@ -817,7 +850,8 @@ mod tests {
             !a.next_seq.iter().eq(b.next_seq.iter()),
             "the maps must iterate differently for this pin to bite"
         );
-        let (ra, rb) = (a.move_rec(3), b.move_rec(3));
+        let copy = |d: &mut Vec<u8>| Payload::from(&d[..]);
+        let (ra, rb) = (a.move_rec(3, copy), b.move_rec(3, copy));
         assert_eq!(
             flows_pup::to_bytes(&mut ra.clone()),
             flows_pup::to_bytes(&mut rb.clone())
@@ -825,6 +859,66 @@ mod tests {
         let mut ma = RankMove::from_rec(1, 0, vec![7; 16], ra);
         let mut mb = RankMove::from_rec(1, 0, vec![7; 16], rb);
         assert_eq!(flows_pup::to_bytes(&mut ma), flows_pup::to_bytes(&mut mb));
+    }
+
+    /// A rank's image bytes, pinned word by word: a batch `MoveRec` and a
+    /// checkpoint `RankMove` whose mailbox holds a message of at most
+    /// `INLINE_CAP` bytes and a larger one, and whose stash holds one more.
+    /// Moving the mail out of a leaving box (migration) and copying it out
+    /// of a staying one (checkpoint) pack the same bytes, and both unpack
+    /// paths — migration arrival and recovery respawn — rebuild a box with
+    /// the same mail.
+    #[test]
+    fn rank_image_bytes_are_pinned_and_unpack_to_the_same_mail() {
+        fn words(ws: &[u64]) -> Vec<u8> {
+            ws.iter().flat_map(|w| w.to_le_bytes()).collect()
+        }
+        fn filled() -> RankBox {
+            let mut b = RankBox::new(ThreadId(9));
+            b.post(1, 0, 9, vec![1, 2, 3]);
+            b.post(2, 0, 4, vec![0xAB; 100]);
+            b.post(1, 2, 9, vec![0xCD; 70]); // rank 1's seq 1 is missing
+            b.send_seq.insert(5, 3);
+            b
+        }
+        /// (src, seq — `u64::MAX` in the mailbox — tag, bytes), then the
+        /// sequence tables.
+        type Mail = (Vec<(u64, u64, u64, Vec<u8>)>, Vec<(u64, u64)>, Vec<(u64, u64)>);
+        fn mail(b: &RankBox) -> Mail {
+            let parked = b.mailbox.iter().map(|m| (m.src, u64::MAX, m.tag, m.data.to_vec()));
+            let stashed = (b.stashed.iter()).map(|(&(src, seq), (tag, d))| (src, seq, *tag, d.to_vec()));
+            (parked.chain(stashed).collect(), seq_pairs(&b.next_seq), seq_pairs(&b.send_seq))
+        }
+        let rec_bytes = [
+            words(&[3, 2, 1, 9, 3]),
+            vec![1, 2, 3],
+            words(&[2, 4, 100]),
+            vec![0xAB; 100],
+            words(&[2, 1, 1, 2, 1]), // next_seq: (1, 1), (2, 1)
+            words(&[1, 5, 3]),       // send_seq: (5, 3)
+            words(&[1, 1, 2, 9, 70]),
+            vec![0xCD; 70],
+        ]
+        .concat();
+        let mv_bytes = [words(&[1, 3, 2, 16]), vec![7; 16], rec_bytes[8..].to_vec()].concat();
+
+        let mut staying = filled();
+        let want = mail(&staying);
+        assert_eq!(want.0.len(), 3);
+        let rec = staying.move_rec(3, |d| Payload::from(&d[..]));
+        assert_eq!(mail(&staying), want, "a checkpoint leaves the mail in place");
+        assert_eq!(flows_pup::to_bytes(&mut rec.clone()), rec_bytes);
+        let mut mv = RankMove::from_rec(1, 2, vec![7; 16], rec);
+        assert_eq!(flows_pup::to_bytes(&mut mv), mv_bytes);
+        let mut rec = filled().move_rec(3, |d| Payload::from_vec(std::mem::take(d)));
+        assert_eq!(flows_pup::to_bytes(&mut rec), rec_bytes);
+
+        let rec: MoveRec = flows_pup::from_bytes(&rec_bytes).expect("batch record");
+        assert_eq!(mail(&RankBox::from_rec(ThreadId(9), rec)), want, "migration arrival");
+        let mv: RankMove = flows_pup::from_bytes(&mv_bytes).expect("replica image");
+        let RankMove { rank, mailbox, next_seq, send_seq, stashed, .. } = mv;
+        let rec = MoveRec { rank, mailbox, next_seq, send_seq, stashed };
+        assert_eq!(mail(&RankBox::from_rec(ThreadId(9), rec)), want, "recovery respawn");
     }
 
     /// A batch decodes only as exactly `count` records behind its head.

@@ -657,6 +657,61 @@ fn mail_keeps_its_order_while_its_path_switches() {
     assert_eq!(report.stranded_threads.iter().sum::<usize>(), 0);
 }
 
+/// Mail over links that duplicate and reorder is admitted from a shared
+/// view: the link's retransmit table holds the wire until its ack, so
+/// admission copies the body instead of taking the buffer over. Rank 1
+/// tours the PEs as above while rank 0 streams bodies of 65 to 319 bytes
+/// (each over `INLINE_CAP`, so each is an `Arc`-backed view) under a
+/// seeded plan in modeled time, while forwarded mail races the direct
+/// path. Every body arrives once, with its bytes, in send order.
+#[test]
+fn shared_views_are_copied_at_admission_under_duplicating_links() {
+    const PER_PHASE: u64 = 30;
+    let body = |i: u64| -> Vec<u8> {
+        (0..65 + (i * 37) % 255)
+            .map(|j| (i * 7 + j) as u8)
+            .collect()
+    };
+    let plan = flows_converse::FaultPlan::new(0xD0D0)
+        .dup_prob(0.3)
+        .reorder_prob(0.3);
+    let report = run_world(
+        opts(3, 3)
+            .with_strategy(Arc::new(TourLb))
+            .modeled_time(true)
+            .with_faults(plan),
+        move |ampi| match ampi.rank() {
+            0 => {
+                for i in 0..4 * PER_PHASE {
+                    ampi.send(1, 3, body(i));
+                    if i % PER_PHASE == PER_PHASE - 1 && i < 3 * PER_PHASE {
+                        ampi.migrate();
+                    }
+                }
+            }
+            1 => {
+                for _ in 0..3 {
+                    ampi.migrate();
+                }
+                for i in 0..4 * PER_PHASE {
+                    let (src, tag, data) = ampi.recv(None, None);
+                    assert_eq!((src, tag), (0, 3));
+                    assert!(data == body(i), "message {i} out of order or damaged");
+                }
+                let mut more = ampi.irecv(None, None);
+                assert!(!ampi.test(&mut more), "a message arrived twice");
+            }
+            _ => (0..3).for_each(|_| ampi.migrate()),
+        },
+    );
+    let faults = report.faults.expect("fault summary");
+    assert!(
+        faults.duplicated > 0 && faults.reordered > 0,
+        "the plan must bite: {faults:?}"
+    );
+    assert_eq!(report.stranded_threads.iter().sum::<usize>(), 0);
+}
+
 /// Send-to-self takes the same-PE path: the messages come back in order
 /// within each tag, as the very buffers that were sent.
 #[test]

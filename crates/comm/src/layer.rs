@@ -334,7 +334,13 @@ fn route_inner(pe: &Pe, mut hdr: RouteHdr, wire: Payload, came_from: Option<usiz
         }
     });
     match action {
-        Action::Deliver(Some(f)) => f(pe, hdr.obj, route_body(&wire)),
+        Action::Deliver(Some(f)) => {
+            // The body view alone outlives the wire, so a delivery may
+            // take the buffer over (`Payload::into_vec`) without a copy.
+            let body = route_body(&wire);
+            drop(wire);
+            f(pe, hdr.obj, body)
+        }
         // A resident object with nothing listening on the port: only a
         // malformed (or foreign) wire names one.
         Action::Deliver(None) => drop_malformed(pe),
