@@ -196,7 +196,6 @@ impl Ampi {
             b.wait = Wait::Coll { seq };
         });
         contribute_now(
-            self.world,
             tag_coll(self.world),
             seq,
             self.rank as u64,
@@ -272,7 +271,6 @@ impl Ampi {
         };
         with_rank_box(self.rank as u64, |b| b.wait = Wait::Lb { seq });
         contribute_now(
-            self.world,
             tag_lb(self.world),
             seq,
             self.rank as u64,
@@ -302,7 +300,6 @@ impl Ampi {
         let seq = self.ckpt_seq;
         with_rank_box(self.rank as u64, |b| b.wait = Wait::Ckpt { seq });
         contribute_now(
-            self.world,
             tag_ckpt(self.world),
             seq,
             self.rank as u64,

@@ -797,8 +797,7 @@ pub(crate) fn note_finished(rank: u64) {
     });
 }
 
-pub(crate) fn contribute_now(world: u64, tag: u64, seq: u64, rank: u64, op: ReduceOp, size: usize, data: Vec<u8>) {
-    let _ = world;
+pub(crate) fn contribute_now(tag: u64, seq: u64, rank: u64, op: ReduceOp, size: usize, data: Vec<u8>) {
     flows_converse::with_pe(|pe| {
         flows_comm::contribute(pe, tag, seq, rank, op, size as u64, data)
     });

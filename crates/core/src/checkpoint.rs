@@ -13,7 +13,7 @@
 
 use crate::migrate::PackedThread;
 use crate::scheduler::Scheduler;
-use crate::tcb::{ThreadId, ThreadState};
+use crate::tcb::ThreadId;
 use flows_pup::pup_fields;
 use flows_sys::error::{SysError, SysResult};
 
@@ -196,24 +196,8 @@ impl Scheduler {
             let inner = &*self.inner_ptr();
             // Pre-validate so failure leaves everything in place.
             for t in inner.threads.values() {
-                if !t.started {
-                    return Err(SysError::logic(
-                        "checkpoint",
-                        format!("{} has not started", t.id),
-                    ));
-                }
-                if !t.flavor.flavor().migratable() {
-                    return Err(SysError::logic(
-                        "checkpoint",
-                        format!("{} uses a non-migratable {} stack", t.id, t.flavor.flavor().name()),
-                    ));
-                }
-                if !matches!(t.state, ThreadState::Ready | ThreadState::Suspended) {
-                    return Err(SysError::logic(
-                        "checkpoint",
-                        format!("{} is {:?}", t.id, t.state),
-                    ));
-                }
+                t.packable()
+                    .map_err(|why| SysError::logic("checkpoint", format!("{} {why}", t.id)))?;
             }
             inner.threads.keys().copied().collect()
         };

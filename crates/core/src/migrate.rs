@@ -266,47 +266,19 @@ impl Scheduler {
     fn pack_thread_inner(&self, tid: ThreadId, unqueued: bool) -> SysResult<PackedThread> {
         // SAFETY: single-OS-thread access between context switches.
         let inner = unsafe { &mut *self.inner_ptr() };
-        if inner.current == Some(tid) {
-            return Err(SysError::logic("pack", format!("{tid} is running")));
-        }
-        {
-            let tcb = inner
-                .threads
-                .get(&tid)
-                .ok_or_else(|| SysError::logic("pack", format!("{tid} is not here")))?;
-            if !tcb.started {
-                return Err(SysError::logic(
-                    "pack",
-                    format!("{tid} has not started: its entry closure is not serializable"),
-                ));
-            }
-            if !tcb.flavor.flavor().migratable() {
-                return Err(SysError::logic(
-                    "pack",
-                    format!("{tid} uses a {} stack, which cannot migrate", tcb.flavor.flavor().name()),
-                ));
-            }
-            if !matches!(tcb.state, ThreadState::Ready | ThreadState::Suspended) {
-                return Err(SysError::logic(
-                    "pack",
-                    format!("{tid} is {:?}", tcb.state),
-                ));
-            }
-        }
+        inner
+            .threads
+            .get(&tid)
+            .ok_or("is not here")
+            .and_then(|t| t.packable())
+            .map_err(|why| SysError::logic("pack", format!("{tid} {why}")))?;
         let mut tcb = inner.threads.remove(&tid).expect("checked above");
         if !unqueued {
             inner.runq.remove(tid);
         }
         let sp = tcb.ctx.saved_sp();
         let flavor = tcb.flavor.flavor();
-        // Replace the flavor data with an empty placeholder so we can move
-        // the real resources out of the box.
-        let data = std::mem::replace(
-            &mut tcb.flavor,
-            FlavorData::Copy {
-                image: flows_mem::CopyStack::new(),
-            },
-        );
+        let data = tcb.take_flavor();
         // One copy: straight from the thread's memory into a pooled
         // message buffer (shared by refcount all the way to the wire).
         let mut buf = inner
@@ -351,8 +323,7 @@ impl Scheduler {
                 }
             }
             FlavorData::Standard { .. } => unreachable!("checked migratable"),
-            // Pack validates `started`, and a started isomalloc thread
-            // always owns a materialized slab.
+            // A started isomalloc thread always owns a materialized slab.
             FlavorData::IsoLazy { .. } => unreachable!("unstarted threads are not packable"),
         }
         let payload = buf.freeze();
@@ -392,7 +363,7 @@ impl Scheduler {
     pub fn discard_thread(&self, tid: ThreadId) -> SysResult<()> {
         // SAFETY: single-OS-thread access between context switches.
         let inner = unsafe { &mut *self.inner_ptr() };
-        if inner.current == Some(tid) {
+        if inner.threads.get(&tid).is_some_and(|t| t.state == ThreadState::Running) {
             return Err(SysError::logic("discard", format!("{tid} is running")));
         }
         let mut tcb = inner
@@ -400,18 +371,12 @@ impl Scheduler {
             .remove(&tid)
             .ok_or_else(|| SysError::logic("discard", format!("{tid} is not here")))?;
         inner.runq.remove(tid);
-        let data = std::mem::replace(
-            &mut tcb.flavor,
-            FlavorData::Copy {
-                image: flows_mem::CopyStack::new(),
-            },
-        );
         // Alias windows live in the shared pool and must be returned
         // through it (release punches the frame and unmaps the window
         // immediately — rollback must not leave stale pairs warm); every
         // other flavor reclaims on drop (Iso slabs free their slot,
         // Standard stacks are plain memory).
-        if let FlavorData::Alias { binding } = data {
+        if let FlavorData::Alias { binding } = tcb.take_flavor() {
             inner.shared.alias().lock().release(&binding)?;
         }
         flows_trace::emit(flows_trace::EventKind::ThreadExit, tid.0, 1, 0);
@@ -530,7 +495,6 @@ impl Scheduler {
             },
             flavor,
             entry_raw: None,
-            started: true,
             globals: w.globals,
             panicked: false,
             priority: w.priority,

@@ -257,12 +257,11 @@ pub(crate) struct Inner {
     pub cfg: SchedConfig,
     pub runq: RunQueue,
     pub threads: IdMap<ThreadId, Box<Tcb>>,
-    pub current: Option<ThreadId>,
-    /// The running thread's control block, cached so thread-side calls
-    /// (`yield_now`, `suspend`, `with_current_tcb`) skip the map lookup.
-    /// Valid exactly while `current` is `Some` (`Box<Tcb>` addresses are
-    /// stable across map rehashes).
-    current_tcb: *mut Tcb,
+    /// The running thread's control block, so thread-side calls
+    /// (`switch_out`, `with_current_tcb`) skip the map lookup. Non-null
+    /// exactly while a thread runs (`Box<Tcb>` addresses are stable
+    /// across map rehashes).
+    pub current_tcb: *mut Tcb,
     pub sched_ctx: Context,
     pub stats: SchedStats,
     /// Scratch buffer for `PrivatizeMode::CopyInOut`.
@@ -312,7 +311,6 @@ impl Scheduler {
                 cfg,
                 runq: RunQueue::default(),
                 threads: IdMap::default(),
-                current: None,
                 current_tcb: std::ptr::null_mut(),
                 stats: SchedStats::default(),
                 globals_buf,
@@ -426,7 +424,6 @@ impl Scheduler {
             state: ThreadState::Ready,
             flavor: data,
             entry_raw: Some(entry_raw),
-            started: false,
             globals: inner.cfg.globals.as_ref().map(|l| l.new_block()),
             panicked: false,
             priority,
@@ -447,7 +444,7 @@ impl Scheduler {
         unsafe {
             let inner = self.inner();
             assert!(
-                (*inner).current.is_none(),
+                (*inner).current_tcb.is_null(),
                 "Scheduler::step called from inside a running thread"
             );
             let Some(tid) = (*inner).runq.pop() else {
@@ -499,7 +496,7 @@ impl Scheduler {
         // below re-establishes its own access.
         let inner = unsafe { &mut *self.inner() };
         assert!(
-            inner.current.is_none(),
+            inner.current_tcb.is_null(),
             "donate_steals called from inside a running thread"
         );
         let mesh = inner.shared.steal();
@@ -518,9 +515,7 @@ impl Scheduler {
         // the queue mutates — disjoint fields of Inner.
         let Inner { runq, threads, .. } = inner;
         let tids = runq.steal_tail(crate::steal::MAX_STEAL_CHUNK, |tid| {
-            threads.get(&tid).is_some_and(|t| {
-                t.started && t.state == ThreadState::Ready && t.flavor.flavor().migratable()
-            })
+            threads.get(&tid).is_some_and(|t| t.packable().is_ok())
         });
         if tids.is_empty() {
             return 0; // nothing stealable yet; thieves will re-request
@@ -632,6 +627,10 @@ impl Scheduler {
         inner.shared.steal().inbox_len(inner.pe)
     }
 
+    /// Switch into `tid`, then act on the status it left with. This
+    /// epilogue is the only code that requeues a yielded flow or retires a
+    /// finished one — including a flow that could not be activated.
+    ///
     /// # Safety
     /// Must be called on the scheduler's own OS thread, outside any
     /// running thread.
@@ -640,82 +639,127 @@ impl Scheduler {
         // SAFETY: exclusive access between switches.
         unsafe {
             let tcb: *mut Tcb = match (*inner).threads.get_mut(&tid) {
-                Some(b) => &mut **b,
-                None => return, // packed away while queued
+                // A real exit is reaped below, so only sanitize scaffolding
+                // leaves a `Done` block to skip.
+                Some(b) if b.state != ThreadState::Done => &mut **b,
+                _ => return, // packed away while queued
             };
-            if (*tcb).state == ThreadState::Done {
-                return;
-            }
 
-            // Lazy isomalloc: this thread's first landing on a CPU is
-            // where it finally acquires a slot (warm cached slab when one
-            // fits, fresh allocation otherwise). Failure is reported the
-            // way other resume-time resource failures are: the thread
-            // dies marked panicked rather than poisoning the scheduler.
-            if let FlavorData::IsoLazy { want } = (*tcb).flavor {
-                let cached = (*inner).shared.slab_cache().lock().take_any((*inner).pe, want);
-                let built = match cached {
-                    Some(slab) => Ok(slab),
-                    None => (*inner)
-                        .shared
-                        .region()
-                        .alloc_slot((*inner).pe)
-                        .and_then(|slot| flows_mem::ThreadSlab::new(slot, want)),
-                };
-                match built {
-                    Ok(slab) => (*tcb).flavor = FlavorData::Iso { slab: Box::new(slab) },
-                    Err(_) => {
-                        (*tcb).state = ThreadState::Done;
-                        (*tcb).panicked = true;
-                        return;
-                    }
-                }
-            }
-
-            // Flavor preparation. Only the stack-copy common region still
-            // needs its process-wide lock held while the thread runs;
-            // alias threads own private windows, so a resumed alias
-            // thread whose window is already mapped touches neither the
-            // pool lock nor the kernel — the remap has left the context-
-            // switch hot loop entirely.
+            // Activation: give the flow a stack to land on. Only the
+            // stack-copy common region still needs its process-wide lock
+            // held while the thread runs; alias threads own private
+            // windows, so a resumed alias thread whose window is already
+            // mapped touches neither the pool lock nor the kernel.
             let mut copy_guard = None;
-            let stack_top: usize = match &mut (*tcb).flavor {
-                FlavorData::Standard { stack } => stack.as_ptr() as usize + stack.len(),
-                FlavorData::Iso { slab } => slab.stack_top(),
-                FlavorData::IsoLazy { .. } => unreachable!("materialized above"),
+            let stack_top: Option<usize> = match &mut (*tcb).flavor {
+                FlavorData::Standard { stack } => Some(stack.as_ptr() as usize + stack.len()),
+                FlavorData::Iso { slab } => Some(slab.stack_top()),
+                // Lazy isomalloc: the first landing acquires the slot (a
+                // warm cached slab when one fits, a fresh one otherwise).
+                &mut FlavorData::IsoLazy { want } => {
+                    let cached = (*inner).shared.slab_cache().lock().take_any((*inner).pe, want);
+                    let built = match cached {
+                        Some(slab) => Ok(slab),
+                        None => (*inner)
+                            .shared
+                            .region()
+                            .alloc_slot((*inner).pe)
+                            .and_then(|slot| flows_mem::ThreadSlab::new(slot, want)),
+                    };
+                    built.ok().map(|slab| {
+                        let top = slab.stack_top();
+                        (*tcb).flavor = FlavorData::Iso { slab: Box::new(slab) };
+                        top
+                    })
+                }
+                // First landing on this window (fresh bind or migrated in
+                // unmapped): one MAP_FIXED, then never again for this
+                // tenancy.
                 FlavorData::Alias { binding } => {
-                    if !binding.mapped {
-                        // First landing on this window (fresh bind or
-                        // migrated in unmapped): one MAP_FIXED, then never
-                        // again for this tenancy.
-                        let mut g = (*inner).shared.alias().lock();
-                        if g.map_window(binding).is_err() {
-                            (*tcb).state = ThreadState::Done;
-                            (*tcb).panicked = true;
-                            return;
-                        }
-                    }
-                    binding.top
+                    let mapped = binding.mapped
+                        || (*inner).shared.alias().lock().map_window(binding).is_ok();
+                    mapped.then_some(binding.top)
                 }
                 FlavorData::Copy { image } => {
                     let g = (*inner).shared.copy().lock();
                     // SAFETY: we hold the region lock; nothing executes on
                     // the common region.
-                    if g.switch_in(image).is_err() {
-                        (*tcb).state = ThreadState::Done;
-                        (*tcb).panicked = true;
-                        return;
-                    }
-                    let top = g.top();
+                    let top = g.switch_in(image).is_ok().then(|| g.top());
                     copy_guard = Some(g);
                     top
                 }
             };
+            match stack_top {
+                Some(top) => self.switch_in(tcb, top),
+                // No slot, window mapping or common-region copy-in: the
+                // flow dies marked panicked, without having run, and is
+                // retired below like any flow that finished.
+                None => {
+                    (*tcb).state = ThreadState::Done;
+                    (*tcb).panicked = true;
+                }
+            }
 
+            // ---- the one epilogue ----
+            let status = (*tcb).state;
+            if let (Some(g), FlavorData::Copy { image }) = (&copy_guard, &mut (*tcb).flavor) {
+                if status != ThreadState::Done {
+                    // SAFETY: the thread is parked; we still hold the
+                    // region lock.
+                    g.switch_out(image, (*tcb).ctx.saved_sp())
+                        .expect("copy-stack switch out");
+                }
+            }
+            drop(copy_guard);
+            match status {
+                ThreadState::Ready => (*inner).runq.push(tid, (*tcb).priority),
+                ThreadState::Suspended => {}
+                ThreadState::Done => {
+                    let lifetime = (*tcb).load_ns;
+                    if let Some(mut dead) = (*inner).threads.remove(&tid) {
+                        // Every flavor's exit path is a deferred-reclaim
+                        // list push — no unmap, no decommit, no punch inline.
+                        match dead.take_flavor() {
+                            FlavorData::Standard { stack }
+                                if (*inner).std_stacks.len() < STD_STACK_CACHE =>
+                            {
+                                (*inner).std_stacks.push(stack);
+                            }
+                            FlavorData::Iso { slab } => {
+                                let _ = (*inner).shared.slab_cache().lock().put((*inner).pe, *slab);
+                            }
+                            // Parks the (window, frame) pair warm with its
+                            // mapping intact: zero syscalls here.
+                            FlavorData::Alias { binding } => {
+                                let _ = (*inner).shared.alias().lock().retire(binding);
+                            }
+                            // Plain memory, or (a lazy flow that never
+                            // landed) nothing at all.
+                            _ => {}
+                        }
+                    }
+                    (*inner).stats.completed += 1;
+                    emit(EventKind::ThreadExit, tid.0, lifetime, 0);
+                }
+                ThreadState::Running => unreachable!("{tid} switched out without a status"),
+            }
+        }
+    }
+
+    /// Land on an activated flow's stack and run it until it switches
+    /// out: the burst is charged to it and the PE's globals are back in
+    /// place when this returns.
+    ///
+    /// # Safety
+    /// As [`Scheduler::resume`]; `stack_top` is the top of `tcb`'s stack.
+    unsafe fn switch_in(&self, tcb: *mut Tcb, stack_top: usize) {
+        let inner = self.inner();
+        // SAFETY: exclusive access between switches.
+        unsafe {
             // Sanitize: plant a canary word at the stack floor of flavors
             // that own dedicated stack memory. Verified after the thread
-            // suspends — a clobbered canary means the stack overflowed or
-            // a wild write landed at its floor while the thread ran.
+            // switches out — a clobbered canary means the stack overflowed
+            // or a wild write landed at its floor while the thread ran.
             #[cfg(feature = "sanitize")]
             let canary_floor: Option<usize> = match &(*tcb).flavor {
                 FlavorData::Standard { stack } => Some(stack.as_ptr() as usize),
@@ -735,11 +779,7 @@ impl Scheduler {
                 flows_arch::canary::arm(floor);
             }
 
-            if !(*tcb).started {
-                let entry_raw = (*tcb)
-                    .entry_raw
-                    .take()
-                    .expect("unstarted thread without an entry closure");
+            if let Some(entry_raw) = (*tcb).entry_raw.take() {
                 // SAFETY: the stack region is committed/active; the frame
                 // stays valid while the thread lives (flavor data owns it).
                 (*tcb).ctx = InitialStack::build(
@@ -748,7 +788,6 @@ impl Scheduler {
                     thread_main,
                     entry_raw.get(),
                 );
-                (*tcb).started = true;
             }
 
             // Swap-global privatization: install the thread's block. The
@@ -767,7 +806,7 @@ impl Scheduler {
                 }
             }
 
-            (*inner).current = Some(tid);
+            let tid = (*tcb).id;
             (*inner).current_tcb = tcb;
             (*tcb).state = ThreadState::Running;
             (*inner).stats.switches += 1;
@@ -785,14 +824,12 @@ impl Scheduler {
             let burst = ticks_to_ns(cycles().saturating_sub(burst_start));
             (*tcb).load_ns += burst;
             emit(EventKind::SwitchOut, tid.0, burst, ftag);
-            (*inner).current = None;
             (*inner).current_tcb = std::ptr::null_mut();
-            let done = (*tcb).state == ThreadState::Done;
 
             #[cfg(feature = "sanitize")]
             if let Some(floor) = canary_floor {
-                // SAFETY: the thread is suspended; its stack memory is
-                // still owned by the flavor data.
+                // SAFETY: the thread is parked; its stack memory is still
+                // owned by the flavor data.
                 if !flows_arch::canary::intact(floor) {
                     flows_trace::san::trip(
                         flows_trace::san::SanCheck::StackCanary,
@@ -811,72 +848,27 @@ impl Scheduler {
                     layout.restore((*inner).globals_prev);
                 }
             }
-
-            if let FlavorData::Copy { image } = &mut (*tcb).flavor {
-                if !done {
-                    let g = copy_guard.as_ref().expect("copy guard");
-                    // SAFETY: thread is suspended; we still hold the
-                    // region lock.
-                    g.switch_out(image, (*tcb).ctx.saved_sp())
-                        .expect("copy-stack switch out");
-                }
-            }
-            drop(copy_guard);
-
-            if done {
-                let lifetime = (*tcb).load_ns;
-                if let Some(mut dead) = (*inner).threads.remove(&tid) {
-                    // Every flavor's exit path is a deferred-reclaim list
-                    // push — no unmap, no decommit, no punch inline.
-                    let flavor = std::mem::replace(
-                        &mut dead.flavor,
-                        FlavorData::Copy {
-                            image: flows_mem::CopyStack::new(),
-                        },
-                    );
-                    match flavor {
-                        FlavorData::Standard { stack } => {
-                            if (*inner).std_stacks.len() < STD_STACK_CACHE {
-                                (*inner).std_stacks.push(stack);
-                            }
-                        }
-                        FlavorData::Iso { slab } => {
-                            let _ = (*inner)
-                                .shared
-                                .slab_cache()
-                                .lock()
-                                .put((*inner).pe, *slab);
-                        }
-                        FlavorData::Alias { binding } => {
-                            // Parks the (window, frame) pair warm with its
-                            // mapping intact; zero syscalls here.
-                            let _ = (*inner).shared.alias().lock().retire(binding);
-                        }
-                        FlavorData::Copy { .. } => {}
-                        // A thread cannot exit without having run, and
-                        // running materializes the slab.
-                        FlavorData::IsoLazy { .. } => unreachable!("exited without starting"),
-                    }
-                }
-                (*inner).stats.completed += 1;
-                emit(EventKind::ThreadExit, tid.0, lifetime, 0);
-            }
         }
     }
 
-    /// Move a suspended thread back to the run queue.
+    /// Move a suspended thread back to the run queue. The one wake body,
+    /// behind [`awaken`] too: it reaches scheduler state through the raw
+    /// pointer only, so a flow may call it while the scheduler side is
+    /// parked in `resume`.
     pub fn awaken_tid(&self, tid: ThreadId) -> SysResult<()> {
-        // SAFETY: single-threaded access between switches.
-        let inner = unsafe { &mut *self.inner() };
-        match inner.threads.get_mut(&tid) {
-            Some(tcb) if tcb.state == ThreadState::Suspended => {
-                tcb.state = ThreadState::Ready;
-                let prio = tcb.priority;
-                inner.runq.push(tid, prio);
-                Ok(())
+        // SAFETY: on this scheduler's OS thread (`Scheduler` is !Send and
+        // !Sync); no reference into scheduler state outlives the call.
+        unsafe {
+            let inner = self.inner();
+            match (*inner).threads.get_mut(&tid) {
+                Some(tcb) if tcb.state == ThreadState::Suspended => {
+                    tcb.state = ThreadState::Ready;
+                    (*inner).runq.push(tid, tcb.priority);
+                    Ok(())
+                }
+                Some(tcb) => Err(awaken_state_error(tid, tcb.state)),
+                None => Err(SysError::logic("awaken", format!("{tid} is not here"))),
             }
-            Some(tcb) => Err(awaken_state_error(tid, tcb.state)),
-            None => Err(SysError::logic("awaken", format!("{tid} is not here"))),
         }
     }
 
@@ -992,131 +984,88 @@ extern "C" fn thread_main(arg: usize) {
     // Returning lands in the exit trampoline → thread_exit_hook.
 }
 
-fn with_current_tcb<R>(f: impl FnOnce(&mut Tcb) -> R) -> Option<R> {
+/// The running flow's scheduler state and control block, if a flow runs
+/// on this OS thread.
+fn running() -> Option<(*mut Inner, *mut Tcb)> {
     let sched = CURRENT_SCHED.with(|c| c.get());
     if sched.is_null() {
         return None;
     }
-    // SAFETY: called from inside a running thread; the scheduler side
-    // holds no references (see module docs). `current_tcb` is non-null
-    // exactly while a thread runs.
-    unsafe {
+    // SAFETY: `CURRENT_SCHED` is set only while its scheduler drives this
+    // OS thread; the scheduler side holds no references (see module docs).
+    let (inner, tcb) = unsafe {
         let inner = (*sched).inner_ptr();
-        let tcb = (*inner).current_tcb;
-        if tcb.is_null() {
-            return None;
-        }
-        Some(f(&mut *tcb))
-    }
+        (inner, (*inner).current_tcb)
+    };
+    (!tcb.is_null()).then_some((inner, tcb))
 }
 
-/// Exit hook installed per OS thread: marks the current thread Done and
-/// switches back to the scheduler, never to return.
+fn with_current_tcb<R>(f: impl FnOnce(&mut Tcb) -> R) -> Option<R> {
+    // SAFETY: the running flow's own control block, used on its stack.
+    running().map(|(_, tcb)| f(unsafe { &mut *tcb }))
+}
+
+/// The one way out of a running flow: record why it stops and switch to
+/// the scheduler, whose epilogue in `resume` acts on `status` — requeue
+/// (`Ready`), leave parked (`Suspended`) or retire (`Done`). Returns
+/// `false`, without switching, when no flow runs on this OS thread.
+fn switch_out(status: ThreadState) -> bool {
+    let Some((inner, tcb)) = running() else {
+        return false;
+    };
+    // SAFETY: module-level aliasing discipline; the scheduler context is
+    // parked in `resume`.
+    unsafe {
+        (*tcb).state = status;
+        Context::swap_raw(&raw mut (*tcb).ctx, &raw const (*inner).sched_ctx);
+    }
+    true
+}
+
+/// Exit hook installed per OS thread: a returning flow switches out
+/// `Done`, never to return.
 fn thread_exit_hook() -> ! {
-    let sched = CURRENT_SCHED.with(|c| c.get());
-    assert!(!sched.is_null(), "thread exited outside a scheduler");
-    // SAFETY: we are on the thread's stack; the scheduler context is valid
-    // (it is suspended in resume()).
-    unsafe {
-        let inner = (*sched).inner_ptr();
-        assert!((*inner).current.is_some(), "exit hook with no current thread");
-        let tcb: *mut Tcb = (*inner).current_tcb;
-        (*tcb).state = ThreadState::Done;
-        let mut scratch = Context::new((*tcb).ctx.kind());
-        Context::swap_raw(&raw mut scratch, &raw const (*inner).sched_ctx);
-    }
+    assert!(switch_out(ThreadState::Done), "thread exited outside a scheduler");
     unreachable!("a finished thread was resumed");
-}
-
-fn current_sched() -> *const Scheduler {
-    let s = CURRENT_SCHED.with(|c| c.get());
-    assert!(
-        !s.is_null(),
-        "this operation must be called from inside a flows-core thread"
-    );
-    s
 }
 
 /// Put the calling thread at the back of the run queue and run someone
 /// else. No-op when called outside a thread.
 pub fn yield_now() {
-    let sched = CURRENT_SCHED.with(|c| c.get());
-    if sched.is_null() {
-        return;
-    }
-    // SAFETY: module-level aliasing discipline.
-    unsafe {
-        let inner = (*sched).inner_ptr();
-        let Some(tid) = (*inner).current else { return };
-        let tcb: *mut Tcb = (*inner).current_tcb;
-        (*tcb).state = ThreadState::Ready;
-        let prio = (*tcb).priority;
-        (*inner).runq.push(tid, prio);
-        Context::swap_raw(&raw mut (*tcb).ctx, &raw const (*inner).sched_ctx);
-    }
+    switch_out(ThreadState::Ready);
 }
 
 /// Suspend the calling thread until [`awaken`]/[`Scheduler::awaken_tid`].
 pub fn suspend() {
-    let sched = current_sched();
-    // SAFETY: module-level aliasing discipline.
-    unsafe {
-        let inner = (*sched).inner_ptr();
-        assert!(
-            (*inner).current.is_some(),
-            "suspend() called outside a thread"
-        );
-        let tcb: *mut Tcb = (*inner).current_tcb;
-        (*tcb).state = ThreadState::Suspended;
-        Context::swap_raw(&raw mut (*tcb).ctx, &raw const (*inner).sched_ctx);
-    }
+    assert!(
+        switch_out(ThreadState::Suspended),
+        "suspend() called outside a flows-core thread"
+    );
 }
 
 /// The calling thread's id, if inside one.
 pub fn current() -> Option<ThreadId> {
-    let sched = CURRENT_SCHED.with(|c| c.get());
-    if sched.is_null() {
-        return None;
-    }
-    // SAFETY: plain read.
-    unsafe { (*(*sched).inner_ptr()).current }
+    with_current_tcb(|tcb| tcb.id)
 }
 
 /// Awaken a suspended thread *of the same PE* from inside another thread
 /// (or handler running on the PE).
 pub fn awaken(tid: ThreadId) -> SysResult<()> {
-    let sched = current_sched();
-    // SAFETY: same-OS-thread access.
-    unsafe { (*sched).awaken_tid_raw(tid) }
+    let sched = CURRENT_SCHED.with(|c| c.get());
+    assert!(
+        !sched.is_null(),
+        "awaken() must be called from inside a flows-core thread"
+    );
+    // SAFETY: `CURRENT_SCHED` names the scheduler driving this OS thread.
+    unsafe { (*sched).awaken_tid(tid) }
 }
 
 impl Scheduler {
-    /// Internal awaken usable while a thread is running (from `awaken`).
-    ///
-    /// # Safety
-    /// Must be called on the scheduler's OS thread.
-    unsafe fn awaken_tid_raw(&self, tid: ThreadId) -> SysResult<()> {
-        // SAFETY: forwarded; uses raw access like awaken_tid but without
-        // constructing &mut Inner that would overlap thread-side access.
-        unsafe {
-            let inner = self.inner();
-            match (*inner).threads.get_mut(&tid) {
-                Some(tcb) if tcb.state == ThreadState::Suspended => {
-                    tcb.state = ThreadState::Ready;
-                    let prio = tcb.priority;
-                    (*inner).runq.push(tid, prio);
-                    Ok(())
-                }
-                Some(tcb) => Err(awaken_state_error(tid, tcb.state)),
-                None => Err(SysError::logic("awaken", format!("{tid} is not here"))),
-            }
-        }
-    }
-
     /// Test scaffolding for the sanitizer suite: force a live thread's
-    /// state to `Done` so the use-after-exit detector can be exercised
-    /// without waiting for the rare real path (a flavor-activation failure
-    /// leaves a `Done` control block behind).
+    /// state to `Done` so the use-after-exit detector can be exercised.
+    /// Every real exit, an activation failure included, is reaped at
+    /// once, so this is the only way a `Done` control block stays in the
+    /// table.
     #[doc(hidden)]
     #[cfg(feature = "sanitize")]
     pub fn sanitize_force_done(&self, tid: ThreadId) {
@@ -1128,7 +1077,7 @@ impl Scheduler {
     }
 }
 
-/// Shared failure path for both awaken entry points. Awakening a `Ready`
+/// Failure path of the wake body, for both entry points. Awakening a `Ready`
 /// thread is an application-level error (reported, recoverable); awakening
 /// a `Running` or `Done` thread means scheduler state itself is wrong, so
 /// it is debug-asserted — and, under `sanitize`, trips the corresponding

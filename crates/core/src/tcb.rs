@@ -134,10 +134,10 @@ pub(crate) struct Tcb {
     pub state: ThreadState,
     pub flavor: FlavorData,
     /// Raw `Box<Entry>` passed to the entry trampoline at first resume;
-    /// consumed there. Present only before the thread starts.
-    /// (`Box::into_raw` never returns null, so the niche costs nothing.)
+    /// consumed there. Present exactly until the thread starts, so it is
+    /// also the "started" flag. (`Box::into_raw` never returns null, so
+    /// the niche costs nothing.)
     pub entry_raw: Option<std::num::NonZeroUsize>,
-    pub started: bool,
     /// Private globals block (swap-global privatization), if the scheduler
     /// has a `GlobalsLayout`.
     pub globals: Option<Vec<u8>>,
@@ -155,8 +155,33 @@ impl std::fmt::Debug for Tcb {
             .field("id", &self.id)
             .field("state", &self.state)
             .field("flavor", &self.flavor.flavor())
-            .field("started", &self.started)
+            .field("started", &self.entry_raw.is_none())
             .finish()
+    }
+}
+
+impl Tcb {
+    /// The one packability rule, for `pack_thread`, `Scheduler::checkpoint`
+    /// and the steal filter: the thread has started (an entry closure is
+    /// not serializable), its flavor can migrate, and it is parked (ready
+    /// or suspended). `Err` says why not.
+    pub(crate) fn packable(&self) -> Result<(), &'static str> {
+        if self.entry_raw.is_some() {
+            Err("has not started: its entry closure is not serializable")
+        } else if !self.flavor.flavor().migratable() {
+            Err("uses a non-migratable standard stack")
+        } else if !matches!(self.state, ThreadState::Ready | ThreadState::Suspended) {
+            Err("is not parked: it is running or done")
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Move the flavor's resources out of a control block that is being
+    /// retired, packed or discarded (`Tcb` is `Drop`, so fields cannot be
+    /// moved out directly). Leaves a resource-free placeholder behind.
+    pub(crate) fn take_flavor(&mut self) -> FlavorData {
+        std::mem::replace(&mut self.flavor, FlavorData::IsoLazy { want: 0 })
     }
 }
 

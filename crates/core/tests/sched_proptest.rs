@@ -1,21 +1,215 @@
 //! Property tests on the scheduler and migration: random flavor mixes,
 //! random yield/suspend patterns and random migration points must never
-//! lose work or corrupt results.
+//! lose work or corrupt results, and random lifecycles must match a
+//! reference model of the four thread states.
 
 use flows_core::{
-    migrate::migrate, suspend, yield_now, SchedConfig, Scheduler, SharedPools, StackFlavor,
-    ThreadState,
+    awaken, migrate::migrate, suspend, yield_now, SchedConfig, SchedStats, Scheduler,
+    SharedPools, StackFlavor, ThreadId, ThreadState,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 fn flavor_of(i: u8) -> StackFlavor {
     StackFlavor::ALL[(i % 4) as usize]
 }
 
+/// Isomalloc slots on the lifecycle model's PE: few, so lazy spawns
+/// beyond the slot count are common.
+const SLOTS: usize = 4;
+
+/// How a flow leaves one burst: the three ways out of a running flow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Exit {
+    Yield,
+    Suspend,
+    Return,
+}
+
+/// What the next flow to run does: optionally awaken a sibling (by spawn
+/// index), then leave by `Exit`.
+type Plan = (Exit, Option<ThreadId>);
+
+/// The reference model: a thread is `Ready`, `Running`, `Suspended` or
+/// `Done` (reaped, so absent from the scheduler), and the run queue is
+/// FIFO. A lazy isomalloc flow that finds every slot held by a started,
+/// unfinished sibling dies at its first landing without running.
+struct Lifecycle {
+    s: Scheduler,
+    plan: Rc<Cell<Option<Plan>>>,
+    woke: Rc<Cell<Option<bool>>>,
+    tids: Vec<ThreadId>,
+    state: Vec<ThreadState>,
+    lazy: Vec<bool>,
+    started: Vec<bool>,
+    runq: VecDeque<usize>,
+    slots_held: usize,
+    stats: SchedStats,
+}
+
+impl Lifecycle {
+    fn new() -> Lifecycle {
+        let mut iso = flows_mem::IsoConfig::for_pes(1);
+        iso.base = 0;
+        iso.slots_per_pe = SLOTS;
+        let cfg = SchedConfig {
+            lazy_iso: true,
+            ..SchedConfig::default()
+        };
+        Lifecycle {
+            s: Scheduler::new(0, SharedPools::new(iso, 256 * 1024).unwrap(), cfg),
+            plan: Rc::new(Cell::new(None)),
+            woke: Rc::new(Cell::new(None)),
+            tids: Vec::new(),
+            state: Vec::new(),
+            lazy: Vec::new(),
+            started: Vec::new(),
+            runq: VecDeque::new(),
+            slots_held: 0,
+            stats: SchedStats::default(),
+        }
+    }
+
+    fn spawn(&mut self, flavor: StackFlavor) {
+        let (plan, woke) = (self.plan.clone(), self.woke.clone());
+        let tid = self
+            .s
+            .spawn_with(flavor, 16 * 1024, move || loop {
+                let (exit, wake) = plan.take().expect("every burst has a plan");
+                if let Some(t) = wake {
+                    woke.set(Some(awaken(t).is_ok()));
+                }
+                match exit {
+                    Exit::Yield => yield_now(),
+                    Exit::Suspend => suspend(),
+                    Exit::Return => return,
+                }
+            })
+            .unwrap();
+        self.runq.push_back(self.tids.len());
+        self.tids.push(tid);
+        self.state.push(ThreadState::Ready);
+        self.lazy.push(flavor == StackFlavor::Isomalloc);
+        self.started.push(false);
+        self.stats.spawned += 1;
+    }
+
+    /// The model's side of either awaken entry point.
+    fn model_awaken(&mut self, i: usize) -> bool {
+        if self.state[i] != ThreadState::Suspended {
+            return false;
+        }
+        self.state[i] = ThreadState::Ready;
+        self.runq.push_back(i);
+        true
+    }
+
+    /// Awaken spawn index `i` from the pump; `Ok` exactly when the model
+    /// has it suspended.
+    fn awaken(&mut self, i: usize) -> Result<(), TestCaseError> {
+        let got = self.s.awaken_tid(self.tids[i]).is_ok();
+        prop_assert_eq!(got, self.model_awaken(i), "pump awaken of #{}", i);
+        Ok(())
+    }
+
+    /// One `step`: the head flow runs `exit`, first awakening spawn index
+    /// `wake` from inside (skipped when it names the runner itself).
+    fn step(&mut self, exit: Exit, wake: Option<usize>) -> Result<(), TestCaseError> {
+        let Some(&h) = self.runq.front() else {
+            prop_assert!(!self.s.step(), "model has nothing runnable");
+            return Ok(());
+        };
+        let wake = wake.filter(|&w| w != h);
+        self.plan.set(Some((exit, wake.map(|w| self.tids[w]))));
+        prop_assert!(self.s.step());
+        self.runq.pop_front();
+        let lands = !self.lazy[h] || self.started[h] || self.slots_held < SLOTS;
+        prop_assert_eq!(self.plan.take().is_none(), lands, "#{} ran", h);
+        if !lands {
+            self.state[h] = ThreadState::Done;
+            self.stats.completed += 1;
+            return Ok(());
+        }
+        if self.lazy[h] && !self.started[h] {
+            self.slots_held += 1;
+        }
+        self.started[h] = true;
+        self.stats.switches += 1;
+        let expect = wake.map(|w| self.model_awaken(w));
+        prop_assert_eq!(self.woke.take(), expect, "in-flow awaken by #{}", h);
+        self.state[h] = match exit {
+            Exit::Yield => {
+                self.runq.push_back(h);
+                ThreadState::Ready
+            }
+            Exit::Suspend => ThreadState::Suspended,
+            Exit::Return => {
+                self.stats.completed += 1;
+                self.slots_held -= self.lazy[h] as usize;
+                ThreadState::Done
+            }
+        };
+        Ok(())
+    }
+
+    /// The scheduler agrees with the model on every observable.
+    fn check(&self) -> Result<(), TestCaseError> {
+        for (i, (&tid, &st)) in self.tids.iter().zip(&self.state).enumerate() {
+            let want = (st != ThreadState::Done).then_some(st);
+            prop_assert_eq!(self.s.state(tid), want, "state of #{}", i);
+        }
+        prop_assert_eq!(self.s.runnable(), self.runq.len());
+        let live = self.state.iter().filter(|&&st| st != ThreadState::Done).count();
+        prop_assert_eq!(self.s.thread_count(), live);
+        prop_assert_eq!(self.s.stats(), self.stats);
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random sequences of spawn, step (yield, suspend or return, after
+    /// an optional in-flow awaken) and pump-side awaken match the
+    /// reference model after every operation, and the PE then drains to
+    /// empty with every spawn counted completed — lazy flows that never
+    /// found a slot included.
+    #[test]
+    fn lifecycle_matches_the_reference_model(
+        ops in proptest::collection::vec((0u8..8, any::<u8>(), any::<u8>()), 1..160)
+    ) {
+        let flavors = [StackFlavor::Standard, StackFlavor::StackCopy, StackFlavor::Isomalloc];
+        let exits = [Exit::Yield, Exit::Suspend, Exit::Return];
+        let mut m = Lifecycle::new();
+        for (kind, a, b) in ops {
+            let n = m.tids.len().max(1);
+            match kind {
+                0..=1 => m.spawn(flavors[a as usize % 3]),
+                2..=4 => {
+                    let wake = (b & 1 == 1 && !m.tids.is_empty()).then_some((b >> 1) as usize % n);
+                    m.step(exits[a as usize % 3], wake)?;
+                }
+                _ if !m.tids.is_empty() => m.awaken(a as usize % n)?,
+                _ => {}
+            }
+            m.check()?;
+        }
+        while m.state.iter().any(|&st| st != ThreadState::Done) {
+            for i in 0..m.tids.len() {
+                if m.state[i] == ThreadState::Suspended {
+                    m.awaken(i)?;
+                }
+            }
+            while !m.runq.is_empty() {
+                m.step(Exit::Return, None)?;
+                m.check()?;
+            }
+        }
+        prop_assert_eq!(m.s.thread_count(), 0);
+        prop_assert_eq!(m.stats.completed, m.stats.spawned);
+    }
 
     /// N threads of random flavors each do a random number of yields and
     /// then report; every thread completes exactly once and the scheduler

@@ -1,7 +1,8 @@
-//! Structural guard on the context-switch path: once warm, a yield or a
-//! suspend/awaken cycle allocates nothing and enters the kernel for
-//! nothing. Counts, not timings — a regression here is a design change
-//! (a map that grows, a clock that traps), not host noise.
+// Structural guard on the context-switch path: once warm, a yield or a
+// suspend/awaken cycle allocates nothing and enters the kernel for
+// nothing. Counts, not timings — a regression here is a design change
+// (a map that grows, a clock that traps), not host noise. Plain `//`
+// comments: `tests/switch_path_smoke.rs` `include!`s this file.
 
 use flows_core::{suspend, yield_now, SchedConfig, Scheduler, SharedPools, StackFlavor, ThreadId};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -5,8 +5,10 @@ use flows_core::{
     awaken, current, iso_free, iso_malloc, suspend, yield_now, GlobalsLayoutBuilder,
     PrivatizeMode, SchedConfig, Scheduler, SharedPools, StackFlavor, ThreadState,
 };
+use flows_trace::{install_ring, set_enabled, EventKind, TraceRing};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
 
 fn sched() -> Scheduler {
     Scheduler::new(0, SharedPools::new_for_tests(), SchedConfig::default())
@@ -48,6 +50,60 @@ fn lazy_iso_spawns_need_no_slots_until_first_run() {
         "run-to-exit recycles slabs instead of hoarding slots: {}",
         shared.region().live_slots(0)
     );
+}
+
+/// A flow that cannot be activated is reaped like a flow that returned.
+/// 80 lazy isomalloc flows suspend on a PE with 64 slots: the last 16
+/// find no slot at their first landing, die marked panicked without
+/// running, leave the thread table, count as completed and emit
+/// `ThreadExit`.
+#[test]
+fn a_flow_that_cannot_activate_is_reaped() {
+    let s = Scheduler::new(
+        0,
+        SharedPools::new_for_tests(),
+        SchedConfig {
+            lazy_iso: true,
+            ..SchedConfig::default()
+        },
+    );
+    let ran = Rc::new(Cell::new(0u32));
+    let tids: Vec<_> = (0..80)
+        .map(|_| {
+            let ran = ran.clone();
+            s.spawn_with(StackFlavor::Isomalloc, 16 * 1024, move || {
+                ran.set(ran.get() + 1);
+                suspend();
+            })
+            .unwrap()
+        })
+        .collect();
+    let ring = Arc::new(TraceRing::new(0, 1024));
+    set_enabled(true);
+    let exits = {
+        let _g = install_ring(&ring);
+        s.run();
+        ring.events()
+            .iter()
+            .filter(|e| e.kind == EventKind::ThreadExit)
+            .count()
+    };
+    set_enabled(false);
+    assert_eq!(ran.get(), 64, "one flow per slot got to run");
+    assert_eq!(s.thread_count(), 64, "the 16 without a slot are gone");
+    assert_eq!(s.stats().completed, 16);
+    assert_eq!(s.stats().switches, 64, "a failed activation is no switch");
+    assert_eq!(exits, 16);
+    for &t in &tids[64..] {
+        assert_eq!(s.state(t), None);
+        assert!(s.awaken_tid(t).is_err());
+    }
+    for &t in &tids[..64] {
+        s.awaken_tid(t).unwrap();
+    }
+    s.run();
+    assert_eq!(s.thread_count(), 0);
+    assert_eq!(s.stats().completed, 80);
 }
 
 #[test]
