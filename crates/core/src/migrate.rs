@@ -88,8 +88,7 @@ impl Pup for PackedThread {
             }
             self.payload = Payload::from_vec(v);
         } else {
-            let mut tmp = self.payload.to_vec();
-            p.raw(&mut tmp);
+            p.write(self.payload.as_slice());
         }
     }
 }

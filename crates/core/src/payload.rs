@@ -659,12 +659,7 @@ impl Pup for Payload {
             }
             *self = Payload::from_vec(v);
         } else {
-            // Sizing or packing: raw() only reads, but wants `&mut`; the
-            // backing may be aliased by other views, so go through a copy
-            // (payload pup rides migration/checkpoint paths, not the
-            // per-message hot path).
-            let mut tmp = self.to_vec();
-            p.raw(&mut tmp);
+            p.write(self.as_slice());
         }
     }
 }

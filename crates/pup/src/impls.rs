@@ -4,16 +4,13 @@ use crate::error::PupError;
 use crate::puper::{Pup, Puper};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hash;
+use std::mem::ManuallyDrop;
 
 macro_rules! pup_le_prim {
     ($($t:ty),*) => {$(
         impl Pup for $t {
             fn pup(&mut self, p: &mut Puper) {
-                let mut b = self.to_le_bytes();
-                p.raw(&mut b);
-                if p.is_unpacking() {
-                    *self = <$t>::from_le_bytes(b);
-                }
+                *self = <$t>::from_le_bytes(p.fixed(self.to_le_bytes()));
             }
         }
     )*};
@@ -126,8 +123,7 @@ impl<T: Pup + Default> Pup for VecDeque<T> {
 
 impl Pup for String {
     fn pup(&mut self, p: &mut Puper) {
-        // SAFETY-free approach: round-trip through a byte vector and
-        // validate on unpack.
+        // Unpack round-trips through a byte vector and validates it.
         if p.is_unpacking() {
             let at = p.offset();
             let mut bytes: Vec<u8> = Vec::new();
@@ -137,14 +133,8 @@ impl Pup for String {
                 Err(_) => p.fail(PupError::InvalidUtf8 { at }),
             }
         } else {
-            // Pack/size: emit length + raw bytes without copying.
             pup_len(p, self.len());
-            // raw() does not mutate outside unpack mode.
-            let ptr = self.as_ptr() as *mut u8;
-            // SAFETY: in pack/size mode `raw` only reads the buffer; we
-            // reconstruct a unique &mut over our own bytes for the call.
-            let slice = unsafe { std::slice::from_raw_parts_mut(ptr, self.len()) };
-            p.raw(slice);
+            p.write(self.as_bytes());
         }
     }
 }
@@ -208,13 +198,12 @@ where
             for (k, v) in self.iter_mut() {
                 // Keys are logically immutable in a map; read through a
                 // temporary to keep the single-traversal contract.
-                // SAFETY: `kk` is a bitwise copy of `*k` that is packed
-                // (read-only traversal) and then forgotten, never dropped,
-                // so ownership stays with the map and nothing is aliased
-                // mutably.
-                let mut kk = unsafe { std::ptr::read(k) };
+                // SAFETY: `kk` is a bitwise copy of `*k` that is only
+                // packed (a read-only traversal) and never dropped, not
+                // even if `pup` unwinds, so ownership stays with the map
+                // and nothing is aliased mutably.
+                let mut kk = ManuallyDrop::new(unsafe { std::ptr::read(k) });
                 kk.pup(p);
-                std::mem::forget(kk);
                 v.pup(p);
             }
         }
@@ -243,10 +232,9 @@ where
         } else {
             for (k, v) in self.iter_mut() {
                 // SAFETY: as for HashMap above — the bitwise copy is only
-                // packed and then forgotten, never dropped.
-                let mut kk = unsafe { std::ptr::read(k) };
+                // packed and never dropped.
+                let mut kk = ManuallyDrop::new(unsafe { std::ptr::read(k) });
                 kk.pup(p);
-                std::mem::forget(kk);
                 v.pup(p);
             }
         }

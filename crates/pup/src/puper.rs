@@ -73,8 +73,6 @@ impl<'a> Puper<'a> {
     /// traversal stays memory-safe and the error surfaces at the end).
     pub fn raw(&mut self, buf: &mut [u8]) {
         match &mut self.mode {
-            Mode::Size { bytes } => *bytes += buf.len(),
-            Mode::Pack { out } => out.extend_from_slice(buf),
             Mode::Unpack { input, pos, error } => {
                 if error.is_some() {
                     buf.fill(0);
@@ -92,7 +90,49 @@ impl<'a> Puper<'a> {
                 buf.copy_from_slice(&input[*pos..end]);
                 *pos = end;
             }
+            _ => self.write(buf),
         }
+    }
+
+    /// [`Puper::raw`] for a run of bytes the caller only has by shared
+    /// reference: counts `buf.len()` while sizing and appends `buf` while
+    /// packing. An unpacking traversal must use `raw`, which writes.
+    pub fn write(&mut self, buf: &[u8]) {
+        match &mut self.mode {
+            Mode::Size { bytes } => *bytes += buf.len(),
+            Mode::Pack { out } => out.extend_from_slice(buf),
+            Mode::Unpack { .. } => panic!("Puper::write called while unpacking"),
+        }
+    }
+
+    /// [`Puper::raw`] for a field of a width known at compile time — every
+    /// primitive's little-endian bytes — taken and returned by value:
+    /// sizing and packing return `buf`, unpacking returns the next N input
+    /// bytes. The length is a constant, so each mode is one add, one
+    /// capacity check and store, or one bounds check and load, never a
+    /// variable-length copy. Truncation behaves exactly as in `raw`:
+    /// `Truncated { needed: N, at }`, first error wins, and the field
+    /// reads as zeros.
+    #[inline]
+    pub(crate) fn fixed<const N: usize>(&mut self, buf: [u8; N]) -> [u8; N] {
+        match &mut self.mode {
+            Mode::Size { bytes } => *bytes += N,
+            Mode::Pack { out } => out.extend_from_slice(&buf),
+            Mode::Unpack { input, pos, error } => {
+                if error.is_none() {
+                    if let Some(src) = input[*pos..].first_chunk::<N>() {
+                        *pos += N;
+                        return *src;
+                    }
+                    *error = Some(PupError::Truncated {
+                        needed: N,
+                        at: *pos,
+                    });
+                }
+                return [0; N];
+            }
+        }
+        buf
     }
 
     /// Record a decoding error discovered by an implementation (e.g. a
@@ -139,8 +179,9 @@ impl<'a> Puper<'a> {
         }
     }
 
-    /// Finish an unpacking pass, returning bytes consumed.
-    pub(crate) fn finish(self) -> Result<usize, PupError> {
+    /// Finish an unpacking pass, returning the bytes consumed or the first
+    /// error recorded.
+    pub fn finish(self) -> Result<usize, PupError> {
         match self.mode {
             Mode::Unpack { pos, error, .. } => match error {
                 Some(e) => Err(e),
