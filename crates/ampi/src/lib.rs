@@ -41,7 +41,7 @@ pub use world::{lb_batch_messages, pe_of_rank, run_world, AmpiOptions};
 
 use crate::proto::{route_rank_wire, LoadReport, RankWire, RANK_WIRE_LEN};
 use crate::world::{
-    contribute_now, obj_of, tag_ckpt, tag_coll, tag_lb, with_rank_box, AmpiState, Wait,
+    contribute_now, obj_of, with_rank_box, AmpiState, Wait, TAG_CKPT, TAG_COLL, TAG_LB,
 };
 use flows_comm::ReduceOp;
 use flows_core::suspend;
@@ -51,7 +51,6 @@ use flows_core::suspend;
 /// the rank.
 #[derive(Debug)]
 pub struct Ampi {
-    world: u64,
     rank: usize,
     size: usize,
     coll_seq: u64,
@@ -77,9 +76,8 @@ pub struct Ampi {
 // would be dropped twice; it reaches `main` through a non-owning pointer.
 
 impl Ampi {
-    pub(crate) fn new(world: u64, rank: usize, size: usize) -> Ampi {
+    pub(crate) fn new(rank: usize, size: usize) -> Ampi {
         Ampi {
-            world,
             rank,
             size,
             coll_seq: 0,
@@ -149,7 +147,7 @@ impl Ampi {
                         b: tag,
                         seq,
                     };
-                    route_rank_wire(pe, obj_of(self.world, dest), &mut w, &data);
+                    route_rank_wire(pe, obj_of(dest), &mut w, &data);
                 }
             }
         });
@@ -196,7 +194,7 @@ impl Ampi {
             b.wait = Wait::Coll { seq };
         });
         contribute_now(
-            tag_coll(self.world),
+            TAG_COLL,
             seq,
             self.rank as u64,
             op,
@@ -271,7 +269,7 @@ impl Ampi {
         };
         with_rank_box(self.rank as u64, |b| b.wait = Wait::Lb { seq });
         contribute_now(
-            tag_lb(self.world),
+            TAG_LB,
             seq,
             self.rank as u64,
             ReduceOp::Concat,
@@ -300,7 +298,7 @@ impl Ampi {
         let seq = self.ckpt_seq;
         with_rank_box(self.rank as u64, |b| b.wait = Wait::Ckpt { seq });
         contribute_now(
-            tag_ckpt(self.world),
+            TAG_CKPT,
             seq,
             self.rank as u64,
             ReduceOp::SumU64,

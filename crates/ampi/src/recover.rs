@@ -42,15 +42,12 @@
 
 use crate::proto::{ctl, CtlMsg, MoveRec, RankMove, RepHead, RepRec};
 use crate::world::{obj_of, pe_of_rank, AmpiState, RankBox, WorldMeta};
-use flows_converse::{HandlerId, IdMap, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
+use flows_converse::{IdMap, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
 use flows_core::{
     frame_in_place, unframe_payload, PackedThread, ThreadId, ThreadState, FRAME_HEADER_LEN,
 };
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
-
-static CTL_HANDLER: OnceLock<HandlerId> = OnceLock::new();
-static REP_HANDLER: OnceLock<HandlerId> = OnceLock::new();
+use std::sync::Arc;
 
 /// Marks a shelf holding as *owned* (the rank lived on the holder at
 /// deposit time) in inventory pairs.
@@ -113,24 +110,11 @@ pub(crate) struct RecoverState {
     invalid_msgs: u64,
 }
 
-/// Register the recovery control + replication handlers. Must occupy the
-/// same handler slots in every machine of the process (same pattern as
-/// the AMPI world handlers).
+/// Register the recovery control + replication handlers on this machine;
+/// PEs find their ids with [`Pe::handler_of`].
 pub(crate) fn register(mb: &mut MachineBuilder) {
-    let ctl = mb.handler(on_ctl);
-    let stored = *CTL_HANDLER.get_or_init(|| ctl);
-    assert_eq!(stored, ctl, "AMPI must occupy the same handler slot in every machine");
-    let rep = mb.handler(on_replica);
-    let stored = *REP_HANDLER.get_or_init(|| rep);
-    assert_eq!(stored, rep, "AMPI must occupy the same handler slot in every machine");
-}
-
-fn ctl_handler() -> HandlerId {
-    *CTL_HANDLER.get().expect("recovery handlers registered")
-}
-
-fn rep_handler() -> HandlerId {
-    *REP_HANDLER.get().expect("recovery handlers registered")
+    mb.handler(on_ctl);
+    mb.handler(on_replica);
 }
 
 /// The plan's buddy-replication degree (0 without a plan).
@@ -258,7 +242,7 @@ pub(crate) fn finalize_generation(pe: &Pe, meta: &Arc<WorldMeta>, gen: u64) {
     }
     let wire = build_rep_batch(pe, meta.world, gen, epoch, 0, &own);
     for b in &buddies {
-        pe.send(*b, rep_handler(), wire.clone());
+        pe.send(*b, pe.handler_of(on_replica), wire.clone());
     }
 }
 
@@ -368,7 +352,7 @@ pub(crate) fn on_replica(pe: &Pe, msg: Message) {
         b: h.purpose as u64,
         pairs: Vec::new(),
     };
-    pe.send(h.owner as usize, ctl_handler(), pe.pack_payload(&mut ack));
+    pe.send(h.owner as usize, pe.handler_of(on_ctl), pe.pack_payload(&mut ack));
 }
 
 fn cast_vote(pe: &Pe, gen: u64, epoch: u64, count: u64) {
@@ -377,7 +361,7 @@ fn cast_vote(pe: &Pe, gen: u64, epoch: u64, count: u64) {
         on_vote(pe, pe.id(), gen, count);
     } else {
         let mut m = CtlMsg { kind: ctl::VOTE, epoch, a: gen, b: count, pairs: Vec::new() };
-        pe.send(coord, ctl_handler(), pe.pack_payload(&mut m));
+        pe.send(coord, pe.handler_of(on_ctl), pe.pack_payload(&mut m));
     }
 }
 
@@ -408,7 +392,7 @@ fn on_vote(pe: &Pe, from: usize, gen: u64, count: u64) {
     let wire = pe.pack_payload(&mut m);
     for d in 0..pe.num_pes() {
         if d != pe.id() && dead & (1 << d) == 0 {
-            pe.send(d, ctl_handler(), wire.clone());
+            pe.send(d, pe.handler_of(on_ctl), wire.clone());
         }
     }
     on_commit(pe, gen);
@@ -464,7 +448,7 @@ fn start_round(pe: &Pe) {
     let wire = pe.pack_payload(&mut m);
     for d in 0..pe.num_pes() {
         if d != pe.id() && live_mask & (1 << d) != 0 {
-            pe.send(d, ctl_handler(), wire.clone());
+            pe.send(d, pe.handler_of(on_ctl), wire.clone());
         }
     }
     handle_start(pe, pe.id(), epoch, dead_mask);
@@ -520,7 +504,7 @@ fn handle_start(pe: &Pe, leader: usize, epoch: u64, dead_mask: u64) {
         pe.sched().discard_thread(*tid).expect("discard rank at rollback");
     }
     for r in 0..meta.size as u64 {
-        flows_comm::evict_obj(pe, obj_of(meta.world, r));
+        flows_comm::evict_obj(pe, obj_of(r));
     }
     let lowest_dead = lowest_bit(dead_mask);
     let (cp1, pairs) = build_inventory(pe);
@@ -530,7 +514,7 @@ fn handle_start(pe: &Pe, leader: usize, epoch: u64, dead_mask: u64) {
         record_inventory(pe, pe.id(), pairs);
     } else {
         let mut m = CtlMsg { kind: ctl::INVENTORY, epoch, a: pe.id() as u64, b: cp1, pairs };
-        pe.send(leader, ctl_handler(), pe.pack_payload(&mut m));
+        pe.send(leader, pe.handler_of(on_ctl), pe.pack_payload(&mut m));
     }
 }
 
@@ -604,7 +588,7 @@ fn record_inventory(pe: &Pe, from: usize, pairs: Vec<(u64, u64)>) {
     let wire = pe.pack_payload(&mut m);
     for d in 0..pe.num_pes() {
         if d != pe.id() && live_mask & (1 << d) != 0 {
-            pe.send(d, ctl_handler(), wire.clone());
+            pe.send(d, pe.handler_of(on_ctl), wire.clone());
         }
     }
     apply_plan(pe, pe.id(), epoch, genp1, dead_mask, &assign);
@@ -662,7 +646,7 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
         pe.ext::<AmpiState, _>(|st| {
             st.ranks.insert(rank, bx);
         });
-        flows_comm::migrate_obj_in(pe, obj_of(meta.world, rank));
+        flows_comm::migrate_obj_in(pe, obj_of(rank));
         pe.sched().reset_load_tid(tid);
         flows_trace::emit(flows_trace::EventKind::FtRespawn, rank, lowest_dead as u64, g);
         adopted.push((rank, load_ns, frame));
@@ -687,7 +671,7 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
     pe.ext::<RecoverState, _>(|rs| rs.rec_acks = buddies.len());
     let wire = build_rep_batch(pe, meta.world, g, epoch, 1, &adopted);
     for b in &buddies {
-        pe.send(*b, rep_handler(), wire.clone());
+        pe.send(*b, pe.handler_of(on_replica), wire.clone());
     }
 }
 
@@ -696,7 +680,7 @@ fn plan_done(pe: &Pe, epoch: u64, leader: usize) {
         record_plan_done(pe, pe.id());
     } else {
         let mut m = CtlMsg { kind: ctl::PLAN_DONE, epoch, a: pe.id() as u64, b: 0, pairs: Vec::new() };
-        pe.send(leader, ctl_handler(), pe.pack_payload(&mut m));
+        pe.send(leader, pe.handler_of(on_ctl), pe.pack_payload(&mut m));
     }
 }
 
@@ -723,7 +707,7 @@ fn record_plan_done(pe: &Pe, from: usize) {
     let wire = pe.pack_payload(&mut m);
     for d in 0..pe.num_pes() {
         if d != pe.id() && live_mask & (1 << d) != 0 {
-            pe.send(d, ctl_handler(), wire.clone());
+            pe.send(d, pe.handler_of(on_ctl), wire.clone());
         }
     }
     apply_resume(pe, epoch, genp1, dead_mask);

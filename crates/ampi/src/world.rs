@@ -13,11 +13,9 @@ use flows_core::{SchedConfig, StackFlavor, ThreadId, ThreadState};
 use flows_lb::{LbStats, LbStrategy, NullLb, ObjLoad};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 static NEXT_WORLD: AtomicU64 = AtomicU64::new(1);
-static PLAN_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();
-static BATCH_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();
 
 /// Batched-migration wire messages sent by LB epochs (process-global,
 /// cumulative).
@@ -228,25 +226,21 @@ impl std::fmt::Debug for WorldMeta {
 }
 
 /// The routed object id of rank `r`. Comm state is per-machine and each
-/// machine hosts exactly one world, so the id deliberately omits the world:
-/// homes (`id % num_pes`) and reduction roots must not depend on the
-/// process-global world counter, or two identical runs in one process
-/// would route differently — breaking replay determinism.
-pub(crate) fn obj_of(_world: u64, rank: u64) -> ObjId {
+/// machine hosts exactly one world, so the id — like the reduction tags
+/// below — deliberately omits the world: homes (`id % num_pes`) and
+/// reduction roots must not depend on the process-global world counter,
+/// or two identical runs in one process would route differently —
+/// breaking replay determinism.
+pub(crate) fn obj_of(rank: u64) -> ObjId {
     ObjId(rank)
 }
 
-pub(crate) fn tag_coll(_world: u64) -> u64 {
-    0
-}
-
-pub(crate) fn tag_lb(_world: u64) -> u64 {
-    1
-}
-
-pub(crate) fn tag_ckpt(_world: u64) -> u64 {
-    2
-}
+/// Reduction tag of the collectives (barrier, reduce, allreduce).
+pub(crate) const TAG_COLL: u64 = 0;
+/// Reduction tag of the load-balancing gather.
+pub(crate) const TAG_LB: u64 = 1;
+/// Reduction tag of the coordinated checkpoint cut.
+pub(crate) const TAG_CKPT: u64 = 2;
 
 /// Block mapping of ranks onto PEs (AMPI's default).
 pub fn pe_of_rank(rank: usize, ranks: usize, pes: usize) -> usize {
@@ -398,12 +392,8 @@ pub fn run_world(
         mb = mb.fault_plan(p.clone());
     }
     let _ = CommLayer::register(&mut mb);
-    let pl = mb.handler(on_lb_plan);
-    let stored = *PLAN_HANDLER.get_or_init(|| pl);
-    assert_eq!(stored, pl, "AMPI must occupy the same handler slot in every machine");
-    let bt = mb.handler(on_move_batch);
-    let stored = *BATCH_HANDLER.get_or_init(|| bt);
-    assert_eq!(stored, bt, "AMPI must occupy the same handler slot in every machine");
+    mb.handler(on_lb_plan);
+    mb.handler(on_move_batch);
     crate::recover::register(&mut mb);
     if recovers {
         mb = mb.on_death_confirmed(crate::recover::on_death_confirmed);
@@ -449,12 +439,11 @@ pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
     // call, and a closure environment would be read through a pointer into
     // the spawning process's heap.
     let main = Arc::as_ptr(&meta.main);
-    let world = meta.world;
     let size = meta.size;
     let tid = pe
         .sched()
         .spawn(StackFlavor::Isomalloc, move || {
-            let mut ampi = crate::Ampi::new(world, rank as usize, size);
+            let mut ampi = crate::Ampi::new(rank as usize, size);
             // SAFETY: the pointee is `meta.main`, kept alive by the world
             // meta past every rank thread's life (see above).
             unsafe { (*main)(&mut ampi) };
@@ -464,7 +453,7 @@ pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
     pe.ext::<AmpiState, _>(|st| {
         st.ranks.insert(rank, RankBox::new(tid));
     });
-    flows_comm::register_obj(pe, obj_of(meta.world, rank));
+    flows_comm::register_obj(pe, obj_of(rank));
 }
 
 /// Routed delivery to a rank living on this PE. The payload is the raw
@@ -577,7 +566,7 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
 /// Reduction completions: collectives broadcast their result to every
 /// rank; the LB reduction runs the strategy and broadcasts decisions.
 fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
-    if red.tag == tag_coll(meta.world) {
+    if red.tag == TAG_COLL {
         // Each rank's wire is packed straight from the reduced bytes: one
         // copy per rank, which its routing hops then forward in place.
         let mut w = RankWire {
@@ -587,9 +576,9 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
             seq: flows_comm::comm_epoch(pe),
         };
         for r in 0..meta.size as u64 {
-            route_rank_wire(pe, obj_of(meta.world, r), &mut w, &red.data);
+            route_rank_wire(pe, obj_of(r), &mut w, &red.data);
         }
-    } else if red.tag == tag_ckpt(meta.world) {
+    } else if red.tag == TAG_CKPT {
         // Every rank reached its checkpoint() call — a coordinated
         // consistent cut. Order each rank, wherever it currently lives, to
         // snapshot itself.
@@ -600,9 +589,9 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
             seq: flows_comm::comm_epoch(pe),
         };
         for r in 0..meta.size as u64 {
-            route_rank_wire(pe, obj_of(meta.world, r), &mut w, &[]);
+            route_rank_wire(pe, obj_of(r), &mut w, &[]);
         }
-    } else if red.tag == tag_lb(meta.world) {
+    } else if red.tag == TAG_LB {
         // The gathered load reports crossed process boundaries in a
         // multi-process world: a malformed gather is a counted drop.
         let Some(reports) = decode_load_reports(&red.data) else {
@@ -649,11 +638,7 @@ fn on_reduction(pe: &Pe, meta: &Arc<WorldMeta>, red: flows_comm::Reduction) {
                 epoch: flows_comm::comm_epoch(pe),
                 entries,
             };
-            pe.send(
-                src,
-                *PLAN_HANDLER.get().expect("registered"),
-                pe.pack_payload(&mut p),
-            );
+            pe.send(src, pe.handler_of(on_lb_plan), pe.pack_payload(&mut p));
         }
     } else {
         panic!("reduction for unknown tag {}", red.tag);
@@ -716,7 +701,7 @@ fn on_lb_plan(pe: &Pe, msg: Message) {
             "rank {rank} must be suspended at its migrate() point"
         );
         let packed = pe.sched().pack_thread(bx.tid).expect("pack rank thread");
-        flows_comm::migrate_obj_out(pe, obj_of(meta.world, rank), dest);
+        flows_comm::migrate_obj_out(pe, obj_of(rank), dest);
         let rec = bx.move_rec(rank, |d| Payload::from_vec(std::mem::take(d)));
         batches.entry(dest).or_default().push((rec, packed));
     }
@@ -734,7 +719,7 @@ fn on_lb_plan(pe: &Pe, msg: Message) {
             packed.pack_into(buf.vec_mut());
         }
         LB_BATCH_MSGS.fetch_add(1, Ordering::Relaxed);
-        pe.send(dest, *BATCH_HANDLER.get().expect("registered"), buf.freeze());
+        pe.send(dest, pe.handler_of(on_move_batch), buf.freeze());
     }
 }
 
@@ -773,7 +758,7 @@ fn on_move_batch(pe: &Pe, msg: Message) {
         pe.ext::<AmpiState, _>(|st| {
             st.ranks.insert(rank, RankBox::from_rec(tid, rec));
         });
-        flows_comm::migrate_obj_in(pe, obj_of(head.world, rank));
+        flows_comm::migrate_obj_in(pe, obj_of(rank));
         pe.sched().reset_load_tid(tid);
         pe.sched().awaken_tid(tid).expect("awaken migrated rank");
     }
@@ -818,10 +803,10 @@ mod tests {
         run_world(opts, move |ampi| {
             flows_converse::with_pe(|pe| {
                 let garbage = vec![0xA5u8; 100];
-                pe.send(0, *PLAN_HANDLER.get().unwrap(), garbage.clone());
-                pe.send(0, *BATCH_HANDLER.get().unwrap(), garbage.clone());
+                pe.send(0, pe.handler_of(on_lb_plan), garbage.clone());
+                pe.send(0, pe.handler_of(on_move_batch), garbage.clone());
                 // A one-rank gather completes at once, on this PE.
-                flows_comm::contribute(pe, tag_lb(0), 1 << 40, 0, ReduceOp::Concat, 1, garbage);
+                flows_comm::contribute(pe, TAG_LB, 1 << 40, 0, ReduceOp::Concat, 1, garbage);
             });
             // All three were queued on this PE ahead of the contribution.
             ampi.barrier();

@@ -11,7 +11,7 @@ use flows_converse::{IdMap, MachineBuilder, Message, Payload, Pe};
 use flows_pup::pup_fields;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// The comm-layer port chare traffic travels on.
 pub const PORT_CHARE: Port = 0;
@@ -75,18 +75,17 @@ struct ChareState {
     deferred: IdMap<ObjId, usize>,
 }
 
-static MOVE_HANDLER: OnceLock<flows_converse::HandlerId> = OnceLock::new();
-
-/// The chare layer; register after [`flows_comm::CommLayer`].
+/// The chare layer; it routes through [`flows_comm::CommLayer`], which the
+/// machine must register too.
 #[derive(Debug, Clone, Copy)]
 pub struct ChareLayer;
 
 impl ChareLayer {
-    /// Register the chare-migration handler on the machine builder.
+    /// Register the chare-migration handler on the machine builder, in
+    /// any order relative to other handlers; [`migrate`] finds its id on
+    /// each PE with [`Pe::handler_of`].
     pub fn register(mb: &mut MachineBuilder) -> ChareLayer {
-        let id = mb.handler(on_move);
-        let stored = *MOVE_HANDLER.get_or_init(|| id);
-        assert_eq!(stored, id, "ChareLayer must occupy the same handler slot in every machine");
+        mb.handler(on_move);
         ChareLayer
     }
 }
@@ -96,8 +95,14 @@ pub fn init_pe(pe: &Pe) {
     flows_comm::set_delivery(pe, PORT_CHARE, deliver);
 }
 
+/// Chare wires cross process boundaries in multi-process machines: bytes
+/// that do not decode are a counted drop (`flows_comm::route_drops`), as
+/// in the layers below.
 fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
-    let m: EpMsg = flows_pup::from_bytes(&payload).expect("chare wire");
+    let Ok(m) = flows_pup::from_bytes::<EpMsg>(&payload) else {
+        flows_comm::drop_malformed(pe);
+        return;
+    };
     let chare = pe.ext::<ChareState, _>(|st| {
         st.chares
             .get(&obj)
@@ -113,11 +118,13 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
 }
 
 fn on_move(pe: &Pe, msg: Message) {
-    let m: MoveMsg = flows_pup::from_bytes(&msg.data).expect("move wire");
-    let factory = {
-        let f = FACTORIES.lock().unwrap();
-        *f.get(m.type_id as usize)
-            .unwrap_or_else(|| panic!("unregistered chare type {}", m.type_id))
+    let Ok(m) = flows_pup::from_bytes::<MoveMsg>(&msg.data) else {
+        flows_comm::drop_malformed(pe);
+        return;
+    };
+    let Some(&factory) = FACTORIES.lock().unwrap().get(m.type_id as usize) else {
+        flows_comm::drop_malformed(pe);
+        return;
     };
     let chare = factory(m.state);
     pe.ext::<ChareState, _>(|st| {
@@ -183,14 +190,55 @@ pub fn migrate(pe: &Pe, obj: ObjId, dest: usize) {
         type_id,
         state,
     };
-    pe.send(
-        dest,
-        *MOVE_HANDLER.get().expect("ChareLayer::register first"),
-        pe.pack_payload(&mut m),
-    );
+    pe.send(dest, pe.handler_of(on_move), pe.pack_payload(&mut m));
 }
 
 /// Number of chares resident on this PE.
 pub fn local_count(pe: &Pe) -> usize {
     pe.ext::<ChareState, _>(|st| st.chares.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flows_comm::{route, route_drops, CommLayer};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    struct Inert;
+
+    impl Chare for Inert {
+        fn receive(&mut self, _: &Pe, _: u32, _: Vec<u8>) {
+            panic!("nothing valid was sent");
+        }
+    }
+
+    /// Entry wires and move wires that do not decode, and moves naming an
+    /// unregistered chare type, are counted drops.
+    #[test]
+    fn malformed_chare_wires_are_counted_drops() {
+        let ty = register_chare_type(|_| Box::new(Inert));
+        let drops = Arc::new(AtomicU64::new(u64::MAX));
+        let mut mb = MachineBuilder::new(1);
+        let _ = CommLayer::register(&mut mb);
+        let _ = ChareLayer::register(&mut mb);
+        let d = drops.clone();
+        let probe = mb.handler(move |pe, _| d.store(route_drops(pe), Ordering::Relaxed));
+        mb.run_deterministic(move |pe| {
+            init_pe(pe);
+            create(pe, ObjId(1), ty, Box::new(Inert));
+            assert_eq!(route_drops(pe), 0);
+            route(pe, ObjId(1), PORT_CHARE, vec![0xA5u8; 3]);
+            pe.send(0, pe.handler_of(on_move), vec![0xA5u8; 3]);
+            let mut stray = MoveMsg {
+                obj: ObjId(2),
+                type_id: u32::MAX,
+                state: Vec::new(),
+            };
+            pe.send(0, pe.handler_of(on_move), flows_pup::to_bytes(&mut stray));
+            // The local queue is FIFO: the probe runs after all three.
+            pe.send(0, probe, Vec::new());
+        });
+        assert_eq!(drops.load(Ordering::Relaxed), 3);
+    }
 }

@@ -5,7 +5,6 @@ use flows_converse::{HandlerId, IdMap, IdSet, MachineBuilder, Message, Payload, 
 use flows_pup::{pup_fields, Pup};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// Location-independent endpoint identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -145,7 +144,7 @@ fn forward(pe: &Pe, dest: usize, hdr: &RouteHdr, mut wire: Payload) {
             wire = route_wire(pe, hdr, body.len(), |buf| buf.extend_from_slice(body));
         }
     }
-    pe.send(dest, ids().route, wire);
+    pe.send(dest, pe.handler_of(on_route), wire);
 }
 
 /// Maximum forwarding hops before a message is pinned to its home PE. A
@@ -203,21 +202,6 @@ pub(crate) struct CommState {
     epoch: u64,
 }
 
-/// Handler ids of the communication layer, shared by every PE.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CommIds {
-    pub route: HandlerId,
-    pub update: HandlerId,
-    pub contrib: HandlerId,
-}
-
-static IDS: OnceLock<CommIds> = OnceLock::new();
-
-pub(crate) fn ids() -> CommIds {
-    *IDS.get()
-        .expect("CommLayer::register must run before using flows-comm")
-}
-
 /// The communication layer: register once on the machine builder.
 #[derive(Debug, Clone, Copy)]
 pub struct CommLayer {
@@ -226,26 +210,13 @@ pub struct CommLayer {
 }
 
 impl CommLayer {
-    /// Register the layer's handlers. Call exactly once per process,
-    /// before any machine using flows-comm runs. (Machines in one process
-    /// share the handler table shape, mirroring Converse's static handler
-    /// registration.)
+    /// Register the layer's handlers on this machine, once per machine and
+    /// in any order relative to other handlers. The layer finds its ids on
+    /// each PE with [`Pe::handler_of`].
     pub fn register(mb: &mut MachineBuilder) -> CommLayer {
         let route = mb.handler(on_route);
-        let update = mb.handler(on_update);
-        let contrib = mb.handler(crate::reduce::on_contrib);
-        let ids = CommIds {
-            route,
-            update,
-            contrib,
-        };
-        let stored = *IDS.get_or_init(|| ids);
-        assert_eq!(
-            (stored.route, stored.update, stored.contrib),
-            (ids.route, ids.update, ids.contrib),
-            "CommLayer must be registered at the same handler slots in \
-             every machine of this process (register it first)"
-        );
+        mb.handler(on_update);
+        mb.handler(crate::reduce::on_contrib);
         CommLayer { route }
     }
 }
@@ -365,7 +336,7 @@ fn route_inner(pe: &Pe, mut hdr: RouteHdr, wire: Payload, came_from: Option<usiz
                         pe: dest as u64,
                         epoch: comm_epoch(pe),
                     };
-                    pe.send(src, ids().update, pe.pack_payload(&mut u));
+                    pe.send(src, pe.handler_of(on_update), pe.pack_payload(&mut u));
                 }
             }
             hdr.hops += 1;
@@ -430,7 +401,7 @@ fn notify_home(pe: &Pe, obj: ObjId, loc: usize) {
             pe: loc as u64,
             epoch: comm_epoch(pe),
         };
-        pe.send(home, ids().update, pe.pack_payload(&mut m));
+        pe.send(home, pe.handler_of(on_update), pe.pack_payload(&mut m));
     } else {
         // We are the home: flush anything parked for the object.
         let flushed = pe.ext::<CommState, _>(|st| {
@@ -481,7 +452,7 @@ pub fn route_with(
     pack: impl FnOnce(&mut PayloadBuf),
 ) {
     let wire = route_wire_with(pe, obj, port, len_hint, pack);
-    pe.send(pe.id(), ids().route, wire);
+    pe.send(pe.id(), pe.handler_of(on_route), wire);
 }
 
 /// Book a message of `len` payload bytes that a port's layer delivered to
@@ -489,7 +460,7 @@ pub fn route_with(
 /// only where delivery runs no user code (see [`route`]). The PE counts and
 /// traces it as the routed self-hop it replaces ([`Pe::book_in_place`]).
 pub fn book_local_delivery(pe: &Pe, len: usize) {
-    pe.book_in_place(ids().route, len + ROUTE_HDR_LEN);
+    pe.book_in_place(pe.handler_of(on_route), len + ROUTE_HDR_LEN);
 }
 
 /// The wire [`route_with`] sends, built without sending it: whatever
@@ -747,7 +718,7 @@ mod tests {
         let d = drops.clone();
         let probe = mb.handler(move |pe, _| d.store(route_drops(pe), Ordering::Relaxed));
         mb.run_deterministic(move |pe| {
-            for h in [ids().update, ids().contrib] {
+            for h in [pe.handler_of(on_update), pe.handler_of(crate::reduce::on_contrib)] {
                 pe.send(0, h, Vec::new());
                 pe.send(0, h, vec![0xA5u8; 100]);
             }

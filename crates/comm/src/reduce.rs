@@ -167,7 +167,7 @@ pub fn contribute(pe: &Pe, tag: u64, seq: u64, rank: u64, op: ReduceOp, expected
         data,
     };
     let root = live_root_of(pe, tag);
-    pe.send(root, crate::layer::ids().contrib, flows_pup::to_bytes(&mut m));
+    pe.send(root, pe.handler_of(on_contrib), flows_pup::to_bytes(&mut m));
 }
 
 pub(crate) fn on_contrib(pe: &Pe, msg: Message) {

@@ -22,6 +22,12 @@
 //! The maximum PE clock at quiescence is the *modeled parallel completion
 //! time* reported by the Figure 11/12 harnesses (see DESIGN.md §2).
 //!
+//! **Handler ids.** A [`HandlerId`] is a handler's position in its
+//! machine's registration order. Code that did not keep the id
+//! [`MachineBuilder::handler`] returned finds it again on any PE with
+//! [`Pe::handler_of`], keyed by the handler's own type; the layers above
+//! (comm, chare, AMPI) store none.
+//!
 //! ```
 //! use flows_converse::{MachineBuilder, send, my_pe, num_pes};
 //! use std::sync::atomic::{AtomicU64, Ordering};

@@ -18,6 +18,7 @@ use flows_core::{IdMap, PoolStats, SchedConfig, SchedStats, Scheduler, SharedPoo
 use flows_mem::IsoConfig;
 use flows_sys::counters::SyscallCounts;
 use flows_trace::{TraceRing, TraceSummary};
+use std::any::TypeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -401,7 +402,7 @@ pub struct MachineBuilder {
     num_pes: usize,
     sched_cfg: SchedConfig,
     net: NetModel,
-    handlers: Vec<Handler>,
+    handlers: Vec<(TypeId, Handler)>,
     shared: Option<Arc<SharedPools>>,
     slot_len: usize,
     slots_per_pe: usize,
@@ -539,9 +540,11 @@ impl MachineBuilder {
         self
     }
 
-    /// Register a message handler; returns its machine-wide id.
-    pub fn handler(&mut self, f: impl Fn(&Pe, Message) + Send + Sync + 'static) -> HandlerId {
-        self.handlers.push(Arc::new(f));
+    /// Register a message handler; returns its machine-wide id, which is
+    /// its position in registration order. The handler's type is its key:
+    /// code running on a PE finds the id again with [`Pe::handler_of`].
+    pub fn handler<F: Fn(&Pe, Message) + Send + Sync + 'static>(&mut self, f: F) -> HandlerId {
+        self.handlers.push((TypeId::of::<F>(), Arc::new(f)));
         HandlerId(self.handlers.len() - 1)
     }
 

@@ -96,7 +96,9 @@ pub struct Pe {
     sched: Scheduler,
     rx: Receiver<Packet>,
     txs: Vec<Sender<Packet>>,
-    handlers: Arc<Vec<Handler>>,
+    /// The machine's handler table, each entry keyed by the type of the
+    /// function registered there (see [`Pe::handler_of`]).
+    handlers: Arc<Vec<(TypeId, Handler)>>,
     hub: Arc<Hub>,
     net: NetModel,
     fault: Option<FaultCtx>,
@@ -181,7 +183,7 @@ impl Pe {
         sched: Scheduler,
         rx: Receiver<Packet>,
         txs: Vec<Sender<Packet>>,
-        handlers: Arc<Vec<Handler>>,
+        handlers: Arc<Vec<(TypeId, Handler)>>,
         hub: Arc<Hub>,
         net: NetModel,
         fault: Option<FaultCtx>,
@@ -279,6 +281,23 @@ impl Pe {
     /// Machine size.
     pub fn num_pes(&self) -> usize {
         self.num_pes
+    }
+
+    /// The id this machine gave handler `f` at registration: every fn item
+    /// and closure has a type of its own, and that type is the key. A
+    /// function registered twice answers with its first id. Layers look
+    /// their ids up here instead of storing them, so a handler's id is a
+    /// property of the machine it runs in, never of the process.
+    ///
+    /// # Panics
+    /// If `f` was never registered on this machine.
+    #[inline]
+    pub fn handler_of<F: Fn(&Pe, Message) + 'static>(&self, _f: F) -> HandlerId {
+        let key = TypeId::of::<F>();
+        let Some(i) = self.handlers.iter().position(|(k, _)| *k == key) else {
+            panic!("handler {} is not registered on this machine", std::any::type_name::<F>());
+        };
+        HandlerId(i)
     }
 
     /// The PE's thread scheduler.
@@ -547,7 +566,7 @@ impl Pe {
         self.vtime.set(self.vtime.get().max(arrival));
         // Dispatch through a borrow: the handler table is frozen at build
         // time, so no per-delivery Arc refcount traffic.
-        let handler = self
+        let (_, handler) = self
             .handlers
             .get(msg.handler.0)
             .unwrap_or_else(|| panic!("unregistered handler {:?}", msg.handler));

@@ -47,7 +47,12 @@ for crate in mem net; do
     exit 1
   fi
 done
-echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency"
+if hits=$(grep -rnE 'OnceLock<[^>]*HandlerId|static +[A-Z_0-9]+ *:[^=]*HandlerId' crates/*/src); then
+  echo "FAIL: process-global handler id (look it up with Pe::handler_of instead):"
+  echo "$hits"
+  exit 1
+fi
+echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id"
 
 mkdir -p target
 cargo run --offline -q -p flows-check --bin flowslint -- --root . \
