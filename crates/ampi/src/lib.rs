@@ -262,20 +262,9 @@ impl Ampi {
     pub fn migrate(&mut self) {
         self.lb_seq += 1;
         let seq = self.lb_seq;
-        let mut report = LoadReport {
-            rank: self.rank as u64,
-            pe: flows_converse::my_pe() as u64,
-            load_ns: flows_core::current_load_ns().unwrap_or(0),
-        };
+        let report = load_report(self.rank);
         with_rank_box(self.rank as u64, |b| b.wait = Wait::Lb { seq });
-        contribute_now(
-            TAG_LB,
-            seq,
-            self.rank as u64,
-            ReduceOp::Concat,
-            self.size,
-            flows_pup::to_bytes(&mut report),
-        );
+        contribute_now(TAG_LB, seq, self.rank as u64, ReduceOp::Concat, self.size, report);
         suspend();
         // Resumed — possibly on a different PE; nothing else to do, which
         // is the whole point.
@@ -336,4 +325,17 @@ impl Ampi {
     pub(crate) fn finish(&self) {
         crate::world::note_finished(self.rank as u64);
     }
+}
+
+/// This rank's measured load, packed for the LB reduction. Out of line,
+/// so that no packing temporaries sit in `Ampi::migrate`'s frame: that
+/// frame is on the rank's stack, and so in its migration image, while the
+/// rank is suspended.
+#[inline(never)]
+fn load_report(rank: usize) -> Vec<u8> {
+    flows_pup::to_bytes(&mut LoadReport {
+        rank: rank as u64,
+        pe: flows_converse::my_pe() as u64,
+        load_ns: flows_core::current_load_ns().unwrap_or(0),
+    })
 }

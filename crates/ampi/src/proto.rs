@@ -119,16 +119,6 @@ impl RankMove {
             stashed: rec.stashed,
         }
     }
-
-    /// Packed byte length, from field lengths alone: the checkpoint path
-    /// sizes its buffer with this instead of a sizing traversal, which
-    /// for the byte-wise `thread` image would visit every byte. Every
-    /// `u64` and length prefix is 8 bytes; tests pin it to the pup size.
-    pub fn packed_len(&self) -> usize {
-        let mail: usize = self.mailbox.iter().map(|m| 3 * 8 + m.data.len()).sum();
-        let stash: usize = self.stashed.iter().map(|s| 4 * 8 + s.3.len()).sum();
-        8 * 8 + self.thread.len() + mail + 16 * (self.next_seq.len() + self.send_seq.len()) + stash
-    }
 }
 
 /// The LB plan for one source PE: every rank living there paired with its
@@ -327,7 +317,6 @@ mod tests {
         };
         let bytes = flows_pup::to_bytes(&mut mv);
         assert_eq!(flows_pup::from_bytes::<RankMove>(&bytes).unwrap(), mv);
-        assert_eq!(mv.packed_len(), bytes.len());
     }
 
     /// The wire an AMPI message travels as, byte for byte: raw message
@@ -406,27 +395,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// `packed_len` is the pup size for every shape of image: empty,
-    /// inline and shared payload bodies, both sequence tables.
-    #[test]
-    fn rank_move_packed_len_matches_the_pup_size() {
-        let mut empty = RankMove::default();
-        assert_eq!(empty.packed_len(), flows_pup::packed_size(&mut empty));
-        for n in [0usize, 1, 64, 65, 4096] {
-            let mut mv = RankMove {
-                thread: vec![3; n * 7 + 1],
-                mailbox: (0..n % 5)
-                    .map(|i| MailEntry { src: i as u64, tag: 1, data: vec![1; n + i].into() })
-                    .collect(),
-                next_seq: vec![(1, 2); n % 3],
-                send_seq: vec![(3, 4); n % 4],
-                stashed: vec![(0, 1, 2, vec![5; n].into()); n % 6],
-                ..RankMove::default()
-            };
-            assert_eq!(mv.packed_len(), flows_pup::to_bytes(&mut mv).len(), "n = {n}");
         }
     }
 }

@@ -192,11 +192,12 @@ pub(crate) fn best_gen(
 // ---------------------------------------------------------------------
 
 /// Pack a rank image exactly once, straight into its checkpoint frame:
-/// the buffer is sized from the image's field lengths (no sizing
-/// traversal) and the frame header is written in place in front of the
-/// packed bytes. Byte-identical to `frame_payload(&to_bytes(mv))`.
+/// the buffer is sized by a sizing pass (arithmetic over the field
+/// lengths once pup's primitives inline) and the frame header is written
+/// in place in front of the packed bytes. Byte-identical to
+/// `frame_payload(&to_bytes(mv))`.
 fn frame_image(mv: &mut RankMove) -> Payload {
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + mv.packed_len());
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + flows_pup::packed_size(mv));
     frame_in_place(&mut frame, |out| {
         flows_pup::pack_into(mv, out);
     });

@@ -925,6 +925,7 @@ mod tests {
     use crate::pe::{send, with_pe};
     use flows_core::{suspend, yield_now, StackFlavor, ThreadId};
     use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
 
     #[test]
     fn deterministic_ring_passes_token() {
@@ -1054,29 +1055,37 @@ mod tests {
         // and parks immediately — before PE 0 has any stealable work (the
         // spawner must run a while first). A parked thief whose request
         // went nowhere must refresh it before each park, or it would
-        // sleep through the victim's entire burst in 200µs bites.
+        // sleep through the victim's entire burst in 200µs bites. The
+        // burst stays runnable until one of its threads has run on PE 1
+        // (or a wall deadline passes), so a slow or descheduled PE 0
+        // cannot finish it before PE 1 wakes: only a lost wake-up fails.
         let done = Arc::new(AtomicU64::new(0));
-        let done2 = done.clone();
+        let stolen = Arc::new(AtomicBool::new(false));
+        let (done2, stolen2) = (done.clone(), stolen.clone());
         let mut mb = MachineBuilder::new(2)
             .net_model(NetModel::zero())
             .work_stealing(true);
         let _ = mb.handler(|_, _| {});
         let rep = mb.run(move |pe| {
             if pe.id() == 0 {
-                let done = done2.clone();
+                let (done, stolen) = (done2.clone(), stolen2.clone());
                 pe.sched()
                     .spawn(StackFlavor::Isomalloc, move || {
                         // Let PE 1 reach its parker first.
                         for _ in 0..64 {
                             yield_now();
                         }
+                        let deadline = Instant::now() + Duration::from_secs(5);
                         for _ in 0..32 {
-                            let done = done.clone();
+                            let (done, stolen) = (done.clone(), stolen.clone());
                             with_pe(|p| {
                                 p.sched().spawn(StackFlavor::Isomalloc, move || {
-                                    // Long enough that the burst spans
-                                    // several park timeouts on PE 1.
-                                    for _ in 0..256 {
+                                    while !stolen.load(Ordering::Relaxed)
+                                        && Instant::now() < deadline
+                                    {
+                                        if with_pe(|p| p.id()) == 1 {
+                                            stolen.store(true, Ordering::Relaxed);
+                                        }
                                         yield_now();
                                     }
                                     done.fetch_add(1, Ordering::Relaxed);

@@ -69,24 +69,7 @@ impl Pup for PackedThread {
         self.head.pup(p);
         if p.is_unpacking() {
             let n = self.head.payload_len as usize;
-            // Guard against hostile length prefixes: grow in chunks so a
-            // corrupt head hits Truncated before a giant allocation.
-            let mut v: Vec<u8> = Vec::with_capacity(n.min(64 * 1024));
-            while v.len() < n {
-                if p.has_error() {
-                    self.payload = Payload::empty();
-                    return;
-                }
-                let start = v.len();
-                let chunk = (n - start).min(64 * 1024);
-                v.resize(start + chunk, 0);
-                p.raw(&mut v[start..]);
-            }
-            if p.has_error() {
-                self.payload = Payload::empty();
-                return;
-            }
-            self.payload = Payload::from_vec(v);
+            self.payload = p.take(n).map_or_else(Payload::empty, Payload::from);
         } else {
             p.write(self.payload.as_slice());
         }

@@ -573,6 +573,9 @@ impl From<Vec<u8>> for Payload {
 
 impl From<&[u8]> for Payload {
     fn from(v: &[u8]) -> Payload {
+        if v.len() <= INLINE_CAP {
+            return Payload::inline_from(v);
+        }
         Payload::from_vec(v.to_vec())
     }
 }
@@ -628,36 +631,7 @@ impl Pup for Payload {
         let mut n = self.len() as u64;
         n.pup(p);
         if p.is_unpacking() {
-            let n = n as usize;
-            if n <= INLINE_CAP {
-                // Small payloads unpack straight into the inline array.
-                let mut bytes = [0u8; INLINE_CAP];
-                p.raw(&mut bytes[..n]);
-                *self = if p.has_error() {
-                    Payload::empty()
-                } else {
-                    Payload::inline_from(&bytes[..n])
-                };
-                return;
-            }
-            // Guard against hostile length prefixes: grow in chunks so a
-            // corrupt header hits Truncated before a giant allocation.
-            let mut v: Vec<u8> = Vec::with_capacity(n.min(64 * 1024));
-            while v.len() < n {
-                if p.has_error() {
-                    *self = Payload::empty();
-                    return;
-                }
-                let start = v.len();
-                let chunk = (n - start).min(64 * 1024);
-                v.resize(start + chunk, 0);
-                p.raw(&mut v[start..]);
-            }
-            if p.has_error() {
-                *self = Payload::empty();
-                return;
-            }
-            *self = Payload::from_vec(v);
+            *self = p.take(n as usize).map_or_else(Payload::empty, Payload::from);
         } else {
             p.write(self.as_slice());
         }
@@ -667,6 +641,31 @@ impl Pup for Payload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A length prefix that claims more than the input holds fails once,
+    /// before anything is allocated: `needed` names the whole claimed run
+    /// (a chunked read would have allocated its first chunk and named
+    /// that), and the unpacked field is empty.
+    #[test]
+    fn hostile_length_prefixes_truncate_before_allocating() {
+        let hostile = u64::MAX.to_le_bytes();
+        let mut wire = hostile.to_vec();
+        wire.extend([7u8; 16]);
+        let truncated = |at| flows_pup::PupError::Truncated { needed: usize::MAX, at };
+        let r = flows_pup::from_bytes::<Payload>(&wire);
+        assert_eq!(r.err(), Some(truncated(8)));
+
+        // A thread head whose last field, the payload length, is u64::MAX.
+        let mut wire = crate::PackedThread::default().to_bytes();
+        let head_len = wire.len();
+        wire[head_len - 8..].copy_from_slice(&hostile);
+        wire.extend([7u8; 16]);
+        let mut t = crate::PackedThread::default();
+        let mut p = Puper::unpacker(&wire);
+        t.pup(&mut p);
+        assert_eq!(p.finish(), Err(truncated(head_len)));
+        assert_eq!(t.payload_len(), 0);
+    }
 
     #[test]
     fn clone_and_slice_share_backing() {

@@ -24,6 +24,7 @@ pub enum PupError {
 }
 
 impl fmt::Display for PupError {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PupError::Truncated { needed, at } => {

@@ -9,6 +9,7 @@ use std::mem::ManuallyDrop;
 macro_rules! pup_le_prim {
     ($($t:ty),*) => {$(
         impl Pup for $t {
+            #[inline]
             fn pup(&mut self, p: &mut Puper) {
                 *self = <$t>::from_le_bytes(p.fixed(self.to_le_bytes()));
             }
@@ -19,6 +20,7 @@ macro_rules! pup_le_prim {
 pup_le_prim!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
 
 impl Pup for usize {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         // Fixed 8-byte encoding so packed images are word-size independent.
         let mut v = *self as u64;
@@ -30,6 +32,7 @@ impl Pup for usize {
 }
 
 impl Pup for isize {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let mut v = *self as i64;
         v.pup(p);
@@ -40,6 +43,7 @@ impl Pup for isize {
 }
 
 impl Pup for bool {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let mut b = *self as u8;
         b.pup(p);
@@ -53,6 +57,7 @@ impl Pup for bool {
 }
 
 impl Pup for char {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let mut v = *self as u32;
         v.pup(p);
@@ -66,9 +71,11 @@ impl Pup for char {
 }
 
 impl Pup for () {
+    #[inline]
     fn pup(&mut self, _p: &mut Puper) {}
 }
 
+#[inline]
 fn pup_len(p: &mut Puper, len: usize) -> usize {
     let mut n = len as u64;
     n.pup(p);
@@ -76,6 +83,7 @@ fn pup_len(p: &mut Puper, len: usize) -> usize {
 }
 
 impl<T: Pup + Default> Pup for Vec<T> {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let n = pup_len(p, self.len());
         if p.is_unpacking() {
@@ -101,6 +109,7 @@ impl<T: Pup + Default> Pup for Vec<T> {
 }
 
 impl<T: Pup + Default> Pup for VecDeque<T> {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let n = pup_len(p, self.len());
         if p.is_unpacking() {
@@ -122,24 +131,26 @@ impl<T: Pup + Default> Pup for VecDeque<T> {
 }
 
 impl Pup for String {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
-        // Unpack round-trips through a byte vector and validates it.
+        let n = pup_len(p, self.len());
         if p.is_unpacking() {
             let at = p.offset();
-            let mut bytes: Vec<u8> = Vec::new();
-            bytes.pup(p);
-            match String::from_utf8(bytes) {
-                Ok(s) => *self = s,
-                Err(_) => p.fail(PupError::InvalidUtf8 { at }),
+            self.clear();
+            if let Some(bytes) = p.take(n) {
+                match std::str::from_utf8(bytes) {
+                    Ok(s) => self.push_str(s),
+                    Err(_) => p.fail(PupError::InvalidUtf8 { at }),
+                }
             }
         } else {
-            pup_len(p, self.len());
             p.write(self.as_bytes());
         }
     }
 }
 
 impl<T: Pup + Default> Pup for Option<T> {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let mut tag = self.is_some() as u8;
         tag.pup(p);
@@ -160,12 +171,14 @@ impl<T: Pup + Default> Pup for Option<T> {
 }
 
 impl<T: Pup + Default> Pup for Box<T> {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         (**self).pup(p);
     }
 }
 
 impl<T: Pup, const N: usize> Pup for [T; N] {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         for v in self.iter_mut() {
             v.pup(p);
@@ -178,6 +191,7 @@ where
     K: Pup + Default + Eq + Hash,
     V: Pup + Default,
 {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let n = pup_len(p, self.len());
         if p.is_unpacking() {
@@ -215,6 +229,7 @@ where
     K: Pup + Default + Ord,
     V: Pup + Default,
 {
+    #[inline]
     fn pup(&mut self, p: &mut Puper) {
         let n = pup_len(p, self.len());
         if p.is_unpacking() {
@@ -244,6 +259,7 @@ where
 macro_rules! pup_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: Pup),+> Pup for ($($name,)+) {
+            #[inline]
             fn pup(&mut self, p: &mut Puper) {
                 $( self.$idx.pup(p); )+
             }

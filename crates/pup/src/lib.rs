@@ -24,6 +24,11 @@
 //! built around.
 
 #![warn(missing_docs)]
+// The release profiles build without LTO, so a public fn of this crate
+// that a generic in another crate calls once per element (`<u8 as
+// Pup>::pup` inside `Vec<u8>`'s loop) stays a call unless it is
+// `#[inline]`. The gate runs clippy at `-D warnings`.
+#![warn(clippy::missing_inline_in_public_items)]
 
 mod error;
 mod impls;
@@ -33,6 +38,7 @@ pub use error::PupError;
 pub use puper::{Pup, Puper};
 
 /// Compute the packed size of `v` in bytes.
+#[inline]
 pub fn packed_size<T: Pup + ?Sized>(v: &mut T) -> usize {
     let mut p = Puper::sizer();
     v.pup(&mut p);
@@ -43,6 +49,7 @@ pub fn packed_size<T: Pup + ?Sized>(v: &mut T) -> usize {
 ///
 /// `v` is `&mut` because the same traversal serves packing and unpacking;
 /// packing never mutates the value.
+#[inline]
 pub fn to_bytes<T: Pup + ?Sized>(v: &mut T) -> Vec<u8> {
     let mut out = Vec::with_capacity(packed_size(v));
     let mut p = Puper::packer(&mut out);
@@ -51,6 +58,7 @@ pub fn to_bytes<T: Pup + ?Sized>(v: &mut T) -> Vec<u8> {
 }
 
 /// Pack `v` onto the end of `out`, returning the number of bytes appended.
+#[inline]
 pub fn pack_into<T: Pup + ?Sized>(v: &mut T, out: &mut Vec<u8>) -> usize {
     let before = out.len();
     let mut p = Puper::packer(out);
@@ -59,6 +67,7 @@ pub fn pack_into<T: Pup + ?Sized>(v: &mut T, out: &mut Vec<u8>) -> usize {
 }
 
 /// Unpack a `T` from `bytes`, requiring every byte to be consumed.
+#[inline]
 pub fn from_bytes<T: Pup + Default>(bytes: &[u8]) -> Result<T, PupError> {
     let mut v = T::default();
     let mut p = Puper::unpacker(bytes);
@@ -69,6 +78,7 @@ pub fn from_bytes<T: Pup + Default>(bytes: &[u8]) -> Result<T, PupError> {
 
 /// Unpack a `T` from the front of `bytes`, returning the value and the
 /// number of bytes consumed (for streams of packed records).
+#[inline]
 pub fn from_bytes_prefix<T: Pup + Default>(bytes: &[u8]) -> Result<(T, usize), PupError> {
     let mut v = T::default();
     let mut p = Puper::unpacker(bytes);

@@ -27,6 +27,7 @@ pub struct Puper<'a> {
 
 impl<'a> Puper<'a> {
     /// A sizing pass.
+    #[inline]
     pub fn sizer() -> Puper<'static> {
         Puper {
             mode: Mode::Size { bytes: 0 },
@@ -34,6 +35,7 @@ impl<'a> Puper<'a> {
     }
 
     /// A packing pass appending to `out`.
+    #[inline]
     pub fn packer(out: &'a mut Vec<u8>) -> Puper<'a> {
         Puper {
             mode: Mode::Pack { out },
@@ -41,6 +43,7 @@ impl<'a> Puper<'a> {
     }
 
     /// An unpacking pass reading from `input`.
+    #[inline]
     pub fn unpacker(input: &'a [u8]) -> Puper<'a> {
         Puper {
             mode: Mode::Unpack {
@@ -53,16 +56,19 @@ impl<'a> Puper<'a> {
 
     /// True while unpacking — implementations use this to apply decoded
     /// bytes back to their fields.
+    #[inline]
     pub fn is_unpacking(&self) -> bool {
         matches!(self.mode, Mode::Unpack { .. })
     }
 
     /// True while sizing.
+    #[inline]
     pub fn is_sizing(&self) -> bool {
         matches!(self.mode, Mode::Size { .. })
     }
 
     /// True while packing.
+    #[inline]
     pub fn is_packing(&self) -> bool {
         matches!(self.mode, Mode::Pack { .. })
     }
@@ -71,37 +77,55 @@ impl<'a> Puper<'a> {
     /// mode append `buf`, in unpacking mode overwrite `buf` with the next
     /// bytes from the input (zero-filling after a truncation error, so the
     /// traversal stays memory-safe and the error surfaces at the end).
+    #[inline]
     pub fn raw(&mut self, buf: &mut [u8]) {
-        match &mut self.mode {
-            Mode::Unpack { input, pos, error } => {
-                if error.is_some() {
-                    buf.fill(0);
-                    return;
-                }
-                let end = *pos + buf.len();
-                if end > input.len() {
-                    *error = Some(PupError::Truncated {
-                        needed: buf.len(),
-                        at: *pos,
-                    });
-                    buf.fill(0);
-                    return;
-                }
-                buf.copy_from_slice(&input[*pos..end]);
-                *pos = end;
-            }
-            _ => self.write(buf),
+        if !self.is_unpacking() {
+            return self.write(buf);
+        }
+        match self.take(buf.len()) {
+            Some(src) => buf.copy_from_slice(src),
+            None => buf.fill(0),
         }
     }
 
     /// [`Puper::raw`] for a run of bytes the caller only has by shared
     /// reference: counts `buf.len()` while sizing and appends `buf` while
-    /// packing. An unpacking traversal must use `raw`, which writes.
+    /// packing. An unpacking traversal reads with `raw` or `take`.
+    #[inline]
     pub fn write(&mut self, buf: &[u8]) {
         match &mut self.mode {
             Mode::Size { bytes } => *bytes += buf.len(),
             Mode::Pack { out } => out.extend_from_slice(buf),
             Mode::Unpack { .. } => panic!("Puper::write called while unpacking"),
+        }
+    }
+
+    /// The unpacking half of a byte run whose length is known only at run
+    /// time (`String`, `Payload`, a thread image): the next `n` input
+    /// bytes, borrowed from the input. The remaining input is checked
+    /// once, before the caller allocates anything, so a hostile length
+    /// prefix costs no memory: a short input records `Truncated { needed:
+    /// n, at }` (the first error wins) and returns `None`, as does every
+    /// call after an error.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        match &mut self.mode {
+            Mode::Unpack { input, pos, error } => {
+                if error.is_some() {
+                    return None;
+                }
+                let input: &'a [u8] = input;
+                let Some(run) = input[*pos..].get(..n) else {
+                    *error = Some(PupError::Truncated {
+                        needed: n,
+                        at: *pos,
+                    });
+                    return None;
+                };
+                *pos += n;
+                Some(run)
+            }
+            _ => panic!("Puper::take called while not unpacking"),
         }
     }
 
@@ -138,6 +162,7 @@ impl<'a> Puper<'a> {
     /// Record a decoding error discovered by an implementation (e.g. a
     /// corrupt tag). Subsequent reads return zeros; the error is reported
     /// by [`Puper::finish`].
+    #[inline]
     pub fn fail(&mut self, e: PupError) {
         if let Mode::Unpack { error, .. } = &mut self.mode {
             if error.is_none() {
@@ -152,6 +177,7 @@ impl<'a> Puper<'a> {
     /// implementations consult this to stop materializing elements once the
     /// input has failed (a hostile length prefix must not drive an
     /// unbounded loop of zero-filled elements).
+    #[inline]
     pub fn has_error(&self) -> bool {
         matches!(
             self.mode,
@@ -164,6 +190,7 @@ impl<'a> Puper<'a> {
 
     /// Current unpack offset (0 outside unpack mode). Implementations use
     /// it to produce located errors.
+    #[inline]
     pub fn offset(&self) -> usize {
         match &self.mode {
             Mode::Unpack { pos, .. } => *pos,
@@ -181,6 +208,7 @@ impl<'a> Puper<'a> {
 
     /// Finish an unpacking pass, returning the bytes consumed or the first
     /// error recorded.
+    #[inline]
     pub fn finish(self) -> Result<usize, PupError> {
         match self.mode {
             Mode::Unpack { pos, error, .. } => match error {

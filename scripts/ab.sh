@@ -4,7 +4,7 @@
 # run. Run from anywhere inside the repository.
 #
 #   scripts/ab.sh REV [--pairs N] [--seconds S] [--workloads W...]
-#                     [--seeds S...] [--trace] [--aligned]
+#                     [--seeds S...] [--trace] [--aligned] [--aa]
 #
 #   REV          the base: `git archive REV` is unpacked into target/ab/REV
 #                and built there; the change side is this working tree.
@@ -18,13 +18,20 @@
 #   --aligned    build both sides with every function 64-byte aligned
 #                (-C llvm-args=-align-all-functions=6), so a move that
 #                comes from code layout alone does not read as a change.
+#   --aa         an A/A leg in the same invocation: every pair runs the
+#                base binary a second time ("aa"), in the order base
+#                change aa on odd pairs and aa change base on even ones,
+#                so each two sides swap order every pair.
 #
 # For every (workload, seed) cell it prints, per metric, each side's median
 # and quartiles, the change's gap to the base median, wins/N (pairs the
 # change won, by BENCHMARK.json's "better"; "-" for metrics it does not
-# list) and the base's IQR over its median. It then appends one row per
-# cell to BENCH_trajectory.json at the root, with nproc, the kernel and the
-# steal share of the cell's runs. Raw run output stays under target/ab/runs.
+# list) and the base's IQR over its median; with --aa also the A/A gap (the
+# second base run's median against the first's) and the A/A side's IQR over
+# its median. It then appends one row per cell to BENCH_trajectory.json at
+# the root, with nproc, the kernel and the steal share of the cell's runs;
+# with --aa a second row per cell, marked "aa": true, holds base against
+# base. Raw run output stays under target/ab/runs.
 #
 # Exit status: 0 every run correct; 1 a run failed its check or timed out;
 # 2 usage or build failure.
@@ -33,7 +40,7 @@ set -u -o pipefail
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)" || exit 2
 cd "$root" || exit 2
 
-usage() { sed -n '2,30p' "${BASH_SOURCE[0]}"; exit 2; }
+usage() { sed -n '2,37p' "${BASH_SOURCE[0]}"; exit 2; }
 [ $# -ge 1 ] || usage
 case "$1" in -h | --help) usage ;; esac
 rev="$1"
@@ -45,6 +52,7 @@ workloads=(sessions msgmix xproc btmz heal)
 seeds=(0xF10E5 0x5EED2)
 trace=0
 aligned=0
+aa=0
 # Reads the values of a list option, up to the next option, into $list.
 take_list() {
     list=()
@@ -64,6 +72,7 @@ while [ $# -gt 0 ]; do
         --seeds) shift; take_list "$@"; shift $(($# - taken)); seeds=("${list[@]}") ;;
         --trace) trace=1; shift ;;
         --aligned) aligned=1; shift ;;
+        --aa) aa=1; shift ;;
         -h | --help) usage ;;
         *) echo "ab.sh: unknown argument $1" >&2; exit 2 ;;
     esac
@@ -99,7 +108,7 @@ if [ "$aligned" -eq 1 ]; then
     export RUSTFLAGS="${RUSTFLAGS:+$RUSTFLAGS }-C llvm-args=-align-all-functions=6"
     target_name=flowsbench-aligned
 fi
-dir_of() { [ "$1" = base ] && echo "$base_dir" || echo "$root"; }
+dir_of() { [ "$1" = change ] && echo "$root" || echo "$base_dir"; }
 
 for side in base change; do
     d="$(dir_of "$side")"
@@ -149,10 +158,11 @@ run_side() { # side pair workload seed
         "$out" >>"$metric_rows"
 }
 
-# Per-metric summary of one cell: the table on stdout, the JSON "metrics"
-# object into $1.
-summarize() { # json_out
-    awk -v json="$1" '
+# Per-metric summary of one cell, base against side $2 (change or aa): the
+# table on stdout, the JSON "metrics" object into $1. Against the change,
+# the table gains the A/A columns when the cell has aa runs.
+summarize() { # json_out side
+    awk -v json="$1" -v cmp="$2" '
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++) {
                 t = a[i]
@@ -166,6 +176,7 @@ summarize() { # json_out
             i = int(x)
             return i >= n ? a[n] : a[i] + (x - i) * (a[i + 1] - a[i])
         }
+        function pct(num, den, fmt) { return den != 0 ? sprintf(fmt, 100 * num / den) : "n/a" }
         function stats(side, m,    a, n, k) {
             n = 0
             for (k = 1; k <= np; k++) if ((side, m, k) in v) a[++n] = v[side, m, k]
@@ -179,28 +190,35 @@ summarize() { # json_out
             unit[$3] = $4
             if ($2 + 0 > np) np = $2 + 0
             if (!($3 in seen)) { seen[$3] = 1; order[++nm] = $3 }
+            if ($1 == "aa") aa = cmp == "change"
         }
         END {
-            printf "%-28s %-6s %12s %25s %12s %25s %8s %6s %8s\n", "metric", "unit", "base", "[q1 q3]", "change", "[q1 q3]", "gap", "wins", "base IQR"
+            printf "%-28s %-6s %12s %25s %12s %25s %8s %6s %8s", "metric", "unit", "base", "[q1 q3]", cmp, "[q1 q3]", "gap", "wins", "base IQR"
+            printf aa ? " %8s %8s\n" : "\n", "A/A gap", "A/A IQR"
             sep = ""
             printf "{" >json
             for (i = 1; i <= nm; i++) {
                 m = order[i]
-                stats("base", m); stats("change", m)
-                if (cnt["base"] == 0 || cnt["change"] == 0) continue
+                stats("base", m); stats(cmp, m)
+                if (cnt["base"] == 0 || cnt[cmp] == 0) continue
                 dir = (m in better) ? better[m] : ""
                 wins = 0; n = 0
                 for (k = 1; k <= np; k++) {
-                    if (!(("base", m, k) in v) || !(("change", m, k) in v)) continue
+                    if (!(("base", m, k) in v) || !((cmp, m, k) in v)) continue
                     n++
-                    b = v["base", m, k]; c = v["change", m, k]
+                    b = v["base", m, k]; c = v[cmp, m, k]
                     if ((dir == "lower" && c < b) || (dir == "higher" && c > b)) wins++
                 }
                 w = dir != "" ? wins "/" n : "-"
-                gap = med["base"] != 0 ? sprintf("%+.1f%%", 100 * (med["change"] - med["base"]) / med["base"]) : "n/a"
-                iqr = med["base"] != 0 ? sprintf("%.1f%%", 100 * (hi["base"] - lo["base"]) / med["base"]) : "n/a"
-                printf "%-28s %-6s %12.6g [%11.6g %11.6g] %12.6g [%11.6g %11.6g] %8s %6s %8s\n", m, unit[m], med["base"], lo["base"], hi["base"], med["change"], lo["change"], hi["change"], gap, w, iqr
-                printf "%s\"%s\": {\"unit\": \"%s\", \"better\": %s, \"base\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"wins\": %s, \"pairs\": %d}", sep, m, unit[m], dir != "" ? "\"" dir "\"" : "null", lo["base"], med["base"], hi["base"], lo["change"], med["change"], hi["change"], dir != "" ? wins : "null", n >json
+                gap = pct(med[cmp] - med["base"], med["base"], "%+.1f%%")
+                iqr = pct(hi["base"] - lo["base"], med["base"], "%.1f%%")
+                printf "%-28s %-6s %12.6g [%11.6g %11.6g] %12.6g [%11.6g %11.6g] %8s %6s %8s", m, unit[m], med["base"], lo["base"], hi["base"], med[cmp], lo[cmp], hi[cmp], gap, w, iqr
+                if (aa) {
+                    stats("aa", m)
+                    printf " %8s %8s", pct(med["aa"] - med["base"], med["base"], "%+.1f%%"), pct(hi["aa"] - lo["aa"], med["aa"], "%.1f%%")
+                }
+                printf "\n"
+                printf "%s\"%s\": {\"unit\": \"%s\", \"better\": %s, \"base\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"wins\": %s, \"pairs\": %d}", sep, m, unit[m], dir != "" ? "\"" dir "\"" : "null", lo["base"], med["base"], hi["base"], lo[cmp], med[cmp], hi[cmp], dir != "" ? wins : "null", n >json
                 sep = ", "
             }
             printf "}" >json
@@ -218,6 +236,15 @@ append_row() { # row
     fi
 }
 
+# One trajectory row for the current cell: base against $1, metrics from
+# the JSON file $2, then any extra fields $3.
+row() { # change_id metrics_json [extra]
+    printf '{"base": "%s", "change": "%s", "workload": "%s", "seed": "%s", "pairs": %d, "seconds": %s, "trace": %d, "aligned": %d, "date": "%s", "nproc": %d, "kernel": "%s", "steal_pct": {"mean": %s, "max": %s}, "load1_max": %s, "failed_runs": %d, "metrics": %s%s}' \
+        "$base_id" "$1" "$w" "$seed" "$pairs" "$seconds" "$trace" "$aligned" \
+        "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(nproc)" "$(uname -r)" "$steal_mean" "$steal_max" \
+        "$load_max" "$bad" "$(cat "$2")" "${3:-}"
+}
+
 for seed in "${seeds[@]}"; do
     for w in "${workloads[@]}"; do
         cell="$runs_dir/$w.$seed"
@@ -226,7 +253,9 @@ for seed in "${seeds[@]}"; do
         : >"$metric_rows"
         : >"$host_rows"
         for pair in $(seq "$pairs"); do
-            if [ $((pair % 2)) -eq 1 ]; then order=(base change); else order=(change base); fi
+            if [ "$aa" -eq 1 ]; then
+                if [ $((pair % 2)) -eq 1 ]; then order=(base change aa); else order=(aa change base); fi
+            elif [ $((pair % 2)) -eq 1 ]; then order=(base change); else order=(change base); fi
             for side in "${order[@]}"; do
                 echo "== $w seed $seed pair $pair/$pairs: $side" >&2
                 run_side "$side" "$pair" "$w" "$seed"
@@ -237,12 +266,13 @@ for seed in "${seeds[@]}"; do
         read -r steal_mean steal_max load_max bad <<<"$host"
         echo
         echo "== $w, seed $seed: $pairs pairs of ${seconds} s, base $base_id vs change $change_id" \
-            "(trace $trace, aligned $aligned); steal mean $steal_mean % max $steal_max %, load1 max $load_max, failed runs $bad"
-        summarize "$cell.json"
-        append_row "$(printf '{"base": "%s", "change": "%s", "workload": "%s", "seed": "%s", "pairs": %d, "seconds": %s, "trace": %d, "aligned": %d, "date": "%s", "nproc": %d, "kernel": "%s", "steal_pct": {"mean": %s, "max": %s}, "load1_max": %s, "failed_runs": %d, "metrics": %s}' \
-            "$base_id" "$change_id" "$w" "$seed" "$pairs" "$seconds" "$trace" "$aligned" \
-            "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(nproc)" "$(uname -r)" "$steal_mean" "$steal_max" \
-            "$load_max" "$bad" "$(cat "$cell.json")")"
+            "(trace $trace, aligned $aligned, aa $aa); steal mean $steal_mean % max $steal_max %, load1 max $load_max, failed runs $bad"
+        summarize "$cell.json" change
+        append_row "$(row "$change_id" "$cell.json")"
+        if [ "$aa" -eq 1 ]; then
+            summarize "$cell.aa.json" aa >/dev/null
+            append_row "$(row "$base_id" "$cell.aa.json" ', "aa": true')"
+        fi
     done
 done
 echo "== rows appended to ${trajectory#"$root"/}; runs in ${runs_dir#"$root"/}"
