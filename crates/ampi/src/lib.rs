@@ -53,9 +53,9 @@ use flows_core::suspend;
 pub struct Ampi {
     rank: usize,
     size: usize,
-    coll_seq: u64,
-    lb_seq: u64,
-    ckpt_seq: u64,
+    /// The last round of each reduction, indexed by its tag (`TAG_COLL`,
+    /// `TAG_LB`, `TAG_CKPT`).
+    seq: [u64; 3],
     /// Counter for the reserved tags of the pt2pt-based collectives.
     pub(crate) p2p_coll_seq: u64,
 }
@@ -80,9 +80,7 @@ impl Ampi {
         Ampi {
             rank,
             size,
-            coll_seq: 0,
-            lb_seq: 0,
-            ckpt_seq: 0,
+            seq: [0; 3],
             p2p_coll_seq: 0,
         }
     }
@@ -153,24 +151,20 @@ impl Ampi {
         });
     }
 
-    /// Blocking receive (`MPI_Recv`): `None` matches any source / any tag.
-    /// Returns `(source, tag, payload)`. Suspends the rank's thread while
-    /// waiting, letting other ranks on this PE run.
+    /// Blocking receive (`MPI_Recv`): `None` matches any source / any user
+    /// tag. Returns `(source, tag, payload)`. Suspends the rank's thread
+    /// while waiting, letting other ranks on this PE run; the delivery that
+    /// wakes it hands the message over.
     pub fn recv(&self, src: Option<usize>, tag: Option<u64>) -> (usize, u64, Vec<u8>) {
-        let want_src = src.map(|s| s as u64);
-        loop {
-            let hit = with_rank_box(self.rank as u64, |b| {
-                let hit = b.take(want_src, tag);
-                if hit.is_none() {
-                    b.wait = Wait::Recv { src: want_src, tag };
-                }
-                hit
-            });
-            match hit {
-                Some(r) => return r,
-                None => suspend(),
-            }
-        }
+        let (rank, src) = (self.rank as u64, src.map(|s| s as u64));
+        let hit = with_rank_box(rank, |b| {
+            b.take(src, tag).ok_or_else(|| b.wait = Wait::Recv { src, tag })
+        });
+        hit.unwrap_or_else(|()| {
+            suspend();
+            let m = with_rank_box(rank, |b| b.done.take()).expect("recv woken without its mail");
+            (m.src as usize, m.tag, m.data)
+        })
     }
 
     /// Send then receive (`MPI_Sendrecv`).
@@ -186,25 +180,28 @@ impl Ampi {
         self.recv(src, recv_tag)
     }
 
-    fn collective(&mut self, op: ReduceOp, data: Vec<u8>) -> Vec<u8> {
-        self.coll_seq += 1;
-        let seq = self.coll_seq;
-        with_rank_box(self.rank as u64, |b| {
-            b.coll_result = None;
-            b.wait = Wait::Coll { seq };
-        });
-        contribute_now(
-            TAG_COLL,
-            seq,
-            self.rank as u64,
-            op,
-            self.size,
-            data,
-        );
+    /// The one blocking body of `collective`, `migrate` and `checkpoint`:
+    /// contribute `data` to this rank's next round of reduction `tag`, and
+    /// suspend until [`world::RankBox::complete`] wakes it. Returns the
+    /// completion slot's result: `None` when the rank resumes in a box
+    /// rebuilt from its image (a migration's arrival, a recovery respawn).
+    ///
+    /// Inlined, and the wait built inside a `move` closure, so that the
+    /// frames of `migrate` and `checkpoint` — which every rank image packed
+    /// there carries — stay the size of a hand-written body.
+    #[inline(always)]
+    fn reduce(&mut self, tag: u64, op: ReduceOp, data: Vec<u8>) -> Option<Vec<u8>> {
+        let (rank, seq) = (self.rank as u64, &mut self.seq[tag as usize]);
+        *seq += 1;
+        let seq = *seq;
+        with_rank_box(rank, move |b| b.wait = Wait::Reduction { tag, seq });
+        contribute_now(tag, seq, rank, op, self.size, data);
         suspend();
-        with_rank_box(self.rank as u64, |b| b.coll_result.take())
-            .expect("collective completed without a result")
-            .into_vec()
+        with_rank_box(rank, |b| b.done.take().map(|m| m.data))
+    }
+
+    fn collective(&mut self, op: ReduceOp, data: Vec<u8>) -> Vec<u8> {
+        self.reduce(TAG_COLL, op, data).expect("collective completed without a result")
     }
 
     /// Barrier across all ranks (`MPI_Barrier`).
@@ -260,14 +257,9 @@ impl Ampi {
     /// decides; ranks ordered to move are packed (isomalloc byte copy,
     /// §3.4.2), shipped, and resume transparently on their new PE.
     pub fn migrate(&mut self) {
-        self.lb_seq += 1;
-        let seq = self.lb_seq;
-        let report = load_report(self.rank);
-        with_rank_box(self.rank as u64, |b| b.wait = Wait::Lb { seq });
-        contribute_now(TAG_LB, seq, self.rank as u64, ReduceOp::Concat, self.size, report);
-        suspend();
-        // Resumed — possibly on a different PE; nothing else to do, which
-        // is the whole point.
+        // Returns resumed — possibly on a different PE; nothing else to do,
+        // which is the whole point.
+        self.reduce(TAG_LB, ReduceOp::Concat, load_report(self.rank));
     }
 
     /// Coordinated checkpoint (`AMPI_Checkpoint`): a collective at which
@@ -283,20 +275,9 @@ impl Ampi {
     /// all ghost exchanges, for example). Messages still in flight are not
     /// part of any rank's image and would be lost by a rollback.
     pub fn checkpoint(&mut self) {
-        self.ckpt_seq += 1;
-        let seq = self.ckpt_seq;
-        with_rank_box(self.rank as u64, |b| b.wait = Wait::Ckpt { seq });
-        contribute_now(
-            TAG_CKPT,
-            seq,
-            self.rank as u64,
-            ReduceOp::SumU64,
-            self.size,
-            Vec::new(),
-        );
-        suspend();
-        // Resumed — either right after the snapshot was taken, or (after a
-        // crash) from the restored image, possibly on a different PE.
+        // Returns resumed — either right after the snapshot was taken, or
+        // (after a crash) from the restored image, possibly on another PE.
+        self.reduce(TAG_CKPT, ReduceOp::SumU64, Vec::new());
     }
 
     /// Virtual wall-clock seconds of the current PE (`MPI_Wtime` on the

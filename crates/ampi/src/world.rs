@@ -1,6 +1,7 @@
 //! The AMPI world: rank placement, message delivery, collectives and the
 //! measurement-based load-balancing epoch.
 
+use crate::nonblocking::RESERVED_TAG_BASE;
 use crate::proto::{
     parse_rank_wire, route_rank_wire, BatchHead, LoadReport, MailEntry, MoveRec, PlanMsg, RankMove,
     RankWire, PORT_AMPI,
@@ -28,24 +29,16 @@ pub fn lb_batch_messages() -> u64 {
     LB_BATCH_MSGS.load(Ordering::Relaxed)
 }
 
-#[allow(missing_docs)]
-/// What a rank's thread is currently blocked on.
-#[derive(Debug, Clone, PartialEq)]
+/// What a rank's thread is blocked on: mail it receives, or a round of a
+/// reduction it contributed to (a collective, an LB epoch or a checkpoint
+/// cut, told apart by tag). [`RankBox::post`] and [`RankBox::complete`] are
+/// the only code that clears it; each hands the rank its completion in
+/// [`RankBox::done`] and names the thread to wake.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Wait {
     None,
-    Recv {
-        src: Option<u64>,
-        tag: Option<u64>,
-    },
-    Coll {
-        seq: u64,
-    },
-    Lb {
-        seq: u64,
-    },
-    Ckpt {
-        seq: u64,
-    },
+    Recv { src: Option<u64>, tag: Option<u64> },
+    Reduction { tag: u64, seq: u64 },
 }
 
 /// One parked point-to-point message: `data` is the buffer `recv` returns.
@@ -55,11 +48,25 @@ pub(crate) struct Mail {
     pub data: Vec<u8>,
 }
 
+impl Mail {
+    /// The one matcher of `recv`, `test` and the hand-over in `post`: `None`
+    /// matches any source, or any user tag. A wildcard tag never matches the
+    /// reserved tags that `scatter` and `alltoall` run on.
+    fn matches(&self, src: Option<u64>, tag: Option<u64>) -> bool {
+        let user = self.tag < RESERVED_TAG_BASE;
+        src.is_none_or(|s| s == self.src) && tag.map_or(user, |t| t == self.tag)
+    }
+}
+
 pub(crate) struct RankBox {
     pub tid: ThreadId,
     pub mailbox: VecDeque<Mail>,
     pub wait: Wait,
-    pub coll_result: Option<Payload>,
+    /// The completion slot: the mail a `recv` wait matched, or a reduction's
+    /// result (from source 0, with the reduction's tag). The woken rank takes
+    /// it at once, so no image carries it: ranks are packed only in a
+    /// reduction wait, before its completion.
+    pub done: Option<Mail>,
     /// Next expected sequence number per source rank (MPI non-overtaking).
     /// The map itself never crosses a process boundary: packing a rank
     /// drains it into the sorted `next_seq` pairs of its `RankMove` or
@@ -92,7 +99,7 @@ impl RankBox {
             tid,
             mailbox: VecDeque::new(),
             wait: Wait::None,
-            coll_result: None,
+            done: None,
             next_seq: IdMap::default(),
             send_seq: IdMap::default(),
             stashed: BTreeMap::new(),
@@ -146,6 +153,10 @@ impl RankBox {
     /// box is already removed, moves it out; a checkpoint, whose box lives
     /// on (and whose matched boundary leaves the mailbox empty), copies it.
     pub(crate) fn move_rec(&mut self, rank: u64, mut image: impl FnMut(&mut Vec<u8>) -> Payload) -> MoveRec {
+        debug_assert!(
+            self.done.is_none() && !matches!(self.wait, Wait::Recv { .. }),
+            "rank {rank} is packed in recv or with handed-over mail, which no image carries"
+        );
         MoveRec {
             rank,
             mailbox: self.mailbox.iter_mut()
@@ -159,33 +170,42 @@ impl RankBox {
         }
     }
 
-    /// Deliver a point-to-point message: [`RankBox::admit`] it, and when
-    /// the mailbox now matches the rank's `recv` wait, clear the wait and
-    /// return the thread to wake. The one delivery step of both paths: the
-    /// routed one (`deliver`) and the same-PE one (`Ampi::send`).
+    /// Deliver a point-to-point message: [`RankBox::admit`] it, and when the
+    /// rank waits in `recv` for mail it admits, hand the first match over to
+    /// the completion slot and return the thread to wake. The waiter scanned
+    /// the older mail already, so only the newly admitted mail is tested. The
+    /// one delivery step of both paths: the routed one (`deliver`) and the
+    /// same-PE one (`Ampi::send`).
     pub(crate) fn post(&mut self, src: u64, seq: u64, tag: u64, data: Vec<u8>) -> Option<ThreadId> {
+        let old = self.mailbox.len();
         self.admit(src, seq, tag, data);
         let Wait::Recv { src, tag } = self.wait else {
             return None;
         };
-        self.find(src, tag).map(|_| {
-            self.wait = Wait::None;
-            self.tid
-        })
+        let i = old + self.mailbox.range(old..).position(|m| m.matches(src, tag))?;
+        self.done = self.mailbox.remove(i);
+        self.wait = Wait::None;
+        Some(self.tid)
     }
 
-    /// The mailbox index of the first message from `src` with `tag`
-    /// (`None` matches any): the one matcher of `post`, `recv` and `test`.
-    fn find(&self, src: Option<u64>, tag: Option<u64>) -> Option<usize> {
-        self.mailbox
-            .iter()
-            .position(|m| src.is_none_or(|s| s == m.src) && tag.is_none_or(|t| t == m.tag))
+    /// Complete round `seq` of reduction `tag` with its result: when the rank
+    /// waits for exactly that round, fill the completion slot, clear the wait
+    /// and return the thread to wake. The one wake of collectives, LB epochs
+    /// and checkpoint cuts.
+    pub(crate) fn complete(&mut self, tag: u64, seq: u64, data: Vec<u8>) -> Option<ThreadId> {
+        if self.wait != (Wait::Reduction { tag, seq }) {
+            return None;
+        }
+        self.done = Some(Mail { src: 0, tag, data });
+        self.wait = Wait::None;
+        Some(self.tid)
     }
 
-    /// Remove and return the first message [`RankBox::find`] matches, as
-    /// `recv` returns it: `(source, tag, buffer)`.
+    /// Remove and return the first message that matches, as `recv` returns
+    /// it: `(source, tag, buffer)`.
     pub(crate) fn take(&mut self, src: Option<u64>, tag: Option<u64>) -> Option<(usize, u64, Vec<u8>)> {
-        let m = self.mailbox.remove(self.find(src, tag)?)?;
+        let i = self.mailbox.iter().position(|m| m.matches(src, tag))?;
+        let m = self.mailbox.remove(i)?;
         Some((m.src as usize, m.tag, m.data))
     }
 }
@@ -194,10 +214,6 @@ impl RankBox {
 pub(crate) struct AmpiState {
     pub meta: Option<Arc<WorldMeta>>,
     pub ranks: IdMap<u64, RankBox>,
-    /// Ranks that finished on this PE (diagnostics).
-    pub finished: u64,
-    /// Migrations executed from this PE.
-    pub moves_out: u64,
 }
 
 /// World-wide constants every PE knows.
@@ -210,9 +226,6 @@ pub struct WorldMeta {
     /// can respawn ranks from scratch when no checkpoint generation
     /// survives a failure.
     pub main: Arc<dyn Fn(&mut crate::Ampi) + Send + Sync>,
-    /// Whether this world spans processes (rank images may be respawned
-    /// in a process other than the one that spawned them).
-    pub multiproc: bool,
 }
 
 impl std::fmt::Debug for WorldMeta {
@@ -373,7 +386,6 @@ pub fn run_world(
         size: opts.ranks,
         strategy: opts.strategy.clone(),
         main: Arc::new(main),
-        multiproc: opts.multiproc.is_some(),
     });
     // Under recovery any single PE may end up hosting every rank after
     // repeated crashes; size the isomalloc region for that worst case.
@@ -479,36 +491,20 @@ fn deliver(pe: &Pe, obj: ObjId, payload: Payload) {
     if matches!(w.kind, 1 | 3) && w.seq != flows_comm::comm_epoch(pe) {
         return;
     }
-    match w.kind {
-        0 => {
-            // Point-to-point: admit in per-sender order, wake a matching
-            // waiter.
-            let wake = pe.ext::<AmpiState, _>(|st| {
-                let b = st.ranks.get_mut(&rank).expect("mail for missing rank");
-                b.post(w.a, w.seq, w.b, data.into_vec())
-            });
-            if let Some(tid) = wake {
-                pe.sched().awaken_tid(tid).expect("awaken recv");
-            }
+    if w.kind == 3 {
+        // A checkpoint order, the only other kind `parse_rank_wire` admits.
+        return on_ckpt_snapshot(pe, rank, w.a);
+    }
+    // Point-to-point mail (kind 0) or a collective's result (kind 1).
+    let wake = pe.ext::<AmpiState, _>(|st| {
+        let b = st.ranks.get_mut(&rank).expect("wire for missing rank");
+        match w.kind {
+            0 => b.post(w.a, w.seq, w.b, data.into_vec()),
+            _ => b.complete(TAG_COLL, w.a, data.into_vec()),
         }
-        1 => {
-            // Collective result.
-            let wake = pe.ext::<AmpiState, _>(|st| {
-                let b = st.ranks.get_mut(&rank).expect("result for missing rank");
-                b.coll_result = Some(data);
-                if matches!(b.wait, Wait::Coll { seq } if seq == w.a) {
-                    b.wait = Wait::None;
-                    Some(b.tid)
-                } else {
-                    None
-                }
-            });
-            if let Some(tid) = wake {
-                pe.sched().awaken_tid(tid).expect("awaken collective");
-            }
-        }
-        // Kind 3, the only other kind `parse_rank_wire` admits.
-        _ => on_ckpt_snapshot(pe, rank, w.a),
+    });
+    if let Some(tid) = wake {
+        pe.sched().awaken_tid(tid).expect("awaken rank");
     }
 }
 
@@ -521,10 +517,8 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
     let meta = pe.ext::<AmpiState, _>(|st| st.meta.clone()).expect("meta");
     let (tid, rec) = pe.ext::<AmpiState, _>(|st| {
         let b = st.ranks.get_mut(&rank).expect("checkpoint for missing rank");
-        assert!(
-            matches!(b.wait, Wait::Ckpt { seq: s } if s == seq),
-            "rank {rank} got a checkpoint command it was not waiting for"
-        );
+        let want = Wait::Reduction { tag: TAG_CKPT, seq };
+        assert_eq!(b.wait, want, "rank {rank} got a checkpoint command it was not waiting for");
         (b.tid, b.move_rec(rank, |d| Payload::from(&d[..])))
     });
     assert_eq!(
@@ -546,9 +540,11 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
     crate::recover::deposit_checkpoint(pe, rank, seq, &mut mv, load_ns);
     let back = pe.sched().unpack_thread(packed).expect("unpack after checkpoint");
     debug_assert_eq!(back, tid);
-    pe.ext::<AmpiState, _>(|st| {
-        st.ranks.get_mut(&rank).expect("rank survives snapshot").wait = Wait::None;
+    let wake = pe.ext::<AmpiState, _>(|st| {
+        let b = st.ranks.get_mut(&rank).expect("rank survives snapshot");
+        b.complete(TAG_CKPT, seq, Vec::new())
     });
+    debug_assert_eq!(wake, Some(tid));
     pe.sched().awaken_tid(tid).expect("awaken checkpointed rank");
     // Last local rank through its snapshot? Then this PE's slice of
     // generation `seq` is complete: replicate it to the buddies and vote
@@ -556,7 +552,7 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
     let pending = pe.ext::<AmpiState, _>(|st| {
         st.ranks
             .values()
-            .any(|b| matches!(b.wait, Wait::Ckpt { seq: s } if s == seq))
+            .any(|b| b.wait == Wait::Reduction { tag: TAG_CKPT, seq })
     });
     if !pending {
         crate::recover::finalize_generation(pe, &meta, seq);
@@ -678,23 +674,18 @@ fn on_lb_plan(pe: &Pe, msg: Message) {
             // Staying: wake the rank, roll its load epoch.
             let tid = pe.ext::<AmpiState, _>(|st| {
                 let b = st.ranks.get_mut(&rank).expect("plan for missing rank");
-                assert!(
-                    matches!(b.wait, Wait::Lb { seq: s } if s == plan.seq),
-                    "rank {rank} got an LB plan it was not waiting for"
-                );
-                b.wait = Wait::None;
-                b.tid
+                b.complete(TAG_LB, plan.seq, Vec::new())
             });
+            let tid =
+                tid.unwrap_or_else(|| panic!("rank {rank} got an LB plan it was not waiting for"));
             pe.sched().reset_load_tid(tid);
             pe.sched().awaken_tid(tid).expect("awaken stayer");
             continue;
         }
         // Moving: pack the thread and its runtime state, queue it on the
         // destination's batch.
-        let mut bx = pe.ext::<AmpiState, _>(|st| {
-            st.moves_out += 1;
-            st.ranks.remove(&rank).expect("plan for missing rank")
-        });
+        let mut bx =
+            pe.ext::<AmpiState, _>(|st| st.ranks.remove(&rank).expect("plan for missing rank"));
         assert_eq!(
             pe.sched().state(bx.tid),
             Some(ThreadState::Suspended),
@@ -777,7 +768,6 @@ pub(crate) fn note_finished(rank: u64) {
     flows_converse::with_pe(|pe| {
         pe.ext::<AmpiState, _>(|st| {
             st.ranks.remove(&rank);
-            st.finished += 1;
         });
     });
 }
@@ -903,6 +893,82 @@ mod tests {
         let RankMove { rank, mailbox, next_seq, send_seq, stashed, .. } = mv;
         let rec = MoveRec { rank, mailbox, next_seq, send_seq, stashed };
         assert_eq!(mail(&RankBox::from_rec(ThreadId(9), rec)), want, "recovery respawn");
+    }
+
+    fn mail(b: &RankBox) -> Vec<(u64, u64, Vec<u8>)> {
+        b.mailbox.iter().map(|m| (m.src, m.tag, m.data.clone())).collect()
+    }
+
+    /// An admission that drains stashed successors hands the first of them
+    /// that the `recv` wait matches, in per-sender order, to the completion
+    /// slot, and queues the rest in order.
+    #[test]
+    fn post_hands_over_the_first_match_and_queues_the_rest() {
+        let mut b = RankBox::new(ThreadId(9));
+        b.wait = Wait::Recv { src: Some(1), tag: Some(9) };
+        for (seq, tag) in [(3, 5), (2, 9), (1, 9)] {
+            assert_eq!(b.post(1, seq, tag, vec![seq as u8]), None, "seq {seq} is stashed");
+        }
+        assert_eq!(b.post(1, 0, 4, vec![0]), Some(ThreadId(9)));
+        assert_eq!(b.wait, Wait::None);
+        let m = b.done.take().expect("mail handed over");
+        assert_eq!((m.src, m.tag, m.data), (1, 9, vec![1]));
+        assert_eq!(mail(&b), [(1, 4, vec![0]), (1, 9, vec![2]), (1, 5, vec![3])]);
+        assert!(b.stashed.is_empty());
+    }
+
+    /// Mail the `recv` wait does not match — another source, or a reserved
+    /// tag under a wildcard — stays in the mailbox and wakes no one.
+    #[test]
+    fn a_non_matching_arrival_stays_in_the_mailbox() {
+        let mut b = RankBox::new(ThreadId(9));
+        let wait = Wait::Recv { src: Some(1), tag: None };
+        b.wait = wait;
+        assert_eq!(b.post(2, 0, 9, vec![1]), None);
+        assert_eq!(b.post(1, 0, RESERVED_TAG_BASE + 1, vec![2]), None);
+        assert_eq!((b.wait, b.done.is_none()), (wait, true));
+        assert_eq!(mail(&b), [(2, 9, vec![1]), (1, RESERVED_TAG_BASE + 1, vec![2])]);
+        assert_eq!(b.take(None, None), Some((2, 9, vec![1])), "a wildcard takes user tags only");
+        assert_eq!(b.take(None, None), None);
+    }
+
+    /// `complete` wakes only the round the rank waits for: another tag,
+    /// another round or a `recv` wait wakes no one and leaves the slot empty.
+    #[test]
+    fn complete_wakes_only_the_awaited_round() {
+        let mut b = RankBox::new(ThreadId(9));
+        let wait = Wait::Reduction { tag: TAG_COLL, seq: 3 };
+        b.wait = wait;
+        assert_eq!(b.complete(TAG_COLL, 2, vec![1]), None);
+        assert_eq!(b.complete(TAG_LB, 3, vec![1]), None);
+        assert_eq!((b.wait, b.done.is_none()), (wait, true));
+        b.wait = Wait::Recv { src: None, tag: None };
+        assert_eq!(b.complete(TAG_COLL, 3, vec![1]), None);
+        assert!(b.done.is_none());
+        b.wait = wait;
+        assert_eq!(b.complete(TAG_COLL, 3, vec![7]), Some(ThreadId(9)));
+        assert_eq!((b.wait, b.done.take().map(|m| m.data)), (Wait::None, Some(vec![7])));
+    }
+
+    /// The completion slot and the `recv` wait are not part of a rank's
+    /// image, so packing a box that holds either is a bug `move_rec` trips on.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn move_rec_refuses_a_box_in_recv_or_with_handed_over_mail() {
+        let pack = |mut b: RankBox| {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                b.move_rec(3, |d| Payload::from(&d[..]));
+            }));
+            r.expect_err("move_rec must refuse the box")
+        };
+        let mut b = RankBox::new(ThreadId(9));
+        b.wait = Wait::Recv { src: None, tag: None };
+        b.post(1, 0, 9, vec![1]);
+        assert!(b.done.is_some());
+        pack(b);
+        let mut b = RankBox::new(ThreadId(9));
+        b.wait = Wait::Recv { src: None, tag: Some(9) };
+        pack(b);
     }
 
     /// A batch decodes only as exactly `count` records behind its head.

@@ -1,6 +1,7 @@
-//! AMPI semantics: point-to-point ordering/matching, collectives, and —
-//! the paper's centerpiece — transparent rank migration under load
-//! balancing.
+// AMPI semantics: point-to-point ordering/matching, collectives, and —
+// the paper's centerpiece — transparent rank migration under load
+// balancing. Plain `//` comments: the root package's
+// `tests/ampi_semantics_smoke.rs` `include!`s this file.
 
 use flows_ampi::{run_world, AmpiOptions};
 use flows_comm::ReduceOp;
@@ -273,6 +274,31 @@ fn test_polls_without_blocking() {
             let _ = ampi.recv(Some(0), Some(10));
         }
     });
+}
+
+/// A wildcard tag matches user tags only: a `scatter` chunk that arrives
+/// ahead of user mail is left for the `scatter` it belongs to, whether the
+/// ranks share a PE or not. What rank 1 got is checked outside the world,
+/// since a rank's panic ends only that rank.
+#[test]
+fn a_wildcard_recv_leaves_collective_traffic_alone() {
+    for pes in [1, 2] {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g2 = got.clone();
+        run_world(opts(2, pes), move |ampi| {
+            if ampi.rank() == 0 {
+                ampi.scatter(0, Some(vec![vec![0], vec![1]]));
+                ampi.send(1, 7, vec![7]);
+            } else {
+                let (src, tag, data) = ampi.recv(Some(0), None);
+                g2.lock().unwrap().push((src, tag, data));
+                let chunk = ampi.scatter(0, None);
+                g2.lock().unwrap().push((0, 0, chunk));
+            }
+        });
+        let got = got.lock().unwrap().clone();
+        assert_eq!(got, [(0, 7, vec![7]), (0, 0, vec![1])], "on {pes} PE(s)");
+    }
 }
 
 #[test]
