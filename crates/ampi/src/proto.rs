@@ -4,7 +4,8 @@
 
 use flows_comm::{ObjId, Port};
 use flows_converse::{Payload, PayloadBuf, Pe};
-use flows_pup::pup_fields;
+use flows_core::PackedThread;
+use flows_pup::{pup_fields, Pup, Puper};
 
 /// The comm-layer port AMPI rank traffic travels on.
 pub const PORT_AMPI: Port = 1;
@@ -74,14 +75,16 @@ pup_fields!(MailEntry { src, tag, data });
 /// A rank's checkpoint image: the packed thread plus the runtime state
 /// that lives outside the thread's own memory — its mailbox and the
 /// per-sender in-order delivery state. (Migration ships the leaner
-/// [`MoveRec`] batch record instead.)
+/// [`MoveRec`] batch record instead.) The thread travels as one
+/// length-prefixed byte run ([`PackedThread::pup_run`]): packed straight
+/// from the buffer `pack_thread` filled, unpacked with one copy.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct RankMove {
     pub world: u64,
     pub rank: u64,
     /// Recovery epoch the image was taken in.
     pub epoch: u64,
-    pub thread: Vec<u8>,
+    pub thread: PackedThread,
     pub mailbox: Vec<MailEntry>,
     /// Next expected per-sender sequence numbers: (src, seq) pairs.
     pub next_seq: Vec<(u64, u64)>,
@@ -93,21 +96,23 @@ pub struct RankMove {
     /// Out-of-order messages held back: (src, seq, tag, data).
     pub stashed: Vec<(u64, u64, u64, Payload)>,
 }
-pup_fields!(RankMove {
-    world,
-    rank,
-    epoch,
-    thread,
-    mailbox,
-    next_seq,
-    send_seq,
-    stashed
-});
+impl Pup for RankMove {
+    fn pup(&mut self, p: &mut Puper) {
+        self.world.pup(p);
+        self.rank.pup(p);
+        self.epoch.pup(p);
+        self.thread.pup_run(p);
+        self.mailbox.pup(p);
+        self.next_seq.pup(p);
+        self.send_seq.pup(p);
+        self.stashed.pup(p);
+    }
+}
 
 impl RankMove {
     /// The checkpoint image of a rank whose runtime state is `rec` and
     /// whose packed thread is `thread`.
-    pub fn from_rec(world: u64, epoch: u64, thread: Vec<u8>, rec: MoveRec) -> RankMove {
+    pub fn from_rec(world: u64, epoch: u64, thread: PackedThread, rec: MoveRec) -> RankMove {
         RankMove {
             world,
             rank: rec.rank,
@@ -279,6 +284,18 @@ pub struct LoadReport {
 }
 pup_fields!(LoadReport { rank, pe, load_ns });
 
+/// A valid packed thread with `payload` as its payload: the head of a
+/// default thread (40 bytes, all zero but its trailing `payload_len`)
+/// and then the payload, as raw wire bytes.
+#[cfg(test)]
+pub(crate) fn thread_wire(payload: &[u8]) -> Vec<u8> {
+    let mut img = PackedThread::default().to_bytes();
+    let head = img.len();
+    img[head - 8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    img.extend_from_slice(payload);
+    img
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +322,7 @@ mod tests {
             world: 1,
             rank: 3,
             epoch: 2,
-            thread: vec![9; 100],
+            thread: PackedThread::from_bytes(&thread_wire(&[9; 100])).unwrap(),
             mailbox: vec![MailEntry {
                 src: 0,
                 tag: 42,

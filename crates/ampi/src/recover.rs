@@ -43,9 +43,7 @@
 use crate::proto::{ctl, CtlMsg, MoveRec, RankMove, RepHead, RepRec};
 use crate::world::{obj_of, pe_of_rank, AmpiState, RankBox, WorldMeta};
 use flows_converse::{IdMap, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
-use flows_core::{
-    frame_in_place, unframe_payload, PackedThread, ThreadId, ThreadState, FRAME_HEADER_LEN,
-};
+use flows_core::{frame_in_place, unframe_payload, ThreadId, ThreadState, FRAME_HEADER_LEN};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -508,7 +506,7 @@ fn handle_start(pe: &Pe, leader: usize, epoch: u64, dead_mask: u64) {
         flows_comm::evict_obj(pe, obj_of(r));
     }
     let lowest_dead = lowest_bit(dead_mask);
-    let (cp1, pairs) = build_inventory(pe);
+    let (cp1, pairs) = pe.ext::<RecoverState, _>(RecoverState::inventory);
     flows_trace::emit(flows_trace::EventKind::FtRollback, lowest_dead as u64, cp1, epoch);
     pe.note_recovery(RecoveryPhase::Rollback, lowest_dead, cp1);
     if leader == pe.id() {
@@ -523,17 +521,26 @@ fn lowest_bit(mask: u64) -> usize {
     mask.trailing_zeros() as usize % 64
 }
 
-/// Walk the shelf, dropping any holding whose frame fails its checksum
-/// (the corruption-fallback point: a bad buddy copy simply vanishes from
-/// the inventory, and `best_gen` falls back to another holder or an older
-/// generation). Returns `(committed+1, (gen, rank|OWN_BIT) pairs)`.
-fn build_inventory(pe: &Pe) -> (u64, Vec<(u64, u64)>) {
-    pe.ext::<RecoverState, _>(|rs| {
+/// Decode a shelved checkpoint frame, trusting none of it: its checksum,
+/// then the `RankMove`, then the thread's head and run. The inventory's
+/// validity check and the respawn in [`apply_plan`] share it, so a frame
+/// the respawn could not decode never counts towards a generation.
+fn decode_image(frame: &Payload) -> Option<RankMove> {
+    flows_pup::from_bytes(unframe_payload(frame).ok()?).ok()
+}
+
+impl RecoverState {
+    /// Walk the shelf, dropping any holding whose frame fails its checksum
+    /// or does not decode (the corruption-fallback point: a bad buddy copy
+    /// simply vanishes from the inventory, and `best_gen` falls back to
+    /// another holder or an older generation). Returns `(committed+1,
+    /// (gen, rank|OWN_BIT) pairs)`.
+    fn inventory(&mut self) -> (u64, Vec<(u64, u64)>) {
         let mut pairs = Vec::new();
         let mut dropped = 0u64;
-        for (&gen, ranks) in rs.shelf.iter_mut() {
+        for (&gen, ranks) in self.shelf.iter_mut() {
             ranks.retain(|&r, rep| {
-                if unframe_payload(&rep.frame).is_ok() {
+                if decode_image(&rep.frame).is_some() {
                     pairs.push((gen, r | if rep.own { OWN_BIT } else { 0 }));
                     true
                 } else {
@@ -542,13 +549,13 @@ fn build_inventory(pe: &Pe) -> (u64, Vec<(u64, u64)>) {
                 }
             });
         }
-        rs.invalid_msgs += dropped;
+        self.invalid_msgs += dropped;
         // Shelf buckets iterate in hash order, which depends on their
         // insertion history; sort so the inventory wire bytes (and
         // everything downstream of them) are run-to-run stable.
         pairs.sort_unstable();
-        (rs.committed_p1, pairs)
-    })
+        (self.committed_p1, pairs)
+    }
 }
 
 /// Leader: collect inventories; once every live PE reported, compute the
@@ -638,11 +645,15 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
                 .expect("assigned rank must be on the assignee's shelf");
             (rep.frame.clone(), rep.load_ns)
         });
-        let bytes = unframe_payload(&frame).expect("inventory-validated frame");
-        let mv: RankMove = flows_pup::from_bytes(bytes).expect("replica wire");
-        let packed = PackedThread::from_bytes(&mv.thread).expect("replica thread");
-        let tid = pe.sched().unpack_thread(packed).expect("respawn rank");
-        let RankMove { mailbox, next_seq, send_seq, stashed, .. } = mv;
+        // The inventory kept only frames this decoder accepts, but a
+        // peer's re-replication batch, checked by checksum alone, may
+        // have replaced one since: a counted drop, never a panic.
+        let Some(mv) = decode_image(&frame) else {
+            pe.ext::<RecoverState, _>(|rs| rs.invalid_msgs += 1);
+            continue;
+        };
+        let RankMove { thread, mailbox, next_seq, send_seq, stashed, .. } = mv;
+        let tid = pe.sched().unpack_thread(thread).expect("respawn rank");
         let bx = RankBox::from_rec(tid, MoveRec { rank, mailbox, next_seq, send_seq, stashed });
         pe.ext::<AmpiState, _>(|st| {
             st.ranks.insert(rank, bx);
@@ -845,6 +856,7 @@ fn on_ack(pe: &Pe, gen: u64, purpose: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flows_core::PackedThread;
 
     fn inv(entries: &[(usize, &[(u64, u64)])]) -> BTreeMap<usize, Vec<(u64, u64)>> {
         entries.iter().map(|&(pe, hs)| (pe, hs.to_vec())).collect()
@@ -917,14 +929,10 @@ mod tests {
     }
 
     /// A valid `PackedThread` wire image of exactly `len` bytes: the head
-    /// of a default thread with its trailing `payload_len` field set,
-    /// followed by that many payload bytes.
+    /// of a default thread, then `len - 40` payload bytes.
     fn thread_image(len: usize) -> Vec<u8> {
-        let mut img = PackedThread::default().to_bytes();
-        let head = img.len();
-        img[head - 8..].copy_from_slice(&((len - head) as u64).to_le_bytes());
-        img.extend((0..len - head).map(|i| (i % 251) as u8));
-        img
+        let head = PackedThread::default().to_bytes().len();
+        crate::proto::thread_wire(&(0..len - head).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
     }
 
     /// A rank image with parked mail (inline and shared bodies), both
@@ -935,7 +943,7 @@ mod tests {
             world: 7,
             rank,
             epoch: 2,
-            thread: thread_image(thread_len),
+            thread: PackedThread::from_bytes(&thread_image(thread_len)).expect("thread image"),
             mailbox: vec![
                 MailEntry { src: 1, tag: 9, data: vec![0xAB; 100].into() },
                 MailEntry { src: 2, tag: 4, data: vec![1, 2, 3].into() },
@@ -947,8 +955,9 @@ mod tests {
     }
 
     /// Packing into the frame in place changes no byte on the wire: the
-    /// frame is exactly `frame_payload(&to_bytes(mv))`, and it unframes,
-    /// unpacks and yields the original thread image.
+    /// frame is exactly `frame_payload(&to_bytes(mv))`, the thread is the
+    /// length-prefixed run a `Vec<u8>` of its wire bytes packs to, and the
+    /// frame unframes and unpacks to the original image.
     #[test]
     fn in_place_frame_matches_the_framed_pup_bytes() {
         let len = 256 * 1024 + 13;
@@ -957,12 +966,70 @@ mod tests {
         let reference = flows_core::frame_payload(&flows_pup::to_bytes(&mut mv));
         assert_eq!(frame.len(), reference.len());
         assert!(frame.as_slice() == &reference[..], "in-place frame differs from the pinned wire");
+        let run = &unframe_payload(&frame).unwrap()[24..];
+        assert_eq!(run[..8], (len as u64).to_le_bytes(), "the thread run's length prefix");
+        assert!(run[8..8 + len] == thread_image(len)[..], "the thread run is its wire bytes");
         let back: RankMove = flows_pup::from_bytes(unframe_payload(&frame).unwrap()).unwrap();
         assert_eq!(back, mv);
-        assert_eq!(back.thread.len(), len);
-        let thread = PackedThread::from_bytes(&back.thread).expect("thread image");
-        assert_eq!(thread.payload_len(), len - PackedThread::default().to_bytes().len());
-        assert_eq!(thread.payload().as_slice(), &mv.thread[len - thread.payload_len()..]);
+    }
+
+    /// The checkpoint frame of a 256 KiB + 13 B rank image, pinned by its
+    /// length and checksum as the byte-wise `Vec<u8>` thread field framed
+    /// it: any change to the image wire fails here.
+    #[test]
+    fn the_rank_image_frame_is_pinned() {
+        let frame = frame_image(&mut sample_move(3, 256 * 1024 + 13));
+        let sum = u64::from_le_bytes(frame[16..24].try_into().unwrap());
+        assert_eq!((frame.len(), sum), (262_546, 0xd71d_db20_80bb_bf35));
+    }
+
+    /// The thread run is read in one piece, not a byte loop: the image's
+    /// thread is `PackedThread::from_bytes` of the taken run (the head
+    /// parsed in place, the payload copied once), its payload exactly the
+    /// head's `payload_len`, and a run the thread does not fill exactly
+    /// is refused.
+    #[test]
+    fn the_thread_run_unpacks_in_one_piece() {
+        let len = 4096 + 40;
+        let run = thread_image(len);
+        let head_len = u64::from_le_bytes(run[32..40].try_into().unwrap());
+        let mut mv = sample_move(1, len);
+        let bytes = flows_pup::to_bytes(&mut mv);
+        let back: RankMove = flows_pup::from_bytes(&bytes).expect("rank image");
+        assert_eq!(back.thread.payload_len() as u64, head_len);
+        assert_eq!(back.thread, PackedThread::from_bytes(&run).unwrap());
+        // A length prefix one byte longer or shorter than the thread: the
+        // run check fails the image, before anything after it misparses.
+        for n in [len - 1, len + 1] {
+            let mut bad = bytes.clone();
+            bad[24..32].copy_from_slice(&(n as u64).to_le_bytes());
+            assert!(
+                matches!(flows_pup::from_bytes::<RankMove>(&bad), Err(flows_pup::PupError::Corrupt(_))),
+                "a {n}-byte run of a {len}-byte thread accepted"
+            );
+        }
+    }
+
+    /// A frame whose checksum holds but whose `RankMove` is truncated is
+    /// shelved (its checksum verifies), then dropped and counted at
+    /// inventory, so its generation is never complete and the plan falls
+    /// back to an older one — the respawn never meets it.
+    #[test]
+    fn a_checksum_valid_frame_that_does_not_decode_is_counted_at_inventory() {
+        let good = |r: u64| (RepRec { rank: r, load_ns: 0, len: 0 }, frame_image(&mut sample_move(r, 300)));
+        let mut bytes = flows_pup::to_bytes(&mut sample_move(1, 300));
+        bytes.truncate(bytes.len() - 5);
+        let truncated: Payload = flows_core::frame_payload(&bytes).into();
+        assert!(unframe_payload(&truncated).is_ok(), "the checksum must verify");
+        let mut rs = RecoverState::default();
+        rs.shelve_replicas(4, vec![good(0), good(1)]);
+        rs.shelve_replicas(5, vec![good(0), (RepRec { rank: 1, load_ns: 0, len: 0 }, truncated)]);
+        assert_eq!(rs.invalid_msgs, 0, "shelving checks the checksum only");
+        let (_, pairs) = rs.inventory();
+        assert_eq!(rs.invalid_msgs, 1);
+        assert_eq!(pairs, vec![(4, 0), (4, 1), (5, 0)]);
+        let inventories = BTreeMap::from([(0, pairs)]);
+        assert_eq!(best_gen(2, &inventories).map(|(g, _)| g), Some(4));
     }
 
     fn three_frames(thread_len: usize) -> Vec<Payload> {

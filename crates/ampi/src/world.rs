@@ -417,11 +417,15 @@ pub fn run_world(
     let init = move |pe: &Pe| init_pe(pe, &meta);
     // A multi-process machine has no deterministic round-robin mode: the
     // comm thread and the transport are inherently concurrent.
-    if opts.threaded || opts.multiproc.is_some() {
+    let report = if opts.threaded || opts.multiproc.is_some() {
         mb.run(init)
     } else {
         mb.run_deterministic(init)
-    }
+    };
+    // A rank's panic ends only its own thread; it fails the run here.
+    let panics = report.panicked_threads();
+    assert!(panics == 0, "{panics} AMPI rank(s) panicked");
+    report
 }
 
 fn init_pe(pe: &Pe, meta: &Arc<WorldMeta>) {
@@ -534,11 +538,12 @@ fn on_ckpt_snapshot(pe: &Pe, rank: u64, seq: u64) {
         packed.payload_len() as u64,
     );
     let load_ns = packed.load_ns();
-    let mut mv = RankMove::from_rec(meta.world, flows_comm::comm_epoch(pe), packed.to_bytes(), rec);
+    let mut mv = RankMove::from_rec(meta.world, flows_comm::comm_epoch(pe), packed, rec);
     // The image is packed into its checkpoint frame on the shelf (own
-    // copy) and later goes over the wire to the plan's buddy PEs.
+    // copy), the thread bytes straight from the buffer `pack_thread`
+    // filled, and later goes over the wire to the plan's buddy PEs.
     crate::recover::deposit_checkpoint(pe, rank, seq, &mut mv, load_ns);
-    let back = pe.sched().unpack_thread(packed).expect("unpack after checkpoint");
+    let back = pe.sched().unpack_thread(mv.thread).expect("unpack after checkpoint");
     debug_assert_eq!(back, tid);
     let wake = pe.ext::<AmpiState, _>(|st| {
         let b = st.ranks.get_mut(&rank).expect("rank survives snapshot");
@@ -781,6 +786,7 @@ pub(crate) fn contribute_now(tag: u64, seq: u64, rank: u64, op: ReduceOp, size: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flows_core::PackedThread;
 
     /// An LB plan, a migration batch and an LB load-report gather that do
     /// not decode are counted drops (`flows_comm::route_drops`), never a
@@ -830,8 +836,9 @@ mod tests {
             flows_pup::to_bytes(&mut ra.clone()),
             flows_pup::to_bytes(&mut rb.clone())
         );
-        let mut ma = RankMove::from_rec(1, 0, vec![7; 16], ra);
-        let mut mb = RankMove::from_rec(1, 0, vec![7; 16], rb);
+        let thread = PackedThread::from_bytes(&crate::proto::thread_wire(&[7; 16])).unwrap();
+        let mut ma = RankMove::from_rec(1, 0, thread.clone(), ra);
+        let mut mb = RankMove::from_rec(1, 0, thread, rb);
         assert_eq!(flows_pup::to_bytes(&mut ma), flows_pup::to_bytes(&mut mb));
     }
 
@@ -874,7 +881,10 @@ mod tests {
             vec![0xCD; 70],
         ]
         .concat();
-        let mv_bytes = [words(&[1, 3, 2, 16]), vec![7; 16], rec_bytes[8..].to_vec()].concat();
+        // The thread run: a default head (40 bytes, zero but its trailing
+        // `payload_len` of 16) and 16 payload bytes.
+        let thread_bytes = [vec![0; 32], words(&[16]), vec![7; 16]].concat();
+        let mv_bytes = [words(&[1, 3, 2, 56]), thread_bytes.clone(), rec_bytes[8..].to_vec()].concat();
 
         let mut staying = filled();
         let want = mail(&staying);
@@ -882,7 +892,8 @@ mod tests {
         let rec = staying.move_rec(3, |d| Payload::from(&d[..]));
         assert_eq!(mail(&staying), want, "a checkpoint leaves the mail in place");
         assert_eq!(flows_pup::to_bytes(&mut rec.clone()), rec_bytes);
-        let mut mv = RankMove::from_rec(1, 2, vec![7; 16], rec);
+        let thread = PackedThread::from_bytes(&thread_bytes).expect("thread run");
+        let mut mv = RankMove::from_rec(1, 2, thread.clone(), rec);
         assert_eq!(flows_pup::to_bytes(&mut mv), mv_bytes);
         let mut rec = filled().move_rec(3, |d| Payload::from_vec(std::mem::take(d)));
         assert_eq!(flows_pup::to_bytes(&mut rec), rec_bytes);
@@ -890,7 +901,8 @@ mod tests {
         let rec: MoveRec = flows_pup::from_bytes(&rec_bytes).expect("batch record");
         assert_eq!(mail(&RankBox::from_rec(ThreadId(9), rec)), want, "migration arrival");
         let mv: RankMove = flows_pup::from_bytes(&mv_bytes).expect("replica image");
-        let RankMove { rank, mailbox, next_seq, send_seq, stashed, .. } = mv;
+        let RankMove { rank, thread: back, mailbox, next_seq, send_seq, stashed, .. } = mv;
+        assert_eq!(back, thread, "recovery respawn thread");
         let rec = MoveRec { rank, mailbox, next_seq, send_seq, stashed };
         assert_eq!(mail(&RankBox::from_rec(ThreadId(9), rec)), want, "recovery respawn");
     }

@@ -229,6 +229,16 @@ fn too_few_ranks_is_refused() {
     run_world(opts(1, 2), |_ampi| {});
 }
 
+/// An `assert!` that fails inside a rank body fails the run: the rank's
+/// panic ends only its own thread, and `run_world` counts it afterwards.
+#[test]
+#[should_panic(expected = "1 AMPI rank(s) panicked")]
+fn a_rank_panic_fails_the_run() {
+    run_world(opts(2, 2), |ampi| {
+        assert!(ampi.rank() != 1, "rank 1 fails its check");
+    });
+}
+
 #[test]
 fn nonblocking_irecv_overlaps_compute() {
     run_world(opts(2, 2), |ampi| {

@@ -395,6 +395,14 @@ impl MachineReport {
     pub fn parallel_time_ns(&self) -> u64 {
         self.pe_vtimes.iter().copied().max().unwrap_or(0)
     }
+
+    /// Flows that died panicked (an entry panic or a failed activation),
+    /// machine-wide: [`SchedStats::panicked`] summed over PEs. The
+    /// scheduler catches a flow's panic so it cannot unwind into the
+    /// bootstrap frame; this is where it shows.
+    pub fn panicked_threads(&self) -> u64 {
+        self.sched_stats.iter().map(|s| s.panicked).sum()
+    }
 }
 
 /// Configures and launches a machine. Register all handlers before `run`.

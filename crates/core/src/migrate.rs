@@ -187,6 +187,32 @@ impl PackedThread {
         let payload = wire.slice(offset + used..offset + used + plen);
         Ok((PackedThread { head, payload }, used + plen))
     }
+
+    /// PUP the thread as one length-prefixed byte run: a `u64` length,
+    /// the head, then the payload in one [`Puper::write`] — the bytes a
+    /// `Vec<u8>` holding [`PackedThread::to_bytes`] pups to, without
+    /// building that `Vec`. Unpacking takes the run once and parses it
+    /// with [`PackedThread::from_bytes`], whose one copy is the payload's;
+    /// a run the thread does not fill exactly, or whose head does not
+    /// decode, fails the traversal.
+    ///
+    /// [`Puper::write`]: flows_pup::Puper::write
+    pub fn pup_run(&mut self, p: &mut flows_pup::Puper) {
+        if p.is_unpacking() {
+            let mut n = 0u64;
+            n.pup(p);
+            let Some(run) = p.take(n as usize) else { return };
+            match PackedThread::from_bytes(run) {
+                Ok(t) => *self = t,
+                Err(_) => p.fail(flows_pup::PupError::Corrupt("thread image does not fill its run")),
+            }
+        } else {
+            let mut n = (flows_pup::packed_size(&mut self.head) + self.payload.len()) as u64;
+            n.pup(p);
+            self.head.pup(p);
+            p.write(self.payload.as_slice());
+        }
+    }
 }
 
 /// Pack `v` while validating its PUP contract: the sizing traversal and

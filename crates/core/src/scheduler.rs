@@ -85,6 +85,9 @@ pub struct SchedStats {
     pub spawned: u64,
     /// Threads that finished here.
     pub completed: u64,
+    /// Of `completed`, the threads whose entry panicked (or that could not
+    /// be activated): a failed flow, which only this counter reports.
+    pub panicked: u64,
     /// Threads packed for migration away.
     pub migrations_out: u64,
     /// Threads unpacked after migrating in.
@@ -715,7 +718,7 @@ impl Scheduler {
                 ThreadState::Ready => (*inner).runq.push(tid, (*tcb).priority),
                 ThreadState::Suspended => {}
                 ThreadState::Done => {
-                    let lifetime = (*tcb).load_ns;
+                    let (lifetime, panicked) = ((*tcb).load_ns, (*tcb).panicked);
                     if let Some(mut dead) = (*inner).threads.remove(&tid) {
                         // Every flavor's exit path is a deferred-reclaim
                         // list push — no unmap, no decommit, no punch inline.
@@ -739,6 +742,7 @@ impl Scheduler {
                         }
                     }
                     (*inner).stats.completed += 1;
+                    (*inner).stats.panicked += panicked as u64;
                     emit(EventKind::ThreadExit, tid.0, lifetime, 0);
                 }
                 ThreadState::Running => unreachable!("{tid} switched out without a status"),

@@ -128,8 +128,10 @@ impl Lifecycle {
         let lands = !self.lazy[h] || self.started[h] || self.slots_held < SLOTS;
         prop_assert_eq!(self.plan.take().is_none(), lands, "#{} ran", h);
         if !lands {
+            // A flow that cannot be activated dies marked panicked.
             self.state[h] = ThreadState::Done;
             self.stats.completed += 1;
+            self.stats.panicked += 1;
             return Ok(());
         }
         if self.lazy[h] && !self.started[h] {

@@ -52,7 +52,14 @@ if hits=$(grep -rnE 'OnceLock<[^>]*HandlerId|static +[A-Z_0-9]+ *:[^=]*HandlerId
   echo "$hits"
   exit 1
 fi
-echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id"
+# Image and wire records carry byte runs as `Payload` or `PackedThread`,
+# which pack and unpack in one copy; a `Vec<u8>` field pups byte by byte.
+if hits=$(grep -nE '^\s*(pub(\([a-z]+\))?\s+)?[a-z_][a-z0-9_]*\s*:[^=;(]*Vec<u8>' crates/ampi/src/proto.rs); then
+  echo "FAIL: Vec<u8> field in an AMPI record (use Payload or PackedThread for a byte run):"
+  echo "$hits"
+  exit 1
+fi
+echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id; no Vec<u8> field in AMPI records"
 
 mkdir -p target
 cargo run --offline -q -p flows-check --bin flowslint -- --root . \
