@@ -5,7 +5,7 @@
 use flows_comm::{ObjId, Port};
 use flows_converse::{Payload, PayloadBuf, Pe};
 use flows_core::PackedThread;
-use flows_pup::{pup_fields, Pup, Puper};
+use flows_pup::pup_fields;
 
 /// The comm-layer port AMPI rank traffic travels on.
 pub const PORT_AMPI: Port = 1;
@@ -72,19 +72,43 @@ pub struct MailEntry {
 }
 pup_fields!(MailEntry { src, tag, data });
 
-/// A rank's checkpoint image: the packed thread plus the runtime state
-/// that lives outside the thread's own memory — its mailbox and the
-/// per-sender in-order delivery state. (Migration ships the leaner
-/// [`MoveRec`] batch record instead.) The thread travels as one
-/// length-prefixed byte run ([`PackedThread::pup_run`]): packed straight
-/// from the buffer `pack_thread` filled, unpacked with one copy.
+/// The LB plan for one source PE: every rank living there paired with its
+/// destination PE. The reduction root sends ONE plan per source PE
+/// (instead of one decision wire per rank); the source wakes its stayers
+/// and packs its movers locally.
 #[derive(Debug, Default, Clone, PartialEq)]
-pub struct RankMove {
-    pub world: u64,
-    pub rank: u64,
-    /// Recovery epoch the image was taken in.
+pub struct PlanMsg {
+    /// LB epoch sequence number.
+    pub seq: u64,
+    /// Sender's recovery epoch; a plan computed before a rollback embeds
+    /// stale placement and is dropped by the receiver.
     pub epoch: u64,
-    pub thread: PackedThread,
+    /// (rank, destination PE), sorted by rank for deterministic handling.
+    pub entries: Vec<(u64, u64)>,
+}
+pup_fields!(PlanMsg { seq, epoch, entries });
+
+/// Header of a batched migration message: all the ranks one LB epoch moves
+/// between one (source, destination) PE pair ride a single wire message.
+/// `count` rank images ([`pack_rank_image`]) follow.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct BatchHead {
+    /// Sender's recovery epoch: movers packed before a rollback carry
+    /// post-cut state and are dropped by the receiver.
+    pub epoch: u64,
+    pub count: u64,
+}
+pup_fields!(BatchHead { epoch, count });
+
+/// A rank's runtime state outside its thread's own memory: its mailbox and
+/// the per-sender in-order delivery state. Followed by the rank's raw
+/// `PackedThread` wire bytes, it is the rank's one image form
+/// ([`pack_rank_image`]): a record of an LB batch and the payload of a
+/// checkpoint frame alike.
+// flows-image: root
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct MoveRec {
+    pub rank: u64,
     pub mailbox: Vec<MailEntry>,
     /// Next expected per-sender sequence numbers: (src, seq) pairs.
     pub next_seq: Vec<(u64, u64)>,
@@ -96,82 +120,6 @@ pub struct RankMove {
     /// Out-of-order messages held back: (src, seq, tag, data).
     pub stashed: Vec<(u64, u64, u64, Payload)>,
 }
-impl Pup for RankMove {
-    fn pup(&mut self, p: &mut Puper) {
-        self.world.pup(p);
-        self.rank.pup(p);
-        self.epoch.pup(p);
-        self.thread.pup_run(p);
-        self.mailbox.pup(p);
-        self.next_seq.pup(p);
-        self.send_seq.pup(p);
-        self.stashed.pup(p);
-    }
-}
-
-impl RankMove {
-    /// The checkpoint image of a rank whose runtime state is `rec` and
-    /// whose packed thread is `thread`.
-    pub fn from_rec(world: u64, epoch: u64, thread: PackedThread, rec: MoveRec) -> RankMove {
-        RankMove {
-            world,
-            rank: rec.rank,
-            epoch,
-            thread,
-            mailbox: rec.mailbox,
-            next_seq: rec.next_seq,
-            send_seq: rec.send_seq,
-            stashed: rec.stashed,
-        }
-    }
-}
-
-/// The LB plan for one source PE: every rank living there paired with its
-/// destination PE. The reduction root sends ONE plan per source PE
-/// (instead of one decision wire per rank); the source wakes its stayers
-/// and packs its movers locally.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct PlanMsg {
-    pub world: u64,
-    /// LB epoch sequence number.
-    pub seq: u64,
-    /// Sender's recovery epoch; a plan computed before a rollback embeds
-    /// stale placement and is dropped by the receiver.
-    pub epoch: u64,
-    /// (rank, destination PE), sorted by rank for deterministic handling.
-    pub entries: Vec<(u64, u64)>,
-}
-pup_fields!(PlanMsg {
-    world,
-    seq,
-    epoch,
-    entries
-});
-
-/// Header of a batched migration message: all the ranks one LB epoch moves
-/// between one (source, destination) PE pair ride a single wire message.
-/// `count` records follow, each a pup'd [`MoveRec`] immediately followed
-/// by that rank's raw `PackedThread` wire bytes.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct BatchHead {
-    pub world: u64,
-    /// Sender's recovery epoch (same rationale as [`RankMove::epoch`]).
-    pub epoch: u64,
-    pub count: u64,
-}
-pup_fields!(BatchHead { world, epoch, count });
-
-/// Per-rank record inside a batch: the runtime state living outside the
-/// thread's own memory (cf. [`RankMove`], which additionally carries the
-/// thread image inline for the checkpoint store).
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct MoveRec {
-    pub rank: u64,
-    pub mailbox: Vec<MailEntry>,
-    pub next_seq: Vec<(u64, u64)>,
-    pub send_seq: Vec<(u64, u64)>,
-    pub stashed: Vec<(u64, u64, u64, Payload)>,
-}
 pup_fields!(MoveRec {
     rank,
     mailbox,
@@ -180,19 +128,38 @@ pup_fields!(MoveRec {
     stashed
 });
 
+/// Append a rank image to `out`: the pup'd record, then the thread's raw
+/// wire bytes (head and payload). The one writer of both image uses — an
+/// LB batch record and a checkpoint frame's payload; the inverse is
+/// [`decode_rank_image`].
+pub(crate) fn pack_rank_image(out: &mut Vec<u8>, rec: &mut MoveRec, thread: &PackedThread) {
+    flows_pup::pack_into(rec, out);
+    thread.pack_into(out);
+}
+
+/// Decode the rank image at `off` of `data`, trusting none of it: the
+/// record, then the thread, whose head must carry known tags and whose
+/// payload becomes a zero-copy slice of `data`. Returns the image and the
+/// bytes it spans. The one decoder of migration arrival, the recovery
+/// inventory and the respawn.
+pub(crate) fn decode_rank_image(data: &Payload, off: usize) -> Option<(MoveRec, PackedThread, usize)> {
+    let (rec, used): (MoveRec, usize) = flows_pup::from_bytes_prefix(data.get(off..)?).ok()?;
+    let (thread, len) = PackedThread::from_payload(data, off + used).ok()?;
+    Some((rec, thread, used + len))
+}
+
 /// Header of a buddy-replication batch: all of one owner PE's rank images
 /// for one checkpoint generation, shipped to a buddy in a single wire
 /// message. `count` records follow, each a pup'd [`RepRec`] immediately
-/// followed by that rank's framed checkpoint image (magic + version 2 +
-/// length + word-lane FNV-1a checksum around the `RankMove` wire form,
-/// written in place by `flows_core::frame_in_place` when the rank was
-/// packed). The receiver decodes the batch defensively — a malformed one
+/// followed by that rank's framed checkpoint image (magic + version 3 +
+/// length + word-lane FNV-1a checksum around the rank image of
+/// [`pack_rank_image`], written in place by `flows_core::frame_in_place`
+/// when the rank was packed). The receiver decodes the batch defensively — a malformed one
 /// is counted invalid, never a panic — shelves each frame as a zero-copy
 /// slice of the batch after verifying its checksum, and verifies it again
 /// at inventory and before any recovery unpack.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RepHead {
-    pub world: u64,
     /// PE whose checkpoint this is (the shelf key on the buddy).
     pub owner: u64,
     /// Checkpoint generation being replicated.
@@ -205,7 +172,6 @@ pub struct RepHead {
     pub count: u64,
 }
 pup_fields!(RepHead {
-    world,
     owner,
     gen,
     epoch,
@@ -318,11 +284,10 @@ mod tests {
         assert_eq!(back, w);
         assert_eq!(&framed[used..], &[1, 2, 3]);
 
-        let mut mv = RankMove {
-            world: 1,
+        // A rank image sits behind whatever precedes it and spans exactly
+        // its record and thread; the thread is a zero-copy slice.
+        let mut rec = MoveRec {
             rank: 3,
-            epoch: 2,
-            thread: PackedThread::from_bytes(&thread_wire(&[9; 100])).unwrap(),
             mailbox: vec![MailEntry {
                 src: 0,
                 tag: 42,
@@ -332,8 +297,13 @@ mod tests {
             send_seq: vec![(4, 6)],
             stashed: vec![(0, 5, 42, vec![8].into())],
         };
-        let bytes = flows_pup::to_bytes(&mut mv);
-        assert_eq!(flows_pup::from_bytes::<RankMove>(&bytes).unwrap(), mv);
+        let thread = PackedThread::from_bytes(&thread_wire(&[9; 100])).unwrap();
+        let mut bytes = vec![0xEE; 5];
+        pack_rank_image(&mut bytes, &mut rec, &thread);
+        let data = Payload::from(bytes);
+        let (back, t, used) = decode_rank_image(&data, 5).unwrap();
+        assert_eq!((back, &t, 5 + used), (rec, &thread, data.len()));
+        assert!(t.payload().same_backing(&data));
     }
 
     /// The wire an AMPI message travels as, byte for byte: raw message
@@ -387,28 +357,157 @@ mod tests {
         );
     }
 
+    /// One table of every AMPI decoder of bytes that cross a process
+    /// boundary, fuzzed by one set of properties: on arbitrary bytes, on a
+    /// valid wire with one byte smashed and on every truncation of it, a
+    /// decoder refuses the bytes or accepts exactly what it re-encodes —
+    /// and never panics. A new decoder is fuzzed by adding its line.
     mod decode {
         use super::*;
+        use crate::recover::{decode_image, frame_image, parse_ctl, parse_rep_batch, write_rep_batch};
+        use crate::world::{decode_load_reports, decode_move_batch};
         use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// Decode, then re-encode what was accepted: `None` for refused
+        /// bytes, else the re-encoding and the bytes the decoder consumed.
+        type Decoder = fn(&Payload) -> Option<(Vec<u8>, usize)>;
+
+        fn rec() -> MoveRec {
+            MoveRec {
+                rank: 3,
+                mailbox: vec![MailEntry { src: 1, tag: 9, data: vec![0xAB; 40].into() }],
+                next_seq: vec![(1, 2)],
+                send_seq: vec![(0, 4)],
+                stashed: vec![(1, 3, 9, vec![0xCD; 7].into())],
+            }
+        }
+
+        fn thread() -> PackedThread {
+            PackedThread::from_bytes(&thread_wire(&[5; 24])).unwrap()
+        }
+
+        fn image() -> Vec<u8> {
+            let mut out = Vec::new();
+            pack_rank_image(&mut out, &mut rec(), &thread());
+            out
+        }
+
+        fn frame() -> Payload {
+            frame_image(&mut rec(), &mut thread())
+        }
+
+        fn repack<T: flows_pup::Pup>(mut items: Vec<T>) -> Vec<u8> {
+            let mut out = Vec::new();
+            for x in &mut items {
+                flows_pup::pack_into(x, &mut out);
+            }
+            out
+        }
+
+        /// (name, a valid wire, its decoder).
+        type Entry = (&'static str, fn() -> Vec<u8>, Decoder);
+
+        const DECODERS: [Entry; 8] = [
+            ("rank wire", || {
+                let mut buf = PayloadBuf::new();
+                pack_rank_wire(&mut buf, &mut RankWire { kind: 0, a: 1, b: 2, seq: 3 }, &[1, 2, 3, 4]);
+                buf.to_vec()
+            }, |p| {
+                let (mut w, data) = parse_rank_wire(p)?;
+                let mut buf = PayloadBuf::new();
+                pack_rank_wire(&mut buf, &mut w, &data);
+                Some((buf.to_vec(), p.len()))
+            }),
+            ("load reports", || {
+                repack(vec![
+                    LoadReport { rank: 0, pe: 1, load_ns: 2 },
+                    LoadReport { rank: 3, pe: 0, load_ns: 9 },
+                ])
+            }, |p| Some((repack(decode_load_reports(p)?), p.len()))),
+            ("LB plan", || {
+                flows_pup::to_bytes(&mut PlanMsg { seq: 4, epoch: 1, entries: vec![(0, 1), (1, 0)] })
+            }, |p| Some((flows_pup::to_bytes(&mut flows_pup::from_bytes::<PlanMsg>(p).ok()?), p.len()))),
+            ("rank image", image, |p| {
+                let (mut rec, thread, used) = decode_rank_image(p, 0)?;
+                let mut out = Vec::new();
+                pack_rank_image(&mut out, &mut rec, &thread);
+                Some((out, used))
+            }),
+            ("migration batch", || {
+                [flows_pup::to_bytes(&mut BatchHead { epoch: 1, count: 2 }), image(), image()].concat()
+            }, |p| {
+                let (mut head, movers) = decode_move_batch(p)?;
+                let mut out = flows_pup::to_bytes(&mut head);
+                for (mut rec, thread) in movers {
+                    pack_rank_image(&mut out, &mut rec, &thread);
+                }
+                Some((out, p.len()))
+            }),
+            ("checkpoint frame", || frame().to_vec(), |p| {
+                let (mut rec, mut thread) = decode_image(p, 3)?;
+                Some((frame_image(&mut rec, &mut thread).to_vec(), p.len()))
+            }),
+            ("replica batch", || {
+                let head = RepHead { owner: 1, gen: 2, epoch: 0, purpose: 0, count: 2 };
+                let mut out = Vec::new();
+                write_rep_batch(&mut out, head, &[(3, 7, frame()), (4, 8, frame())]);
+                out
+            }, |p| {
+                let (head, recs) = parse_rep_batch(p).ok()?;
+                let images: Vec<(u64, u64, Payload)> =
+                    recs.into_iter().map(|(r, f)| (r.rank, r.load_ns, f)).collect();
+                let mut out = Vec::new();
+                write_rep_batch(&mut out, head, &images);
+                Some((out, p.len()))
+            }),
+            ("recovery control", || {
+                let pairs = vec![(0, 1), (1, 3)];
+                flows_pup::to_bytes(&mut CtlMsg { kind: ctl::PLAN, epoch: 2, a: 1, b: 0, pairs })
+            }, |p| Some((flows_pup::to_bytes(&mut parse_ctl(p, 4).ok()?), p.len()))),
+        ];
+
+        fn check(name: &str, decode: Decoder, bytes: &[u8]) -> Result<(), TestCaseError> {
+            if let Some((again, used)) = decode(&bytes.to_vec().into()) {
+                prop_assert!(again == bytes[..used], "{name}: accepted bytes that re-encode differently");
+            }
+            Ok(())
+        }
+
+        /// Every valid wire is accepted whole, and every truncation of it,
+        /// and it with a byte appended, is refused or round-trips.
+        #[test]
+        fn valid_wires_round_trip_and_every_cut_or_extension_is_refused_or_round_trips() {
+            for (name, wire, decode) in DECODERS {
+                let bytes = wire();
+                let (again, used) = decode(&bytes.clone().into()).unwrap_or_else(|| panic!("{name} refused"));
+                assert_eq!((again, used), (bytes.clone(), bytes.len()), "{name}");
+                for n in 0..bytes.len() {
+                    check(name, decode, &bytes[..n]).unwrap_or_else(|e| panic!("truncation to {n}: {e:?}"));
+                }
+                check(name, decode, &[&bytes[..], &[0]].concat()).unwrap_or_else(|e| panic!("{e:?}"));
+            }
+        }
 
         proptest! {
-            /// Arbitrary bytes never panic the rank-wire decoder: it
-            /// refuses anything too short or of an unknown kind, and what
-            /// it accepts re-packs to the bytes it came from.
             #[test]
             fn arbitrary_bytes_are_refused_or_round_trip(
-                bytes in proptest::collection::vec(any::<u8>(), 0..80),
+                bytes in proptest::collection::vec(any::<u8>(), 0..400),
             ) {
-                let p: Payload = bytes.clone().into();
-                match parse_rank_wire(&p) {
-                    None => prop_assert!(
-                        bytes.len() < RANK_WIRE_LEN
-                            || !matches!(bytes[bytes.len() - RANK_WIRE_LEN], 0 | 1 | 3)
-                    ),
-                    Some((mut w, data)) => {
-                        let mut again = PayloadBuf::new();
-                        pack_rank_wire(&mut again, &mut w, &data);
-                        prop_assert_eq!(&again[..], &bytes[..]);
+                for (name, _, decode) in DECODERS {
+                    check(name, decode, &bytes)?;
+                }
+            }
+
+            /// Every byte of every valid wire, smashed in turn.
+            #[test]
+            fn a_smashed_byte_is_refused_or_round_trips(xor in 1u32..256) {
+                for (name, wire, decode) in DECODERS {
+                    let valid = wire();
+                    for i in 0..valid.len() {
+                        let mut bytes = valid.clone();
+                        bytes[i] ^= xor as u8;
+                        check(name, decode, &bytes)?;
                     }
                 }
             }

@@ -5,8 +5,11 @@
 //!
 //! * **Buddy replication.** Every checkpoint generation a PE packs each
 //!   local rank image once, straight into its checkpoint frame (magic,
-//!   format version 2 and a word-lane FNV-1a checksum written in place by
-//!   `flows_core::frame_in_place`), deposits that frame on an in-memory
+//!   format version 3 and a word-lane FNV-1a checksum written in place by
+//!   `flows_core::frame_in_place`). The image is exactly the record an LB
+//!   batch carries for the rank — its `MoveRec` and then its raw
+//!   `PackedThread` bytes — so a checkpoint is a migration whose
+//!   destination is memory. The PE deposits that frame on an in-memory
 //!   *shelf* and ships it to its next `k` live ring successors (`k` is the
 //!   plan's replication degree; 0 without recovery, when the images stay
 //!   on their own shelf until the commit prunes them). Frames are
@@ -32,20 +35,21 @@
 //!   broadcasts a holder-constrained respawn assignment. Survivors unpack
 //!   their assigned ranks through the normal migration path (suspended:
 //!   admission stays paused), re-replicate the adopted images to new
-//!   buddies, and report done. On RESUME every rank is awakened and the
-//!   machine quiesces normally — no scheduler was ever torn down.
+//!   buddies, and report done. An image lands through the same decoder
+//!   and landing step as a migrated rank. On RESUME every rank is
+//!   awakened and the machine quiesces normally — no scheduler was ever
+//!   torn down.
 //!
 //! A crash *during* recovery confirms on some survivor, which starts a
 //! round with a larger epoch covering every unhealed death; the stale
 //! round's messages are dropped everywhere and its partial state is
 //! re-rolled-back by the new START.
 
-use crate::proto::{ctl, CtlMsg, MoveRec, RankMove, RepHead, RepRec};
-use crate::world::{obj_of, pe_of_rank, AmpiState, RankBox, WorldMeta};
+use crate::proto::{ctl, decode_rank_image, pack_rank_image, CtlMsg, MoveRec, RepHead, RepRec};
+use crate::world::{land_rank, obj_of, pe_of_rank, AmpiState};
 use flows_converse::{IdMap, MachineBuilder, Message, Payload, Pe, RecoveryPhase};
-use flows_core::{frame_in_place, unframe_payload, ThreadId, ThreadState, FRAME_HEADER_LEN};
+use flows_core::{frame_in_place, unframe_payload, PackedThread, ThreadId, ThreadState, FRAME_HEADER_LEN};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Marks a shelf holding as *owned* (the rank lived on the holder at
 /// deposit time) in inventory pairs.
@@ -54,7 +58,7 @@ pub(crate) const OWN_BIT: u64 = 1 << 63;
 /// Fixed key whose live mapping picks the commit coordinator.
 const CTL_KEY: u64 = 0;
 
-/// One shelved checkpoint image: the framed (checksummed) `RankMove`
+/// One shelved checkpoint image: the framed (checksummed) rank image
 /// bytes plus the rank's measured load at pack time. The frame is shared,
 /// never copied: an own deposit is the buffer the image was packed into,
 /// a buddy copy is a slice of the replication batch it arrived in.
@@ -192,13 +196,12 @@ pub(crate) fn best_gen(
 /// Pack a rank image exactly once, straight into its checkpoint frame:
 /// the buffer is sized by a sizing pass (arithmetic over the field
 /// lengths once pup's primitives inline) and the frame header is written
-/// in place in front of the packed bytes. Byte-identical to
-/// `frame_payload(&to_bytes(mv))`.
-fn frame_image(mv: &mut RankMove) -> Payload {
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + flows_pup::packed_size(mv));
-    frame_in_place(&mut frame, |out| {
-        flows_pup::pack_into(mv, out);
-    });
+/// in place in front of the image, whose bytes are the ones
+/// [`pack_rank_image`] appends to an LB batch.
+pub(crate) fn frame_image(rec: &mut MoveRec, thread: &mut PackedThread) -> Payload {
+    let len = flows_pup::packed_size(rec) + flows_pup::packed_size(thread);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + len);
+    frame_in_place(&mut frame, |out| pack_rank_image(out, rec, thread));
     Payload::from_vec(frame)
 }
 
@@ -206,8 +209,9 @@ fn frame_image(mv: &mut RankMove) -> Payload {
 /// checkpoint snapshot path). The image is packed into its
 /// frame here, once; that one buffer is the shelf's own copy and the
 /// source of every buddy replica.
-pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, mv: &mut RankMove, load_ns: u64) {
-    let frame = frame_image(mv);
+pub(crate) fn deposit_checkpoint(pe: &Pe, gen: u64, rec: &mut MoveRec, thread: &mut PackedThread) {
+    let (rank, load_ns) = (rec.rank, thread.load_ns());
+    let frame = frame_image(rec, thread);
     pe.ext::<RecoverState, _>(|rs| {
         rs.shelf.entry(gen).or_default().insert(rank, Replica { frame, load_ns, own: true });
     });
@@ -215,7 +219,7 @@ pub(crate) fn deposit_checkpoint(pe: &Pe, rank: u64, gen: u64, mv: &mut RankMove
 
 /// All local ranks have deposited generation `gen`: ship the images to
 /// this PE's buddies; once every buddy acks, vote for the commit.
-pub(crate) fn finalize_generation(pe: &Pe, meta: &Arc<WorldMeta>, gen: u64) {
+pub(crate) fn finalize_generation(pe: &Pe, gen: u64) {
     let k = replication(pe);
     let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask());
     let (epoch, own): (u64, Vec<(u64, u64, Payload)>) = pe.ext::<RecoverState, _>(|rs| {
@@ -239,22 +243,14 @@ pub(crate) fn finalize_generation(pe: &Pe, meta: &Arc<WorldMeta>, gen: u64) {
         cast_vote(pe, gen, epoch, own.len() as u64);
         return;
     }
-    let wire = build_rep_batch(pe, meta.world, gen, epoch, 0, &own);
+    let wire = build_rep_batch(pe, gen, epoch, 0, &own);
     for b in &buddies {
         pe.send(*b, pe.handler_of(on_replica), wire.clone());
     }
 }
 
-fn build_rep_batch(
-    pe: &Pe,
-    world: u64,
-    gen: u64,
-    epoch: u64,
-    purpose: u8,
-    images: &[(u64, u64, Payload)],
-) -> Payload {
+fn build_rep_batch(pe: &Pe, gen: u64, epoch: u64, purpose: u8, images: &[(u64, u64, Payload)]) -> Payload {
     let head = RepHead {
-        world,
         owner: pe.id() as u64,
         gen,
         epoch,
@@ -269,7 +265,7 @@ fn build_rep_batch(
 
 /// Append a replication batch to `out`: the pup'd head, then per image a
 /// pup'd [`RepRec`] followed by the raw frame bytes.
-fn write_rep_batch(out: &mut Vec<u8>, mut head: RepHead, images: &[(u64, u64, Payload)]) {
+pub(crate) fn write_rep_batch(out: &mut Vec<u8>, mut head: RepHead, images: &[(u64, u64, Payload)]) {
     flows_pup::pack_into(&mut head, out);
     for (r, load_ns, frame) in images {
         let mut rec = RepRec { rank: *r, load_ns: *load_ns, len: frame.len() as u64 };
@@ -283,7 +279,7 @@ fn write_rep_batch(out: &mut Vec<u8>, mut head: RepHead, images: &[(u64, u64, Pa
 /// runs past the end, or bytes left over after `count` records is an
 /// `Err`, never a panic. Every frame comes back as a zero-copy slice of
 /// `data`; checksums are the caller's to verify.
-fn parse_rep_batch(data: &Payload) -> Result<(RepHead, Vec<(RepRec, Payload)>), String> {
+pub(crate) fn parse_rep_batch(data: &Payload) -> Result<(RepHead, Vec<(RepRec, Payload)>), String> {
     let (head, mut off): (RepHead, usize) =
         flows_pup::from_bytes_prefix(data).map_err(|e| format!("replica head: {e}"))?;
     let mut recs = Vec::new();
@@ -521,12 +517,16 @@ fn lowest_bit(mask: u64) -> usize {
     mask.trailing_zeros() as usize % 64
 }
 
-/// Decode a shelved checkpoint frame, trusting none of it: its checksum,
-/// then the `RankMove`, then the thread's head and run. The inventory's
-/// validity check and the respawn in [`apply_plan`] share it, so a frame
-/// the respawn could not decode never counts towards a generation.
-fn decode_image(frame: &Payload) -> Option<RankMove> {
-    flows_pup::from_bytes(unframe_payload(frame).ok()?).ok()
+/// Decode rank `rank`'s shelved checkpoint frame, trusting none of it:
+/// its checksum, then the one rank-image decoder over the frame's payload,
+/// which must be exactly one image of that rank. The inventory's validity
+/// check and the respawn in [`apply_plan`] share it, so a frame the
+/// respawn could not decode never counts towards a generation.
+pub(crate) fn decode_image(frame: &Payload, rank: u64) -> Option<(MoveRec, PackedThread)> {
+    unframe_payload(frame).ok()?;
+    let image = frame.slice_from(FRAME_HEADER_LEN);
+    let (rec, thread, used) = decode_rank_image(&image, 0)?;
+    (rec.rank == rank && used == image.len()).then_some((rec, thread))
 }
 
 impl RecoverState {
@@ -540,7 +540,7 @@ impl RecoverState {
         let mut dropped = 0u64;
         for (&gen, ranks) in self.shelf.iter_mut() {
             ranks.retain(|&r, rep| {
-                if decode_image(&rep.frame).is_some() {
+                if decode_image(&rep.frame, r).is_some() {
                     pairs.push((gen, r | if rep.own { OWN_BIT } else { 0 }));
                     true
                 } else {
@@ -633,7 +633,6 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
         return;
     }
     let g = genp1 - 1;
-    let meta = pe.ext::<AmpiState, _>(|st| st.meta.clone()).expect("world meta");
     let lowest_dead = lowest_bit(dead_mask);
     let mut adopted: Vec<(u64, u64, Payload)> = Vec::new();
     for &rank in &mine {
@@ -648,18 +647,11 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
         // The inventory kept only frames this decoder accepts, but a
         // peer's re-replication batch, checked by checksum alone, may
         // have replaced one since: a counted drop, never a panic.
-        let Some(mv) = decode_image(&frame) else {
+        let Some((rec, thread)) = decode_image(&frame, rank) else {
             pe.ext::<RecoverState, _>(|rs| rs.invalid_msgs += 1);
             continue;
         };
-        let RankMove { thread, mailbox, next_seq, send_seq, stashed, .. } = mv;
-        let tid = pe.sched().unpack_thread(thread).expect("respawn rank");
-        let bx = RankBox::from_rec(tid, MoveRec { rank, mailbox, next_seq, send_seq, stashed });
-        pe.ext::<AmpiState, _>(|st| {
-            st.ranks.insert(rank, bx);
-        });
-        flows_comm::migrate_obj_in(pe, obj_of(rank));
-        pe.sched().reset_load_tid(tid);
+        land_rank(pe, rec, thread);
         flows_trace::emit(flows_trace::EventKind::FtRespawn, rank, lowest_dead as u64, g);
         adopted.push((rank, load_ns, frame));
     }
@@ -681,7 +673,7 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
         return;
     }
     pe.ext::<RecoverState, _>(|rs| rs.rec_acks = buddies.len());
-    let wire = build_rep_batch(pe, meta.world, g, epoch, 1, &adopted);
+    let wire = build_rep_batch(pe, g, epoch, 1, &adopted);
     for b in &buddies {
         pe.send(*b, pe.handler_of(on_replica), wire.clone());
     }
@@ -771,7 +763,7 @@ fn apply_resume(pe: &Pe, epoch: u64, _genp1: u64, dead_mask: u64) {
 /// Decode a control message that may have crossed a process boundary,
 /// trusting none of it: bytes that do not decode exactly, an unknown kind,
 /// or a PE index outside the `num_pes` machine is an `Err`, never a panic.
-fn parse_ctl(data: &[u8], num_pes: usize) -> Result<CtlMsg, String> {
+pub(crate) fn parse_ctl(data: &[u8], num_pes: usize) -> Result<CtlMsg, String> {
     let m: CtlMsg = flows_pup::from_bytes(data).map_err(|e| format!("ctl message: {e}"))?;
     let on_machine = |p: u64| p < num_pes as u64;
     let pes_ok = match m.kind {
@@ -937,13 +929,10 @@ mod tests {
 
     /// A rank image with parked mail (inline and shared bodies), both
     /// sequence tables and a stashed out-of-order message.
-    fn sample_move(rank: u64, thread_len: usize) -> RankMove {
+    fn sample_image(rank: u64, thread_len: usize) -> (MoveRec, PackedThread) {
         use crate::proto::MailEntry;
-        RankMove {
-            world: 7,
+        let rec = MoveRec {
             rank,
-            epoch: 2,
-            thread: PackedThread::from_bytes(&thread_image(thread_len)).expect("thread image"),
             mailbox: vec![
                 MailEntry { src: 1, tag: 9, data: vec![0xAB; 100].into() },
                 MailEntry { src: 2, tag: 4, data: vec![1, 2, 3].into() },
@@ -951,93 +940,100 @@ mod tests {
             next_seq: vec![(1, 5), (2, 1)],
             send_seq: vec![(0, 3)],
             stashed: vec![(1, 7, 9, vec![0xCD; 70].into())],
-        }
+        };
+        (rec, PackedThread::from_bytes(&thread_image(thread_len)).expect("thread image"))
     }
 
-    /// Packing into the frame in place changes no byte on the wire: the
-    /// frame is exactly `frame_payload(&to_bytes(mv))`, the thread is the
-    /// length-prefixed run a `Vec<u8>` of its wire bytes packs to, and the
-    /// frame unframes and unpacks to the original image.
+    fn sample_frame(rank: u64, thread_len: usize) -> Payload {
+        let (mut rec, mut thread) = sample_image(rank, thread_len);
+        frame_image(&mut rec, &mut thread)
+    }
+
+    /// Packing into the frame in place changes no byte: the frame is
+    /// exactly `frame_payload` of the pup'd record followed by the
+    /// thread's wire bytes, and it decodes to the original image.
     #[test]
     fn in_place_frame_matches_the_framed_pup_bytes() {
         let len = 256 * 1024 + 13;
-        let mut mv = sample_move(3, len);
-        let frame = frame_image(&mut mv);
-        let reference = flows_core::frame_payload(&flows_pup::to_bytes(&mut mv));
+        let (mut rec, mut thread) = sample_image(3, len);
+        let frame = frame_image(&mut rec, &mut thread);
+        let rec_bytes = flows_pup::to_bytes(&mut rec.clone());
+        let reference = flows_core::frame_payload(&[rec_bytes.clone(), thread_image(len)].concat());
         assert_eq!(frame.len(), reference.len());
         assert!(frame.as_slice() == &reference[..], "in-place frame differs from the pinned wire");
-        let run = &unframe_payload(&frame).unwrap()[24..];
-        assert_eq!(run[..8], (len as u64).to_le_bytes(), "the thread run's length prefix");
-        assert!(run[8..8 + len] == thread_image(len)[..], "the thread run is its wire bytes");
-        let back: RankMove = flows_pup::from_bytes(unframe_payload(&frame).unwrap()).unwrap();
-        assert_eq!(back, mv);
+        assert!(
+            unframe_payload(&frame).unwrap()[rec_bytes.len()..] == thread_image(len)[..],
+            "the thread follows the record as its raw wire bytes"
+        );
+        assert_eq!(decode_image(&frame, 3), Some((rec, thread)));
+        assert_eq!(decode_image(&frame, 4), None, "a frame answers for its own rank only");
     }
 
     /// The checkpoint frame of a 256 KiB + 13 B rank image, pinned by its
-    /// length and checksum as the byte-wise `Vec<u8>` thread field framed
-    /// it: any change to the image wire fails here.
+    /// length and checksum: any change to the image wire fails here.
     #[test]
     fn the_rank_image_frame_is_pinned() {
-        let frame = frame_image(&mut sample_move(3, 256 * 1024 + 13));
+        let frame = sample_frame(3, 256 * 1024 + 13);
         let sum = u64::from_le_bytes(frame[16..24].try_into().unwrap());
-        assert_eq!((frame.len(), sum), (262_546, 0xd71d_db20_80bb_bf35));
+        assert_eq!((frame.len(), sum), (262_522, 0x64ec_8e6d_78b4_5c05));
     }
 
-    /// The thread run is read in one piece, not a byte loop: the image's
-    /// thread is `PackedThread::from_bytes` of the taken run (the head
-    /// parsed in place, the payload copied once), its payload exactly the
-    /// head's `payload_len`, and a run the thread does not fill exactly
-    /// is refused.
+    /// The thread is read in one piece, not a byte loop: the decoded
+    /// thread's payload is a zero-copy slice of the frame, exactly the
+    /// head's `payload_len` long, and a head that claims one byte more or
+    /// less than the image holds is refused.
     #[test]
     fn the_thread_run_unpacks_in_one_piece() {
         let len = 4096 + 40;
-        let run = thread_image(len);
-        let head_len = u64::from_le_bytes(run[32..40].try_into().unwrap());
-        let mut mv = sample_move(1, len);
-        let bytes = flows_pup::to_bytes(&mut mv);
-        let back: RankMove = flows_pup::from_bytes(&bytes).expect("rank image");
-        assert_eq!(back.thread.payload_len() as u64, head_len);
-        assert_eq!(back.thread, PackedThread::from_bytes(&run).unwrap());
-        // A length prefix one byte longer or shorter than the thread: the
-        // run check fails the image, before anything after it misparses.
-        for n in [len - 1, len + 1] {
-            let mut bad = bytes.clone();
-            bad[24..32].copy_from_slice(&(n as u64).to_le_bytes());
-            assert!(
-                matches!(flows_pup::from_bytes::<RankMove>(&bad), Err(flows_pup::PupError::Corrupt(_))),
-                "a {n}-byte run of a {len}-byte thread accepted"
-            );
+        let frame = sample_frame(1, len);
+        let (_, thread) = decode_image(&frame, 1).expect("rank image");
+        assert_eq!(thread.payload_len(), len - 40);
+        assert!(thread.payload().same_backing(&frame), "the payload is a slice of the frame");
+        assert_eq!(thread, PackedThread::from_bytes(&thread_image(len)).unwrap());
+        let image = unframe_payload(&frame).unwrap();
+        let at = image.len() - len + 32; // the thread head's `payload_len`
+        for n in [len - 41, len - 39] {
+            let mut bad = image.to_vec();
+            bad[at..at + 8].copy_from_slice(&(n as u64).to_le_bytes());
+            let bad: Payload = flows_core::frame_payload(&bad).into();
+            assert!(unframe_payload(&bad).is_ok(), "the checksum must verify");
+            assert_eq!(decode_image(&bad, 1), None, "a {n}-byte payload of a {len}-byte thread accepted");
         }
     }
 
-    /// A frame whose checksum holds but whose `RankMove` is truncated is
-    /// shelved (its checksum verifies), then dropped and counted at
-    /// inventory, so its generation is never complete and the plan falls
-    /// back to an older one — the respawn never meets it.
+    /// Frames whose checksum holds but which do not decode — a truncated
+    /// image, and one whose thread head carries flavor tag 9 — are shelved
+    /// (their checksums verify), then dropped and counted at inventory, so
+    /// their generations are never complete and the plan falls back to an
+    /// older one: the respawn never meets them.
     #[test]
     fn a_checksum_valid_frame_that_does_not_decode_is_counted_at_inventory() {
-        let good = |r: u64| (RepRec { rank: r, load_ns: 0, len: 0 }, frame_image(&mut sample_move(r, 300)));
-        let mut bytes = flows_pup::to_bytes(&mut sample_move(1, 300));
-        bytes.truncate(bytes.len() - 5);
-        let truncated: Payload = flows_core::frame_payload(&bytes).into();
-        assert!(unframe_payload(&truncated).is_ok(), "the checksum must verify");
+        let good = |r: u64| (RepRec { rank: r, load_ns: 0, len: 0 }, sample_frame(r, 300));
+        let image = unframe_payload(&sample_frame(1, 300)).unwrap().to_vec();
+        let truncated = &image[..image.len() - 5];
+        let mut flavor_9 = image.clone();
+        flavor_9[image.len() - 300 + 9] = 9; // id (8 bytes), swap kind, then the flavor tag
         let mut rs = RecoverState::default();
         rs.shelve_replicas(4, vec![good(0), good(1)]);
-        rs.shelve_replicas(5, vec![good(0), (RepRec { rank: 1, load_ns: 0, len: 0 }, truncated)]);
+        for (gen, bytes) in [(5, truncated), (6, &flavor_9[..])] {
+            let frame: Payload = flows_core::frame_payload(bytes).into();
+            assert!(unframe_payload(&frame).is_ok(), "the checksum must verify");
+            rs.shelve_replicas(gen, vec![good(0), (RepRec { rank: 1, load_ns: 0, len: 0 }, frame)]);
+        }
         assert_eq!(rs.invalid_msgs, 0, "shelving checks the checksum only");
         let (_, pairs) = rs.inventory();
-        assert_eq!(rs.invalid_msgs, 1);
-        assert_eq!(pairs, vec![(4, 0), (4, 1), (5, 0)]);
+        assert_eq!(rs.invalid_msgs, 2);
+        assert_eq!(pairs, vec![(4, 0), (4, 1), (5, 0), (6, 0)]);
         let inventories = BTreeMap::from([(0, pairs)]);
         assert_eq!(best_gen(2, &inventories).map(|(g, _)| g), Some(4));
     }
 
     fn three_frames(thread_len: usize) -> Vec<Payload> {
-        (0..3).map(|r| frame_image(&mut sample_move(r, thread_len + r as usize))).collect()
+        (0..3).map(|r| sample_frame(r, thread_len + r as usize)).collect()
     }
 
     fn batch_of(frames: &[Payload]) -> Payload {
-        let head = RepHead { world: 7, owner: 2, gen: 5, epoch: 1, purpose: 0, count: frames.len() as u64 };
+        let head = RepHead { owner: 2, gen: 5, epoch: 1, purpose: 0, count: frames.len() as u64 };
         let images: Vec<(u64, u64, Payload)> =
             frames.iter().enumerate().map(|(r, f)| (r as u64, 100 + r as u64, f.clone())).collect();
         let mut out = Vec::new();
@@ -1110,70 +1106,6 @@ mod tests {
         ];
         for mut m in bad {
             assert!(parse_ctl(&flows_pup::to_bytes(&mut m), 4).is_err(), "{m:?} accepted");
-        }
-    }
-
-    mod ctl_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Arbitrary bytes never panic the decoder; whatever it accepts
-            /// is a known kind naming only PEs of the machine.
-            #[test]
-            fn arbitrary_bytes_are_refused_or_well_formed(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
-                if let Ok(m) = parse_ctl(&bytes, 4) {
-                    prop_assert!(m.kind <= ctl::VOTE);
-                    prop_assert!(m.kind != ctl::PLAN_DONE || m.a < 4);
-                }
-            }
-
-            /// A valid message of every kind decodes back to itself, and
-            /// every truncation of it is an error.
-            #[test]
-            fn every_truncation_of_a_ctl_message_is_an_error(
-                kind in 0..ctl::VOTE + 1,
-                epoch in any::<u64>(),
-                a in 0u64..4,
-                b in any::<u64>(),
-                pairs in proptest::collection::vec((any::<u64>(), 0u64..4), 0..6),
-            ) {
-                let mut m = CtlMsg { kind, epoch, a, b, pairs };
-                let bytes = flows_pup::to_bytes(&mut m);
-                prop_assert_eq!(parse_ctl(&bytes, 4), Ok(m));
-                for n in 0..bytes.len() {
-                    prop_assert!(parse_ctl(&bytes[..n], 4).is_err(), "truncation to {} accepted", n);
-                }
-            }
-        }
-    }
-
-    mod rep_batch_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Arbitrary bytes never panic the decoder.
-            #[test]
-            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
-                let _ = parse_rep_batch(&bytes.into());
-            }
-
-            /// A `count` beyond the records present, or a frame `len`
-            /// running past the end of the batch, is an error.
-            #[test]
-            fn oversized_count_or_len_is_an_error(extra in any::<u64>(), pick in any::<bool>()) {
-                let mut bytes = batch_of(&three_frames(150)).to_vec();
-                let (count_at, len_at) = count_and_len_offsets();
-                let (at, min) = if pick {
-                    (count_at, 4)
-                } else {
-                    (len_at, (bytes.len() - len_at - 8) as u64 + 1)
-                };
-                let v = min + extra % (u64::MAX - min);
-                bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-                prop_assert!(parse_rep_batch(&bytes.into()).is_err(), "field at {} = {} accepted", at, v);
-            }
         }
     }
 }

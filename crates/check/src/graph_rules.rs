@@ -17,9 +17,35 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Types that always root the reachability walk, in addition to
 /// anything annotated as a root: the thread control block and the AMPI
-/// rank containers, the two images that actually cross process
-/// boundaries (paper §3.4).
-const FIXED_ROOTS: [&str; 3] = ["Tcb", "RankMove", "RankBox"];
+/// rank container, whose state the images that cross process boundaries
+/// carry (paper §3.4). Each must name a type of the workspace
+/// ([`rule_fixed_roots_resolve`]).
+const FIXED_ROOTS: [&str; 2] = ["Tcb", "RankBox"];
+/// Where [`FIXED_ROOTS`] is declared: the site of a finding that one of
+/// them resolves to nothing.
+const FIXED_ROOTS_AT: (&str, u32) = (file!(), line!() - 3);
+
+/// A fixed root that no type of the tree defines is a finding: an
+/// unresolved name matches nothing, so a rename would silently drop the
+/// root from the walk instead of failing the gate. Only a whole tree can
+/// tell, so this runs from [`crate::lint_tree`], not on fixtures.
+pub(crate) fn rule_fixed_roots_resolve(syms: &[FileSymbols], out: &mut Vec<Finding>) {
+    for root in FIXED_ROOTS {
+        if !syms.iter().any(|s| s.types.iter().any(|t| t.name == root)) {
+            out.push(Finding {
+                file: FIXED_ROOTS_AT.0.to_string(),
+                line: FIXED_ROOTS_AT.1 as usize,
+                rule: Some(Rule::MigrationImageClosure),
+                msg: format!(
+                    "fixed migration-image root `{root}` names no type of the workspace, so \
+                     nothing is walked from it: rename it here, or mark its successor \
+                     `// flows-image: root`"
+                ),
+                context: "const FIXED_ROOTS".to_string(),
+            });
+        }
+    }
+}
 
 /// The workspace's deterministic hashed containers (`flows_core::idhash`):
 /// their hasher has no per-process seed, so iteration order is the same

@@ -17,7 +17,7 @@
 //! | `no-global-state` | `static mut` / `thread_local!` forbidden in the migratable crates (`core`, `ampi`, `npb`, `chare`) outside `core/src/privatize.rs` |
 //! | `pup-raw-pointer` | raw-pointer fields flagged in any type that implements `Pup` (raw addresses do not survive stack-copy migration) |
 //! | `no-direct-libc` | `libc::` forbidden outside `flows-sys` (bypasses `SyscallCounts`) |
-//! | `migration-image-closure` | no process-local state (raw pointers, fds, locks, channel endpoints, hash-randomized maps) transitively reachable from a migration-image root (`Tcb`, `RankMove`, `RankBox`, and annotated roots) |
+//! | `migration-image-closure` | no process-local state (raw pointers, fds, locks, channel endpoints, hash-randomized maps) transitively reachable from a migration-image root (`Tcb`, `RankBox`, and annotated roots such as `PackedThread` and `MoveRec`); a fixed root that names no workspace type is itself a finding |
 //! | `atomic-protocol` | every annotated atomic publish/consume site uses a Release/Acquire-class ordering, and every tag has both sides |
 //! | `wire-exhaustive` | every message of an annotated wire protocol is matched in some annotated handler fn |
 //!
@@ -550,9 +550,20 @@ fn rule_no_libc(f: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 /// Lint a set of in-memory sources. `files` is `(workspace-relative
-/// path, contents)`. This is the engine behind [`lint_workspace`] and
-/// the entry point fixture tests drive directly.
+/// path, contents)`. This is the engine behind [`lint_tree`] and the
+/// entry point fixture tests drive directly.
 pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
+    lint(files, false)
+}
+
+/// Lint a whole tree of in-memory sources, as [`lint_workspace`] does:
+/// [`lint_sources`] plus the checks only a whole tree can answer (every
+/// fixed migration-image root names a type defined in it).
+pub fn lint_tree(files: &[(String, String)]) -> Vec<Finding> {
+    lint(files, true)
+}
+
+fn lint(files: &[(String, String)], whole_tree: bool) -> Vec<Finding> {
     let mut findings = Vec::new();
     let parsed: Vec<SourceFile> = files
         .iter()
@@ -595,6 +606,9 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
         }
     }
     graph_rules::rule_image_closure(&parsed, &syms, &mut findings);
+    if whole_tree {
+        graph_rules::rule_fixed_roots_resolve(&syms, &mut findings);
+    }
     graph_rules::rule_atomic_protocol(&parsed, &mut findings);
     graph_rules::rule_wire_exhaustive(&parsed, &syms, &mut findings);
     for f in &parsed {
@@ -649,7 +663,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     collect(root, root, &mut files)?;
     files.sort_by(|a, b| a.0.cmp(&b.0));
     let n = files.len();
-    Ok((lint_sources(&files), n))
+    Ok((lint_tree(&files), n))
 }
 
 #[cfg(test)]

@@ -59,6 +59,21 @@ fn annotated_root_pulls_type_into_the_image() {
 }
 
 #[test]
+fn fixed_root_that_names_no_type_of_the_tree_fires() {
+    // A tree that defines `Tcb` but no `RankBox`: the walk would silently
+    // lose that root, so the whole-tree lint names it. A fixture linted
+    // on its own (`lint_sources`) is not a whole tree and stays quiet.
+    let tcb = ("crates/core/src/tcb.rs".to_string(), "pub struct Tcb {\n    pub id: u64,\n}\n".to_string());
+    let f = flows_check::lint_tree(std::slice::from_ref(&tcb));
+    assert_eq!(rules_of(&f), vec![Rule::MigrationImageClosure]);
+    assert!(f[0].msg.contains("`RankBox` names no type"), "{}", f[0].msg);
+    assert_eq!(f[0].file, "crates/check/src/graph_rules.rs");
+    assert!(lint_sources(std::slice::from_ref(&tcb)).is_empty());
+    let rank_box = ("crates/ampi/src/world.rs".to_string(), "pub struct RankBox {\n    pub rank: u64,\n}\n".to_string());
+    assert!(flows_check::lint_tree(&[tcb, rank_box]).is_empty());
+}
+
+#[test]
 fn closure_clean_on_migratable_fields() {
     let src = "pub struct RankBox {\n\
                \x20   pub rank: u64,\n\
@@ -646,6 +661,7 @@ fn annotated_hotspots_stay_annotated() {
         ("crates/ampi/src/recover.rs", "flows-wire: handles ampi-ctl"),
         ("crates/core/src/migrate.rs", "flows-image: root"),
         ("crates/ampi/src/proto.rs", "flows-image: root"),
+        ("crates/ampi/src/proto.rs", "flows-image: root\n#[derive(Debug, Default, Clone, PartialEq)]\npub struct MoveRec"),
     ] {
         let text = std::fs::read_to_string(root.join(file))
             .unwrap_or_else(|e| panic!("{file} left the tree: {e}"));

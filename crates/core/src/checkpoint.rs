@@ -19,10 +19,13 @@ use flows_sys::error::{SysError, SysResult};
 
 /// Frame constants for serialized checkpoints: `b"FCKP"`, a format
 /// version, the payload byte length and a word-lane checksum
-/// ([`frame_sum`]). Version 2 is the word-lane sum; version 1 frames
-/// (byte-wise FNV-1a) are refused as an unsupported version.
+/// ([`frame_sum`]). Version 3 is the word-lane sum around an AMPI rank
+/// image that is exactly its LB batch record. Version 2 frames (the same
+/// sum around the older image with a world id, an epoch and a
+/// length-prefixed thread) and version 1 frames (byte-wise FNV-1a) are
+/// refused as an unsupported version.
 const CKPT_MAGIC: [u8; 4] = *b"FCKP";
-const CKPT_VERSION: u32 = 2;
+const CKPT_VERSION: u32 = 3;
 
 /// Byte length of the self-describing frame header written by
 /// [`frame_in_place`].
@@ -553,6 +556,17 @@ mod tests {
         v1.extend_from_slice(payload);
         let err = unframe_payload(&v1).unwrap_err().to_string();
         assert!(err.contains("unsupported checkpoint version 1"), "{err}");
+    }
+
+    /// A version-2 frame — the word-lane sum around the older rank image —
+    /// is refused for its version although its checksum holds: this build
+    /// has no reader for that image.
+    #[test]
+    fn version_2_frames_are_refused_by_version() {
+        let mut v2 = frame_payload(b"a version-2 checkpoint image");
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err = unframe_payload(&v2).unwrap_err().to_string();
+        assert!(err.contains("unsupported checkpoint version 2"), "{err}");
     }
 
     /// The frame catches every corruption class with a precise error:

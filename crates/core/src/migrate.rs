@@ -93,6 +93,27 @@ fn tag_kind(t: u8) -> SysResult<SwapKind> {
     })
 }
 
+/// The migratable flavor a wire tag names: the inverse of [`flavor_tag`]
+/// over the flavors a packed thread can have.
+fn tag_flavor(t: u8) -> SysResult<StackFlavor> {
+    [StackFlavor::StackCopy, StackFlavor::Isomalloc, StackFlavor::Alias]
+        .into_iter()
+        .find(|&f| flavor_tag(f) == t)
+        .ok_or_else(|| SysError::logic("unpack", format!("bad flavor tag {t}")))
+}
+
+/// Parse the head at the front of `bytes`, refusing one whose swap-kind or
+/// flavor tag names no known value: a packed thread crosses process
+/// boundaries, and an image that decodes must be one `unpack_thread` can
+/// reinstate. Returns the head and its byte length.
+fn decode_head(bytes: &[u8]) -> SysResult<(Head, usize)> {
+    let (head, used): (Head, usize) = flows_pup::from_bytes_prefix(bytes)
+        .map_err(|e| SysError::logic("packed_thread", format!("corrupt: {e}")))?;
+    tag_kind(head.swap_kind)?;
+    tag_flavor(head.flavor)?;
+    Ok((head, used))
+}
+
 /// Stack-flavor wire tag — also the encoding trace events carry
 /// (`flows_trace::FLAVOR_NAMES` maps it back to names).
 pub(crate) fn flavor_tag(f: StackFlavor) -> u8 {
@@ -151,9 +172,9 @@ impl PackedThread {
 
     /// Deserialize from raw bytes (copies the payload; use
     /// [`PackedThread::from_payload`] to share an incoming buffer instead).
+    /// A head with an unknown swap-kind or flavor tag is refused.
     pub fn from_bytes(bytes: &[u8]) -> SysResult<PackedThread> {
-        let (head, used): (Head, usize) = flows_pup::from_bytes_prefix(bytes)
-            .map_err(|e| SysError::logic("packed_thread", format!("corrupt: {e}")))?;
+        let (head, used) = decode_head(bytes)?;
         if bytes.len() - used != head.payload_len as usize {
             return Err(SysError::logic(
                 "packed_thread",
@@ -170,13 +191,13 @@ impl PackedThread {
         })
     }
 
-    /// Parse one packed thread starting at `offset` of a shared buffer.
+    /// Parse one packed thread starting at `offset` of a shared buffer,
+    /// refusing unknown tags as [`PackedThread::from_bytes`] does.
     /// The payload becomes a zero-copy slice of `wire`. Returns the thread
     /// and the bytes consumed, so callers walk a concatenation of records.
     pub fn from_payload(wire: &Payload, offset: usize) -> SysResult<(PackedThread, usize)> {
         let s = &wire.as_slice()[offset..];
-        let (head, used): (Head, usize) = flows_pup::from_bytes_prefix(s)
-            .map_err(|e| SysError::logic("packed_thread", format!("corrupt: {e}")))?;
+        let (head, used) = decode_head(s)?;
         let plen = head.payload_len as usize;
         if s.len() - used < plen {
             return Err(SysError::logic(
@@ -186,32 +207,6 @@ impl PackedThread {
         }
         let payload = wire.slice(offset + used..offset + used + plen);
         Ok((PackedThread { head, payload }, used + plen))
-    }
-
-    /// PUP the thread as one length-prefixed byte run: a `u64` length,
-    /// the head, then the payload in one [`Puper::write`] — the bytes a
-    /// `Vec<u8>` holding [`PackedThread::to_bytes`] pups to, without
-    /// building that `Vec`. Unpacking takes the run once and parses it
-    /// with [`PackedThread::from_bytes`], whose one copy is the payload's;
-    /// a run the thread does not fill exactly, or whose head does not
-    /// decode, fails the traversal.
-    ///
-    /// [`Puper::write`]: flows_pup::Puper::write
-    pub fn pup_run(&mut self, p: &mut flows_pup::Puper) {
-        if p.is_unpacking() {
-            let mut n = 0u64;
-            n.pup(p);
-            let Some(run) = p.take(n as usize) else { return };
-            match PackedThread::from_bytes(run) {
-                Ok(t) => *self = t,
-                Err(_) => p.fail(flows_pup::PupError::Corrupt("thread image does not fill its run")),
-            }
-        } else {
-            let mut n = (flows_pup::packed_size(&mut self.head) + self.payload.len()) as u64;
-            n.pup(p);
-            self.head.pup(p);
-            p.write(self.payload.as_slice());
-        }
     }
 }
 

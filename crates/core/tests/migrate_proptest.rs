@@ -92,3 +92,22 @@ proptest! {
         }
     }
 }
+
+/// A head whose swap-kind tag (byte 8, after the id) or flavor tag (byte
+/// 9) names no value a packed thread can carry is refused by both
+/// decoders; the known tags parse. Flavor 3 is the non-migratable
+/// `Standard`, which no packed thread has.
+#[test]
+fn unknown_swap_kind_and_flavor_tags_are_refused() {
+    let bytes = packed_threads(1).pop().unwrap().to_bytes();
+    for (at, known) in [(8, 0..=2u8), (9, 0..=2u8)] {
+        for tag in 0..=u8::MAX {
+            let mut b = bytes.clone();
+            b[at] = tag;
+            let wire = Payload::from_vec(b.clone());
+            let parsed = (PackedThread::from_bytes(&b).is_ok(), PackedThread::from_payload(&wire, 0).is_ok());
+            let ok = known.contains(&tag);
+            assert_eq!(parsed, (ok, ok), "tag {tag} at byte {at}");
+        }
+    }
+}

@@ -7,7 +7,11 @@
 #                     [--seeds S...] [--trace] [--aligned] [--aa]
 #
 #   REV          the base: `git archive REV` is unpacked into target/ab/REV
-#                and built there; the change side is this working tree.
+#                and built there. The change side is this working tree,
+#                frozen at start-up: its tracked files and its untracked
+#                files that are not ignored are written as one git tree,
+#                unpacked into target/ab/<tree hash> and built there, so
+#                an edit made while the pairs run changes neither binary.
 #                `scripts/ab.sh HEAD` on a clean tree is an A/A run.
 #   --pairs      pairs per workload and seed (default 10). Pair i runs the
 #                base first when i is odd and the change first when even.
@@ -29,7 +33,8 @@
 # list) and the base's IQR over its median; with --aa also the A/A gap (the
 # second base run's median against the first's) and the A/A side's IQR over
 # its median. It then appends one row per cell to BENCH_trajectory.json at
-# the root, with nproc, the kernel and the steal share of the cell's runs;
+# the root, with nproc, the kernel, the steal share of the cell's runs and
+# each side's tree hash and flowsbench SHA-256;
 # with --aa a second row per cell, marked "aa": true, holds base against
 # base. Raw run output stays under target/ab/runs.
 #
@@ -40,7 +45,7 @@ set -u -o pipefail
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)" || exit 2
 cd "$root" || exit 2
 
-usage() { sed -n '2,37p' "${BASH_SOURCE[0]}"; exit 2; }
+usage() { sed -n '2,42p' "${BASH_SOURCE[0]}"; exit 2; }
 [ $# -ge 1 ] || usage
 case "$1" in -h | --help) usage ;; esac
 rev="$1"
@@ -84,31 +89,37 @@ base_sha="$(git rev-parse --verify -q "$rev^{commit}")" || {
     exit 2
 }
 base_id="${base_sha:0:7}"
+# The working tree as a git tree object, written through a scratch copy of
+# the index so the real one is left alone.
+index_copy="$(mktemp)"
+cp "$(git rev-parse --git-path index)" "$index_copy" 2>/dev/null
+change_tree="$(GIT_INDEX_FILE="$index_copy" git add -A && GIT_INDEX_FILE="$index_copy" git write-tree)"
+rm -f "$index_copy"
+[ -n "$change_tree" ] || { echo "ab.sh: cannot write the working tree" >&2; exit 2; }
+base_tree="$(git rev-parse "$base_sha^{tree}")"
 change_id="$(git rev-parse --short=7 HEAD)"
-[ -z "$(git status --porcelain --untracked-files=no)" ] || change_id="$change_id+worktree"
+[ "$change_tree" = "$(git rev-parse "HEAD^{tree}")" ] || change_id="$change_id+worktree"
 
-base_dir="$root/target/ab/$base_id"
-if [ ! -f "$base_dir/benchmark/run.sh" ]; then
-    echo "== unpacking $base_id into ${base_dir#"$root"/}" >&2
-    mkdir -p "$base_dir"
-    git archive "$base_sha" | tar -x -C "$base_dir" || exit 2
-fi
-
-# A build rewrites the checkout's benchmark/Cargo.lock; put ours back after.
-lock_copy="$(mktemp)"
-cp benchmark/Cargo.lock "$lock_copy"
-restore_lock() {
-    cmp -s "$lock_copy" benchmark/Cargo.lock || cp "$lock_copy" benchmark/Cargo.lock
-    rm -f "$lock_copy"
+# Unpack a tree-ish into target/ab/<name> once; each side builds there.
+unpack() { # tree-ish name
+    local d="$root/target/ab/$2"
+    if [ ! -f "$d/benchmark/run.sh" ]; then
+        echo "== unpacking $2 into ${d#"$root"/}" >&2
+        mkdir -p "$d"
+        git archive "$1" | tar -x -C "$d" || exit 2
+    fi
 }
-trap restore_lock EXIT
+base_dir="$root/target/ab/$base_id"
+change_dir="$root/target/ab/${change_tree:0:12}"
+unpack "$base_sha" "$base_id"
+unpack "$change_tree" "${change_tree:0:12}"
 
 target_name=flowsbench
 if [ "$aligned" -eq 1 ]; then
     export RUSTFLAGS="${RUSTFLAGS:+$RUSTFLAGS }-C llvm-args=-align-all-functions=6"
     target_name=flowsbench-aligned
 fi
-dir_of() { [ "$1" = change ] && echo "$root" || echo "$base_dir"; }
+dir_of() { [ "$1" = change ] && echo "$change_dir" || echo "$base_dir"; }
 
 for side in base change; do
     d="$(dir_of "$side")"
@@ -120,6 +131,9 @@ for side in base change; do
         exit 2
     fi
 done
+bin_sha() { sha256sum "$(dir_of "$1")/target/$target_name/release/flowsbench" | cut -d' ' -f1; }
+base_bin="$(bin_sha base)"
+change_bin="$(bin_sha change)"
 
 runs_dir="$root/target/ab/runs/$(date -u +%Y%m%dT%H%M%SZ)-$base_id"
 mkdir -p "$runs_dir"
@@ -236,13 +250,14 @@ append_row() { # row
     fi
 }
 
-# One trajectory row for the current cell: base against $1, metrics from
-# the JSON file $2, then any extra fields $3.
-row() { # change_id metrics_json [extra]
-    printf '{"base": "%s", "change": "%s", "workload": "%s", "seed": "%s", "pairs": %d, "seconds": %s, "trace": %d, "aligned": %d, "date": "%s", "nproc": %d, "kernel": "%s", "steal_pct": {"mean": %s, "max": %s}, "load1_max": %s, "failed_runs": %d, "metrics": %s%s}' \
-        "$base_id" "$1" "$w" "$seed" "$pairs" "$seconds" "$trace" "$aligned" \
+# One trajectory row for the current cell: base against $1 (whose tree
+# hash and binary SHA-256 are $2 and $3), metrics from the JSON file $4,
+# then any extra fields $5.
+row() { # change_id change_tree change_bin metrics_json [extra]
+    printf '{"base": "%s", "change": "%s", "base_tree": "%s", "change_tree": "%s", "base_bin_sha256": "%s", "change_bin_sha256": "%s", "workload": "%s", "seed": "%s", "pairs": %d, "seconds": %s, "trace": %d, "aligned": %d, "date": "%s", "nproc": %d, "kernel": "%s", "steal_pct": {"mean": %s, "max": %s}, "load1_max": %s, "failed_runs": %d, "metrics": %s%s}' \
+        "$base_id" "$1" "$base_tree" "$2" "$base_bin" "$3" "$w" "$seed" "$pairs" "$seconds" "$trace" "$aligned" \
         "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(nproc)" "$(uname -r)" "$steal_mean" "$steal_max" \
-        "$load_max" "$bad" "$(cat "$2")" "${3:-}"
+        "$load_max" "$bad" "$(cat "$4")" "${5:-}"
 }
 
 for seed in "${seeds[@]}"; do
@@ -268,10 +283,10 @@ for seed in "${seeds[@]}"; do
         echo "== $w, seed $seed: $pairs pairs of ${seconds} s, base $base_id vs change $change_id" \
             "(trace $trace, aligned $aligned, aa $aa); steal mean $steal_mean % max $steal_max %, load1 max $load_max, failed runs $bad"
         summarize "$cell.json" change
-        append_row "$(row "$change_id" "$cell.json")"
+        append_row "$(row "$change_id" "$change_tree" "$change_bin" "$cell.json")"
         if [ "$aa" -eq 1 ]; then
             summarize "$cell.aa.json" aa >/dev/null
-            append_row "$(row "$base_id" "$cell.aa.json" ', "aa": true')"
+            append_row "$(row "$base_id" "$base_tree" "$base_bin" "$cell.aa.json" ', "aa": true')"
         fi
     done
 done
