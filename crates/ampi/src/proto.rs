@@ -183,13 +183,10 @@ pup_fields!(RepHead {
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RepRec {
     pub rank: u64,
-    /// Accumulated load at pack time, restored into the scheduler on
-    /// recovery unpack so LB keeps working across a rollback.
-    pub load_ns: u64,
     /// Byte length of the framed image that follows this record.
     pub len: u64,
 }
-pup_fields!(RepRec { rank, load_ns, len });
+pup_fields!(RepRec { rank, len });
 
 /// Message kinds of the recovery control plane ([`CtlMsg::kind`]).
 // flows-wire: defines ampi-ctl
@@ -451,12 +448,11 @@ mod tests {
             ("replica batch", || {
                 let head = RepHead { owner: 1, gen: 2, epoch: 0, purpose: 0, count: 2 };
                 let mut out = Vec::new();
-                write_rep_batch(&mut out, head, &[(3, 7, frame()), (4, 8, frame())]);
+                write_rep_batch(&mut out, head, &[(3, frame()), (4, frame())]);
                 out
             }, |p| {
                 let (head, recs) = parse_rep_batch(p).ok()?;
-                let images: Vec<(u64, u64, Payload)> =
-                    recs.into_iter().map(|(r, f)| (r.rank, r.load_ns, f)).collect();
+                let images: Vec<(u64, Payload)> = recs.into_iter().map(|(r, f)| (r.rank, f)).collect();
                 let mut out = Vec::new();
                 write_rep_batch(&mut out, head, &images);
                 Some((out, p.len()))

@@ -59,12 +59,11 @@ pub(crate) const OWN_BIT: u64 = 1 << 63;
 const CTL_KEY: u64 = 0;
 
 /// One shelved checkpoint image: the framed (checksummed) rank image
-/// bytes plus the rank's measured load at pack time. The frame is shared,
+/// bytes. The frame is shared,
 /// never copied: an own deposit is the buffer the image was packed into,
 /// a buddy copy is a slice of the replication batch it arrived in.
 struct Replica {
     frame: Payload,
-    load_ns: u64,
     /// The rank lived on this PE when the image was taken (or was adopted
     /// here by a recovery plan) — owners respawn their ranks in place.
     own: bool,
@@ -210,10 +209,10 @@ pub(crate) fn frame_image(rec: &mut MoveRec, thread: &mut PackedThread) -> Paylo
 /// frame here, once; that one buffer is the shelf's own copy and the
 /// source of every buddy replica.
 pub(crate) fn deposit_checkpoint(pe: &Pe, gen: u64, rec: &mut MoveRec, thread: &mut PackedThread) {
-    let (rank, load_ns) = (rec.rank, thread.load_ns());
+    let rank = rec.rank;
     let frame = frame_image(rec, thread);
     pe.ext::<RecoverState, _>(|rs| {
-        rs.shelf.entry(gen).or_default().insert(rank, Replica { frame, load_ns, own: true });
+        rs.shelf.entry(gen).or_default().insert(rank, Replica { frame, own: true });
     });
 }
 
@@ -222,14 +221,14 @@ pub(crate) fn deposit_checkpoint(pe: &Pe, gen: u64, rec: &mut MoveRec, thread: &
 pub(crate) fn finalize_generation(pe: &Pe, gen: u64) {
     let k = replication(pe);
     let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask());
-    let (epoch, own): (u64, Vec<(u64, u64, Payload)>) = pe.ext::<RecoverState, _>(|rs| {
-        let mut own: Vec<(u64, u64, Payload)> = rs
+    let (epoch, own): (u64, Vec<(u64, Payload)>) = pe.ext::<RecoverState, _>(|rs| {
+        let mut own: Vec<(u64, Payload)> = rs
             .shelf
             .get(&gen)
             .map(|g| {
                 g.iter()
                     .filter(|(_, rep)| rep.own)
-                    .map(|(&r, rep)| (r, rep.load_ns, rep.frame.clone()))
+                    .map(|(&r, rep)| (r, rep.frame.clone()))
                     .collect()
             })
             .unwrap_or_default();
@@ -249,7 +248,7 @@ pub(crate) fn finalize_generation(pe: &Pe, gen: u64) {
     }
 }
 
-fn build_rep_batch(pe: &Pe, gen: u64, epoch: u64, purpose: u8, images: &[(u64, u64, Payload)]) -> Payload {
+fn build_rep_batch(pe: &Pe, gen: u64, epoch: u64, purpose: u8, images: &[(u64, Payload)]) -> Payload {
     let head = RepHead {
         owner: pe.id() as u64,
         gen,
@@ -257,7 +256,7 @@ fn build_rep_batch(pe: &Pe, gen: u64, epoch: u64, purpose: u8, images: &[(u64, u
         purpose,
         count: images.len() as u64,
     };
-    let cap: usize = images.iter().map(|(_, _, f)| f.len() + 64).sum();
+    let cap: usize = images.iter().map(|(_, f)| f.len() + 64).sum();
     let mut buf = pe.payload_buf_with_capacity(64 + cap);
     write_rep_batch(buf.vec_mut(), head, images);
     buf.freeze()
@@ -265,10 +264,10 @@ fn build_rep_batch(pe: &Pe, gen: u64, epoch: u64, purpose: u8, images: &[(u64, u
 
 /// Append a replication batch to `out`: the pup'd head, then per image a
 /// pup'd [`RepRec`] followed by the raw frame bytes.
-pub(crate) fn write_rep_batch(out: &mut Vec<u8>, mut head: RepHead, images: &[(u64, u64, Payload)]) {
+pub(crate) fn write_rep_batch(out: &mut Vec<u8>, mut head: RepHead, images: &[(u64, Payload)]) {
     flows_pup::pack_into(&mut head, out);
-    for (r, load_ns, frame) in images {
-        let mut rec = RepRec { rank: *r, load_ns: *load_ns, len: frame.len() as u64 };
+    for (r, frame) in images {
+        let mut rec = RepRec { rank: *r, len: frame.len() as u64 };
         flows_pup::pack_into(&mut rec, out);
         out.extend_from_slice(frame);
     }
@@ -313,7 +312,7 @@ impl RecoverState {
                 self.shelf
                     .entry(gen)
                     .or_default()
-                    .insert(rec.rank, Replica { frame, load_ns: rec.load_ns, own: false });
+                    .insert(rec.rank, Replica { frame, own: false });
             } else {
                 self.invalid_msgs += 1;
             }
@@ -634,15 +633,15 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
     }
     let g = genp1 - 1;
     let lowest_dead = lowest_bit(dead_mask);
-    let mut adopted: Vec<(u64, u64, Payload)> = Vec::new();
+    let mut adopted: Vec<(u64, Payload)> = Vec::new();
     for &rank in &mine {
-        let (frame, load_ns) = pe.ext::<RecoverState, _>(|rs| {
+        let frame = pe.ext::<RecoverState, _>(|rs| {
             let rep = rs
                 .shelf
                 .get(&g)
                 .and_then(|gens| gens.get(&rank))
                 .expect("assigned rank must be on the assignee's shelf");
-            (rep.frame.clone(), rep.load_ns)
+            rep.frame.clone()
         });
         // The inventory kept only frames this decoder accepts, but a
         // peer's re-replication batch, checked by checksum alone, may
@@ -653,7 +652,7 @@ fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, as
         };
         land_rank(pe, rec, thread);
         flows_trace::emit(flows_trace::EventKind::FtRespawn, rank, lowest_dead as u64, g);
-        adopted.push((rank, load_ns, frame));
+        adopted.push((rank, frame));
     }
     // Ownership moves with the assignment: future inventories must report
     // the adopter as the in-place respawn site.
@@ -1008,7 +1007,7 @@ mod tests {
     /// older one: the respawn never meets them.
     #[test]
     fn a_checksum_valid_frame_that_does_not_decode_is_counted_at_inventory() {
-        let good = |r: u64| (RepRec { rank: r, load_ns: 0, len: 0 }, sample_frame(r, 300));
+        let good = |r: u64| (RepRec { rank: r, len: 0 }, sample_frame(r, 300));
         let image = unframe_payload(&sample_frame(1, 300)).unwrap().to_vec();
         let truncated = &image[..image.len() - 5];
         let mut flavor_9 = image.clone();
@@ -1018,7 +1017,7 @@ mod tests {
         for (gen, bytes) in [(5, truncated), (6, &flavor_9[..])] {
             let frame: Payload = flows_core::frame_payload(bytes).into();
             assert!(unframe_payload(&frame).is_ok(), "the checksum must verify");
-            rs.shelve_replicas(gen, vec![good(0), (RepRec { rank: 1, load_ns: 0, len: 0 }, frame)]);
+            rs.shelve_replicas(gen, vec![good(0), (RepRec { rank: 1, len: 0 }, frame)]);
         }
         assert_eq!(rs.invalid_msgs, 0, "shelving checks the checksum only");
         let (_, pairs) = rs.inventory();
@@ -1034,8 +1033,8 @@ mod tests {
 
     fn batch_of(frames: &[Payload]) -> Payload {
         let head = RepHead { owner: 2, gen: 5, epoch: 1, purpose: 0, count: frames.len() as u64 };
-        let images: Vec<(u64, u64, Payload)> =
-            frames.iter().enumerate().map(|(r, f)| (r as u64, 100 + r as u64, f.clone())).collect();
+        let images: Vec<(u64, Payload)> =
+            frames.iter().enumerate().map(|(r, f)| (r as u64, f.clone())).collect();
         let mut out = Vec::new();
         write_rep_batch(&mut out, head, &images);
         out.into()
@@ -1056,7 +1055,7 @@ mod tests {
         let (head, recs) = parse_rep_batch(&batch).expect("well-formed batch");
         assert_eq!((head.owner, head.gen, head.count), (2, 5, 3));
         for (r, (rec, frame)) in recs.iter().enumerate() {
-            assert_eq!((rec.rank, rec.load_ns), (r as u64, 100 + r as u64));
+            assert_eq!((rec.rank, rec.len), (r as u64, frames[r].len() as u64));
             assert_eq!(frame, &frames[r]);
             assert!(frame.same_backing(&batch), "record {r} must be a zero-copy slice");
         }

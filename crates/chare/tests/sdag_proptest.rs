@@ -3,8 +3,7 @@
 
 use flows_chare::{atomic, for_n, overlap, seq, when, Node, SdagRun};
 use proptest::prelude::*;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use proptest::test_runner::TestRng;
 
 #[derive(Default, Debug, Clone, PartialEq)]
 struct St {
@@ -41,11 +40,14 @@ proptest! {
         // event. Shuffle *within* each iteration (SDAG requires iteration
         // k's messages before k+1's only in the sense that `when`s consume
         // FIFO per event — same-event messages keep their order).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = TestRng::from_seed(seed);
         let mut run = SdagRun::new(&figure1_prog(iters, events), St::default());
         for it in 0..iters {
             let mut batch: Vec<u32> = (0..events as u32).collect();
-            batch.shuffle(&mut rng);
+            // Fisher-Yates.
+            for i in (1..batch.len()).rev() {
+                batch.swap(i, rng.below(i as u64 + 1) as usize);
+            }
             for e in batch {
                 run.deliver(e, vec![(it + 1) as u8]);
             }

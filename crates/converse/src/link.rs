@@ -2,9 +2,10 @@
 //! timeout retransmission with exponential backoff, duplicate suppression
 //! and in-order reassembly.
 //!
-//! The protocol is active only when a [`crate::FaultPlan`] is attached;
-//! otherwise packets carry `seq == 0` and pass straight through (the
-//! channels themselves are lossless). Self-sends never enter the link
+//! Packets are `flows_net::Frame`s on every path, in-process or not. The
+//! protocol is active only when a [`crate::FaultPlan`] is attached;
+//! otherwise data frames carry `seq == 0` and pass straight through (the
+//! inboxes themselves are lossless). Self-sends never enter the link
 //! layer.
 //!
 //! Accounting invariant: the machine-wide quiescence counters (`Hub::sent`
@@ -17,36 +18,6 @@
 
 use crate::msg::Message;
 use std::collections::BTreeMap;
-
-/// What actually travels on the inter-PE channels.
-#[derive(Debug)]
-pub(crate) struct Packet {
-    pub src: usize,
-    pub body: PacketBody,
-}
-
-#[derive(Debug)]
-pub(crate) enum PacketBody {
-    /// An application message. `seq == 0` means "no protocol" (no fault
-    /// plan attached); sequenced links start at 1.
-    Data { seq: u64, msg: Message },
-    /// Cumulative acknowledgement: every seq `<= cum` has been received.
-    Ack { cum: u64 },
-    /// Failure-detector heartbeat (online mode only). Unsequenced and
-    /// unacked: a lost heartbeat *is* the signal. Never counted in the
-    /// logical sent/recv totals. The round counter is carried for wire
-    /// debugging only; receivers timestamp arrival and ignore it. `vt` is
-    /// the sender's virtual clock at emission: threaded machines advance
-    /// their clocks independently (each PE idle-jumps along its own
-    /// schedule), so receivers Lamport-sync to it — without that, one
-    /// observer's clock can race ahead of a live peer's heartbeat
-    /// production and convict it of a silence that never happened.
-    Heartbeat {
-        #[allow(dead_code)]
-        hb_seq: u64,
-        vt: u64,
-    },
-}
 
 /// A packet awaiting acknowledgement on a sender.
 #[derive(Debug)]

@@ -3,27 +3,27 @@
 //!
 //! [`MachineBuilder::run_deterministic`] and [`MachineBuilder::run`] differ
 //! only in how they hand PEs to `drive`: one OS thread pumping every PE
-//! round-robin with no parker, or one OS thread per PE pumping a
-//! one-element slice and parking on its own [`Parker`]. The burst, the
+//! round-robin without ever parking, or one OS thread per PE pumping a
+//! one-element slice and parking its thread when idle. The burst, the
 //! idle barrier, the quiescence rule ([`Ledger::quiescent`]) and the
 //! report are shared.
 
 use crate::fault::{FaultCtx, FaultPlan, FaultStats, FaultSummary, RecoveryEvent};
-use crate::link::Packet;
 use crate::msg::{HandlerId, Message, NetModel};
 use crate::pe::{DeathUpcall, Handler, Pe};
-use crossbeam::channel::{unbounded, Sender};
-use crossbeam::sync::{Parker, Unparker};
 use flows_core::{IdMap, PoolStats, SchedConfig, SchedStats, Scheduler, SharedPools};
 use flows_mem::IsoConfig;
+use flows_net::inbox::{unbounded, Sender};
+use flows_net::Frame;
 use flows_sys::counters::SyscallCounts;
 use flows_trace::{TraceRing, TraceSummary};
 use std::any::TypeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::Duration;
 
-/// How long an idle PE sleeps per park before re-checking timers. Packet
+/// How long an idle PE sleeps per park before re-checking timers. Frame
 /// arrivals unpark it immediately; the timeout is only a safety net for
 /// virtual-time retransmission deadlines.
 const IDLE_PARK: Duration = Duration::from_micros(200);
@@ -59,9 +59,9 @@ pub(crate) struct Hub {
     pub(crate) stats: Option<Arc<FaultStats>>,
     /// The pools whose steal mesh this machine uses (work stealing on).
     steal: Option<Arc<SharedPools>>,
-    /// One waker per PE in threaded mode (unset under deterministic
-    /// drive): posting a packet unparks its destination.
-    wakers: OnceLock<Vec<Unparker>>,
+    /// Each local PE's OS thread in threaded mode (unset under
+    /// deterministic drive): posting a frame unparks its destination.
+    wakers: OnceLock<Vec<Thread>>,
     /// PEs that physically stopped executing, as a bitmask (online mode;
     /// machine size is capped at 64 there). Shared state is used only to
     /// keep idle virtual clocks advancing — the protocol's *decisions*
@@ -584,14 +584,14 @@ impl MachineBuilder {
     /// builds its [`Pe`] (and the `!Send` scheduler) on the OS thread that
     /// will drive it. `threaded` is the drive mode every PE is born into.
     #[allow(clippy::type_complexity)]
-    fn make_seeds(
+    pub(crate) fn make_seeds(
         &mut self,
         threaded: bool,
-    ) -> (Vec<impl FnOnce() -> Pe + Send>, Arc<Hub>, Vec<Arc<TraceRing>>, Vec<Sender<Packet>>) {
+    ) -> (Vec<impl FnOnce() -> Pe + Send>, Arc<Hub>, Vec<Arc<TraceRing>>, Vec<Sender<Frame>>) {
         let shared = self.build_shared();
         let handlers = Arc::new(std::mem::take(&mut self.handlers));
         // A multi-process machine hosts only its world's slice of the PEs:
-        // channels, wakers and trace rings are local-length, while ids,
+        // inboxes, wakers and trace rings are local-length, while ids,
         // link tables and failure masks stay global.
         let (base, local) = match &self.world {
             Some(w) => (w.first_pe(), w.pes_per_proc()),
@@ -655,13 +655,13 @@ impl MachineBuilder {
         let (seeds, hub, rings, _txs) = self.make_seeds(false);
         let pes: Vec<Pe> = seeds.into_iter().map(|build| build()).collect();
         let t0 = flows_sys::time::monotonic_ns();
-        let rows = drive(&pes, &hub, None, false, &init);
+        let rows = drive(&pes, &hub, false, false, &init);
         MachineReport::assemble(rows, &hub, t0, rings, false)
     }
 
     /// Drive each PE on its own OS thread until quiescence. Idle PEs spin
-    /// briefly, then park on a per-PE [`Parker`] and are woken by incoming
-    /// packets. With a [`flows_net::World`] attached, a comm thread bridges
+    /// briefly, then park their OS thread and are unparked by incoming
+    /// frames. With a [`flows_net::World`] attached, a comm thread bridges
     /// the transport and owns the machine-wide quiescence decision.
     pub fn run(mut self, init: impl Fn(&Pe) + Send + Sync) -> MachineReport {
         let online = self.fault.as_ref().is_some_and(|p| p.recovers());
@@ -691,10 +691,6 @@ impl MachineBuilder {
             flows_core::seed_tid_namespace(w.rank());
         }
         let (seeds, hub, rings, txs) = self.make_seeds(true);
-        let parkers: Vec<Parker> = seeds.iter().map(|_| Parker::new()).collect();
-        hub.wakers
-            .set(parkers.iter().map(Parker::unparker).collect())
-            .expect("fresh hub");
         // The comm thread outlives the PE scope on purpose: the leader's
         // finish handshake (DONE/GOODBYE) may still be draining while the
         // local PEs are already done.
@@ -711,15 +707,26 @@ impl MachineBuilder {
                 .expect("spawn comm thread")
         });
         let t0 = flows_sys::time::monotonic_ns();
+        // No PE pumps before every waker is set. `Hub::wake` finds no
+        // waker until then, so a PE that had already found its inbox
+        // empty could park on a frame that arrived meanwhile (modeled in
+        // `crates/converse/tests/wake_interleave.rs`).
+        let start = Barrier::new(seeds.len() + 1);
         let rows: Vec<PeResult> = std::thread::scope(|s| {
-            let (init, hub) = (&init, &*hub);
+            let (init, hub, start) = (&init, &*hub, &start);
             let handles: Vec<_> = seeds
                 .into_iter()
-                .zip(parkers)
-                .map(|(build, parker)| {
-                    s.spawn(move || drive(&[build()], hub, Some(&parker), multiproc, init))
+                .map(|build| {
+                    s.spawn(move || {
+                        start.wait();
+                        drive(&[build()], hub, true, multiproc, init)
+                    })
                 })
                 .collect();
+            hub.wakers
+                .set(handles.iter().map(|h| h.thread().clone()).collect())
+                .expect("fresh hub");
+            start.wait();
             handles.into_iter().flat_map(|h| h.join().expect("PE thread")).collect()
         });
         if let Some(h) = pump {
@@ -791,17 +798,18 @@ impl MachineReport {
 const FULL_BURST: u32 = 64;
 
 /// How many idle re-checks a PE spin-yields through before it actually
-/// parks. Parking immediately costs a condvar wakeup (microseconds) per
+/// parks. Parking immediately costs a futex wakeup (microseconds) per
 /// message on a busy machine — fatal for tight message-passing loops on a
 /// single-core host — while spinning forever burns a core on an idle one.
-/// A short spin window keeps the hot path at yield cost and reserves the
-/// parker for genuinely quiet PEs.
+/// A short spin window keeps the hot path at yield cost and reserves
+/// parking for genuinely quiet PEs.
 const IDLE_SPINS_BEFORE_PARK: u32 = 128;
 
 /// The scheduler loop: run `init` on each of `pes`, pump them on the
 /// calling OS thread until the run ends, and return their report rows
 /// (the thread's syscall delta in the first). Deterministic drive passes
-/// every PE and no parker; threaded drive one PE and its parker.
+/// every PE and never parks; threaded drive passes one PE, whose OS
+/// thread parks when idle and is unparked through [`Hub::wake`].
 ///
 /// A burst's budget adapts: draining a PE completely would livelock on
 /// cross-PE spin synchronization, so a burst that pumps without delivering
@@ -813,7 +821,7 @@ const IDLE_SPINS_BEFORE_PARK: u32 = 128;
 fn drive(
     pes: &[Pe],
     hub: &Hub,
-    parker: Option<&Parker>,
+    threaded: bool,
     multiproc: bool,
     init: &dyn Fn(&Pe),
 ) -> Vec<PeResult> {
@@ -867,7 +875,7 @@ fn drive(
             }
             if pes.iter().any(Pe::has_work) {
                 hub.leave_idle(n);
-                if parker.is_some() && !pes.iter().any(Pe::has_local_work) {
+                if threaded && !pes.iter().any(Pe::has_local_work) {
                     // Waiting on an ack or a retransmit deadline: let the
                     // peer that owes us the packet have the core.
                     std::thread::yield_now();
@@ -878,12 +886,12 @@ fn drive(
                 hub.set_done_and_wake();
                 break 'run;
             }
-            let Some(parker) = parker else {
+            if !threaded {
                 // No work, yet a failure awaits healing: only more pumps
                 // (heartbeats, detection) can move the machine.
                 hub.leave_idle(n);
                 continue 'run;
-            };
+            }
             // Keep a steal request planted at whoever is richest *now*: one
             // consumed by an empty donation, or aimed at a victim gone idle,
             // would leave this PE parked with nobody obligated to wake it.
@@ -895,7 +903,7 @@ fn drive(
                 spins += 1;
                 std::thread::yield_now();
             } else {
-                parker.park_timeout(IDLE_PARK);
+                std::thread::park_timeout(IDLE_PARK);
                 if multiproc {
                     hub.leave_idle(n);
                     continue 'run;
@@ -1020,7 +1028,7 @@ mod tests {
         // Every thread lands on PE 0; with work stealing on, the other
         // PEs must pull chunks over the mesh and run them. Deterministic
         // drive, so the donate/absorb handshake is exercised without any
-        // parker in the loop.
+        // park in the loop.
         let done = Arc::new(AtomicU64::new(0));
         let done2 = done.clone();
         let mut mb = MachineBuilder::new(4)
@@ -1079,7 +1087,7 @@ mod tests {
                 let (done, stolen) = (done2.clone(), stolen2.clone());
                 pe.sched()
                     .spawn(StackFlavor::Isomalloc, move || {
-                        // Let PE 1 reach its parker first.
+                        // Let PE 1 park first.
                         for _ in 0..64 {
                             yield_now();
                         }

@@ -1,16 +1,17 @@
-//! The comm thread: bridges in-process packet channels and the
-//! `flows-net` transport so one machine can span `N processes × M PEs`.
+//! The comm thread: bridges the PEs' inboxes and the `flows-net`
+//! transport so one machine can span `N processes × M PEs`.
 //!
 //! Each process runs exactly one comm thread (spawned by
 //! `MachineBuilder::run` when a [`flows_net::World`] is attached). The
 //! thread owns two jobs:
 //!
-//! * **The packet pump.** PEs post to remote destinations through
-//!   [`send_packet`], which encodes a link-layer [`Packet`] as a
-//!   [`Frame`] (the link protocol — sequence numbers, cumulative acks,
+//! * **The frame pump.** A PE's inbox carries the same [`Frame`] the
+//!   wire does, so a PE hands a frame for a remote destination to the
+//!   transport as it is, and the comm thread injects each inbound data,
+//!   ack or heartbeat frame into its destination PE's inbox unchanged
+//!   (the link protocol — sequence numbers, cumulative acks,
 //!   heartbeats — runs end-to-end between global PEs and never notices
-//!   the boundary). Inbound frames are decoded and injected into the
-//!   destination PE's local channel.
+//!   the boundary).
 //!
 //! * **The machine protocols.** Quiescence detection becomes a
 //!   leader-driven double gather (children report `STATS`, the leader
@@ -25,10 +26,8 @@
 //! supported across processes are whole-process crashes with the
 //! survivors' recovery leader on the lead process.
 
-use crate::link::{Packet, PacketBody};
 use crate::machine::{Hub, Ledger, Morgue};
-use crate::msg::{HandlerId, Message};
-use crossbeam::channel::Sender;
+use flows_net::inbox::Sender;
 use flows_net::{ctrl, Frame, FrameKind, World};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -44,48 +43,6 @@ const GOODBYE_TIMEOUT: Duration = Duration::from_secs(10);
 /// How often the leader's comm loop reaps exited children (one `waitpid`
 /// per child each time).
 const CHILD_POLL: Duration = Duration::from_millis(20);
-
-/// Encode one link-layer packet and ship it to the process hosting the
-/// global PE `dest`. Called by `Pe::post` for non-local destinations —
-/// from any PE thread, concurrently with the comm thread.
-pub(crate) fn send_packet(world: &World, dest: usize, pkt: Packet) {
-    let frame = match pkt.body {
-        PacketBody::Data { seq, msg } => Frame::data(
-            pkt.src as u32,
-            dest as u32,
-            seq,
-            msg.handler.0 as u64,
-            msg.sent_vtime,
-            msg.data,
-        ),
-        PacketBody::Ack { cum } => Frame::ack(pkt.src as u32, dest as u32, cum),
-        PacketBody::Heartbeat { hb_seq, vt } => {
-            Frame::heartbeat(pkt.src as u32, dest as u32, hb_seq, vt)
-        }
-    };
-    world.send(world.proc_of_pe(dest), &frame);
-}
-
-/// Decode a non-control frame back into the packet the sender posted.
-// flows-wire: handles net-frame
-fn packet_of(f: Frame) -> Packet {
-    let src = f.src_pe as usize;
-    let body = match f.kind {
-        FrameKind::Data => PacketBody::Data {
-            seq: f.a,
-            msg: Message {
-                handler: HandlerId(f.b as usize),
-                data: f.body,
-                src_pe: src,
-                sent_vtime: f.c,
-            },
-        },
-        FrameKind::Ack => PacketBody::Ack { cum: f.a },
-        FrameKind::Heartbeat => PacketBody::Heartbeat { hb_seq: f.a, vt: f.b },
-        FrameKind::Ctrl => unreachable!("control frames are consumed by the comm thread"),
-    };
-    Packet { src, body }
-}
 
 /// Serialize a morgue record (all vectors are global-length):
 /// `[rx_cum × n][tx_last × n][reaped_mask]`, little-endian u64s.
@@ -119,8 +76,8 @@ fn signal(kind: u8, src: usize, a: u64) -> Frame {
 pub(crate) struct NetPump {
     pub world: Arc<World>,
     pub hub: Arc<Hub>,
-    /// Local PEs' inject channels, indexed by `global_pe - base`.
-    pub txs: Vec<Sender<Packet>>,
+    /// Local PEs' inboxes, indexed by `global_pe - base`.
+    pub txs: Vec<Sender<Frame>>,
     pub online: bool,
 }
 
@@ -165,14 +122,13 @@ impl NetPump {
         (((1u128 << self.local()) - 1) << self.base()) as u64
     }
 
-    /// Inject one decoded packet into its destination PE's channel.
+    /// Forward one received link frame to its destination PE's inbox.
     fn inject(&self, f: Frame) {
         let dst = f.dst_pe as usize;
-        let local = dst.wrapping_sub(self.base());
-        if local >= self.txs.len() {
-            return; // misrouted frame; drop rather than poison a channel
-        }
-        let _ = self.txs[local].send(packet_of(f));
+        let Some(tx) = self.txs.get(dst.wrapping_sub(self.base())) else {
+            return; // misrouted frame; drop rather than poison an inbox
+        };
+        tx.send(f);
         self.hub.wake(dst);
     }
 
@@ -269,7 +225,8 @@ impl NetPump {
         self.hub.absorb_masks(f.a, fenced, f.b, f.c);
     }
 
-    /// Drain every pending frame: inject packets, dispatch control frames.
+    /// Drain every pending frame: inject link frames, dispatch control
+    /// frames.
     /// Each role ignores the kinds it is never sent — a child has no
     /// gather rows, and only a child answers PROBE and DONE. Returns true
     /// at DONE, leaving the rest unread.
@@ -526,34 +483,5 @@ mod tests {
         assert_eq!(back.tx_last, m.tx_last);
         assert_eq!(back.reaped_mask, m.reaped_mask);
         assert!(decode_morgue(&wire, 5).is_none(), "length is validated");
-    }
-
-    #[test]
-    fn packet_codec_preserves_link_fields() {
-        let body: flows_core::Payload = vec![7u8; 90].into();
-        let f = Frame::data(3, 6, 42, 5, 1_000, body.clone());
-        let pkt = packet_of(f);
-        assert_eq!(pkt.src, 3);
-        match pkt.body {
-            PacketBody::Data { seq, msg } => {
-                assert_eq!(seq, 42);
-                assert_eq!(msg.handler, HandlerId(5));
-                assert_eq!(msg.src_pe, 3);
-                assert_eq!(msg.sent_vtime, 1_000);
-                assert_eq!(msg.data, body);
-            }
-            other => panic!("wrong body: {other:?}"),
-        }
-        match packet_of(Frame::ack(1, 2, 17)).body {
-            PacketBody::Ack { cum } => assert_eq!(cum, 17),
-            other => panic!("wrong body: {other:?}"),
-        }
-        match packet_of(Frame::heartbeat(1, 2, 9, 5_000)).body {
-            PacketBody::Heartbeat { hb_seq, vt } => {
-                assert_eq!(hb_seq, 9);
-                assert_eq!(vt, 5_000);
-            }
-            other => panic!("wrong body: {other:?}"),
-        }
     }
 }

@@ -1,11 +1,12 @@
 //! One processing element: message pump + thread scheduler + virtual clock.
 
 use crate::fault::{FaultCtx, FaultStats, RecoveryEvent, RecoveryPhase, HEARTBEAT_NS};
-use crate::link::{rto_ns, LinkTable, Packet, PacketBody, RxOutcome, Unacked, RTO_ATTEMPT_CAP};
+use crate::link::{rto_ns, LinkTable, RxOutcome, Unacked, RTO_ATTEMPT_CAP};
 use crate::machine::{Hub, Morgue};
 use crate::msg::{HandlerId, Message, NetModel};
-use crossbeam::channel::{Receiver, Sender};
 use flows_core::{Payload, PayloadBuf, PayloadPool, Scheduler};
+use flows_net::inbox::{Receiver, Sender};
+use flows_net::{Frame, FrameKind};
 use flows_sys::time::thread_cpu_ns;
 use flows_trace::{emit, EventKind, TraceRing};
 use std::any::{Any, TypeId};
@@ -76,7 +77,7 @@ const IDLE_PUMPS_BEFORE_RETX_JUMP: u32 = 8;
 /// sender storms the wire with spurious retransmits.
 const RETX_WALL_QUIET_NS: u64 = 200_000;
 
-/// How many cross-PE packets one pump pulls off the channel per lock
+/// How many cross-PE frames one pump pulls off the inbox per lock
 /// acquisition (see `Receiver::try_recv_batch`).
 const RX_BATCH: usize = 64;
 
@@ -94,8 +95,8 @@ pub struct Pe {
     /// Destinations outside `base..base + txs.len()` route through it.
     world: Option<Arc<flows_net::World>>,
     sched: Scheduler,
-    rx: Receiver<Packet>,
-    txs: Vec<Sender<Packet>>,
+    rx: Receiver<Frame>,
+    txs: Vec<Sender<Frame>>,
     /// The machine's handler table, each entry keyed by the type of the
     /// function registered there (see [`Pe::handler_of`]).
     handlers: Arc<Vec<(TypeId, Handler)>>,
@@ -110,8 +111,8 @@ pub struct Pe {
     vtime: Cell<u64>,
     busy: Cell<u64>,
     local_q: RefCell<VecDeque<Message>>,
-    /// Cross-PE packets drained from `rx` in batches, awaiting delivery.
-    pending: RefCell<VecDeque<Packet>>,
+    /// Cross-PE frames drained from `rx` in batches, awaiting delivery.
+    pending: RefCell<VecDeque<Frame>>,
     links: RefCell<LinkTable>,
     stall_left: Cell<u64>,
     stall_fired: Cell<bool>,
@@ -181,8 +182,8 @@ impl Pe {
         base: usize,
         world: Option<Arc<flows_net::World>>,
         sched: Scheduler,
-        rx: Receiver<Packet>,
-        txs: Vec<Sender<Packet>>,
+        rx: Receiver<Frame>,
+        txs: Vec<Sender<Frame>>,
         handlers: Arc<Vec<(TypeId, Handler)>>,
         hub: Arc<Hub>,
         net: NetModel,
@@ -381,23 +382,28 @@ impl Pe {
         &self.pool
     }
 
-    /// Push one packet onto `dest`'s channel and wake it if it is parked.
+    /// Push one frame onto `dest`'s inbox and wake it if it is parked.
     /// In a multi-process machine, destinations hosted by another process
-    /// go out through the transport instead.
-    fn post(&self, dest: usize, pkt: Packet) {
+    /// get the same frame through the transport instead.
+    fn post(&self, dest: usize, frame: Frame) {
         let local = dest.wrapping_sub(self.base);
         if let Some(tx) = self.txs.get(local) {
-            // Unbounded channel: send can only fail if the PE is gone,
-            // which means the machine is shutting down.
-            let _ = tx.send(pkt);
+            tx.send(frame);
             self.hub.wake(dest);
         } else {
             let world = self
                 .world
                 .as_ref()
                 .expect("non-local destination without a multi-process world");
-            crate::netpump::send_packet(world, dest, pkt);
+            world.send(world.proc_of_pe(dest), &frame);
         }
+    }
+
+    /// A data frame carrying `msg` from this PE to `dest` under link
+    /// sequence `seq` (0 = unsequenced).
+    fn data_frame(&self, dest: usize, seq: u64, msg: Message) -> Frame {
+        let h = msg.handler.0 as u64;
+        Frame::data(self.id as u32, dest as u32, seq, h, msg.sent_vtime, msg.data)
     }
 
     /// Flush locally batched quiescence deltas to the hub counters.
@@ -445,13 +451,7 @@ impl Pe {
             }
             self.link_send(dest, msg);
         } else {
-            self.post(
-                dest,
-                Packet {
-                    src: self.id,
-                    body: PacketBody::Data { seq: 0, msg },
-                },
-            );
+            self.post(dest, self.data_frame(dest, 0, msg));
         }
     }
 
@@ -506,30 +506,12 @@ impl Pe {
             emit(EventKind::FaultDrop, dest as u64, seq, attempt as u64);
         } else {
             FaultStats::bump(&ctx.stats.data_packets);
-            self.post(
-                dest,
-                Packet {
-                    src: self.id,
-                    body: PacketBody::Data {
-                        seq,
-                        msg: msg.clone(),
-                    },
-                },
-            );
+            self.post(dest, self.data_frame(dest, seq, msg.clone()));
         }
         if ctx.plan.dup_roll(self.id, dest, seq, attempt) {
             FaultStats::bump(&ctx.stats.duplicated);
             FaultStats::bump(&ctx.stats.data_packets);
-            self.post(
-                dest,
-                Packet {
-                    src: self.id,
-                    body: PacketBody::Data {
-                        seq,
-                        msg: msg.clone(),
-                    },
-                },
-            );
+            self.post(dest, self.data_frame(dest, seq, msg.clone()));
         }
     }
 
@@ -573,9 +555,13 @@ impl Pe {
         handler(self, msg);
     }
 
-    /// Deliver one pending message or protocol packet, if any. Returns
-    /// whether one was processed. Cross-PE packets are drained from the
-    /// channel a batch at a time (one lock round trip per batch).
+    /// Deliver one pending message or link frame, if any. Returns
+    /// whether one was processed. Cross-PE frames are drained from the
+    /// inbox a batch at a time (one lock round trip per batch), and each
+    /// is read here, field by field, as [`Frame::data`], [`Frame::ack`]
+    /// and [`Frame::heartbeat`] wrote it, whether it came from a PE of
+    /// this process or through the comm thread.
+    // flows-wire: handles net-frame
     fn deliver_one(&self) -> bool {
         let local = self.local_q.borrow_mut().pop_front();
         if let Some(msg) = local {
@@ -583,7 +569,7 @@ impl Pe {
             return true;
         }
         loop {
-            let pkt = {
+            let frame = {
                 let mut pending = self.pending.borrow_mut();
                 // `is_empty` is a lock-free length probe: an idle pump
                 // costs one atomic load, not a mutex round trip.
@@ -592,23 +578,36 @@ impl Pe {
                 }
                 pending.pop_front()
             };
-            let Some(pkt) = pkt else {
+            let Some(f) = frame else {
                 return false;
             };
-            match pkt.body {
-                PacketBody::Data { seq: 0, msg } => self.deliver_msg(msg),
-                PacketBody::Data { seq, msg } => self.link_recv(pkt.src, seq, msg),
-                PacketBody::Ack { cum } => {
-                    self.links.borrow_mut().tx[pkt.src].ack_through(cum);
+            let src = f.src_pe as usize;
+            match f.kind {
+                FrameKind::Data => {
+                    let seq = f.a;
+                    let msg = Message {
+                        handler: HandlerId(f.b as usize),
+                        data: f.body,
+                        src_pe: src,
+                        sent_vtime: f.c,
+                    };
+                    if seq == 0 {
+                        self.deliver_msg(msg);
+                    } else {
+                        self.link_recv(src, seq, msg);
+                    }
                 }
-                PacketBody::Heartbeat { vt, .. } => {
+                FrameKind::Ack => self.links.borrow_mut().tx[src].ack_through(f.a),
+                FrameKind::Heartbeat => {
                     // Heartbeats are protocol-invisible: they update the
                     // detector but count as neither progress nor delivery,
                     // or an idle machine trading heartbeats could never
-                    // quiesce. Keep draining for a real packet.
-                    self.note_heartbeat(pkt.src, vt);
+                    // quiesce. Keep draining for a real frame.
+                    self.note_heartbeat(src, f.b);
                     continue;
                 }
+                // The comm thread consumes every control frame itself.
+                FrameKind::Ctrl => continue,
             }
             return true;
         }
@@ -639,13 +638,7 @@ impl Pe {
         // Ack every data packet (acks are cheap and idempotent); a dropped
         // or stale sender state is repaired by the next retransmission.
         FaultStats::bump(&ctx.stats.acks);
-        self.post(
-            src,
-            Packet {
-                src: self.id,
-                body: PacketBody::Ack { cum },
-            },
-        );
+        self.post(src, Frame::ack(self.id as u32, src as u32, cum));
         for m in ready {
             self.deliver_msg(m);
         }
@@ -788,13 +781,7 @@ impl Pe {
                 continue;
             }
             FaultStats::bump(&ctx.stats.heartbeats);
-            self.post(
-                d,
-                Packet {
-                    src: self.id,
-                    body: PacketBody::Heartbeat { hb_seq: hb, vt: now },
-                },
-            );
+            self.post(d, Frame::heartbeat(self.id as u32, d as u32, hb, now));
         }
     }
 
@@ -1287,4 +1274,61 @@ pub fn vtime_ns() -> u64 {
 /// Charge modeled work to the calling PE's virtual clock.
 pub fn charge_ns(ns: u64) {
     with_pe(|p| p.charge_ns(ns))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FaultPlan, MachineBuilder};
+    use std::sync::Mutex;
+
+    /// `deliver_one` reads every link field from where `Frame::data`,
+    /// `Frame::ack` and `Frame::heartbeat` put it.
+    #[test]
+    fn inbox_frames_deliver_their_link_fields() {
+        let got = Arc::new(Mutex::new(Vec::<Message>::new()));
+        let mut mb = MachineBuilder::new(2)
+            .net_model(NetModel::zero())
+            .fault_plan(FaultPlan::new(1).online_recovery(1));
+        let h = {
+            let got = got.clone();
+            mb.handler(move |_, m| got.lock().unwrap().push(m))
+        };
+        // Threaded, so a heartbeat's clock drags the receiver's.
+        let (seeds, ..) = mb.make_seeds(true);
+        let pe = seeds.into_iter().next().unwrap()();
+        let prev = pe.enter();
+
+        let body: Payload = vec![7u8; 90].into();
+        pe.post(0, Frame::data(1, 0, 0, h.0 as u64, 1_000, body.clone()));
+        assert!(pe.deliver_one());
+        {
+            let got = got.lock().unwrap();
+            let m = &got[0];
+            assert_eq!((m.handler, m.src_pe, m.sent_vtime), (h, 1, 1_000));
+            assert_eq!(m.data, body);
+        }
+
+        // Sequenced: seq 2 waits for seq 1, then both are delivered.
+        pe.post(0, Frame::data(1, 0, 2, h.0 as u64, 2_000, Payload::empty()));
+        assert!(pe.deliver_one());
+        assert_eq!(got.lock().unwrap().len(), 1, "seq 2 is held for seq 1");
+        pe.post(0, Frame::data(1, 0, 1, h.0 as u64, 2_000, Payload::empty()));
+        assert!(pe.deliver_one());
+        assert_eq!(got.lock().unwrap().len(), 3);
+        assert_eq!(pe.links.borrow().rx[1].cum_ack(), 2);
+
+        // An ack retires the send it covers.
+        pe.send(1, h, Payload::empty());
+        assert_eq!(pe.links.borrow().tx[1].unacked.len(), 1);
+        pe.post(0, Frame::ack(1, 0, 1));
+        assert!(pe.deliver_one());
+        assert!(pe.links.borrow().tx[1].unacked.is_empty());
+
+        // A heartbeat is no delivery, but its sender's clock is read.
+        pe.post(0, Frame::heartbeat(1, 0, 9, 5_000_000));
+        assert!(!pe.deliver_one());
+        assert_eq!(pe.vtime_ns(), 5_000_000);
+        pe.leave(prev);
+    }
 }

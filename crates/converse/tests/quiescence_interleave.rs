@@ -26,7 +26,7 @@ struct Pe {
     unflushed_recv: u64,
     /// Posted to this PE, not yet delivered.
     inbox: u64,
-    /// Parker token: set by a wake, consumed by a park.
+    /// Park token: set by a wake (an unpark), consumed by a park.
     token: bool,
     /// Not announced at the barrier (pumping).
     busy: bool,

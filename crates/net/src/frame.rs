@@ -1,9 +1,10 @@
 //! The framed wire format every flows-net backend carries.
 //!
-//! One frame is one converse-level event crossing a process boundary: a
-//! data message (with its link-layer sequence number), an ack, a
-//! heartbeat, or a control frame of the machine-wide protocols
-//! (quiescence gathering, death notices, shutdown). The header is a
+//! One frame is one converse-level event between PEs, within a process
+//! or across a process boundary: a data message (with its link-layer
+//! sequence number), an ack, a heartbeat, or a control frame of the
+//! machine-wide protocols (quiescence gathering, death notices,
+//! shutdown). The header is a
 //! fixed [`HEADER_LEN`]-byte little-endian prefix; the body travels
 //! uninterpreted, so the shared-memory backend can hand it to the
 //! receiver as a zero-copy view of the ring slot.
@@ -14,9 +15,11 @@ use flows_core::Payload;
 /// c(8) body_len(4).
 pub const HEADER_LEN: usize = 38;
 
-/// What a frame carries. `Data`/`Ack`/`Heartbeat` mirror the in-process
-/// link layer's `PacketBody`; `Ctrl` frames belong to the machine-wide
-/// protocols and are consumed by the comm thread itself.
+/// What a frame carries. `Data`/`Ack`/`Heartbeat` are the converse link
+/// layer's own records: a PE's inbox carries them between the threads of
+/// one process as well, and the PE reads them in one place. `Ctrl` frames
+/// belong to the machine-wide protocols and are consumed by the comm
+/// thread itself.
 // flows-wire: defines net-frame
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -25,7 +28,8 @@ pub enum FrameKind {
     Data,
     /// Cumulative link ack: `a` = cum.
     Ack,
-    /// Failure-detector heartbeat: `a` = hb_seq.
+    /// Failure-detector heartbeat: `a` = hb_seq, `b` = the sender's
+    /// virtual clock.
     Heartbeat,
     /// Machine protocol frame; see [`ctrl`] for the tag meanings.
     Ctrl,

@@ -1,12 +1,16 @@
 //! # flows-net — multi-process & multi-host transport for the flows machine
 //!
-//! The converse machine's PEs normally exchange packets over in-process
-//! channels. This crate carries the same header+tail wire format across
-//! *process* boundaries so one machine can span `N processes × M PEs`
+//! The converse machine's PEs exchange [`Frame`]s: through in-process
+//! [`inbox`]es between the threads of one process, and through this
+//! crate's transports, in the same header+tail wire format, across
+//! *process* boundaries, so one machine can span `N processes × M PEs`
 //! (and, over TCP, multiple hosts):
 //!
 //! * [`frame`] — the framed wire format (a fixed header plus an
-//!   uninterpreted body) shared by every backend;
+//!   uninterpreted body) shared by every backend, and the record a PE's
+//!   inbox carries inside one process too;
+//! * [`inbox`] — the batch channel that moves frames between the
+//!   threads of one process;
 //! * [`shm`] — lock-free single-producer/single-consumer rings in a
 //!   `memfd`-backed segment, futex doorbells for blocking, and
 //!   zero-copy delivery: a received body is a [`flows_core::Payload`]
@@ -19,12 +23,13 @@
 //!   reaping, exit-status propagation, session unlink).
 //!
 //! The crate deliberately knows nothing about PEs, links, or handlers —
-//! it moves [`Frame`]s between process ranks. The converse layer owns
-//! the Packet↔Frame codec and the machine-wide protocols.
+//! it moves [`Frame`]s between threads and process ranks. The converse
+//! layer reads the link frames and owns the machine-wide protocols.
 
 #![warn(missing_docs)]
 
 pub mod frame;
+pub mod inbox;
 pub mod shm;
 pub mod sock;
 pub mod topo;

@@ -10,8 +10,7 @@
 //! socket path's per-message cost against the shared-memory rings.
 
 use crate::frame::{Frame, Header, HEADER_LEN};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use crossbeam::sync::{Parker, Unparker};
+use crate::inbox::{unbounded, Receiver, Sender};
 use flows_core::Payload;
 use flows_sys::sock as rawsock;
 use parking_lot::Mutex;
@@ -20,7 +19,8 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::Duration;
 
 /// One peer stream, either flavour.
@@ -77,7 +77,9 @@ pub struct SockTransport {
     /// Writer half per peer (None for self).
     writers: Vec<Option<Mutex<Stream>>>,
     rx: Receiver<(usize, Frame)>,
-    parker: Parker,
+    /// The thread that receives, which the reader threads unpark after
+    /// each push; set by its first [`SockTransport::park`].
+    waiter: Arc<OnceLock<Thread>>,
     dead: Vec<AtomicBool>,
     /// See [`SockTransport::frame_drops`].
     drops: Arc<AtomicU64>,
@@ -117,7 +119,7 @@ fn spawn_reader(
     peer: usize,
     mut s: Stream,
     tx: Sender<(usize, Frame)>,
-    unparker: Unparker,
+    waiter: Arc<OnceLock<Thread>>,
     drops: Arc<AtomicU64>,
 ) {
     std::thread::Builder::new()
@@ -127,10 +129,10 @@ fn spawn_reader(
             // (the machine layer learns of deaths from control frames
             // and child reaping, not from this EOF).
             while let Ok(frame) = read_one_frame(&mut s, &drops) {
-                if tx.send((peer, frame)).is_err() {
-                    break;
+                tx.send((peer, frame));
+                if let Some(t) = waiter.get() {
+                    t.unpark();
                 }
-                unparker.unpark();
             }
         })
         .expect("spawn reader thread");
@@ -149,7 +151,7 @@ impl SockTransport {
         timeout: Duration,
     ) -> io::Result<Arc<SockTransport>> {
         let (tx, rx) = unbounded::<(usize, Frame)>();
-        let parker = Parker::new();
+        let waiter = Arc::new(OnceLock::new());
         let drops = Arc::new(AtomicU64::new(0));
         let mut writers: Vec<Option<Mutex<Stream>>> = (0..procs).map(|_| None).collect();
 
@@ -184,7 +186,7 @@ impl SockTransport {
                 peer,
                 s.try_clone()?,
                 tx.clone(),
-                parker.unparker(),
+                waiter.clone(),
                 drops.clone(),
             );
             *writer = Some(Mutex::new(s));
@@ -212,7 +214,7 @@ impl SockTransport {
                 peer,
                 s.try_clone()?,
                 tx.clone(),
-                parker.unparker(),
+                waiter.clone(),
                 drops.clone(),
             );
             writers[peer] = Some(Mutex::new(s));
@@ -223,7 +225,7 @@ impl SockTransport {
             procs,
             writers,
             rx,
-            parker,
+            waiter,
             dead: (0..procs).map(|_| AtomicBool::new(false)).collect(),
             drops,
         }))
@@ -247,15 +249,25 @@ impl SockTransport {
 
     /// Next delivered frame, if any.
     pub fn try_recv(&self) -> Option<(usize, Frame)> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv()
     }
 
     /// Sleep until a reader thread delivers a frame or `timeout` passes.
+    /// Only the one thread that receives may park. Its first call
+    /// registers it as the thread the readers wake and returns at once:
+    /// a frame pushed before the registration woke nobody, and the
+    /// caller's next [`SockTransport::try_recv`] (which takes the inbox
+    /// lock the push took) is what finds it. Modeled in
+    /// `crates/converse/tests/wake_interleave.rs`.
     pub fn park(&self, timeout: Duration) {
         if !self.rx.is_empty() {
             return;
         }
-        self.parker.park_timeout(timeout);
+        if self.waiter.get().is_none() {
+            let _ = self.waiter.set(std::thread::current());
+            return;
+        }
+        std::thread::park_timeout(timeout);
     }
 
     /// Frames the reader threads refused: a header that does not decode,

@@ -5,7 +5,8 @@
 #     checks: the slot-memory layer (flows-mem) and the transport layer
 #     (flows-net) must reach the kernel only through flows-sys so
 #     SyscallCounts stay truthful. flowslint catches `libc::` tokens;
-#     the greps catch the dependency edge itself.
+#     the greps catch the dependency edge itself. A last loop refuses a
+#     declared dependency that no source file of its crate names.
 #  2. flowslint — the dependency-free static analysis in crates/check,
 #     seven rules over a per-crate symbol graph: SAFETY-comment coverage
 #     on `unsafe`, no hidden global state in migratable crates,
@@ -59,7 +60,32 @@ if hits=$(grep -nE '^\s*(pub(\([a-z]+\))?\s+)?[a-z_][a-z0-9_]*\s*:[^=;(]*Vec<u8>
   echo "$hits"
   exit 1
 fi
-echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id; no Vec<u8> field in AMPI records"
+# Every declared dependency is named by a source file of its crate. The
+# root package's sources include the files its smoke tests `include!`.
+deps_of() {
+  awk '/^\[/ { on = ($0 ~ /^\[(dev-|build-)?dependencies\]$/); next }
+    on && /^[A-Za-z0-9_-]+[[:space:]]*[=.]/ { sub(/[[:space:]]*[=.].*/, ""); print }' "$1"
+}
+unused=""
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  pkg=$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -1)
+  if [ "$manifest" = Cargo.toml ]; then
+    files=$(find src tests examples -name '*.rs'
+      sed -nE 's|^include!\("([^"]+)"\);|tests/\1|p' tests/*_smoke.rs)
+  else
+    files=$(find "$(dirname "$manifest")" -name '*.rs')
+  fi
+  for dep in $(deps_of "$manifest"); do
+    # shellcheck disable=SC2086 # one word per file
+    grep -qw -- "${dep//-/_}" $files || unused+="  $pkg -> $dep"$'\n'
+  done
+done
+if [ -n "$unused" ]; then
+  echo "FAIL: declared dependencies that no source of their crate names:"
+  printf '%s' "$unused"
+  exit 1
+fi
+echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id; no Vec<u8> field in AMPI records; every declared dependency is used"
 
 mkdir -p target
 cargo run --offline -q -p flows-check --bin flowslint -- --root . \
