@@ -1,15 +1,58 @@
-//! The interprocedural rules: migration-image closure, atomic-protocol
-//! pairing, and wire-message exhaustiveness. All three work on the
-//! workspace-wide symbol graph built by [`crate::parse`], because the
-//! thing they check — a type reachable from a migration root, a
-//! publish/consume pair, a protocol and its dispatcher — routinely
-//! spans files and crates.
+//! The symbol-graph rules: raw pointers in `Pup` types, migration-image
+//! closure, atomic-protocol pairing, and wire-message exhaustiveness.
+//! All four work on the workspace-wide symbol graph built by
+//! [`crate::parse`], because the thing they check — a type and its `Pup`
+//! impl, a type reachable from a migration root, a publish/consume pair,
+//! a protocol and its dispatcher — routinely spans files and crates.
 
 use crate::lexer::find_token;
 use crate::parse::{FileSymbols, ItemAnno};
 use crate::tokens::Tok;
 use crate::{Finding, Rule, SourceFile};
 use std::collections::{BTreeMap, HashMap, HashSet};
+
+// ---------------------------------------------------------------------
+// Rule: pup-raw-pointer
+// ---------------------------------------------------------------------
+
+/// Names of the types that implement `Pup` anywhere in the tree, by an
+/// `impl Pup for X` or a `pup_fields!(X { .. })` (which the parser
+/// records as the impl it expands to). Collected workspace-wide: the
+/// impl and the type may live in different files.
+pub(crate) fn pup_types(syms: &[FileSymbols]) -> HashSet<&str> {
+    syms.iter()
+        .flat_map(|s| &s.impls)
+        .filter(|i| i.trait_name.as_deref() == Some("Pup"))
+        .filter_map(|i| i.type_name.as_deref())
+        .collect()
+}
+
+/// Every raw-pointer field of a `Pup` type defined in `f`, reported on
+/// the field's line: a packed address is dead once a stack-copy
+/// migration lands the image elsewhere.
+pub(crate) fn rule_pup_raw_pointer(
+    f: &SourceFile,
+    s: &FileSymbols,
+    pup_types: &HashSet<&str>,
+    out: &mut Vec<Finding>,
+) {
+    for t in s.types.iter().filter(|t| pup_types.contains(t.name.as_str())) {
+        for field in t.fields.iter().filter(|field| field.raw_ptr) {
+            let code = f.stripped.code[field.line].trim();
+            f.report(
+                Rule::PupRawPointer,
+                field.line,
+                format!(
+                    "raw-pointer field in `Pup` type `{}` ({code}): raw addresses do not \
+                     survive stack-copy migration — store a slot-relative offset or index \
+                     instead",
+                    t.name
+                ),
+                out,
+            );
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Rule: migration-image-closure
@@ -41,7 +84,6 @@ pub(crate) fn rule_fixed_roots_resolve(syms: &[FileSymbols], out: &mut Vec<Findi
                      nothing is walked from it: rename it here, or mark its successor \
                      `// flows-image: root`"
                 ),
-                context: "const FIXED_ROOTS".to_string(),
             });
         }
     }

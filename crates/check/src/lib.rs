@@ -15,16 +15,17 @@
 //! |----|--------|
 //! | `unsafe-safety-comment` | every `unsafe` occurrence carries a `// SAFETY:` comment (same line, the contiguous comment/attribute block above, or a `# Safety` doc section) |
 //! | `no-global-state` | `static mut` / `thread_local!` forbidden in the migratable crates (`core`, `ampi`, `npb`, `chare`) outside `core/src/privatize.rs` |
-//! | `pup-raw-pointer` | raw-pointer fields flagged in any type that implements `Pup` (raw addresses do not survive stack-copy migration) |
+//! | `pup-raw-pointer` | raw-pointer fields flagged in any struct or enum that implements `Pup`, by an `impl` or `pup_fields!` (raw addresses do not survive stack-copy migration) |
 //! | `no-direct-libc` | `libc::` forbidden outside `flows-sys` (bypasses `SyscallCounts`) |
 //! | `migration-image-closure` | no process-local state (raw pointers, fds, locks, channel endpoints, hash-randomized maps) transitively reachable from a migration-image root (`Tcb`, `RankBox`, and annotated roots such as `PackedThread` and `MoveRec`); a fixed root that names no workspace type is itself a finding |
 //! | `atomic-protocol` | every annotated atomic publish/consume site uses a Release/Acquire-class ordering, and every tag has both sides |
 //! | `wire-exhaustive` | every message of an annotated wire protocol is matched in some annotated handler fn |
 //!
-//! The last three are interprocedural: they run on a workspace-wide
-//! symbol graph (see [`parse`]) built from the token stream the [`lexer`]
-//! front end produces, and are driven by source annotations (the grammar
-//! is documented in [`parse`]).
+//! `pup-raw-pointer` and the last three run on a workspace-wide symbol
+//! graph (see [`parse`]) built from the token stream the [`lexer`] front
+//! end produces: a `Pup` impl may sit in another file than its type, and
+//! the last three follow source annotations (the grammar is documented
+//! in [`parse`]).
 //!
 //! ## Waivers
 //!
@@ -45,12 +46,10 @@
 //! nothing is a finding too, so a waiver cannot outlive the code it
 //! excused and quietly cover whatever moves onto its line later.
 
-pub mod baseline;
 mod graph_rules;
 pub mod interleave;
 pub mod lexer;
 pub mod parse;
-pub mod report;
 pub mod tokens;
 
 use lexer::{find_token, strip, Stripped};
@@ -104,7 +103,7 @@ impl Rule {
         }
     }
 
-    /// One-line description (SARIF rule metadata, `--list-rules`).
+    /// One-line description, as `--list-rules` prints it.
     pub fn describe(self) -> &'static str {
         match self {
             Rule::UnsafeSafetyComment => {
@@ -146,9 +145,6 @@ pub struct Finding {
     pub rule: Option<Rule>,
     /// Human explanation.
     pub msg: String,
-    /// The flagged line's code text, trimmed — the [`baseline`] keys
-    /// entries on its hash so they survive line drift.
-    pub context: String,
 }
 
 impl fmt::Display for Finding {
@@ -237,7 +233,6 @@ fn analyze(path: &str, src: &str, findings: &mut Vec<Finding>) -> SourceFile {
                 line: i + 1,
                 rule: None,
                 msg: format!("waiver names unknown rule `{id}`"),
-                context: stripped.code[i].trim().to_string(),
             });
         }
         file_waivers.extend(file);
@@ -303,19 +298,10 @@ impl SourceFile {
                             "stale waiver: `flowslint::allow({})` suppresses nothing — delete it",
                             rule.id()
                         ),
-                        context: self.line_context(at),
                     });
                 }
             }
         }
-    }
-
-    fn line_context(&self, line_idx: usize) -> String {
-        self.stripped
-            .code
-            .get(line_idx)
-            .map(|c| c.trim().to_string())
-            .unwrap_or_default()
     }
 
     pub(crate) fn report(&self, rule: Rule, line_idx: usize, msg: String, out: &mut Vec<Finding>) {
@@ -330,7 +316,6 @@ impl SourceFile {
                 line: line_idx + 1,
                 rule: Some(rule),
                 msg,
-                context: self.line_context(line_idx),
             });
         }
     }
@@ -343,7 +328,6 @@ impl SourceFile {
             line: line_idx + 1,
             rule: None,
             msg,
-            context: self.line_context(line_idx),
         }
     }
 }
@@ -423,111 +407,6 @@ fn rule_global_state(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Collect names of types that implement `Pup` in this file, from
-/// `impl ... Pup for X` and `pup_fields!(X { ... })`.
-fn pup_types(f: &SourceFile, into: &mut HashSet<String>) {
-    for code in &f.stripped.code {
-        if !find_token(code, "impl").is_empty() {
-            if let Some(at) = code.find("Pup for ") {
-                // Exclude e.g. `MyPup for`: require a non-ident char (or
-                // `::` path) before `Pup`.
-                let ok = at == 0 || {
-                    let prev = code.as_bytes()[at - 1] as char;
-                    !(prev.is_alphanumeric() || prev == '_') || code[..at].ends_with("::")
-                };
-                if ok {
-                    let name: String = code[at + "Pup for ".len()..]
-                        .trim_start()
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    if !name.is_empty() {
-                        into.insert(name);
-                    }
-                }
-            }
-        }
-        for at in find_token(code, "pup_fields") {
-            let rest = code[at + "pup_fields".len()..].trim_start();
-            if let Some(rest) = rest.strip_prefix('!') {
-                let rest = rest.trim_start();
-                if let Some(rest) = rest.strip_prefix('(') {
-                    let name: String = rest
-                        .trim_start()
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    if !name.is_empty() {
-                        into.insert(name);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A raw-pointer field candidate: `(line index, type name, field text)`.
-fn raw_pointer_fields(f: &SourceFile) -> Vec<(usize, String, String)> {
-    let mut found = Vec::new();
-    let code = &f.stripped.code;
-    let mut i = 0;
-    while i < code.len() {
-        let line = &code[i];
-        let Some(at) = find_token(line, "struct").first().copied() else {
-            i += 1;
-            continue;
-        };
-        let name: String = line[at + "struct".len()..]
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if name.is_empty() {
-            i += 1;
-            continue;
-        }
-        // Walk the struct body (brace- or paren-delimited); a `;` before
-        // any opener means a unit struct.
-        let mut depth = 0i32;
-        let mut j = i;
-        let mut entered = false;
-        'body: while j < code.len() {
-            let start_col = if j == i { at } else { 0 };
-            for (k, ch) in code[j][start_col..].char_indices() {
-                let col = start_col + k;
-                match ch {
-                    '{' | '(' => {
-                        depth += 1;
-                        entered = true;
-                    }
-                    '}' | ')' => {
-                        depth -= 1;
-                        if entered && depth == 0 {
-                            break 'body;
-                        }
-                    }
-                    ';' if !entered => break 'body,
-                    '*' => {
-                        let rest = &code[j][col..];
-                        if entered
-                            && (rest.starts_with("*mut ")
-                                || rest.starts_with("*const ")
-                                || rest.starts_with("*mut\t")
-                                || rest.starts_with("*const\t"))
-                        {
-                            found.push((j, name.clone(), code[j].trim().to_string()));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        i += 1;
-    }
-    found
-}
-
 fn rule_no_libc(f: &SourceFile, out: &mut Vec<Finding>) {
     if f.crate_key == "sys" {
         return;
@@ -580,30 +459,12 @@ fn lint(files: &[(String, String)], whole_tree: bool) -> Vec<Finding> {
             findings.push(f.meta_finding(*line_idx, msg.clone()));
         }
     }
-    // Pup-implementing type names are collected workspace-wide: the impl
-    // and the struct may live in different files.
-    let mut pup_names = HashSet::new();
-    for f in &parsed {
-        pup_types(f, &mut pup_names);
-    }
-    for f in &parsed {
+    let pup_types = graph_rules::pup_types(&syms);
+    for (f, s) in parsed.iter().zip(&syms) {
         rule_unsafe(f, &mut findings);
         rule_global_state(f, &mut findings);
         rule_no_libc(f, &mut findings);
-        for (line_idx, type_name, field) in raw_pointer_fields(f) {
-            if pup_names.contains(&type_name) {
-                f.report(
-                    Rule::PupRawPointer,
-                    line_idx,
-                    format!(
-                        "raw-pointer field in `Pup` type `{type_name}` ({field}): raw \
-                         addresses do not survive stack-copy migration — store a \
-                         slot-relative offset or index instead"
-                    ),
-                    &mut findings,
-                );
-            }
-        }
+        graph_rules::rule_pup_raw_pointer(f, s, &pup_types, &mut findings);
     }
     graph_rules::rule_image_closure(&parsed, &syms, &mut findings);
     if whole_tree {
@@ -618,19 +479,13 @@ fn lint(files: &[(String, String)], whole_tree: bool) -> Vec<Finding> {
     findings
 }
 
+/// Directories never linted: vendored shims model *external* crates
+/// (the libc shim IS libc); build outputs and fixtures are not our source.
+const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", "fixtures"];
+
 /// Should this workspace-relative path be linted?
 fn lintable(rel: &str) -> bool {
-    if !rel.ends_with(".rs") {
-        return false;
-    }
-    // Vendored shims model *external* crates (the libc shim IS libc);
-    // build outputs and fixtures are not our source.
-    for part in rel.split('/') {
-        if matches!(part, "vendor" | "target" | ".git" | "fixtures") {
-            return false;
-        }
-    }
-    true
+    rel.ends_with(".rs") && !rel.split('/').any(|part| SKIP_DIRS.contains(&part))
 }
 
 fn collect(dir: &Path, root: &Path, files: &mut Vec<(String, String)>) -> std::io::Result<()> {
@@ -643,10 +498,7 @@ fn collect(dir: &Path, root: &Path, files: &mut Vec<(String, String)>) -> std::i
             .to_string_lossy()
             .replace('\\', "/");
         if path.is_dir() {
-            if !matches!(
-                path.file_name().and_then(|n| n.to_str()),
-                Some("vendor") | Some("target") | Some(".git") | Some("fixtures")
-            ) {
+            if !path.file_name().and_then(|n| n.to_str()).is_some_and(|n| SKIP_DIRS.contains(&n)) {
                 collect(&path, root, files)?;
             }
         } else if lintable(&rel) {

@@ -1,17 +1,14 @@
 //! `flowslint` — run the flows-check rules over the workspace.
 //!
 //! ```text
-//! flowslint [--root DIR] [--list-rules] [--quiet]
-//!           [--format text|json|sarif] [--sarif-out FILE]
-//!           [--baseline FILE] [--write-baseline FILE]
+//! flowslint [--root DIR] [--list-rules] [--help]
 //! ```
 //!
-//! Exits 0 when clean (baseline-suppressed findings do not fail the
-//! run), 1 on live findings, 2 on usage/IO errors. With no `--root` the
-//! workspace is found by walking up from the current directory to the
-//! first `Cargo.toml` containing `[workspace]`. `--sarif-out` writes
-//! the SARIF artifact regardless of `--format`, so CI always has the
-//! machine-readable report next to the human one.
+//! Prints one `file:line: [rule] message` line per finding on stdout and
+//! a summary on stderr. Exits 0 when clean, 1 on findings, 2 on
+//! usage/IO errors. With no `--root` the workspace is found by walking
+//! up from the current directory to the first `Cargo.toml` containing
+//! `[workspace]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -31,53 +28,20 @@ fn find_workspace_root() -> Option<PathBuf> {
     }
 }
 
-const USAGE: &str = "usage: flowslint [--root DIR] [--list-rules] [--quiet] \
-[--format text|json|sarif] [--sarif-out FILE] [--baseline FILE] [--write-baseline FILE]";
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+const USAGE: &str = "usage: flowslint [--root DIR] [--list-rules] [--help]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut format = Format::Text;
-    let mut sarif_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
-    macro_rules! value {
-        ($flag:expr) => {
-            match args.next() {
-                Some(v) => v,
-                None => {
-                    eprintln!("flowslint: {} needs a value", $flag);
-                    return ExitCode::from(2);
-                }
-            }
-        };
-    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => root = Some(PathBuf::from(value!("--root"))),
-            "--quiet" | "-q" => quiet = true,
-            "--format" => {
-                format = match value!("--format").as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => {
-                        eprintln!("flowslint: unknown format `{other}`");
-                        return ExitCode::from(2);
-                    }
+            "--root" => match args.next() {
+                Some(dir) => root = Some(PathBuf::from(dir)),
+                None => {
+                    eprintln!("flowslint: --root needs a value");
+                    return ExitCode::from(2);
                 }
-            }
-            "--sarif-out" => sarif_out = Some(PathBuf::from(value!("--sarif-out"))),
-            "--baseline" => baseline_path = Some(PathBuf::from(value!("--baseline"))),
-            "--write-baseline" => write_baseline = Some(PathBuf::from(value!("--write-baseline"))),
+            },
             "--list-rules" => {
                 for r in flows_check::Rule::ALL {
                     println!("{:24} {}", r.id(), r.describe());
@@ -89,17 +53,14 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             other => {
-                eprintln!("flowslint: unknown argument `{other}`");
+                eprintln!("flowslint: unknown argument `{other}`\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
     }
-    let root = match root.or_else(find_workspace_root) {
-        Some(r) => r,
-        None => {
-            eprintln!("flowslint: no workspace root found (pass --root)");
-            return ExitCode::from(2);
-        }
+    let Some(root) = root.or_else(find_workspace_root) else {
+        eprintln!("flowslint: no workspace root found (pass --root)");
+        return ExitCode::from(2);
     };
     let (findings, scanned) = match flows_check::lint_workspace(&root) {
         Ok(r) => r,
@@ -108,68 +69,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = write_baseline {
-        let text = flows_check::baseline::render(&findings);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("flowslint: writing baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "flowslint: wrote baseline with {} entry(ies) to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
+    for f in &findings {
+        println!("{f}");
     }
-
-    let (live, suppressed) = match &baseline_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("flowslint: reading baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let (entries, errors) = flows_check::baseline::parse(&text);
-            if !errors.is_empty() {
-                for e in errors {
-                    eprintln!("flowslint: {}: {e}", path.display());
-                }
-                return ExitCode::from(2);
-            }
-            flows_check::baseline::apply(findings, &entries)
-        }
-        None => (findings, Vec::new()),
-    };
-
-    if let Some(path) = &sarif_out {
-        if let Err(e) = std::fs::write(path, flows_check::report::to_sarif(&live)) {
-            eprintln!("flowslint: writing SARIF {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    match format {
-        Format::Text => {
-            for f in &live {
-                println!("{f}");
-            }
-        }
-        Format::Json => print!("{}", flows_check::report::to_json(&live, scanned)),
-        Format::Sarif => print!("{}", flows_check::report::to_sarif(&live)),
-    }
-    if !quiet {
-        eprintln!(
-            "flowslint: {} finding(s) ({} baseline-suppressed) in {} files ({} rules)",
-            live.len(),
-            suppressed.len(),
-            scanned,
-            flows_check::Rule::ALL.len()
-        );
-    }
-    if live.is_empty() {
+    eprintln!(
+        "flowslint: {} finding(s) in {} files ({} rules)",
+        findings.len(),
+        scanned,
+        flows_check::Rule::ALL.len()
+    );
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -4,7 +4,7 @@
 //! that recovers exactly the structure the interprocedural rules need:
 //! type definitions with their fields and the identifiers referenced in
 //! each field's type, `type` aliases with the identifiers they name,
-//! `impl` headers, `fn` spans, inline `mod` spans
+//! `impl` headers (a `pup_fields!` call counts as one), `fn` spans, inline `mod` spans
 //! with their `const` members, and `use` edges. It parses *through*
 //! bodies (items nested in functions and impls are still found) and
 //! fails soft on anything it does not understand, which is the right
@@ -147,7 +147,7 @@ pub struct FileSymbols {
     pub mods: Vec<ModDef>,
     /// `const NAME` declarations as `(name, line)`.
     pub consts: Vec<(String, usize)>,
-    /// Impl headers.
+    /// Impl headers, `pup_fields!` calls included.
     pub impls: Vec<ImplDef>,
     /// `use` paths, re-rendered.
     pub uses: Vec<String>,
@@ -174,6 +174,7 @@ pub fn parse_file(stripped: &Stripped) -> FileSymbols {
             "mod" => parse_mod(&toks, i, stripped, &mut syms),
             "const" => parse_const(&toks, i, &mut syms),
             "use" => parse_use(&toks, i, &mut syms),
+            "pup_fields" => parse_pup_fields(&toks, i, &mut syms),
             _ => i + 1,
         };
     }
@@ -530,6 +531,29 @@ fn parse_impl(t: &[Tok], i: usize, out: &mut FileSymbols) -> usize {
     }
 }
 
+/// `pup_fields!(X { .. })`, the macro bare or path-qualified, expands to
+/// `impl Pup for X`: it is recorded as that impl.
+fn parse_pup_fields(t: &[Tok], i: usize, out: &mut FileSymbols) -> usize {
+    let call = t.get(i + 1).is_some_and(|x| x.is_punct("!"))
+        && t.get(i + 2).is_some_and(|x| x.is_punct("("));
+    if !call {
+        return i + 1; // `use flows_pup::pup_fields;`, the macro's own definition
+    }
+    // The type path's final segment, before its generics or field list.
+    let mut type_name = None;
+    let mut j = i + 3;
+    while let Some(tok) = t.get(j) {
+        match tok.ident() {
+            Some(w) => type_name = Some(w.to_string()),
+            None if tok.is_punct("::") => {}
+            None => break,
+        }
+        j += 1;
+    }
+    out.impls.push(ImplDef { trait_name: Some("Pup".into()), type_name, line: t[i].line });
+    skip_group(t, i + 2)
+}
+
 fn parse_fn(t: &[Tok], i: usize, stripped: &Stripped, out: &mut FileSymbols) -> usize {
     let decl_line = t[i].line;
     let Some(name) = t.get(i + 1).and_then(|x| x.ident().map(String::from)) else {
@@ -789,6 +813,19 @@ mod tests {
         assert_eq!(s.fns.len(), 2, "method + free fn, no phantom `impl Iterator` item");
         assert_eq!(s.mods.len(), 1);
         assert_eq!(s.consts, vec![("STATS".to_string(), 4)]);
+    }
+
+    #[test]
+    fn pup_fields_calls_are_pup_impls() {
+        let s = parse(
+            "use flows_pup::pup_fields;\npup_fields!(A { x });\nflows_pup::pup_fields!(crate::m::B<u8> { y, z });\n",
+        );
+        let pup: Vec<_> = s
+            .impls
+            .iter()
+            .map(|i| (i.trait_name.as_deref(), i.type_name.as_deref(), i.line))
+            .collect();
+        assert_eq!(pup, vec![(Some("Pup"), Some("A"), 1), (Some("Pup"), Some("B"), 2)]);
     }
 
     #[test]

@@ -134,6 +134,31 @@ fn tuple_struct_raw_pointer_fires() {
     assert_eq!(rules_of(&f), vec![Rule::PupRawPointer]);
 }
 
+#[test]
+fn pup_enum_variant_raw_pointer_fires() {
+    let src = "enum Slot {\n    Empty,\n    Held { at: *mut u8 },\n}\nimpl Pup for Slot {\n    fn pup(&mut self, p: &mut Puper) {}\n}\n";
+    let f = lint_at("crates/core/src/x.rs", src);
+    assert_eq!(rules_of(&f), vec![Rule::PupRawPointer]);
+    assert_eq!(f[0].line, 3);
+}
+
+#[test]
+fn path_qualified_pup_fields_marks_type() {
+    let src = "struct X {\n    base: *const u8,\n}\nflows_pup::pup_fields!(X { base });\n";
+    let f = lint_at("crates/mem/src/x.rs", src);
+    assert_eq!(rules_of(&f), vec![Rule::PupRawPointer]);
+    assert_eq!(f[0].line, 2);
+}
+
+#[test]
+fn raw_pointer_inside_a_container_fires() {
+    let src = "struct Refs {\n    n: usize,\n    at: Vec<*const u8>,\n}\npup_fields!(Refs { n, at });\n";
+    let f = lint_at("crates/core/src/x.rs", src);
+    assert_eq!(rules_of(&f), vec![Rule::PupRawPointer]);
+    assert_eq!(f[0].line, 3);
+    assert!(f[0].msg.contains("(at: Vec<*const u8>,)"), "{}", f[0].msg);
+}
+
 // ---- rule 4: no-direct-libc ----
 
 #[test]

@@ -500,148 +500,6 @@ fn protocol_defined_and_handled_in_different_files() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// ---- report output is well-formed JSON ----
-
-/// A tiny recursive-descent JSON syntax checker — enough to guarantee
-/// the hand-rolled emitters never produce malformed output.
-fn json_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                json_string(b, i)?;
-                skip_ws(b, i);
-                expect(b, i, b':')?;
-                json_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("bad object at {i:?}: {other:?}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                json_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    other => return Err(format!("bad array at {i:?}: {other:?}")),
-                }
-            }
-        }
-        Some(b'"') => json_string(b, i),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            while b
-                .get(*i)
-                .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-            {
-                *i += 1;
-            }
-            Ok(())
-        }
-        Some(_) => {
-            for lit in ["true", "false", "null"] {
-                if b[*i..].starts_with(lit.as_bytes()) {
-                    *i += lit.len();
-                    return Ok(());
-                }
-            }
-            Err(format!("bad value at byte {i:?}"))
-        }
-        None => Err("unexpected end".into()),
-    }
-}
-
-fn json_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    skip_ws(b, i);
-    expect(b, i, b'"')?;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => *i += 2,
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while b.get(*i).is_some_and(u8::is_ascii_whitespace) {
-        *i += 1;
-    }
-}
-
-fn expect(b: &[u8], i: &mut usize, want: u8) -> Result<(), String> {
-    if b.get(*i) == Some(&want) {
-        *i += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", want as char, i))
-    }
-}
-
-fn assert_valid_json(s: &str) {
-    let b = s.as_bytes();
-    let mut i = 0;
-    json_value(b, &mut i).unwrap_or_else(|e| panic!("{e}\n--- in ---\n{s}"));
-    skip_ws(b, &mut i);
-    assert_eq!(i, b.len(), "trailing garbage after JSON document");
-}
-
-#[test]
-fn sarif_and_json_reports_are_valid_json() {
-    // With findings (the Relaxed-publish fixture fires)…
-    let src = "use std::sync::atomic::{AtomicU32, Ordering};\n\
-               pub fn send(flag: &AtomicU32) {\n\
-               \x20   flag.store(1, Ordering::Relaxed); // flows-atomic: publishes slot-full\n\
-               }\n\
-               pub fn recv(flag: &AtomicU32) -> bool {\n\
-               \x20   flag.load(Ordering::Acquire) == 1 // flows-atomic: consumes slot-full\n\
-               }\n";
-    let f = lint_at("crates/net/src/\"quoted\\path\".rs", src);
-    assert!(!f.is_empty());
-    assert_valid_json(&flows_check::report::to_sarif(&f));
-    assert_valid_json(&flows_check::report::to_json(&f, 1));
-
-    // …and over the real workspace (empty result set, full rule table).
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("workspace root two levels up");
-    let (wf, scanned) = flows_check::lint_workspace(root).expect("scan");
-    let sarif = flows_check::report::to_sarif(&wf);
-    assert_valid_json(&sarif);
-    assert!(sarif.contains("\"version\": \"2.1.0\""));
-    for r in Rule::ALL {
-        assert!(sarif.contains(r.id()), "rule table lists {}", r.id());
-    }
-    assert_valid_json(&flows_check::report::to_json(&wf, scanned));
-}
-
 // ---- coverage pins: the files the v2 rules exist for stay in scope ----
 
 #[test]
