@@ -1001,28 +1001,34 @@ mod tests {
     }
 
     /// Frames whose checksum holds but which do not decode — a truncated
-    /// image, and one whose thread head carries flavor tag 9 — are shelved
-    /// (their checksums verify), then dropped and counted at inventory, so
-    /// their generations are never complete and the plan falls back to an
-    /// older one: the respawn never meets them.
+    /// image, one whose thread head carries flavor tag 9, and one whose
+    /// thread was packed for the `Full` swap kind (tag 1), which AMPI's
+    /// schedulers cannot unpack — are shelved (their checksums verify),
+    /// then dropped and counted at inventory, so their generations are
+    /// never complete and the plan falls back to an older one: the respawn
+    /// never meets them.
     #[test]
     fn a_checksum_valid_frame_that_does_not_decode_is_counted_at_inventory() {
         let good = |r: u64| (RepRec { rank: r, len: 0 }, sample_frame(r, 300));
         let image = unframe_payload(&sample_frame(1, 300)).unwrap().to_vec();
         let truncated = &image[..image.len() - 5];
+        // The thread head: id (8 bytes), swap kind, then the flavor tag.
+        let head = image.len() - 300;
         let mut flavor_9 = image.clone();
-        flavor_9[image.len() - 300 + 9] = 9; // id (8 bytes), swap kind, then the flavor tag
+        flavor_9[head + 9] = 9;
+        let mut full_swap = image.clone();
+        full_swap[head + 8] = 1;
         let mut rs = RecoverState::default();
         rs.shelve_replicas(4, vec![good(0), good(1)]);
-        for (gen, bytes) in [(5, truncated), (6, &flavor_9[..])] {
+        for (gen, bytes) in [(5, truncated), (6, &flavor_9[..]), (7, &full_swap[..])] {
             let frame: Payload = flows_core::frame_payload(bytes).into();
             assert!(unframe_payload(&frame).is_ok(), "the checksum must verify");
             rs.shelve_replicas(gen, vec![good(0), (RepRec { rank: 1, len: 0 }, frame)]);
         }
         assert_eq!(rs.invalid_msgs, 0, "shelving checks the checksum only");
         let (_, pairs) = rs.inventory();
-        assert_eq!(rs.invalid_msgs, 2);
-        assert_eq!(pairs, vec![(4, 0), (4, 1), (5, 0), (6, 0)]);
+        assert_eq!(rs.invalid_msgs, 3);
+        assert_eq!(pairs, vec![(4, 0), (4, 1), (5, 0), (6, 0), (7, 0)]);
         let inventories = BTreeMap::from([(0, pairs)]);
         assert_eq!(best_gen(2, &inventories).map(|(g, _)| g), Some(4));
     }

@@ -390,6 +390,7 @@ pub fn run_world(
         .tracing(opts.tracing)
         .sched_config(SchedConfig {
             stack_len: opts.stack_len,
+            swap_kind: crate::proto::RANK_SWAP,
             ..SchedConfig::default()
         })
         .iso_layout(opts.slot_len, slots_per_pe);
@@ -777,9 +778,11 @@ pub(crate) fn contribute_now(tag: u64, seq: u64, rank: u64, op: ReduceOp, size: 
 mod tests {
     use super::*;
 
-    /// An LB plan, a migration batch and an LB load-report gather that do
+    /// An LB plan, migration batches and an LB load-report gather that do
     /// not decode are counted drops (`flows_comm::route_drops`), never a
     /// panic: all three cross process boundaries in multi-process worlds.
+    /// A batch whose thread was packed for the `Full` swap kind is one:
+    /// AMPI's schedulers could not unpack it.
     #[test]
     fn malformed_lb_wires_are_counted_drops() {
         let drops = Arc::new(AtomicU64::new(u64::MAX));
@@ -790,28 +793,30 @@ mod tests {
                 let garbage = vec![0xA5u8; 100];
                 pe.send(0, pe.handler_of(on_lb_plan), garbage.clone());
                 pe.send(0, pe.handler_of(on_move_batch), garbage.clone());
-                pe.send(0, pe.handler_of(on_move_batch), flavor_9_batch().to_vec());
+                pe.send(0, pe.handler_of(on_move_batch), bad_head_batch(9, 9).to_vec());
+                pe.send(0, pe.handler_of(on_move_batch), bad_head_batch(8, 1).to_vec());
                 // A one-rank gather completes at once, on this PE.
                 flows_comm::contribute(pe, TAG_LB, 1 << 40, 0, ReduceOp::Concat, 1, garbage);
             });
-            // All four were queued on this PE ahead of the contribution.
+            // All five were queued on this PE ahead of the contribution.
             ampi.barrier();
             d2.store(flows_converse::with_pe(flows_comm::route_drops), Ordering::Relaxed);
         });
-        assert_eq!(drops.load(Ordering::Relaxed), 4);
+        assert_eq!(drops.load(Ordering::Relaxed), 5);
     }
 
-    /// A well-formed one-rank batch whose thread head carries flavor tag 9.
-    fn flavor_9_batch() -> Payload {
+    /// A well-formed one-rank batch whose thread head carries `tag` at byte
+    /// `at`: the head is id (8 bytes), swap kind, then the flavor tag.
+    fn bad_head_batch(at: usize, tag: u8) -> Payload {
         let mut thread = crate::proto::thread_wire(&[7; 16]);
         let mut batch = flows_pup::to_bytes(&mut BatchHead { epoch: 0, count: 1 });
         flows_pup::pack_into(&mut MoveRec { rank: 5, ..MoveRec::default() }, &mut batch);
         let good = [batch.clone(), thread.clone()].concat();
-        assert!(decode_move_batch(&good.into()).is_some(), "flavor 0 decodes");
-        thread[9] = 9; // id (8 bytes), swap kind, then the flavor tag
+        assert!(decode_move_batch(&good.into()).is_some(), "a Minimal flavor-0 head decodes");
+        thread[at] = tag;
         batch.extend_from_slice(&thread);
         let batch: Payload = batch.into();
-        assert!(decode_move_batch(&batch).is_none(), "the decoder refuses flavor 9");
+        assert!(decode_move_batch(&batch).is_none(), "the decoder refuses tag {tag} at byte {at}");
         batch
     }
 

@@ -175,6 +175,7 @@ pub fn parse_file(stripped: &Stripped) -> FileSymbols {
             "const" => parse_const(&toks, i, &mut syms),
             "use" => parse_use(&toks, i, &mut syms),
             "pup_fields" => parse_pup_fields(&toks, i, &mut syms),
+            "macro_rules" => skip_macro_rules(&toks, i),
             _ => i + 1,
         };
     }
@@ -531,6 +532,17 @@ fn parse_impl(t: &[Tok], i: usize, out: &mut FileSymbols) -> usize {
     }
 }
 
+/// `macro_rules! name { .. }`: the body is a template over metavariables
+/// (`impl $crate::Pup for $ty`), not items, so none of it is recorded.
+fn skip_macro_rules(t: &[Tok], i: usize) -> usize {
+    let def = t.get(i + 1).is_some_and(|x| x.is_punct("!")) && t.get(i + 2).is_some_and(|x| x.ident().is_some());
+    if def && t.get(i + 3).is_some() {
+        skip_group(t, i + 3)
+    } else {
+        i + 1
+    }
+}
+
 /// `pup_fields!(X { .. })`, the macro bare or path-qualified, expands to
 /// `impl Pup for X`: it is recorded as that impl.
 fn parse_pup_fields(t: &[Tok], i: usize, out: &mut FileSymbols) -> usize {
@@ -826,6 +838,17 @@ mod tests {
             .map(|i| (i.trait_name.as_deref(), i.type_name.as_deref(), i.line))
             .collect();
         assert_eq!(pup, vec![(Some("Pup"), Some("A"), 1), (Some("Pup"), Some("B"), 2)]);
+    }
+
+    #[test]
+    fn macro_rules_bodies_yield_no_items() {
+        let s = parse(
+            "macro_rules! pup_fields {\n    ($ty:ty { $($field:ident),* }) => {\n        impl $crate::Pup for $ty {\n            fn pup(&mut self) { struct Inner { x: u8 } }\n        }\n    };\n}\nstruct After { y: u8 }\n",
+        );
+        assert!(s.impls.is_empty(), "{:?}", s.impls);
+        assert!(s.fns.is_empty());
+        assert_eq!(s.types.len(), 1);
+        assert_eq!(s.types[0].name, "After");
     }
 
     #[test]

@@ -513,7 +513,7 @@ fn annotated_hotspots_stay_annotated() {
         ("crates/net/src/shm.rs", "flows-atomic: consumes shm-slot-full"),
         ("crates/core/src/steal.rs", "flows-atomic: publishes steal-inbox"),
         ("crates/core/src/steal.rs", "flows-atomic: consumes steal-inbox"),
-        ("crates/net/src/frame.rs", "flows-wire: defines net-ctrl"),
+        ("crates/converse/src/netpump.rs", "flows-wire: defines net-ctrl"),
         ("crates/converse/src/netpump.rs", "flows-wire: handles net-ctrl"),
         ("crates/ampi/src/proto.rs", "flows-wire: defines ampi-ctl"),
         ("crates/ampi/src/recover.rs", "flows-wire: handles ampi-ctl"),

@@ -15,6 +15,7 @@ use flows_core::{IdMap, PoolStats, SchedConfig, SchedStats, Scheduler, SharedPoo
 use flows_mem::IsoConfig;
 use flows_net::inbox::{unbounded, Sender};
 use flows_net::Frame;
+use flows_pup::pup_fields;
 use flows_sys::counters::SyscallCounts;
 use flows_trace::{TraceRing, TraceSummary};
 use std::any::TypeId;
@@ -104,8 +105,9 @@ pub(crate) struct Hub {
 /// The link-layer ledger a dying PE publishes so survivors can write off
 /// exactly the logical messages that died with it: everything a survivor
 /// sent that the deceased never delivered, and everything the deceased
-/// assigned that the survivor will never deliver.
-#[derive(Debug, Clone)]
+/// assigned that the survivor will never deliver. A `MORGUE` frame
+/// carries it between processes; its vectors are global-length.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Morgue {
     /// Per-source highest in-order sequence delivered at death.
     pub rx_cum: Vec<u64>,
@@ -115,6 +117,19 @@ pub(crate) struct Morgue {
     /// traffic is accounted; the leader must not write it off again).
     pub reaped_mask: u64,
 }
+pup_fields!(Morgue { rx_cum, tx_last, reaped_mask });
+
+/// The machine-wide failure masks, one bit per PE (online mode caps the
+/// machine at 64 PEs). A `MASKS` frame carries the leader's union to the
+/// children, and a `STATS` frame a child's to the leader.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Masks {
+    pub dead: u64,
+    pub fenced: u64,
+    pub confirmed: u64,
+    pub resolved: u64,
+}
+pup_fields!(Masks { dead, fenced, confirmed, resolved });
 
 impl Hub {
     /// Record a PE's death: the run continues; survivors will detect,
@@ -270,31 +285,31 @@ impl Hub {
     }
 
     /// Snapshot of the failure masks, for cross-process synchronization.
-    pub(crate) fn masks(&self) -> (u64, u64, u64, u64) {
-        (
-            self.dead.load(Ordering::SeqCst),
-            self.fenced.load(Ordering::SeqCst),
-            self.confirmed.load(Ordering::SeqCst),
-            self.resolved.load(Ordering::SeqCst),
-        )
+    pub(crate) fn masks(&self) -> Masks {
+        Masks {
+            dead: self.dead.load(Ordering::SeqCst),
+            fenced: self.fenced.load(Ordering::SeqCst),
+            confirmed: self.confirmed.load(Ordering::SeqCst),
+            resolved: self.resolved.load(Ordering::SeqCst),
+        }
     }
 
     /// OR another process's failure masks into ours. Bits only ever
     /// accumulate, so the sync is idempotent and order-insensitive.
     /// Dead bits may land before the matching morgue record; everything
     /// that needs the record (reap, upcall) already gates on it.
-    pub(crate) fn absorb_masks(&self, dead: u64, fenced: u64, confirmed: u64, resolved: u64) {
-        self.dead.fetch_or(dead, Ordering::SeqCst);
-        self.fenced.fetch_or(fenced, Ordering::SeqCst);
-        self.confirmed.fetch_or(confirmed, Ordering::SeqCst);
-        self.resolved.fetch_or(resolved, Ordering::SeqCst);
+    pub(crate) fn absorb_masks(&self, m: Masks) {
+        self.dead.fetch_or(m.dead, Ordering::SeqCst);
+        self.fenced.fetch_or(m.fenced, Ordering::SeqCst);
+        self.confirmed.fetch_or(m.confirmed, Ordering::SeqCst);
+        self.resolved.fetch_or(m.resolved, Ordering::SeqCst);
     }
 }
 
 /// One quiescence-gather row: a process's message ledger and idleness.
 /// The in-process check reads this process's own row off the [`Hub`]; a
 /// multi-process machine's comm-thread leader applies the same rule to the
-/// sum of every process's row.
+/// sum of every process's row, which `STATS` and `PROC_DEAD` frames carry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Ledger {
     pub sent: u64,
@@ -307,6 +322,7 @@ pub(crate) struct Ledger {
     /// Threads in flight through the steal mesh, unseen by the counters.
     pub stolen: usize,
 }
+pup_fields!(Ledger { sent, recv, written_off, idle, unresolved, stolen });
 
 impl Ledger {
     /// The quiescence rule: every PE idle, no unresolved failure, no

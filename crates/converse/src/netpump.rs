@@ -20,15 +20,22 @@
 //!   PEs all hit scripted crashes broadcasts its `MORGUE` records and a
 //!   `PROC_DEAD` notice, then exits cleanly so the leader can reap it.
 //!
+//! A control frame is a [`ctrl`] tag and one pup record as its body,
+//! written by [`control`] and read by [`record`] (`flows_pup::from_bytes`,
+//! which refuses a short or overlong body); the sender's proc rank rides
+//! in the frame's `src_pe`. flows-net carries both uninterpreted, and the
+//! records' decoders share one fuzz table (the tests below).
+//!
 //! Scope: recovery *decisions* (confirm, epoch allocation, dead-pair
 //! write-off) run on the process hosting the recovery-leader PE; mask
 //! sync makes the outcome visible everywhere. The scripted-crash plans
 //! supported across processes are whole-process crashes with the
 //! survivors' recovery leader on the lead process.
 
-use crate::machine::{Hub, Ledger, Morgue};
+use crate::machine::{Hub, Ledger, Masks, Morgue};
 use flows_net::inbox::Sender;
-use flows_net::{ctrl, Frame, FrameKind, World};
+use flows_net::{Frame, FrameKind, World};
+use flows_pup::{pup_fields, Pup};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,32 +51,81 @@ const GOODBYE_TIMEOUT: Duration = Duration::from_secs(10);
 /// per child each time).
 const CHILD_POLL: Duration = Duration::from_millis(20);
 
-/// Serialize a morgue record (all vectors are global-length):
-/// `[rx_cum × n][tx_last × n][reaped_mask]`, little-endian u64s.
-fn encode_morgue(m: &Morgue) -> Vec<u8> {
-    let mut out = Vec::with_capacity((m.rx_cum.len() + m.tx_last.len() + 1) * 8);
-    for v in m.rx_cum.iter().chain(m.tx_last.iter()) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(&m.reaped_mask.to_le_bytes());
-    out
+/// Control-frame tags: the `ctrl` byte of a [`FrameKind::Ctrl`] frame.
+/// Each names the record its body is.
+// flows-wire: defines net-ctrl
+mod ctrl {
+    /// Child → leader: [`Stats`](super::Stats).
+    pub const STATS: u8 = 1;
+    /// Dying child → every other process: [`Obituary`](super::Obituary).
+    pub const MORGUE: u8 = 2;
+    /// Dying child → leader: its final [`Ledger`](super::Ledger).
+    pub const PROC_DEAD: u8 = 3;
+    /// Leader → children: [`Probe`](super::Probe).
+    pub const PROBE: u8 = 4;
+    /// Leader → children: [`Done`](super::Done).
+    pub const DONE: u8 = 5;
+    /// Child → leader: [`Goodbye`](super::Goodbye).
+    pub const GOODBYE: u8 = 6;
+    /// Leader → children: the union of the machine-wide failure
+    /// [`Masks`](super::Masks).
+    pub const MASKS: u8 = 7;
 }
 
-fn decode_morgue(body: &[u8], num_pes: usize) -> Option<Morgue> {
-    if body.len() != (2 * num_pes + 1) * 8 {
-        return None;
-    }
-    let u64_at = |i: usize| u64::from_le_bytes(body[i * 8..i * 8 + 8].try_into().unwrap());
-    Some(Morgue {
-        rx_cum: (0..num_pes).map(u64_at).collect(),
-        tx_last: (0..num_pes).map(|i| u64_at(num_pes + i)).collect(),
-        reaped_mask: u64_at(2 * num_pes),
-    })
+/// A child's quiescence row, stamped with the highest probe round it has
+/// answered (0 = none yet), and its failure masks.
+#[derive(Default)]
+struct Stats {
+    ledger: Ledger,
+    round: u64,
+    masks: Masks,
+}
+pup_fields!(Stats { ledger, round, masks });
+
+/// A local PE died: its id and the link ledger it left.
+#[derive(Default)]
+struct Obituary {
+    pe: u64,
+    morgue: Morgue,
+}
+pup_fields!(Obituary { pe, morgue });
+
+/// Re-report `STATS` stamped with `round`.
+#[derive(Default)]
+struct Probe {
+    round: u64,
+}
+pup_fields!(Probe { round });
+
+/// Quiescence reached; `sent` is the machine-wide sent count.
+#[derive(Default)]
+struct Done {
+    sent: u64,
+}
+pup_fields!(Done { sent });
+
+/// The child drained and is exiting cleanly.
+#[derive(Default)]
+struct Goodbye {}
+pup_fields!(Goodbye {});
+
+/// A control frame from process `src` whose body is `rec`.
+fn control(tag: u8, src: usize, mut rec: impl Pup) -> Frame {
+    Frame::control(tag, src as u32, flows_pup::to_bytes(&mut rec).into())
 }
 
-/// A bodiless control frame from process `src` carrying one scalar.
-fn signal(kind: u8, src: usize, a: u64) -> Frame {
-    Frame::control(kind, src as u32, a, 0, 0, flows_core::Payload::empty())
+/// The record a control frame's body holds; `None` unless the body is
+/// exactly one `T`.
+fn record<T: Pup + Default>(body: &[u8]) -> Option<T> {
+    flows_pup::from_bytes(body).ok()
+}
+
+/// A `MORGUE` body a survivor can act on: a PE of this machine, and a
+/// morgue whose cursors a survivor can index by every PE.
+fn obituary(body: &[u8], num_pes: usize) -> Option<Obituary> {
+    let o: Obituary = record(body)?;
+    let m = &o.morgue;
+    (o.pe < num_pes as u64 && m.rx_cum.len() == num_pes && m.tx_last.len() == num_pes).then_some(o)
 }
 
 /// Everything the comm thread needs; built by `MachineBuilder::run`.
@@ -133,67 +189,39 @@ impl NetPump {
     }
 
     fn stats_frame(&self, round: u64) -> Frame {
-        let row = self.hub.ledger();
-        let (dead, fenced, confirmed, resolved) = self.hub.masks();
-        let mut body = Vec::with_capacity(1 + 5 * 8);
-        body.push(u8::from(row.idle) | (u8::from(row.unresolved) << 1));
-        for v in [row.written_off, dead, fenced, confirmed, resolved] {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-        Frame::control(
-            ctrl::STATS,
-            self.world.rank() as u32,
-            row.sent,
-            row.recv,
+        let stats = Stats {
+            ledger: self.hub.ledger(),
             round,
-            body.into(),
-        )
+            masks: self.hub.masks(),
+        };
+        control(ctrl::STATS, self.world.rank(), stats)
     }
 
     /// Absorb a STATS frame into the sender's row (leader side).
     fn absorb_stats(&self, rows: &mut [ProcRow], f: &Frame) {
-        let proc = f.src_pe as usize;
-        if proc >= rows.len() || rows[proc].dead {
+        let Some(row) = rows.get_mut(f.src_pe as usize).filter(|r| !r.dead) else {
             return;
-        }
-        let b = f.body.as_slice();
-        if b.len() != 1 + 5 * 8 {
-            return;
-        }
-        let u64_at =
-            |o: usize| u64::from_le_bytes(b[1 + o * 8..1 + o * 8 + 8].try_into().unwrap());
-        rows[proc].ledger = Ledger {
-            sent: f.a,
-            recv: f.b,
-            written_off: u64_at(0),
-            idle: b[0] & 1 != 0,
-            unresolved: b[0] & 2 != 0,
-            stolen: 0,
         };
-        rows[proc].round = f.c;
-        self.hub.absorb_masks(u64_at(1), u64_at(2), u64_at(3), u64_at(4));
+        let Some(s) = record::<Stats>(&f.body) else { return };
+        row.ledger = s.ledger;
+        row.round = s.round;
+        self.hub.absorb_masks(s.masks);
     }
 
     /// A PROC_DEAD notice (leader side): freeze the process's final
     /// counters. A dead process's failures are the survivors' to resolve,
     /// so it gathers as idle and resolved.
     fn absorb_proc_dead(&self, rows: &mut [ProcRow], f: &Frame) {
-        let proc = f.a as usize;
-        if proc >= rows.len() || rows[proc].dead {
+        let proc = f.src_pe as usize;
+        let Some(row) = rows.get_mut(proc).filter(|r| !r.dead) else {
             return;
-        }
-        let woff = f
-            .body
-            .as_slice()
-            .get(..8)
-            .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
-        rows[proc] = ProcRow {
+        };
+        let Some(last) = record::<Ledger>(&f.body) else { return };
+        *row = ProcRow {
             ledger: Ledger {
-                sent: f.b,
-                recv: f.c,
-                written_off: woff,
                 idle: true,
-                ..Ledger::default()
+                unresolved: false,
+                ..last
             },
             round: u64::MAX,
             dead: true,
@@ -206,23 +234,10 @@ impl NetPump {
     /// as the local `die()` path would, so detection/write-off/upcall
     /// machinery runs unchanged on survivors.
     fn absorb_morgue(&self, f: &Frame) {
-        let pe = f.a as usize;
-        let num_pes = self.world.num_pes();
-        if pe >= num_pes || self.hub.morgue_ready(pe) {
-            return;
+        let Some(o) = obituary(&f.body, self.world.num_pes()) else { return };
+        if !self.hub.morgue_ready(o.pe as usize) {
+            self.hub.record_death(o.pe as usize, o.morgue);
         }
-        if let Some(m) = decode_morgue(f.body.as_slice(), num_pes) {
-            self.hub.record_death(pe, m);
-        }
-    }
-
-    fn absorb_masks_frame(&self, f: &Frame) {
-        let fenced = f
-            .body
-            .as_slice()
-            .get(..8)
-            .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
-        self.hub.absorb_masks(f.a, fenced, f.b, f.c);
     }
 
     /// Drain every pending frame: inject link frames, dispatch control
@@ -240,20 +255,27 @@ impl NetPump {
             }
             match f.ctrl {
                 ctrl::MORGUE => self.absorb_morgue(&f),
-                ctrl::MASKS => self.absorb_masks_frame(&f),
+                ctrl::MASKS => {
+                    if let Some(m) = record::<Masks>(&f.body) {
+                        self.hub.absorb_masks(m);
+                    }
+                }
                 ctrl::STATS => self.absorb_stats(&mut g.rows, &f),
                 ctrl::PROC_DEAD => self.absorb_proc_dead(&mut g.rows, &f),
                 ctrl::GOODBYE => {
-                    if let Some(row) = g.rows.get_mut(f.a as usize) {
+                    let row = g.rows.get_mut(f.src_pe as usize);
+                    if let (Some(row), Some(Goodbye {})) = (row, record(&f.body)) {
                         row.departed = true;
                     }
                 }
                 ctrl::PROBE if child => {
-                    g.seen_round = g.seen_round.max(f.a);
+                    let Some(Probe { round }) = record(&f.body) else { continue };
+                    g.seen_round = g.seen_round.max(round);
                     self.world.send(0, &self.stats_frame(g.seen_round));
                 }
                 ctrl::DONE if child => {
-                    self.hub.net_global_sent.store(f.a, Ordering::SeqCst);
+                    let Some(Done { sent }) = record(&f.body) else { continue };
+                    self.hub.net_global_sent.store(sent, Ordering::SeqCst);
                     self.hub.set_done_and_wake();
                     return true;
                 }
@@ -270,33 +292,15 @@ impl NetPump {
     fn announce_proc_death(&self) {
         let me = self.world.rank();
         for pe in self.base()..self.base() + self.local() {
-            let Some(m) = self.hub.morgue_get(pe) else { continue };
-            let f = Frame::control(
-                ctrl::MORGUE,
-                me as u32,
-                pe as u64,
-                0,
-                0,
-                encode_morgue(&m).into(),
-            );
+            let Some(morgue) = self.hub.morgue_get(pe) else { continue };
+            let f = control(ctrl::MORGUE, me, Obituary { pe: pe as u64, morgue });
             for p in 0..self.world.procs() {
                 if p != me {
                     self.world.send(p, &f);
                 }
             }
         }
-        let row = self.hub.ledger();
-        self.world.send(
-            0,
-            &Frame::control(
-                ctrl::PROC_DEAD,
-                me as u32,
-                me as u64,
-                row.sent,
-                row.recv,
-                row.written_off.to_le_bytes().to_vec().into(),
-            ),
-        );
+        self.world.send(0, &control(ctrl::PROC_DEAD, me, self.hub.ledger()));
         self.hub.set_done_and_wake();
     }
 
@@ -307,16 +311,12 @@ impl NetPump {
         let mut last_sent: Option<Ledger> = None;
         loop {
             if self.drain(&mut g) {
-                let me = self.world.rank();
-                self.world.send(0, &signal(ctrl::GOODBYE, me, me as u64));
+                self.world.send(0, &control(ctrl::GOODBYE, self.world.rank(), Goodbye {}));
                 return;
             }
-            if self.online {
-                let (dead, _, _, _) = self.hub.masks();
-                if dead & self.local_mask() == self.local_mask() {
-                    self.announce_proc_death();
-                    return;
-                }
+            if self.online && self.hub.masks().dead & self.local_mask() == self.local_mask() {
+                self.announce_proc_death();
+                return;
             }
             let row = self.hub.ledger();
             if last_sent != Some(row) {
@@ -337,7 +337,7 @@ impl NetPump {
         };
         let mut round: u64 = 0;
         let mut snapshot: Option<Ledger> = None;
-        let mut last_masks = (0u64, 0u64, 0u64, 0u64);
+        let mut last_masks = Masks::default();
         let mut next_reap = Instant::now();
         loop {
             self.drain(&mut g);
@@ -353,16 +353,7 @@ impl NetPump {
             let masks = self.hub.masks();
             if masks != last_masks {
                 last_masks = masks;
-                let (dead, fenced, confirmed, resolved) = masks;
-                let f = Frame::control(
-                    ctrl::MASKS,
-                    0,
-                    dead,
-                    confirmed,
-                    resolved,
-                    fenced.to_le_bytes().to_vec().into(),
-                );
-                self.broadcast_live(&g.rows, &f);
+                self.broadcast_live(&g.rows, &control(ctrl::MASKS, 0, masks));
             }
             // The in-process quiescence rule over the sum of every row.
             let sums = Ledger::total(g.rows.iter().map(|r| r.ledger));
@@ -393,7 +384,7 @@ impl NetPump {
                     None => {
                         round += 1;
                         snapshot = Some(sums);
-                        self.broadcast_live(&g.rows, &signal(ctrl::PROBE, 0, round));
+                        self.broadcast_live(&g.rows, &control(ctrl::PROBE, 0, Probe { round }));
                     }
                 }
             }
@@ -443,7 +434,7 @@ impl NetPump {
     /// Broadcast DONE and wait for every live child's GOODBYE so no child
     /// is still mid-drain when the leader tears the session down.
     fn finish(&self, g: &mut Gather, global_sent: u64) {
-        let done = signal(ctrl::DONE, 0, global_sent);
+        let done = control(ctrl::DONE, 0, Done { sent: global_sent });
         for (p, row) in g.rows.iter().enumerate().skip(1) {
             if !row.departed {
                 self.world.send(p, &done);
@@ -470,18 +461,73 @@ impl NetPump {
 mod tests {
     use super::*;
 
+    const PES: usize = 3;
+
+    /// rx_cum's last cursor is `PES + 1`, so smashing rx_cum's length from
+    /// 3 to 2 leaves a record that pups whole — rx_cum one short, tx_last
+    /// one long — and that only the `num_pes` check refuses.
+    fn morgue() -> Morgue {
+        Morgue {
+            rx_cum: vec![1, 2, PES as u64 + 1],
+            tx_last: vec![9, 8, 7],
+            reaped_mask: 0b100,
+        }
+    }
+
+    fn ledger() -> Ledger {
+        Ledger { sent: 7, recv: 5, written_off: 2, idle: true, unresolved: false, stolen: 0 }
+    }
+
+    fn masks() -> Masks {
+        Masks { dead: 0b100, fenced: 0b100, confirmed: 0b100, resolved: 0 }
+    }
+
+    /// A table line's decoder: `record`, then the re-encoding.
+    fn line<T: Pup + Default>(b: &[u8]) -> Option<(Vec<u8>, usize)> {
+        Some((flows_pup::to_bytes(&mut record::<T>(b)?), b.len()))
+    }
+
+    /// (name, a valid body, its decoder).
+    type Entry = (&'static str, fn() -> Vec<u8>, fn(&[u8]) -> Option<(Vec<u8>, usize)>);
+
+    /// Every control record's decoder, and the morgue check against
+    /// `num_pes`: a new record is fuzzed by adding its line.
+    const DECODERS: [Entry; 8] = [
+        ("STATS", || {
+            flows_pup::to_bytes(&mut Stats { ledger: ledger(), round: 4, masks: masks() })
+        }, line::<Stats>),
+        ("MORGUE", || flows_pup::to_bytes(&mut Obituary { pe: 2, morgue: morgue() }), line::<Obituary>),
+        ("PROC_DEAD", || flows_pup::to_bytes(&mut ledger()), line::<Ledger>),
+        ("PROBE", || flows_pup::to_bytes(&mut Probe { round: 3 }), line::<Probe>),
+        ("DONE", || flows_pup::to_bytes(&mut Done { sent: 1 << 40 }), line::<Done>),
+        ("GOODBYE", || flows_pup::to_bytes(&mut Goodbye {}), line::<Goodbye>),
+        ("MASKS", || flows_pup::to_bytes(&mut masks()), line::<Masks>),
+        ("morgue of every PE", || {
+            flows_pup::to_bytes(&mut Obituary { pe: 2, morgue: morgue() })
+        }, |b| {
+            let o = obituary(b, PES)?;
+            // Re-encoded as a survivor reads it, by PE: a short vector
+            // panics here, and a long one re-encodes short.
+            let by_pe = |v: &[u64]| (0..PES).map(|i| v[i]).collect();
+            let morgue = Morgue {
+                rx_cum: by_pe(&o.morgue.rx_cum),
+                tx_last: by_pe(&o.morgue.tx_last),
+                reaped_mask: o.morgue.reaped_mask,
+            };
+            Some((flows_pup::to_bytes(&mut Obituary { pe: o.pe, morgue }), b.len()))
+        }),
+    ];
+
     #[test]
-    fn morgue_codec_round_trips() {
-        let m = Morgue {
-            rx_cum: vec![1, 2, 3, 4],
-            tx_last: vec![9, 8, 7, 6],
-            reaped_mask: 0b1010,
-        };
-        let wire = encode_morgue(&m);
-        let back = decode_morgue(&wire, 4).expect("well-formed");
-        assert_eq!(back.rx_cum, m.rx_cum);
-        assert_eq!(back.tx_last, m.tx_last);
-        assert_eq!(back.reaped_mask, m.reaped_mask);
-        assert!(decode_morgue(&wire, 5).is_none(), "length is validated");
+    fn every_control_record_is_refused_or_round_trips() {
+        for (name, wire, decode) in DECODERS {
+            flows_pup::check_decoder(name, &wire(), decode);
+        }
+    }
+
+    #[test]
+    fn a_morgue_of_a_pe_outside_the_machine_is_refused() {
+        let outside = flows_pup::to_bytes(&mut Obituary { pe: PES as u64, morgue: morgue() });
+        assert!(obituary(&outside, PES).is_none());
     }
 }

@@ -1236,16 +1236,6 @@ pub fn with_pe<R>(f: impl FnOnce(&Pe) -> R) -> R {
     f(unsafe { &*p })
 }
 
-/// Like [`with_pe`] but returns `None` outside a machine.
-pub fn try_with_pe<R>(f: impl FnOnce(&Pe) -> R) -> Option<R> {
-    let p = CURRENT_PE.with(|c| c.get());
-    if p.is_null() {
-        return None;
-    }
-    // SAFETY: as in with_pe.
-    Some(f(unsafe { &*p }))
-}
-
 /// The calling PE's index.
 pub fn my_pe() -> usize {
     with_pe(|p| p.id())

@@ -150,11 +150,6 @@ impl Checkpoint {
         self.threads.is_empty()
     }
 
-    /// Ids of the packed threads.
-    pub fn thread_ids(&self) -> Vec<ThreadId> {
-        self.threads.iter().map(|t| t.id()).collect()
-    }
-
     /// Serialize with a self-describing frame (the "to disk" half of
     /// migration-to-disk): magic, format version, payload length and a
     /// checksum, so a truncated or bit-flipped image is rejected with a
@@ -349,6 +344,15 @@ mod tests {
         assert!(!Checkpoint::from_bytes(&[]).is_ok_and(|c| c.is_empty()));
         let ok = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(ok.len(), 1);
+        // A well-framed image whose thread head names an unknown swap kind
+        // or flavor is refused at load, not later at restore. The payload
+        // is pe, the thread count, then the head: id, swap kind, flavor.
+        let payload = unframe_payload(&bytes).unwrap();
+        for at in [24, 25] {
+            let mut bad = payload.to_vec();
+            bad[at] = 7;
+            assert!(Checkpoint::from_bytes(&frame_payload(&bad)).is_err(), "tag 7 at byte {at}");
+        }
     }
 
     /// Rollback primitive: threads of every flavor — started or not — can

@@ -55,6 +55,9 @@ pub mod tcb;
 pub use checkpoint::{
     evacuate, frame_in_place, frame_payload, unframe_payload, Checkpoint, FRAME_HEADER_LEN,
 };
+/// The context-switch kind a [`SchedConfig`] names; a packed thread
+/// unpacks only under its own ([`PackedThread::swap_kind_is`]).
+pub use flows_arch::SwapKind;
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use migrate::PackedThread;
 pub use payload::{ExternRegion, Payload, PayloadBuf, PayloadPool, PoolStats};

@@ -23,7 +23,7 @@ use crate::scheduler::Scheduler;
 use crate::tcb::{FlavorData, StackFlavor, Tcb, ThreadId, ThreadState};
 use flows_arch::{Context, SwapKind};
 use flows_mem::slab::STACK_RED_ZONE;
-use flows_pup::{pup_fields, Pup};
+use flows_pup::Pup;
 use flows_sys::error::{SysError, SysResult};
 
 /// A thread serialized for migration: a self-describing head plus the raw
@@ -49,17 +49,35 @@ struct Head {
     /// Kept as the last head field so the wire layout is head ++ payload.
     payload_len: u64,
 }
-pup_fields!(Head {
-    id,
-    swap_kind,
-    flavor,
-    state,
-    sp,
-    load_ns,
-    priority,
-    globals,
-    payload_len
-});
+
+/// The one head decoder: unpacking refuses a head whose swap-kind or
+/// flavor tag names no known value, since a packed thread crosses process
+/// boundaries and an image that decodes must be one `unpack_thread` can
+/// reinstate. [`PackedThread::from_bytes`], [`PackedThread::from_payload`]
+/// and a checkpoint's `Vec<PackedThread>` all read heads through it.
+impl Pup for Head {
+    fn pup(&mut self, p: &mut flows_pup::Puper) {
+        self.id.pup(p);
+        self.swap_kind.pup(p);
+        self.flavor.pup(p);
+        self.state.pup(p);
+        self.sp.pup(p);
+        self.load_ns.pup(p);
+        self.priority.pup(p);
+        self.globals.pup(p);
+        self.payload_len.pup(p);
+        if p.is_unpacking() && !p.has_error() && self.tags().is_err() {
+            p.fail(flows_pup::PupError::Corrupt("packed thread tag"));
+        }
+    }
+}
+
+impl Head {
+    /// The swap kind and migratable flavor the head's tags name.
+    fn tags(&self) -> SysResult<(SwapKind, StackFlavor)> {
+        Ok((tag_kind(self.swap_kind)?, tag_flavor(self.flavor)?))
+    }
+}
 
 /// PUP traversal matching the wire format exactly (head, then raw tail) so
 /// checkpoints embedding `Vec<PackedThread>` serialize identically to the
@@ -102,16 +120,11 @@ fn tag_flavor(t: u8) -> SysResult<StackFlavor> {
         .ok_or_else(|| SysError::logic("unpack", format!("bad flavor tag {t}")))
 }
 
-/// Parse the head at the front of `bytes`, refusing one whose swap-kind or
-/// flavor tag names no known value: a packed thread crosses process
-/// boundaries, and an image that decodes must be one `unpack_thread` can
-/// reinstate. Returns the head and its byte length.
+/// Parse the head at the front of `bytes` (tags checked by its `Pup`).
+/// Returns the head and its byte length.
 fn decode_head(bytes: &[u8]) -> SysResult<(Head, usize)> {
-    let (head, used): (Head, usize) = flows_pup::from_bytes_prefix(bytes)
-        .map_err(|e| SysError::logic("packed_thread", format!("corrupt: {e}")))?;
-    tag_kind(head.swap_kind)?;
-    tag_flavor(head.flavor)?;
-    Ok((head, used))
+    flows_pup::from_bytes_prefix(bytes)
+        .map_err(|e| SysError::logic("packed_thread", format!("corrupt: {e}")))
 }
 
 /// Stack-flavor wire tag — also the encoding trace events carry
@@ -129,6 +142,12 @@ impl PackedThread {
     /// The migrating thread's id.
     pub fn id(&self) -> ThreadId {
         self.head.id
+    }
+
+    /// Whether the thread was packed under swap kind `kind`: only a
+    /// scheduler of that kind can unpack it.
+    pub fn swap_kind_is(&self, kind: SwapKind) -> bool {
+        self.head.swap_kind == kind_tag(kind)
     }
 
     /// Bytes in the image payload (stack + heap data).
@@ -425,7 +444,7 @@ impl Scheduler {
                 format!("{} already lives on this PE", w.id),
             ));
         }
-        let kind = tag_kind(w.swap_kind)?;
+        let (kind, flavor) = w.tags()?;
         if kind != inner.cfg.swap_kind {
             return Err(SysError::logic(
                 "unpack",
@@ -436,12 +455,12 @@ impl Scheduler {
                 ),
             ));
         }
-        let (flavor, sp) = match w.flavor {
-            0 => {
+        let (flavor, sp) = match flavor {
+            StackFlavor::StackCopy => {
                 let image = flows_mem::CopyStack::from_saved(payload.to_vec());
                 (FlavorData::Copy { image }, w.sp as usize)
             }
-            1 => {
+            StackFlavor::Isomalloc => {
                 // The slab cache may hold a parked slab that still owns
                 // this image's slot; unpack_with evicts it before adopting
                 // (the double-ownership hazard).
@@ -457,7 +476,7 @@ impl Scheduler {
                 }
                 (FlavorData::Iso { slab: Box::new(slab) }, sp)
             }
-            2 => {
+            StackFlavor::Alias => {
                 let sp = w.sp as usize;
                 let mut pool = inner.shared.alias().lock();
                 // The saved sp names the thread's window machine-wide.
@@ -481,7 +500,7 @@ impl Scheduler {
                 let binding = pool.adopt(wid, payload.as_slice())?;
                 (FlavorData::Alias { binding }, sp)
             }
-            _ => return Err(SysError::logic("unpack", "bad flavor tag".into())),
+            StackFlavor::Standard => unreachable!("tag_flavor names migratable flavors only"),
         };
         let mut ctx = Context::new(kind);
         // SAFETY: sp was saved by a suspend through a same-kind context and

@@ -224,11 +224,6 @@ impl AliasStackPool {
         self.num_pes * self.windows_per_pe
     }
 
-    /// Whether the frame store sits on reserved 2 MiB hugetlb pages.
-    pub fn hugetlb_backed(&self) -> bool {
-        self.memfd.is_hugetlb()
-    }
-
     /// Lowest address of window `wid` (its stack floor).
     pub fn window_floor(&self, wid: WindowId) -> usize {
         self.map.addr() + self.win_off0 + wid * self.frame_len

@@ -2,11 +2,10 @@
 //!
 //! One frame is one converse-level event between PEs, within a process
 //! or across a process boundary: a data message (with its link-layer
-//! sequence number), an ack, a heartbeat, or a control frame of the
-//! machine-wide protocols (quiescence gathering, death notices,
-//! shutdown). The header is a
-//! fixed [`HEADER_LEN`]-byte little-endian prefix; the body travels
-//! uninterpreted, so the shared-memory backend can hand it to the
+//! sequence number), an ack, a heartbeat, or a control frame between
+//! processes, whose tag byte and body belong to the layer above. The
+//! header is a fixed [`HEADER_LEN`]-byte little-endian prefix; the body
+//! travels uninterpreted, so the shared-memory backend can hand it to the
 //! receiver as a zero-copy view of the ring slot.
 
 use flows_core::Payload;
@@ -17,9 +16,9 @@ pub const HEADER_LEN: usize = 38;
 
 /// What a frame carries. `Data`/`Ack`/`Heartbeat` are the converse link
 /// layer's own records: a PE's inbox carries them between the threads of
-/// one process as well, and the PE reads them in one place. `Ctrl` frames
-/// belong to the machine-wide protocols and are consumed by the comm
-/// thread itself.
+/// one process as well, and the PE reads them in one place. A `Ctrl`
+/// frame is a process-to-process record of the layer above: a tag byte
+/// and a body, both opaque here.
 // flows-wire: defines net-frame
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -31,7 +30,8 @@ pub enum FrameKind {
     /// Failure-detector heartbeat: `a` = hb_seq, `b` = the sender's
     /// virtual clock.
     Heartbeat,
-    /// Machine protocol frame; see [`ctrl`] for the tag meanings.
+    /// A process-to-process control frame: `ctrl` is its tag, the body
+    /// its record, and `a`/`b`/`c` are zero.
     Ctrl,
 }
 
@@ -56,49 +56,22 @@ impl FrameKind {
     }
 }
 
-/// Control-frame tags (the `ctrl` byte of a [`FrameKind::Ctrl`] frame).
-// flows-wire: defines net-ctrl
-pub mod ctrl {
-    /// Child → leader: local counter snapshot for quiescence gathering.
-    /// `a` = sent, `b` = recv, `c` = probe round (0 = unsolicited);
-    /// body = `[flags u8][written_off u64][dead u64][fenced u64]
-    /// [confirmed u64][resolved u64]` (flags bit0 = all local PEs idle,
-    /// bit1 = an unresolved failure is pending locally).
-    pub const STATS: u8 = 1;
-    /// Child → leader: a local PE died; body is the serialized morgue
-    /// (per-peer rx/tx cursors + reaped mask). `a` = dead PE id.
-    pub const MORGUE: u8 = 2;
-    /// Child → leader: the whole process is going down after scripted
-    /// crashes. `a` = proc rank, `b` = sent, `c` = recv; body =
-    /// `[written_off u64]`.
-    pub const PROC_DEAD: u8 = 3;
-    /// Leader → children: re-report STATS stamped with round `a`.
-    pub const PROBE: u8 = 4;
-    /// Leader → children: quiescence reached; `a` = global sent count.
-    pub const DONE: u8 = 5;
-    /// Child → leader: drained and exiting cleanly. `a` = proc rank.
-    pub const GOODBYE: u8 = 6;
-    /// Leader → children: union of the machine-wide failure masks.
-    /// `a` = dead, `b` = confirmed, `c` = resolved; body = `[fenced u64]`.
-    pub const MASKS: u8 = 7;
-}
-
 /// One transport frame: fixed header fields plus an uninterpreted body.
 #[derive(Debug, Clone)]
 pub struct Frame {
     /// What the frame carries.
     pub kind: FrameKind,
-    /// Control tag ([`ctrl`]); 0 for non-control frames.
+    /// Control tag, opaque to this crate; 0 for non-control frames.
     pub ctrl: u8,
     /// Global source PE (or proc rank for control frames).
     pub src_pe: u32,
     /// Global destination PE; `u32::MAX` for control frames.
     pub dst_pe: u32,
-    /// Kind-specific field (seq / cum / hb_seq / protocol field).
+    /// Kind-specific field (seq / cum / hb_seq).
     pub a: u64,
-    /// Kind-specific field (handler id / protocol field).
+    /// Kind-specific field (handler id / vt).
     pub b: u64,
-    /// Kind-specific field (send vtime / protocol field).
+    /// Kind-specific field (send vtime).
     pub c: u64,
     /// The body bytes (zero-copy view on the shm receive path).
     pub body: Payload,
@@ -191,17 +164,17 @@ impl Frame {
         }
     }
 
-    /// A machine-protocol control frame; `src_pe` carries the sender's
-    /// proc rank.
-    pub fn control(tag: u8, src_proc: u32, a: u64, b: u64, c: u64, body: Payload) -> Frame {
+    /// A control frame between processes: `tag` and `body` are the
+    /// layer above's, and `src_pe` carries the sender's proc rank.
+    pub fn control(tag: u8, src_proc: u32, body: Payload) -> Frame {
         Frame {
             kind: FrameKind::Ctrl,
             ctrl: tag,
             src_pe: src_proc,
             dst_pe: u32::MAX,
-            a,
-            b,
-            c,
+            a: 0,
+            b: 0,
+            c: 0,
             body,
         }
     }
@@ -269,14 +242,14 @@ mod tests {
 
     #[test]
     fn control_and_empty_bodies() {
-        let f = Frame::control(ctrl::DONE, 0, 1234, 0, 0, Payload::empty());
+        let f = Frame::control(5, 2, Payload::empty());
         let mut buf = Vec::new();
         f.encode(&mut buf);
         assert_eq!(buf.len(), HEADER_LEN);
         let h = Header::decode(&buf).unwrap();
         assert_eq!(h.kind, FrameKind::Ctrl);
-        assert_eq!(h.ctrl, ctrl::DONE);
-        assert_eq!(h.a, 1234);
+        assert_eq!((h.ctrl, h.src_pe, h.dst_pe), (5, 2, u32::MAX));
+        assert_eq!((h.a, h.b, h.c), (0, 0, 0));
         assert_eq!(h.body_len, 0);
     }
 

@@ -24,7 +24,8 @@
 //!
 //! The crate deliberately knows nothing about PEs, links, or handlers —
 //! it moves [`Frame`]s between threads and process ranks. The converse
-//! layer reads the link frames and owns the machine-wide protocols.
+//! layer reads the link frames and owns the machine-wide protocols: a
+//! control frame is a tag byte and a body, both converse's records.
 
 #![warn(missing_docs)]
 
@@ -34,7 +35,7 @@ pub mod shm;
 pub mod sock;
 pub mod topo;
 
-pub use frame::{ctrl, Frame, FrameKind, Header, HEADER_LEN};
+pub use frame::{Frame, FrameKind, Header, HEADER_LEN};
 pub use shm::{Segment, ShmTransport, DEFAULT_SLOTS, DEFAULT_SLOT_BYTES};
 pub use sock::SockTransport;
 pub use topo::{

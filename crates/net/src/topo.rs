@@ -132,8 +132,6 @@ pub struct TopologySpec {
     pes_per_proc: usize,
     backend: Backend,
     child_args: Vec<String>,
-    slots: usize,
-    slot_bytes: usize,
     dir: Option<PathBuf>,
     migratable: bool,
 }
@@ -148,8 +146,6 @@ impl TopologySpec {
             pes_per_proc,
             backend: Backend::Shm,
             child_args: Vec::new(),
-            slots: DEFAULT_SLOTS,
-            slot_bytes: DEFAULT_SLOT_BYTES,
             dir: None,
             migratable: false,
         }
@@ -187,13 +183,6 @@ impl TopologySpec {
         self
     }
 
-    /// Override the shm ring geometry (tests).
-    pub fn ring(mut self, slots: usize, slot_bytes: usize) -> TopologySpec {
-        self.slots = slots;
-        self.slot_bytes = slot_bytes;
-        self
-    }
-
     /// Use a caller-managed session directory (attach-by-address mode:
     /// independently launched processes agree on this path out of band).
     pub fn session_dir(mut self, dir: PathBuf) -> TopologySpec {
@@ -220,7 +209,7 @@ impl TopologySpec {
 
         let sys_err = |e: flows_sys::SysError| io::Error::other(e.to_string());
         let segment = match self.backend {
-            Backend::Shm => Some(Segment::create(self.procs, self.slots, self.slot_bytes).map_err(sys_err)?),
+            Backend::Shm => Some(Segment::create(self.procs, DEFAULT_SLOTS, DEFAULT_SLOT_BYTES).map_err(sys_err)?),
             _ => None,
         };
         // TCP port base: spread sessions out by pid so concurrent test

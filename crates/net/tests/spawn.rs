@@ -4,11 +4,11 @@
 //! leaves nothing behind — children reaped, exit codes propagated, the
 //! session directory (meta file, sockets) unlinked.
 
-use flows_net::{child_rank, ctrl, Backend, Frame, TopologySpec};
+use flows_net::{child_rank, Backend, Frame, TopologySpec};
 use std::time::Duration;
 
 /// Child-process body: attach, echo every data frame back to its
-/// sender, leave on DONE. Not a test of its own — when the file runs
+/// sender, leave on any control frame (its tag is the layer above's). Not a test of its own — when the file runs
 /// normally (no flows-net environment), it returns immediately.
 #[test]
 fn child_entry() {
@@ -22,7 +22,7 @@ fn child_entry() {
                 flows_net::FrameKind::Data => {
                     world.send(src, &Frame::data(f.dst_pe, f.src_pe, f.a, f.b, f.c, f.body));
                 }
-                flows_net::FrameKind::Ctrl if f.ctrl == ctrl::DONE => break,
+                flows_net::FrameKind::Ctrl => break,
                 _ => {}
             },
             None => world.park(Duration::from_millis(50)),
@@ -67,7 +67,7 @@ fn echo_round_trip(backend: Backend) {
     assert_eq!((echo.src_pe, echo.dst_pe), (2, 0), "echoed with swapped PEs");
     assert_eq!(echo.body, body);
 
-    world.send(1, &Frame::control(ctrl::DONE, 0, 0, 0, 0, flows_core::Payload::empty()));
+    world.send(1, &Frame::control(0, 0, flows_core::Payload::empty()));
     world.shutdown().expect("clean shutdown: child exited zero");
     assert!(!dir.exists(), "session directory unlinked at shutdown");
     assert!(world.poll_children().is_empty(), "all children reaped");

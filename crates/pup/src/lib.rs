@@ -87,6 +87,59 @@ pub fn from_bytes_prefix<T: Pup + Default>(bytes: &[u8]) -> Result<(T, usize), P
     Ok((v, used))
 }
 
+/// The one fuzz of a decoder of bytes that cross a trust boundary, shared
+/// by every crate's table of decoders (one call per table line). `decode`
+/// returns `None` for refused bytes, else the re-encoding of what it
+/// accepted and the number of bytes that consumed. `valid` must be
+/// accepted whole and re-encode to itself; then every truncation of it,
+/// it with one byte appended, every single-byte smash of it (each
+/// position, each nonzero XOR) and seeded random byte strings must each
+/// be refused or re-encode exactly to the bytes accepted. Deterministic:
+/// a failure names the line and the case and repeats on every run.
+/// Panics on the first violation, and on a panic in `decode`.
+#[doc(hidden)]
+#[inline]
+pub fn check_decoder(name: &str, valid: &[u8], decode: impl Fn(&[u8]) -> Option<(Vec<u8>, usize)>) {
+    let holds = |bytes: &[u8]| {
+        let run = || decode(bytes);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Ok(None) => true,
+            Ok(Some((again, used))) => bytes.get(..used) == Some(&again[..]),
+            Err(_) => false,
+        }
+    };
+    let whole = decode(valid);
+    assert!(
+        whole == Some((valid.to_vec(), valid.len())),
+        "{name}: the valid wire is not accepted whole as itself"
+    );
+    for n in 0..valid.len() {
+        assert!(holds(&valid[..n]), "{name}: truncation to {n} bytes");
+    }
+    assert!(holds(&[valid, &[0]].concat()), "{name}: the valid wire plus one byte");
+    let mut bytes = valid.to_vec();
+    for i in 0..valid.len() {
+        for x in 1..=u8::MAX {
+            bytes[i] = valid[i] ^ x;
+            assert!(holds(&bytes), "{name}: byte {i} smashed with XOR {x:#04x}");
+        }
+        bytes[i] = valid[i];
+    }
+    // splitmix64: a fixed seed, so every run fuzzes the same strings.
+    let mut state = 0x5EED_F10E_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for case in 0..256 {
+        let len = next() as usize % (2 * valid.len() + 64);
+        let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+        assert!(holds(&bytes), "{name}: random case {case} ({len} bytes)");
+    }
+}
+
 /// Implement [`Pup`] for a struct by pupping the listed fields in order.
 ///
 /// ```

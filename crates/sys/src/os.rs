@@ -57,11 +57,6 @@ pub fn stack_limit() -> SysResult<Limit> {
     getrlimit(libc::RLIMIT_STACK)
 }
 
-/// `RLIMIT_AS`: address-space ceiling — the resource isomalloc spends.
-pub fn address_space_limit() -> SysResult<Limit> {
-    getrlimit(libc::RLIMIT_AS)
-}
-
 fn read_proc_u64(path: &str) -> Option<u64> {
     std::fs::read_to_string(path)
         .ok()?

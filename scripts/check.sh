@@ -5,8 +5,10 @@
 #     checks: the slot-memory layer (flows-mem) and the transport layer
 #     (flows-net) must reach the kernel only through flows-sys so
 #     SyscallCounts stay truthful. flowslint catches `libc::` tokens;
-#     the greps catch the dependency edge itself. A last loop refuses a
-#     declared dependency that no source file of its crate names.
+#     the greps catch the dependency edge itself. Greps keep handler ids
+#     out of statics, `Vec<u8>` out of AMPI records and hand-packed bytes
+#     out of netpump.rs. A last loop refuses a declared dependency that
+#     no source file of its crate names.
 #  2. flowslint — the dependency-free static analysis in crates/check,
 #     seven rules over a per-crate symbol graph: SAFETY-comment coverage
 #     on `unsafe`, no hidden global state in migratable crates,
@@ -59,6 +61,15 @@ if hits=$(grep -nE '^\s*(pub(\([a-z]+\))?\s+)?[a-z_][a-z0-9_]*\s*:[^=;(]*Vec<u8>
   echo "$hits"
   exit 1
 fi
+# The comm thread's control frames are pup records, so the non-test part
+# of netpump.rs packs no bytes by hand.
+hits=$(awk '/^#\[cfg\(test\)\]/ { exit } /(from|to)_le_bytes/ { print FILENAME ":" FNR ": " $0 }' \
+  crates/converse/src/netpump.rs)
+if [ -n "$hits" ]; then
+  echo "FAIL: hand-packed bytes in netpump.rs (the machine protocol goes through pup records):"
+  echo "$hits"
+  exit 1
+fi
 # Every declared dependency is named by a source file of its crate. The
 # root package's sources include the files its smoke tests `include!`.
 deps_of() {
@@ -84,7 +95,7 @@ if [ -n "$unused" ]; then
   printf '%s' "$unused"
   exit 1
 fi
-echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id; no Vec<u8> field in AMPI records; every declared dependency is used"
+echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id; no Vec<u8> field in AMPI records; no hand-packed bytes in netpump.rs; every declared dependency is used"
 
 cargo run --offline -q -p flows-check --bin flowslint -- --root .
 cargo test --offline -q -p flows-check
