@@ -1,6 +1,6 @@
 //! # flows-ampi — Adaptive MPI
 //!
-//! The paper's AMPI (§4.1, §4.5, refs [15][16]): an MPI-like programming
+//! The paper's AMPI (§4.1, §4.5, refs \[15\]\[16\]): an MPI-like programming
 //! interface whose "processes" are migratable user-level threads. Because
 //! each rank is an isomalloc thread (§3.4.2), the runtime can move ranks
 //! between PEs at `migrate()` points for measurement-based load balancing

@@ -4,7 +4,7 @@
 
 use flows_comm::{ObjId, Port};
 use flows_converse::{Payload, PayloadBuf, Pe};
-use flows_core::{PackedThread, SwapKind};
+use flows_core::{PackedThread, StackFlavor, SwapKind};
 use flows_pup::pup_fields;
 
 /// The comm-layer port AMPI rank traffic travels on.
@@ -13,6 +13,10 @@ pub const PORT_AMPI: Port = 1;
 /// The swap kind of every AMPI scheduler, so the one a rank image's
 /// thread must have been packed under.
 pub(crate) const RANK_SWAP: SwapKind = SwapKind::Minimal;
+
+/// The stack flavor every rank thread is spawned with, so the one a rank
+/// image's thread must carry: its stack lives in an isomalloc slot.
+pub(crate) const RANK_FLAVOR: StackFlavor = StackFlavor::Isomalloc;
 
 /// Header of a payload routed to a rank. The wire format is the raw
 /// message bytes followed by this header pup'd as a fixed-size suffix —
@@ -94,7 +98,7 @@ pup_fields!(PlanMsg { seq, epoch, entries });
 
 /// Header of a batched migration message: all the ranks one LB epoch moves
 /// between one (source, destination) PE pair ride a single wire message.
-/// `count` rank images ([`pack_rank_image`]) follow.
+/// `count` rank images (`pack_rank_image`) follow.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct BatchHead {
     /// Sender's recovery epoch: movers packed before a rollback carry
@@ -107,7 +111,7 @@ pup_fields!(BatchHead { epoch, count });
 /// A rank's runtime state outside its thread's own memory: its mailbox and
 /// the per-sender in-order delivery state. Followed by the rank's raw
 /// `PackedThread` wire bytes, it is the rank's one image form
-/// ([`pack_rank_image`]): a record of an LB batch and the payload of a
+/// (`pack_rank_image`): a record of an LB batch and the payload of a
 /// checkpoint frame alike.
 // flows-image: root
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -142,14 +146,14 @@ pub(crate) fn pack_rank_image(out: &mut Vec<u8>, rec: &mut MoveRec, thread: &Pac
 }
 
 /// Decode the rank image at `off` of `data`, trusting none of it: the
-/// record, then the thread, whose head must carry known tags and
-/// [`RANK_SWAP`] and whose payload becomes a zero-copy slice of `data`.
+/// record, then the thread, whose head must carry [`RANK_SWAP`] and
+/// [`RANK_FLAVOR`] and whose payload becomes a zero-copy slice of `data`.
 /// Returns the image and the bytes it spans. The one decoder of migration
 /// arrival, the recovery inventory and the respawn.
 pub(crate) fn decode_rank_image(data: &Payload, off: usize) -> Option<(MoveRec, PackedThread, usize)> {
     let (rec, used): (MoveRec, usize) = flows_pup::from_bytes_prefix(data.get(off..)?).ok()?;
     let (thread, len) = PackedThread::from_payload(data, off + used).ok()?;
-    thread.swap_kind_is(RANK_SWAP).then_some((rec, thread, used + len))
+    thread.packed_as(RANK_SWAP, RANK_FLAVOR).then_some((rec, thread, used + len))
 }
 
 /// Header of a buddy-replication batch: all of one owner PE's rank images
@@ -157,7 +161,7 @@ pub(crate) fn decode_rank_image(data: &Payload, off: usize) -> Option<(MoveRec, 
 /// message. `count` records follow, each a pup'd [`RepRec`] immediately
 /// followed by that rank's framed checkpoint image (magic + version 3 +
 /// length + word-lane FNV-1a checksum around the rank image of
-/// [`pack_rank_image`], written in place by `flows_core::frame_in_place`
+/// `pack_rank_image`, written in place by `flows_core::frame_in_place`
 /// when the rank was packed). The receiver decodes the batch defensively — a malformed one
 /// is counted invalid, never a panic — shelves each frame as a zero-copy
 /// slice of the batch after verifying its checksum, and verifies it again
@@ -251,13 +255,15 @@ pub struct LoadReport {
 }
 pup_fields!(LoadReport { rank, pe, load_ns });
 
-/// A valid packed thread with `payload` as its payload: the head of a
-/// default thread (40 bytes, all zero but its trailing `payload_len`)
-/// and then the payload, as raw wire bytes.
+/// A valid rank thread with `payload` as its payload: the head of a
+/// default thread (40 bytes, all zero but the flavor tag at byte 9, which
+/// names [`RANK_FLAVOR`], and the trailing `payload_len`) and then the
+/// payload, as raw wire bytes.
 #[cfg(test)]
 pub(crate) fn thread_wire(payload: &[u8]) -> Vec<u8> {
     let mut img = PackedThread::default().to_bytes();
     let head = img.len();
+    img[9] = 1; // after the id (8 bytes) and the swap kind: Isomalloc
     img[head - 8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     img.extend_from_slice(payload);
     img

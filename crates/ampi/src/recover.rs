@@ -92,10 +92,9 @@ pub(crate) struct RecoverState {
     votes: IdMap<u64, (u64, u64)>,
     /// Latest globally-committed generation + 1 (0 = none yet).
     committed_p1: u64,
-    /// Largest recovery epoch seen; traffic stamped older is stale.
-    epoch: u64,
-    /// Idempotency guards: last epoch each phase ran at.
-    rolled_back: u64,
+    /// Idempotency guards: last epoch each phase ran at. The rollback's is
+    /// the PE's adopted epoch itself, [`flows_comm::comm_epoch`]: traffic
+    /// stamped older is stale.
     planned: u64,
     resumed: u64,
     /// Dead PEs whose recovery has completed (they stay fenced forever).
@@ -221,7 +220,8 @@ pub(crate) fn deposit_checkpoint(pe: &Pe, gen: u64, rec: &mut MoveRec, thread: &
 pub(crate) fn finalize_generation(pe: &Pe, gen: u64) {
     let k = replication(pe);
     let buddies = buddies_of(pe.id(), pe.num_pes(), k, pe.confirmed_dead_mask());
-    let (epoch, own): (u64, Vec<(u64, Payload)>) = pe.ext::<RecoverState, _>(|rs| {
+    let epoch = flows_comm::comm_epoch(pe);
+    let own: Vec<(u64, Payload)> = pe.ext::<RecoverState, _>(|rs| {
         let mut own: Vec<(u64, Payload)> = rs
             .shelf
             .get(&gen)
@@ -236,7 +236,7 @@ pub(crate) fn finalize_generation(pe: &Pe, gen: u64) {
         if !buddies.is_empty() && !own.is_empty() {
             rs.await_acks.insert(gen, (buddies.len(), own.len() as u64));
         }
-        (rs.epoch, own)
+        own
     });
     if buddies.is_empty() || own.is_empty() {
         cast_vote(pe, gen, epoch, own.len() as u64);
@@ -329,16 +329,10 @@ pub(crate) fn on_replica(pe: &Pe, msg: Message) {
         pe.ext::<RecoverState, _>(|rs| rs.invalid_msgs += 1);
         return;
     };
-    let stale = pe.ext::<RecoverState, _>(|rs| {
-        let stale = h.epoch < rs.epoch;
-        if !stale {
-            rs.shelve_replicas(h.gen, recs);
-        }
-        stale
-    });
-    if stale {
+    if h.epoch < flows_comm::comm_epoch(pe) {
         return;
     }
+    pe.ext::<RecoverState, _>(|rs| rs.shelve_replicas(h.gen, recs));
     let mut ack = CtlMsg {
         kind: ctl::ACK,
         epoch: h.epoch,
@@ -369,18 +363,21 @@ fn on_vote(pe: &Pe, from: usize, gen: u64, count: u64) {
     let commit = pe.ext::<RecoverState, _>(|rs| {
         let v = rs.votes.entry(gen).or_insert((0, 0));
         if v.0 & (1 << from) != 0 {
-            return None;
+            return false;
         }
         v.0 |= 1 << from;
         v.1 += count;
         if v.1 >= size {
             rs.votes.remove(&gen);
-            Some(rs.epoch)
+            true
         } else {
-            None
+            false
         }
     });
-    let Some(epoch) = commit else { return };
+    if !commit {
+        return;
+    }
+    let epoch = flows_comm::comm_epoch(pe);
     let dead = pe.confirmed_dead_mask();
     let mut m = CtlMsg { kind: ctl::COMMIT, epoch, a: gen, b: 0, pairs: Vec::new() };
     let wire = pe.pack_payload(&mut m);
@@ -453,12 +450,10 @@ fn start_round(pe: &Pe) {
 /// thread and its routed registration, purge half-gathered reductions,
 /// and report the checksum-valid shelf inventory to the leader.
 fn handle_start(pe: &Pe, leader: usize, epoch: u64, dead_mask: u64) {
-    let stale = pe.ext::<RecoverState, _>(|rs| {
-        if epoch <= rs.rolled_back || epoch < rs.epoch {
-            return true;
-        }
-        rs.epoch = epoch;
-        rs.rolled_back = epoch;
+    if epoch <= flows_comm::comm_epoch(pe) {
+        return;
+    }
+    pe.ext::<RecoverState, _>(|rs| {
         // A smaller-epoch round is superseded — including one this PE led.
         if rs.leader.as_ref().is_some_and(|l| l.epoch < epoch) {
             rs.leader = None;
@@ -467,11 +462,7 @@ fn handle_start(pe: &Pe, leader: usize, epoch: u64, dead_mask: u64) {
         rs.await_acks.clear();
         rs.votes.clear();
         rs.rec_acks = 0;
-        false
     });
-    if stale {
-        return;
-    }
     flows_comm::set_comm_epoch(pe, epoch);
     for d in 0..pe.num_pes() {
         if dead_mask & (1 << d) != 0 {
@@ -607,8 +598,9 @@ fn record_inventory(pe: &Pe, from: usize, pairs: Vec<(u64, u64)>) {
 /// buddies. `genp1 == 0` means scratch restart (spawning is deferred to
 /// RESUME, since fresh threads are runnable immediately).
 fn apply_plan(pe: &Pe, leader: usize, epoch: u64, genp1: u64, dead_mask: u64, assign: &[(u64, u64)]) {
+    let current = flows_comm::comm_epoch(pe);
     let proceed = pe.ext::<RecoverState, _>(|rs| {
-        if epoch < rs.epoch || rs.planned >= epoch {
+        if epoch < current || rs.planned >= epoch {
             return false;
         }
         rs.planned = epoch;
@@ -729,8 +721,9 @@ fn record_plan_done(pe: &Pe, from: usize) {
 /// Un-pause admission: spawn any scratch ranks, then wake every
 /// respawned rank inside the `checkpoint()` it was packed in.
 fn apply_resume(pe: &Pe, epoch: u64, _genp1: u64, dead_mask: u64) {
+    let current = flows_comm::comm_epoch(pe);
     let work = pe.ext::<RecoverState, _>(|rs| {
-        if epoch < rs.epoch || rs.resumed >= epoch {
+        if epoch < current || rs.resumed >= epoch {
             return None;
         }
         rs.resumed = epoch;
@@ -789,8 +782,7 @@ pub(crate) fn on_ctl(pe: &Pe, msg: Message) {
     if m.kind != ctl::START {
         // START carries the *new* epoch; everything else from an older
         // epoch is pre-rollback traffic.
-        let stale = pe.ext::<RecoverState, _>(|rs| m.epoch < rs.epoch);
-        if stale {
+        if m.epoch < flows_comm::comm_epoch(pe) {
             return;
         }
     }
@@ -808,6 +800,7 @@ pub(crate) fn on_ctl(pe: &Pe, msg: Message) {
 }
 
 fn on_ack(pe: &Pe, gen: u64, purpose: u64) {
+    let epoch = flows_comm::comm_epoch(pe);
     if purpose == 0 {
         let vote = pe.ext::<RecoverState, _>(|rs| match rs.await_acks.get_mut(&gen) {
             Some(e) => {
@@ -815,14 +808,14 @@ fn on_ack(pe: &Pe, gen: u64, purpose: u64) {
                 if e.0 == 0 {
                     let n = e.1;
                     rs.await_acks.remove(&gen);
-                    Some((rs.epoch, n))
+                    Some(n)
                 } else {
                     None
                 }
             }
             None => None,
         });
-        if let Some((epoch, n)) = vote {
+        if let Some(n) = vote {
             cast_vote(pe, gen, epoch, n);
         }
     } else {
@@ -830,7 +823,7 @@ fn on_ack(pe: &Pe, gen: u64, purpose: u64) {
             if rs.rec_acks > 0 {
                 rs.rec_acks -= 1;
                 if rs.rec_acks == 0 {
-                    Some((rs.epoch, rs.plan_leader))
+                    Some(rs.plan_leader)
                 } else {
                     None
                 }
@@ -838,7 +831,7 @@ fn on_ack(pe: &Pe, gen: u64, purpose: u64) {
                 None
             }
         });
-        if let Some((epoch, leader)) = done {
+        if let Some(leader) = done {
             plan_done(pe, epoch, leader);
         }
     }
@@ -919,8 +912,8 @@ mod tests {
         assert_eq!(ranks, vec![0, 1, 2, 3, 4, 5]);
     }
 
-    /// A valid `PackedThread` wire image of exactly `len` bytes: the head
-    /// of a default thread, then `len - 40` payload bytes.
+    /// A valid rank thread's wire image of exactly `len` bytes: the head
+    /// of [`crate::proto::thread_wire`], then `len - 40` payload bytes.
     fn thread_image(len: usize) -> Vec<u8> {
         let head = PackedThread::default().to_bytes().len();
         crate::proto::thread_wire(&(0..len - head).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
@@ -974,7 +967,7 @@ mod tests {
     fn the_rank_image_frame_is_pinned() {
         let frame = sample_frame(3, 256 * 1024 + 13);
         let sum = u64::from_le_bytes(frame[16..24].try_into().unwrap());
-        assert_eq!((frame.len(), sum), (262_522, 0x64ec_8e6d_78b4_5c05));
+        assert_eq!((frame.len(), sum), (262_522, 0xb879_8e6d_78b4_5c05));
     }
 
     /// The thread is read in one piece, not a byte loop: the decoded
@@ -1001,9 +994,11 @@ mod tests {
     }
 
     /// Frames whose checksum holds but which do not decode — a truncated
-    /// image, one whose thread head carries flavor tag 9, and one whose
+    /// image, one whose thread head carries flavor tag 9, one whose
     /// thread was packed for the `Full` swap kind (tag 1), which AMPI's
-    /// schedulers cannot unpack — are shelved (their checksums verify),
+    /// schedulers cannot unpack, and two whose thread is a copy-stack
+    /// (flavor tag 0) or alias (tag 2) thread, which a rank never is —
+    /// are shelved (their checksums verify),
     /// then dropped and counted at inventory, so their generations are
     /// never complete and the plan falls back to an older one: the respawn
     /// never meets them.
@@ -1018,17 +1013,22 @@ mod tests {
         flavor_9[head + 9] = 9;
         let mut full_swap = image.clone();
         full_swap[head + 8] = 1;
+        let (mut copy_stack, mut alias) = (image.clone(), image.clone());
+        copy_stack[head + 9] = 0;
+        alias[head + 9] = 2;
         let mut rs = RecoverState::default();
         rs.shelve_replicas(4, vec![good(0), good(1)]);
-        for (gen, bytes) in [(5, truncated), (6, &flavor_9[..]), (7, &full_swap[..])] {
+        let bad: [(u64, &[u8]); 5] =
+            [(5, truncated), (6, &flavor_9), (7, &full_swap), (8, &copy_stack), (9, &alias)];
+        for (gen, bytes) in bad {
             let frame: Payload = flows_core::frame_payload(bytes).into();
             assert!(unframe_payload(&frame).is_ok(), "the checksum must verify");
             rs.shelve_replicas(gen, vec![good(0), (RepRec { rank: 1, len: 0 }, frame)]);
         }
         assert_eq!(rs.invalid_msgs, 0, "shelving checks the checksum only");
         let (_, pairs) = rs.inventory();
-        assert_eq!(rs.invalid_msgs, 3);
-        assert_eq!(pairs, vec![(4, 0), (4, 1), (5, 0), (6, 0), (7, 0)]);
+        assert_eq!(rs.invalid_msgs, 5);
+        assert_eq!(pairs, vec![(4, 0), (4, 1), (5, 0), (6, 0), (7, 0), (8, 0), (9, 0)]);
         let inventories = BTreeMap::from([(0, pairs)]);
         assert_eq!(best_gen(2, &inventories).map(|(g, _)| g), Some(4));
     }

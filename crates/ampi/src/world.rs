@@ -10,7 +10,7 @@ use flows_comm::{CommLayer, ObjId, ReduceOp};
 use flows_converse::{
     FaultPlan, IdMap, MachineBuilder, MachineReport, Message, NetModel, Payload, Pe,
 };
-use flows_core::{PackedThread, SchedConfig, StackFlavor, ThreadId, ThreadState};
+use flows_core::{PackedThread, SchedConfig, ThreadId, ThreadState};
 use flows_lb::{LbStats, LbStrategy, NullLb, ObjLoad};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -452,7 +452,7 @@ pub(crate) fn spawn_rank(pe: &Pe, meta: &Arc<WorldMeta>, rank: u64) {
     let size = meta.size;
     let tid = pe
         .sched()
-        .spawn(StackFlavor::Isomalloc, move || {
+        .spawn(crate::proto::RANK_FLAVOR, move || {
             let mut ampi = crate::Ampi::new(rank as usize, size);
             // SAFETY: the pointee is `meta.main`, kept alive by the world
             // meta past every rank thread's life (see above).
@@ -782,7 +782,9 @@ mod tests {
     /// not decode are counted drops (`flows_comm::route_drops`), never a
     /// panic: all three cross process boundaries in multi-process worlds.
     /// A batch whose thread was packed for the `Full` swap kind is one:
-    /// AMPI's schedulers could not unpack it.
+    /// AMPI's schedulers could not unpack it. So is one whose thread has a
+    /// copy-stack (tag 0) or alias (tag 2) stack: a rank lands only as an
+    /// isomalloc thread.
     #[test]
     fn malformed_lb_wires_are_counted_drops() {
         let drops = Arc::new(AtomicU64::new(u64::MAX));
@@ -795,14 +797,16 @@ mod tests {
                 pe.send(0, pe.handler_of(on_move_batch), garbage.clone());
                 pe.send(0, pe.handler_of(on_move_batch), bad_head_batch(9, 9).to_vec());
                 pe.send(0, pe.handler_of(on_move_batch), bad_head_batch(8, 1).to_vec());
+                pe.send(0, pe.handler_of(on_move_batch), bad_head_batch(9, 0).to_vec());
+                pe.send(0, pe.handler_of(on_move_batch), bad_head_batch(9, 2).to_vec());
                 // A one-rank gather completes at once, on this PE.
                 flows_comm::contribute(pe, TAG_LB, 1 << 40, 0, ReduceOp::Concat, 1, garbage);
             });
-            // All five were queued on this PE ahead of the contribution.
+            // All seven were queued on this PE ahead of the contribution.
             ampi.barrier();
             d2.store(flows_converse::with_pe(flows_comm::route_drops), Ordering::Relaxed);
         });
-        assert_eq!(drops.load(Ordering::Relaxed), 5);
+        assert_eq!(drops.load(Ordering::Relaxed), 7);
     }
 
     /// A well-formed one-rank batch whose thread head carries `tag` at byte
@@ -812,7 +816,7 @@ mod tests {
         let mut batch = flows_pup::to_bytes(&mut BatchHead { epoch: 0, count: 1 });
         flows_pup::pack_into(&mut MoveRec { rank: 5, ..MoveRec::default() }, &mut batch);
         let good = [batch.clone(), thread.clone()].concat();
-        assert!(decode_move_batch(&good.into()).is_some(), "a Minimal flavor-0 head decodes");
+        assert!(decode_move_batch(&good.into()).is_some(), "a Minimal isomalloc head decodes");
         thread[at] = tag;
         batch.extend_from_slice(&thread);
         let batch: Payload = batch.into();
@@ -873,7 +877,8 @@ mod tests {
             (parked.chain(stashed).collect(), seq_pairs(&b.next_seq), seq_pairs(&b.send_seq))
         }
         // The record, then the thread: a default head (40 bytes, zero but
-        // its trailing `payload_len` of 16) and 16 payload bytes.
+        // its Isomalloc flavor tag at byte 9 and its trailing
+        // `payload_len` of 16) and 16 payload bytes.
         let image_bytes = [
             words(&[3, 2, 1, 9, 3]),
             vec![1, 2, 3],
@@ -883,7 +888,9 @@ mod tests {
             words(&[1, 5, 3]),       // send_seq: (5, 3)
             words(&[1, 1, 2, 9, 70]),
             vec![0xCD; 70],
-            vec![0; 32],
+            vec![0; 9],
+            vec![1],
+            vec![0; 22],
             words(&[16]),
             vec![7; 16],
         ]

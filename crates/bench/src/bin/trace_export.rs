@@ -1,5 +1,5 @@
 //! trace-export: run a traced AMPI job and emit a Chrome-trace JSON file
-//! loadable in `chrome://tracing` or https://ui.perfetto.dev.
+//! loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! The default job is a 4-PE, 8-rank ring exchange with RotateLB
 //! migrations, one coordinated checkpoint, and a lossy transport plan —

@@ -1,6 +1,6 @@
 //! # flows-bigsim — simulating a huge machine with user-level threads
 //!
-//! A reproduction of the BigSim experiment (paper §4.4, refs [43][44]):
+//! A reproduction of the BigSim experiment (paper §4.4, refs \[43\]\[44\]):
 //! predicting the per-timestep behaviour of a molecular-dynamics run on a
 //! machine with hundreds of thousands of processors, using only a handful
 //! of real ("simulating") PEs. Each *target processor* is one user-level

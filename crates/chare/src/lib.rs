@@ -9,7 +9,7 @@
 //!   routed via `flows-comm`, migratable by PUP-packing their state (§3.2);
 //! * [`sdag`] — the `atomic` / `for` / `when` / `overlap` combinators
 //!   interpreted as a message-buffering finite-state machine;
-//! * [`retswitch`] — the §2.4.1 return-switch ("Duff's device") style,
+//! * [`mod@retswitch`] — the §2.4.1 return-switch ("Duff's device") style,
 //!   kept for comparison and for tiny protocol steppers.
 
 #![warn(missing_docs)]

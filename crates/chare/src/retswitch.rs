@@ -4,7 +4,7 @@
 //! function needs to block it *returns*, saving a label; when resumed it
 //! switches on the label and jumps back to where it left off — Duff's
 //! device dressed up in macros (the paper cites Tatham's C coroutines
-//! [37]). The [`retswitch!`] macro makes the "save, return, resume from
+//! \[37\]). The [`crate::retswitch!`] macro makes the "save, return, resume from
 //! label" bookkeeping explicit but compact.
 //!
 //! The paper's verdict — *"this technique can still be confusing,

@@ -1,5 +1,5 @@
 //! Structured Dagger (SDAG): a coordination language for event-driven
-//! objects (paper §2.4.2, ref [22], Figure 1).
+//! objects (paper §2.4.2, ref \[22\], Figure 1).
 //!
 //! SDAG expresses an object's *life cycle* — "alternate receiving these two
 //! messages, k times" — which a flat event-driven style obscures. Programs

@@ -483,11 +483,6 @@ pub fn route_wire_with(
     route_wire(pe, &hdr, len_hint, pack)
 }
 
-/// Convenience wrapper over [`route`] using the calling context's PE.
-pub fn route_from_here(obj: ObjId, port: Port, payload: impl Into<Payload>) {
-    flows_converse::with_pe(|pe| route(pe, obj, port, payload));
-}
-
 /// Raise this PE's rollback epoch (monotonic; lower values are ignored).
 /// The recovery driver calls this on every survivor at rollback, *before*
 /// any respawned object re-registers: from then on, location updates and

@@ -2,7 +2,7 @@
 //!
 //! The paper's migratable entities "only communicate via the communication
 //! sub-system, which provides location-independent communication that
-//! supports migration at any time" (§3.1.2, ref [28]). This crate is that
+//! supports migration at any time" (§3.1.2, ref \[28\]). This crate is that
 //! subsystem for our machine:
 //!
 //! * every endpoint is an [`ObjId`] with a *home PE* (`id mod num_pes`)
@@ -31,7 +31,7 @@ pub mod reduce;
 pub use layer::{
     book_local_delivery, buffered_count, comm_epoch, drop_malformed, evict_obj, live_home,
     max_route_hops, migrate_obj_in, migrate_obj_out, purge_dead_locations, register_obj, route,
-    route_drops, route_from_here, route_overflows, route_wire_with, route_with, set_comm_epoch,
+    route_drops, route_overflows, route_wire_with, route_with, set_comm_epoch,
     set_delivery, CommLayer, ObjId, Port, RouteOverflow,
 };
 pub use reduce::{

@@ -1,6 +1,6 @@
 //! # flows-converse — the machine runtime (Converse analog)
 //!
-//! The paper's runtime substrate (§2.4, refs [23], [24]): a *machine* of
+//! The paper's runtime substrate (§2.4, refs \[23\], \[24\]): a *machine* of
 //! `num_pes` PEs (processing elements), each with a message queue and a
 //! user-level thread scheduler, driven by a per-PE scheduler loop that
 //! alternates between delivering network messages to registered

@@ -5,7 +5,7 @@
 //! only in how they hand PEs to `drive`: one OS thread pumping every PE
 //! round-robin without ever parking, or one OS thread per PE pumping a
 //! one-element slice and parking its thread when idle. The burst, the
-//! idle barrier, the quiescence rule ([`Ledger::quiescent`]) and the
+//! idle barrier, the quiescence rule (`Ledger::quiescent`) and the
 //! report are shared.
 
 use crate::fault::{FaultCtx, FaultPlan, FaultStats, FaultSummary, RecoveryEvent};
@@ -58,8 +58,6 @@ pub(crate) struct Hub {
     /// Machine-wide fault counters (present iff a plan was attached);
     /// their `written_off` closes the quiescence balance.
     pub(crate) stats: Option<Arc<FaultStats>>,
-    /// The pools whose steal mesh this machine uses (work stealing on).
-    steal: Option<Arc<SharedPools>>,
     /// Each local PE's OS thread in threaded mode (unset under
     /// deterministic drive): posting a frame unparks its destination.
     wakers: OnceLock<Vec<Thread>>,
@@ -261,7 +259,6 @@ impl Hub {
                 .map_or(0, |s| s.written_off.load(Ordering::Relaxed)),
             idle: false,
             unresolved: self.unresolved(),
-            stolen: self.steal.as_ref().map_or(0, |p| p.steal().in_flight()),
         };
         row.idle = word as u32 as usize == self.local && self.idle.load(Ordering::SeqCst) == word;
         row
@@ -319,20 +316,14 @@ pub(crate) struct Ledger {
     pub idle: bool,
     /// A failure whose recovery has not completed.
     pub unresolved: bool,
-    /// Threads in flight through the steal mesh, unseen by the counters.
-    pub stolen: usize,
 }
-pup_fields!(Ledger { sent, recv, written_off, idle, unresolved, stolen });
+pup_fields!(Ledger { sent, recv, written_off, idle, unresolved });
 
 impl Ledger {
-    /// The quiescence rule: every PE idle, no unresolved failure, no
-    /// stolen thread in flight, and every message sent was received or
-    /// written off.
+    /// The quiescence rule: every PE idle, no unresolved failure, and
+    /// every message sent was received or written off.
     pub(crate) fn quiescent(&self) -> bool {
-        self.idle
-            && !self.unresolved
-            && self.stolen == 0
-            && self.sent == self.recv + self.written_off
+        self.idle && !self.unresolved && self.sent == self.recv + self.written_off
     }
 
     /// The machine-wide row: counters add up, idleness needs every row.
@@ -347,7 +338,6 @@ impl Ledger {
             written_off: a.written_off + r.written_off,
             idle: a.idle && r.idle,
             unresolved: a.unresolved || r.unresolved,
-            stolen: a.stolen + r.stolen,
         })
     }
 }
@@ -427,13 +417,11 @@ pub struct MachineBuilder {
     sched_cfg: SchedConfig,
     net: NetModel,
     handlers: Vec<(TypeId, Handler)>,
-    shared: Option<Arc<SharedPools>>,
     slot_len: usize,
     slots_per_pe: usize,
     fault: Option<Arc<FaultPlan>>,
     modeled_time: bool,
     tracing: bool,
-    steal: bool,
     death_upcall: Option<DeathUpcall>,
     world: Option<Arc<flows_net::World>>,
 }
@@ -447,13 +435,11 @@ impl MachineBuilder {
             sched_cfg: SchedConfig::default(),
             net: NetModel::default(),
             handlers: Vec::new(),
-            shared: None,
             slot_len: 1 << 20,
             slots_per_pe: 1024,
             fault: None,
             modeled_time: false,
             tracing: false,
-            steal: false,
             death_upcall: None,
             world: None,
         }
@@ -473,16 +459,6 @@ impl MachineBuilder {
             "the machine size must equal the world's procs × pes_per_proc"
         );
         self.world = Some(world);
-        self
-    }
-
-    /// Enable intra-node work stealing: idle PEs pull chunks off the
-    /// run-queue tails of busy ones through the shared steal mesh, after
-    /// their spin phase and before parking. Off by default — placement
-    /// then stays exactly where spawns and explicit migrations put it,
-    /// which deterministic tests and the LB-only baselines rely on.
-    pub fn work_stealing(mut self, yes: bool) -> Self {
-        self.steal = yes;
         self
     }
 
@@ -557,13 +533,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Provide pre-built memory pools (for tests that inspect the pools
-    /// after a run).
-    pub fn shared_pools(mut self, shared: Arc<SharedPools>) -> Self {
-        self.shared = Some(shared);
-        self
-    }
-
     /// Register a message handler; returns its machine-wide id, which is
     /// its position in registration order. The handler's type is its key:
     /// code running on a PE finds the id again with [`Pe::handler_of`].
@@ -572,10 +541,7 @@ impl MachineBuilder {
         HandlerId(self.handlers.len() - 1)
     }
 
-    fn build_shared(&mut self) -> Arc<SharedPools> {
-        if let Some(s) = &self.shared {
-            return s.clone();
-        }
+    fn build_shared(&self) -> Arc<SharedPools> {
         let mut iso = IsoConfig::for_pes(self.num_pes);
         if self.world.is_none() {
             iso.base = 0; // machines in one process must not fight over a base
@@ -621,7 +587,6 @@ impl MachineBuilder {
             base,
             local,
             stats: fault.as_ref().map(|f| f.stats.clone()),
-            steal: self.steal.then(|| shared.clone()),
             ..Hub::default()
         });
         let rings: Vec<Arc<TraceRing>> = if self.tracing {
@@ -633,8 +598,7 @@ impl MachineBuilder {
             Vec::new()
         };
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..local).map(|_| unbounded()).unzip();
-        let (num_pes, net) = (self.num_pes, self.net);
-        let (modeled_time, steal) = (self.modeled_time, self.steal);
+        let (num_pes, net, modeled_time) = (self.num_pes, self.net, self.modeled_time);
         let seeds = rxs
             .into_iter()
             .enumerate()
@@ -650,7 +614,7 @@ impl MachineBuilder {
                     let sched = Scheduler::new(id, shared, cfg);
                     Pe::new(
                         id, num_pes, base, world, sched, rx, txs, handlers, hub, net, fault,
-                        modeled_time, steal, threaded, pool, ring, upcall,
+                        modeled_time, threaded, pool, ring, upcall,
                     )
                 }
             })
@@ -687,9 +651,6 @@ impl MachineBuilder {
             "online recovery requires the deterministic drive mode \
              (or a multi-process world, whose comm thread owns quiescence)"
         );
-        if multiproc {
-            assert!(!self.steal, "work stealing cannot cross process boundaries");
-        }
         if let (Some(w), Some(plan)) = (&self.world, &self.fault) {
             if w.is_leader() {
                 let leader_pes = w.first_pe()..w.first_pe() + w.pes_per_proc();
@@ -908,13 +869,6 @@ fn drive(
                 hub.leave_idle(n);
                 continue 'run;
             }
-            // Keep a steal request planted at whoever is richest *now*: one
-            // consumed by an empty donation, or aimed at a victim gone idle,
-            // would leave this PE parked with nobody obligated to wake it.
-            // (A donation after the has_work check sets the token first.)
-            for pe in pes {
-                pe.steal_request();
-            }
             if spins < IDLE_SPINS_BEFORE_PARK {
                 spins += 1;
                 std::thread::yield_now();
@@ -957,7 +911,6 @@ mod tests {
     use crate::pe::{send, with_pe};
     use flows_core::{suspend, yield_now, StackFlavor, ThreadId};
     use std::sync::atomic::AtomicU64;
-    use std::time::Instant;
 
     #[test]
     fn deterministic_ring_passes_token() {
@@ -1037,105 +990,6 @@ mod tests {
             }
         });
         assert_eq!(done.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn stealing_spreads_a_skewed_spawn_across_pes() {
-        // Every thread lands on PE 0; with work stealing on, the other
-        // PEs must pull chunks over the mesh and run them. Deterministic
-        // drive, so the donate/absorb handshake is exercised without any
-        // park in the loop.
-        let done = Arc::new(AtomicU64::new(0));
-        let done2 = done.clone();
-        let mut mb = MachineBuilder::new(4)
-            .net_model(NetModel::zero())
-            .work_stealing(true)
-            .tracing(true);
-        let _ = mb.handler(|_, _| {});
-        let rep = mb.run_deterministic(move |pe| {
-            if pe.id() == 0 {
-                for _ in 0..48 {
-                    let done = done2.clone();
-                    pe.sched()
-                        .spawn(StackFlavor::Isomalloc, move || {
-                            for _ in 0..8 {
-                                yield_now();
-                            }
-                            done.fetch_add(1, Ordering::Relaxed);
-                        })
-                        .unwrap();
-                }
-            }
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 48, "every thread finished");
-        assert_eq!(rep.stranded_threads, vec![0; 4], "none lost in transit");
-        let stolen_in: u64 = rep.sched_stats[1..]
-            .iter()
-            .map(|s| s.migrations_in)
-            .sum();
-        assert!(stolen_in > 0, "idle PEs must have absorbed stolen threads");
-        let t = rep.trace.as_ref().expect("tracing was on");
-        let attempts: u64 = t.pes.iter().map(|p| p.steal_attempts).sum();
-        let hits: u64 = t.pes.iter().map(|p| p.steal_hits).sum();
-        assert!(attempts > 0, "thieves must have posted requests");
-        assert_eq!(hits, stolen_in, "every absorbed thread traces a StealHit");
-    }
-
-    #[test]
-    fn parked_thief_steals_work_that_appears_later() {
-        // Lost-wakeup regression (threaded mode): PE 1 has nothing to do
-        // and parks immediately — before PE 0 has any stealable work (the
-        // spawner must run a while first). A parked thief whose request
-        // went nowhere must refresh it before each park, or it would
-        // sleep through the victim's entire burst in 200µs bites. The
-        // burst stays runnable until one of its threads has run on PE 1
-        // (or a wall deadline passes), so a slow or descheduled PE 0
-        // cannot finish it before PE 1 wakes: only a lost wake-up fails.
-        let done = Arc::new(AtomicU64::new(0));
-        let stolen = Arc::new(AtomicBool::new(false));
-        let (done2, stolen2) = (done.clone(), stolen.clone());
-        let mut mb = MachineBuilder::new(2)
-            .net_model(NetModel::zero())
-            .work_stealing(true);
-        let _ = mb.handler(|_, _| {});
-        let rep = mb.run(move |pe| {
-            if pe.id() == 0 {
-                let (done, stolen) = (done2.clone(), stolen2.clone());
-                pe.sched()
-                    .spawn(StackFlavor::Isomalloc, move || {
-                        // Let PE 1 park first.
-                        for _ in 0..64 {
-                            yield_now();
-                        }
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        for _ in 0..32 {
-                            let (done, stolen) = (done.clone(), stolen.clone());
-                            with_pe(|p| {
-                                p.sched().spawn(StackFlavor::Isomalloc, move || {
-                                    while !stolen.load(Ordering::Relaxed)
-                                        && Instant::now() < deadline
-                                    {
-                                        if with_pe(|p| p.id()) == 1 {
-                                            stolen.store(true, Ordering::Relaxed);
-                                        }
-                                        yield_now();
-                                    }
-                                    done.fetch_add(1, Ordering::Relaxed);
-                                })
-                            })
-                            .unwrap();
-                        }
-                    })
-                    .unwrap();
-            }
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 32);
-        assert_eq!(rep.stranded_threads, vec![0; 2]);
-        assert!(
-            rep.sched_stats[1].migrations_in > 0,
-            "the parked PE must wake and steal the late burst: {:?}",
-            rep.sched_stats
-        );
     }
 
     #[test]
@@ -1559,11 +1413,8 @@ mod tests {
         // delivered payload, which must hand the bytes back to the
         // *origin* PE's pool in time for its next hop — so the steady
         // state recycles instead of allocating.
-        let shared = flows_core::SharedPools::new_for_tests();
         let hops = Arc::new(AtomicU64::new(0));
-        let mut mb = MachineBuilder::new(2)
-            .net_model(NetModel::zero())
-            .shared_pools(shared.clone());
+        let mut mb = MachineBuilder::new(2).net_model(NetModel::zero());
         let h = {
             let hops = hops.clone();
             mb.handler(move |pe, msg| {
@@ -1585,8 +1436,7 @@ mod tests {
         });
         assert_eq!(hops.load(Ordering::Relaxed), 201);
         assert_eq!(rep.pe_delivered.iter().sum::<u64>(), 201);
-        for pe in 0..2 {
-            let s = shared.payload_pool(pe).stats();
+        for (pe, s) in rep.pools.iter().enumerate() {
             assert!(s.returns > 0, "pe{pe}: buffers came back cross-thread: {s:?}");
             assert!(s.reuses > 10, "pe{pe}: steady state recycled: {s:?}");
             assert!(s.allocs < 10, "pe{pe}: far fewer allocs than hops: {s:?}");

@@ -475,7 +475,7 @@ mod tests {
     }
 
     fn ledger() -> Ledger {
-        Ledger { sent: 7, recv: 5, written_off: 2, idle: true, unresolved: false, stolen: 0 }
+        Ledger { sent: 7, recv: 5, written_off: 2, idle: true, unresolved: false }
     }
 
     fn masks() -> Masks {

@@ -104,10 +104,6 @@ pub struct Pe {
     net: NetModel,
     fault: Option<FaultCtx>,
     modeled_time: bool,
-    /// Intra-node work stealing enabled (`MachineBuilder::work_stealing`):
-    /// idle PEs pull run-queue tails off busy ones through the shared
-    /// steal mesh instead of waiting for an explicit migration.
-    steal: bool,
     vtime: Cell<u64>,
     busy: Cell<u64>,
     local_q: RefCell<VecDeque<Message>>,
@@ -189,7 +185,6 @@ impl Pe {
         net: NetModel,
         fault: Option<FaultCtx>,
         modeled_time: bool,
-        steal: bool,
         threaded: bool,
         pool: Arc<PayloadPool>,
         ring: Option<Arc<TraceRing>>,
@@ -222,7 +217,6 @@ impl Pe {
             net,
             fault,
             modeled_time,
-            steal,
             vtime: Cell::new(0),
             busy: Cell::new(0),
             local_q: RefCell::new(VecDeque::new()),
@@ -1111,19 +1105,6 @@ impl Pe {
                 carried => carried,
             }
         };
-        // Victim half of work stealing, at the pump boundary so the
-        // per-switch hot path inside `step` stays untouched: publish our
-        // load and service any pending requests. `donate_steals` bails on
-        // one relaxed load when nobody is asking.
-        if self.steal {
-            self.sched.publish_steal_load();
-            let mut woken = self.sched.donate_steals();
-            while woken != 0 {
-                let t = woken.trailing_zeros() as usize;
-                woken &= woken - 1;
-                self.hub.wake(t);
-            }
-        }
         let mut progress = false;
         // Drain a bounded batch of messages so threads stay responsive.
         for _ in 0..64 {
@@ -1152,15 +1133,6 @@ impl Pe {
             progress = true;
         }
         if !progress {
-            // Thief half of work stealing: an idle pump absorbs any
-            // donation that has landed (work! the next pump runs it) or
-            // posts a request at the richest victim. Safe here — this PE
-            // is not announced at the idle barrier while pumping.
-            if self.steal && self.sched.try_steal() > 0 {
-                progress = true;
-            }
-        }
-        if !progress {
             // Idle: drain deferred slot-memory reclaim (warm alias windows,
             // cached isomalloc slabs) while nothing is runnable. No-op —
             // and syscall-free — when the reclaim lists are empty.
@@ -1169,23 +1141,12 @@ impl Pe {
         progress
     }
 
-    /// Local work only: queued messages, runnable threads, or stolen
-    /// threads parked in our steal inbox awaiting absorption.
+    /// Local work only: queued messages or runnable threads.
     pub(crate) fn has_local_work(&self) -> bool {
         !self.local_q.borrow().is_empty()
             || !self.pending.borrow().is_empty()
             || !self.rx.is_empty()
             || self.sched.runnable() > 0
-            || (self.steal && self.sched.steal_inbox_len() > 0)
-    }
-
-    /// Barrier-safe steal request refresh (see the drive loop's pre-park
-    /// re-check): posts/refreshes a request at the currently richest
-    /// victim without moving any thread. No-op when stealing is off.
-    pub(crate) fn steal_request(&self) {
-        if self.steal {
-            self.sched.request_steal();
-        }
     }
 
     /// Is there any local work (messages, runnable threads, unfinished

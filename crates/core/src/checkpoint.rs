@@ -1,8 +1,8 @@
 //! Checkpoint/restart and PE evacuation — two applications the paper
 //! derives directly from migration (§3): *"checkpointing is simply
 //! migration to disk or the local memory of a remote processor"*
-//! (refs [12], [42]), and moving all work off a processor to vacate a
-//! node expected to fail or be shut down (refs [17], [34]).
+//! (refs \[12\], \[42\]), and moving all work off a processor to vacate a
+//! node expected to fail or be shut down (refs \[17\], \[34\]).
 //!
 //! A [`Checkpoint`] is the packed images of every migratable thread of a
 //! scheduler. It serializes with PUP, so it can be written to disk and

@@ -9,7 +9,7 @@
 //! valid (the paper's central trick).
 //!
 //! ### Wire format
-//! A packed thread is a PUP'd [`Head`] followed by a *raw* flavor payload
+//! A packed thread is a PUP'd `Head` followed by a *raw* flavor payload
 //! whose length is the head's last field. The payload is held as an
 //! Arc-backed [`Payload`], so the pack side writes the thread's bytes once
 //! (straight from the arena into a pooled message buffer), the transport
@@ -144,10 +144,11 @@ impl PackedThread {
         self.head.id
     }
 
-    /// Whether the thread was packed under swap kind `kind`: only a
-    /// scheduler of that kind can unpack it.
-    pub fn swap_kind_is(&self, kind: SwapKind) -> bool {
-        self.head.swap_kind == kind_tag(kind)
+    /// Whether the thread was packed under swap kind `kind` with stack
+    /// flavor `flavor`: only a scheduler of that kind can unpack it, and a
+    /// layer that lands it must know where its stack lives.
+    pub fn packed_as(&self, kind: SwapKind, flavor: StackFlavor) -> bool {
+        self.head.swap_kind == kind_tag(kind) && self.head.flavor == flavor_tag(flavor)
     }
 
     /// Bytes in the image payload (stack + heap data).

@@ -605,31 +605,6 @@ impl Scheduler {
         }
     }
 
-    /// One idle-path steal tick: absorb any donations; when the inbox is
-    /// dry, post (or refresh) a request at the richest victim. Returns the
-    /// number of threads absorbed (0 when the tick only planted a
-    /// request). Callers must NOT be announced at an idle barrier —
-    /// absorbing moves in-flight threads into this scheduler, and a
-    /// quiescence detector that saw this PE as idle *and* the mesh as
-    /// empty would declare victory mid-move ([`Scheduler::request_steal`]
-    /// is the barrier-safe half).
-    pub fn try_steal(&self) -> usize {
-        let n = self.absorb_steals();
-        if n > 0 {
-            return n;
-        }
-        self.request_steal();
-        0
-    }
-
-    /// Packed threads waiting in this PE's donation inbox (local work the
-    /// idle/quiescence paths must not overlook).
-    pub fn steal_inbox_len(&self) -> usize {
-        // SAFETY: plain reads between switches.
-        let inner = unsafe { &*self.inner() };
-        inner.shared.steal().inbox_len(inner.pe)
-    }
-
     /// Switch into `tid`, then act on the status it left with. This
     /// epilogue is the only code that requeues a yielded flow or retires a
     /// finished one — including a flow that could not be activated.

@@ -1,7 +1,7 @@
 //! # flows-lb — measurement-based load balancing
 //!
 //! The paper's motivating use of thread migration is
-//! application-independent dynamic load balancing (§1, §4.5, ref [41]):
+//! application-independent dynamic load balancing (§1, §4.5, ref \[41\]):
 //! the runtime *measures* each migratable object's load, feeds the
 //! database to a strategy, and executes the resulting migrations. This
 //! crate holds the strategy side — pure decision procedures over a load

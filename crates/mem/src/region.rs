@@ -321,7 +321,7 @@ impl Slot {
     }
 
     /// Commit `[offset, offset+len)` of the slot read-write. Ranges still
-    /// warm from a previous tenant (see [`Warm`]) commit without a syscall.
+    /// warm from a previous tenant (see `Warm`) commit without a syscall.
     pub fn commit(&self, offset: usize, len: usize) -> SysResult<()> {
         self.check(offset, len)?;
         if len == 0 {

@@ -38,9 +38,7 @@ pub mod topo;
 pub use frame::{Frame, FrameKind, Header, HEADER_LEN};
 pub use shm::{Segment, ShmTransport, DEFAULT_SLOTS, DEFAULT_SLOT_BYTES};
 pub use sock::SockTransport;
-pub use topo::{
-    attach, attach_from_env, child_rank, launch_or_attach, Backend, TopologySpec, World,
-};
+pub use topo::{attach_from_env, child_rank, Backend, TopologySpec, World};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -128,7 +126,7 @@ pub(crate) fn bump_body_copies() {
 }
 
 /// Total body staging copies this process has taken (see
-/// [`bump_body_copies`]'s doc on the static).
+/// `bump_body_copies`'s doc on the static).
 pub fn body_copies() -> u64 {
     BODY_COPIES.load(Ordering::Relaxed)
 }

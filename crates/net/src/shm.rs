@@ -65,7 +65,7 @@ pub const DEFAULT_SLOTS: usize = 64;
 pub const DEFAULT_SLOT_BYTES: usize = 4096 - SLOT_HDR;
 
 /// A mapped flows-net segment: geometry plus raw accessors. Shared by
-/// the transport and by the [`SlotRegion`] payload views that keep
+/// the transport and by the `SlotRegion` payload views that keep
 /// slots pinned.
 pub struct Segment {
     fd: MemFd,
@@ -436,7 +436,7 @@ impl ShmTransport {
 
     /// Poll every source ring once (round-robin start); `None` when all
     /// are empty. A spilled frame whose next chunk is not published within
-    /// [`SPILL_CHUNK_WAIT`] stays half-assembled in its lane until a later
+    /// `SPILL_CHUNK_WAIT` stays half-assembled in its lane until a later
     /// poll, so a producer that dies mid-frame never stalls the caller.
     pub fn try_recv(&self) -> Option<(usize, Frame)> {
         let seg = &self.seg;

@@ -184,7 +184,8 @@ impl TopologySpec {
     }
 
     /// Use a caller-managed session directory (attach-by-address mode:
-    /// independently launched processes agree on this path out of band).
+    /// independently launched processes agree on this path out of band
+    /// and join it through [`attach_from_env`], `FLOWS_NET_DIR` naming it).
     pub fn session_dir(mut self, dir: PathBuf) -> TopologySpec {
         self.dir = Some(dir);
         self
@@ -329,7 +330,7 @@ pub fn attach_from_env() -> io::Result<Arc<World>> {
 
 /// Attach-by-address: join the session at `dir` as `rank`. Waits for
 /// the leader's meta file when it has not appeared yet.
-pub fn attach(rank: usize, dir: &Path) -> io::Result<Arc<World>> {
+fn attach(rank: usize, dir: &Path) -> io::Result<Arc<World>> {
     let deadline = Instant::now() + BRINGUP_TIMEOUT;
     let meta = loop {
         match Meta::read(dir) {
@@ -379,17 +380,6 @@ pub fn attach(rank: usize, dir: &Path) -> io::Result<Arc<World>> {
         owns_dir: false,
         closed: AtomicBool::new(false),
     }))
-}
-
-/// SPMD entry: attach when running as a spawned child, launch the
-/// topology otherwise. Lets one binary (a benchmark, a test) be both
-/// leader and child.
-pub fn launch_or_attach(spec: TopologySpec) -> io::Result<Arc<World>> {
-    if child_rank().is_some() {
-        attach_from_env()
-    } else {
-        spec.launch()
-    }
 }
 
 struct ChildSlot {

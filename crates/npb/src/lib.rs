@@ -10,7 +10,7 @@
 //!   (the deliberate imbalance source);
 //! * [`solver`] — the per-zone halo'd stencil solver (area-proportional
 //!   real work; see DESIGN.md §2 for the substitution note);
-//! * [`run`] — the AMPI driver: boundary exchange, solve, optional
+//! * [`mod@run`] — the AMPI driver: boundary exchange, solve, optional
 //!   `migrate()` every few iterations, and a global checksum that must be
 //!   bit-identical with and without load balancing.
 

@@ -1,7 +1,8 @@
 #!/bin/bash
 # The one gate, in one fixed order. Run before committing.
 #
-#  1. clippy across the workspace at -D warnings, plus the two libc-edge
+#  1. clippy and rustdoc across the workspace at -D warnings (a doc link
+#     to a deleted or private item fails here), plus the two libc-edge
 #     checks: the slot-memory layer (flows-mem) and the transport layer
 #     (flows-net) must reach the kernel only through flows-sys so
 #     SyscallCounts stay truthful. flowslint catches `libc::` tokens;
@@ -43,6 +44,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo clippy --offline --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 for crate in mem net; do
   if grep -Eq '^\s*libc\s*[=.]' "crates/$crate/Cargo.toml"; then
     echo "FAIL: flows-$crate must not depend on libc directly — go through flows-sys"
@@ -95,7 +97,7 @@ if [ -n "$unused" ]; then
   printf '%s' "$unused"
   exit 1
 fi
-echo "OK: clippy clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id; no Vec<u8> field in AMPI records; no hand-packed bytes in netpump.rs; every declared dependency is used"
+echo "OK: clippy and rustdoc clean at -D warnings; flows-mem and flows-net have no direct libc dependency; no process-global handler id; no Vec<u8> field in AMPI records; no hand-packed bytes in netpump.rs; every declared dependency is used"
 
 cargo run --offline -q -p flows-check --bin flowslint -- --root .
 cargo test --offline -q -p flows-check
